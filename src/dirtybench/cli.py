@@ -57,6 +57,16 @@ def cmd_validate_config(args) -> int:
     return EXIT_OK
 
 
+def _rate_tag(rate: float) -> str:
+    """File-name tag of a grid rate: its percentage, zero-padded to three
+    integer digits, with the decimals that tell finer rates apart
+    (0.1 -> "010", 0.005 -> "000.5", 0.0125 -> "001.25")."""
+    whole, frac = f"{rate:.12f}".split(".")
+    tag = f"{int(whole + frac[:2]):03d}"
+    rest = frac[2:].rstrip("0")
+    return f"{tag}.{rest}" if rest else tag
+
+
 def cmd_inject(args) -> int:
     config = RunConfig.load_file(args.config)
     config = _apply_overrides(config, args)
@@ -81,7 +91,7 @@ def cmd_inject(args) -> int:
                     entity_key=ds.entity_key if error_type == CONFLICTING else (),
                 )
                 corrupted = inject(ds.dataset, spec)
-                name = f"{ds.name}__{error_type}__{int(round(rate * 100)):03d}.csv"
+                name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
                 target = out_dir / name
                 target.write_text(
                     dataset_to_text(corrupted, delimiter=entry.delimiter),

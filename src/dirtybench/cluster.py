@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .corrupt import impute
 from .data import Dataset
@@ -59,8 +61,30 @@ def _maybe_original_centroids(enc: FeatureEncoder, centroids: np.ndarray):
     return np.array([enc.inverse_numeric(c) for c in centroids])
 
 
+# Byte budget of the (rows x len(C) x d) temporary behind one distance block.
+_CHUNK_BYTES = 2 << 20
+
+
+def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
+    """Yield (first row, block) pairs covering the squared Euclidean distances
+    from the rows of X to the rows of C, a fixed byte budget per block.
+
+    Every entry is computed by the same per-element formula whatever the
+    block size, so the values do not depend on the budget.  Distances between
+    two point sets go through here; per-sample loops that measure one point
+    against a set use the 2-D form ``((P - x) ** 2).sum(axis=1)``, which
+    gives the same bits without this generator's per-call cost.
+    """
+    step = max(1, _CHUNK_BYTES // (8 * max(1, C.size)))
+    for a in range(0, len(X), step):
+        yield a, ((X[a:a + step, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+
+
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    return ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+    out = np.empty((len(X), len(C)))
+    for a, block in _sq_dist_blocks(X, C):
+        out[a:a + len(block)] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +211,26 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
     if k < 1 or k > n:
         raise ParameterError(f"k={k} out of range for {n} rows")
     rng = np.random.default_rng(seed)
-    all_d = np.sqrt(_sq_dists(X, X))
 
-    def cost_of(medoids: np.ndarray) -> float:
-        return float(all_d[:, medoids].min(axis=1).sum())
+    def dists_to(medoids) -> np.ndarray:
+        return np.sqrt(_sq_dists(X, X[medoids]))
+
+    def nearest_without(dist: np.ndarray) -> np.ndarray:
+        """Row j: each point's distance to its nearest medoid other than
+        medoids[j], from the nearest and second-nearest distances."""
+        if k == 1:
+            return np.full((1, n), np.inf)
+        first, second = np.partition(dist, 1, axis=1)[:, :2].T
+        return np.where(dist.argmin(axis=1) == np.arange(k)[:, None], second, first)
 
     best_medoids = None
     best_cost = np.inf
     traces: list[list[float]] = []
     for _ in range(num_local):
         medoids = rng.choice(n, size=k, replace=False)
-        current = cost_of(medoids)
+        dist = dists_to(medoids)  # column j: distances to medoids[j]
+        current = float(dist.min(axis=1).sum())
+        others = nearest_without(dist)
         trace = [current]
         fails = 0
         while fails < max_neighbor:
@@ -206,11 +239,13 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
             if candidate in medoids:
                 fails += 1
                 continue
-            trial = medoids.copy()
-            trial[pos] = candidate
-            c = cost_of(trial)
+            col = np.sqrt(((X - X[candidate]) ** 2).sum(axis=1))
+            c = float(np.minimum(others[pos], col).sum())
             if c < current - 1e-12:
-                medoids, current = trial, c
+                medoids[pos] = candidate
+                dist[:, pos] = col
+                current = c
+                others = nearest_without(dist)
                 trace.append(current)
                 fails = 0
             else:
@@ -219,7 +254,7 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
         if current < best_cost:
             best_cost = current
             best_medoids = medoids
-    assign = all_d[:, best_medoids].argmin(axis=1)
+    assign = dists_to(best_medoids).argmin(axis=1)
     return Clustering(assign, k, {"medoids": best_medoids, "cost": best_cost,
                                   "accepted_costs": traces})
 
@@ -235,51 +270,47 @@ def dbscan(d: Dataset, eps: float, min_pts: int = 4) -> Clustering:
         raise ParameterError("eps must be positive")
     if min_pts < 1:
         raise ParameterError("min_pts must be at least 1")
-    X, enc = encode_for_clustering(d)
+    X, _ = encode_for_clustering(d)
     n = len(X)
-    dist = np.sqrt(_sq_dists(X, X))
-    within = dist <= eps
-    core = within.sum(axis=1) >= min_pts  # neighbor count includes self
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # eps-neighbour graph (self loops included) in CSR form, one block of
+    # rows at a time; np.nonzero lists each block's edges in row order
+    indices, degree = [], []
+    for _, block in _sq_dist_blocks(X, X):
+        within = np.sqrt(block) <= eps
+        degree.append(within.sum(axis=1))
+        indices.append(np.nonzero(within)[1])
+    degree = np.concatenate(degree)
+    indptr = np.concatenate(([0], np.cumsum(degree)))
+    indices = np.concatenate(indices)
+    core = degree >= min_pts
     core_idx = np.flatnonzero(core)
-    for ai, a in enumerate(core_idx):
-        for b in core_idx[ai + 1:]:
-            if within[a, b]:
-                ra, rb = find(int(a)), find(int(b))
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
 
-    cluster_of_root: dict[int, int] = {}
+    # components are numbered by their lowest core index
+    graph = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
+    n_clusters, labels = connected_components(graph[core_idx][:, core_idx], directed=False)
     assign = np.full(n, NOISE)
-    for a in core_idx:
-        root = find(int(a))
-        if root not in cluster_of_root:
-            cluster_of_root[root] = len(cluster_of_root)
-        assign[a] = cluster_of_root[root]
-    for i in range(n):
-        if assign[i] != NOISE or core[i]:
-            continue
-        neighbor_clusters = [int(assign[j]) for j in np.flatnonzero(within[i]) if core[j]]
-        if neighbor_clusters:
-            assign[i] = min(neighbor_clusters)
-    return Clustering(assign, len(cluster_of_root),
-                      {"core_points": core_idx, "n_core": int(core.sum())})
+    assign[core_idx] = labels
+
+    # a border point joins the lowest-numbered cluster among its core neighbours
+    rows = np.repeat(np.arange(n), degree)
+    edge = ~core[rows] & core[indices]
+    best = np.full(n, n_clusters)
+    np.minimum.at(best, rows[edge], assign[indices[edge]])
+    border = best < n_clusters
+    assign[border] = best[border]
+    return Clustering(assign, n_clusters, {"core_points": core_idx, "n_core": int(core.sum())})
 
 
 def dbscan_default_eps(d: Dataset, min_pts: int = 4, percentile: float = 90.0) -> float:
     """Radius heuristic frozen on the clean data: percentile of the
     min_pts-th nearest-neighbor distances."""
     X, _ = encode_for_clustering(d)
-    dist = np.sqrt(_sq_dists(X, X))
-    kth = np.sort(dist, axis=1)[:, min(min_pts, len(X) - 1)]
+    kk = min(min_pts, len(X) - 1)
+    # sqrt is monotone, so the k-th smallest root is the root of the k-th
+    # smallest square
+    kth = np.concatenate([
+        np.sqrt(np.partition(block, kk, axis=1)[:, kk]) for _, block in _sq_dist_blocks(X, X)
+    ])
     return float(np.percentile(kth, percentile))
 
 
@@ -340,7 +371,7 @@ def _nearest_entry(node: _CFNode, point: np.ndarray) -> int:
 
 def _split_node(node: _CFNode) -> tuple[_CFNode, _CFNode]:
     cents = np.array([e.centroid for e in node.entries])
-    d2 = ((cents[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(cents, cents)
     a, b = np.unravel_index(int(d2.argmax()), d2.shape)
     left, right = _CFNode(node.is_leaf), _CFNode(node.is_leaf)
     for i, e in enumerate(node.entries):
@@ -414,7 +445,7 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
     n = len(points)
     if k > n:
         raise ParameterError(f"cannot form {k} groups from {n} points")
-    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    d = np.sqrt(_sq_dists(points, points))
     d[np.tril_indices(n)] = np.inf
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     while len(members) > k:
@@ -506,9 +537,7 @@ def cure(d: Dataset, k: int, n_rep: int = 5, shrink: float = 0.3,
             if not chosen:
                 dist = ((pts - centroid) ** 2).sum(axis=1)
             else:
-                dist = np.min(
-                    ((pts[:, None, :] - pts[chosen][None, :, :]) ** 2).sum(axis=2), axis=1
-                )
+                dist = np.min(_sq_dists(pts, pts[chosen]), axis=1)
                 dist[chosen] = -1.0
             chosen.append(int(dist.argmax()))
         for i in chosen:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import cluster as cluster_mod
 from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
 from .data import Dataset, FDRule
 from .errors import ConfigurationError, ParameterError
@@ -294,6 +295,16 @@ def algorithm_label(algorithm: Algorithm) -> str:
     return algorithm.name
 
 
+def _frozen_eps(ds: SweepDataset) -> float | None:
+    """DBSCAN's default radius on the clean dataset, computed once for every
+    rate; None when it cannot be computed, so that each point recomputes it
+    and records the failure."""
+    try:
+        return cluster_mod.dbscan_default_eps(ds.dataset)
+    except Exception:  # reported per point by evaluate_clustering's fallback
+        return None
+
+
 def _run_combination(payload):
     ds, algorithm, error_type, rate, seed, folds, timing_repeats = payload
     key = (ds.name, algorithm_label(algorithm), error_type, rate)
@@ -342,9 +353,14 @@ def run_sweep(
 
     tasks = []
     for ds in datasets:
+        eps = None
         for algorithm in algorithms:
             if task_of(algorithm) != ds.task:
                 continue
+            if algorithm.name == "dbscan" and "eps" not in algorithm.params:
+                eps = _frozen_eps(ds) if eps is None else eps
+                if eps is not None:
+                    algorithm = Algorithm(algorithm.name, {**algorithm.params, "eps": eps})
             for et in error_types:
                 for rate in grid.rates():
                     tasks.append((ds, algorithm, et, rate, seed, folds, timing_repeats))

@@ -1,8 +1,16 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dirtybench.data import CATEGORICAL, Column, dataset_from_rows, load_dataset
+
+# Property tests draw a fixed, bounded set of examples so the suite stays
+# deterministic and fast.
+settings.register_profile(
+    "dirtybench", max_examples=40, derandomize=True, database=None, deadline=None,
+)
+settings.load_profile("dirtybench")
 
 DATA_DIR = Path(__file__).parent.parent / "data"
 

@@ -162,6 +162,26 @@ class TestInject:
         holes = sum(1 for row in d.rows for c in row[:2] if c is None)
         assert holes == 10  # half of the 20 masked cells
 
+    def test_fine_rate_step_writes_one_file_per_rate(self, tmp_path):
+        data = grid_csv(tmp_path / "grid.csv", 20, 4)
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "rate_grid": {"start": 0.0, "step": 0.005, "count": 4},
+            "error_types": ["missing"],
+            "datasets": [{"name": "grid", "path": str(data), "task": "clustering"}],
+            "algorithms": ["kmeans"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["inject", str(cfg)]) == cli.EXIT_OK
+        lines = (tmp_path / "out" / "injection_summary.csv").read_text().splitlines()
+        files = [line.split(",")[-1] for line in lines[2:]]
+        written = {p.name for p in (tmp_path / "out" / "injected").iterdir()}
+        assert len(files) == 5 and set(files) == written and len(written) == 5
+        # whole-percent rates keep their three-digit names
+        assert {"grid__missing__000.csv", "grid__missing__001.csv",
+                "grid__missing__002.csv"} <= written
+
     def test_input_files_never_mutated(self, tmp_path):
         data = grid_csv(tmp_path / "grid.csv")
         before = data.read_bytes()
@@ -225,6 +245,33 @@ class TestSweep:
         config.write_text(json.dumps(data))
         assert cli.main(["sweep", str(config)]) == cli.EXIT_PARTIAL
         assert "failed combinations" in capsys.readouterr().err
+
+    def test_unusable_dbscan_eps_fails_only_dbscan_points(self, tmp_path, capsys):
+        # identical rows: every nearest-neighbour distance, hence eps, is 0
+        data = tmp_path / "flat.csv"
+        rows = [f"1.0,2.0,c{i % 2}" for i in range(12)]
+        data.write_text("x,y,label\n" + "\n".join(rows) + "\n")
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "rate_grid": {"start": 0.0, "step": 0.25, "count": 2},
+            "error_types": ["missing"],
+            "timing_repeats": 1,
+            "datasets": [{"name": "flat", "path": str(data), "task": "clustering",
+                          "target": "label"}],
+            "algorithms": ["kmeans", "dbscan", "clarans"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["sweep", str(cfg)]) == cli.EXIT_PARTIAL
+        assert "failed combinations" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [(e["algorithm"], e["rate"], e["message"]) for e in report["errors"]] == [
+            ("dbscan", rate, "ParameterError: eps must be positive")
+            for rate in (0.0, 0.25, 0.5)
+        ]
+        done = sorted((r["algorithm"], r["rate"]) for r in report["results"])
+        assert done == sorted((a, rate) for a in ("kmeans", "clarans")
+                              for rate in (0.0, 0.25, 0.5))
 
     def test_dry_run_produces_no_output(self, tmp_path, iris_copy, capsys):
         config = scripted_config(tmp_path, iris_copy)

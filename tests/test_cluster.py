@@ -1,11 +1,16 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from dirtybench import cluster
 from dirtybench.cluster import (
     _CF,
     _min_linkage_merge,
+    _sq_dists,
     birch,
     clarans,
     cure,
@@ -306,3 +311,182 @@ class TestCoverage:
         assert lines[0] == "row,cluster"
         assert lines[1] == "0,0"
         assert lines[3] == "2,-1"  # isolated point is noise
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the dense kernels that the chunked ones replaced
+# ---------------------------------------------------------------------------
+
+def dense_sq_dists(X, C):
+    return ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+
+
+def union_find_dbscan(X, eps, min_pts):
+    n = len(X)
+    within = np.sqrt(dense_sq_dists(X, X)) <= eps
+    core = within.sum(axis=1) >= min_pts
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    core_idx = np.flatnonzero(core)
+    for ai, a in enumerate(core_idx):
+        for b in core_idx[ai + 1:]:
+            if within[a, b]:
+                ra, rb = find(int(a)), find(int(b))
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    cluster_of_root = {}
+    assign = np.full(n, -1)
+    for a in core_idx:
+        root = find(int(a))
+        if root not in cluster_of_root:
+            cluster_of_root[root] = len(cluster_of_root)
+        assign[a] = cluster_of_root[root]
+    for i in range(n):
+        if assign[i] != -1 or core[i]:
+            continue
+        neighbor_clusters = [int(assign[j]) for j in np.flatnonzero(within[i]) if core[j]]
+        if neighbor_clusters:
+            assign[i] = min(neighbor_clusters)
+    return assign, len(cluster_of_root), core_idx
+
+
+def sorted_eps(X, min_pts=4, percentile=90.0):
+    dist = np.sqrt(dense_sq_dists(X, X))
+    kth = np.sort(dist, axis=1)[:, min(min_pts, len(X) - 1)]
+    return float(np.percentile(kth, percentile))
+
+
+def dense_clarans(X, k, num_local, max_neighbor, seed):
+    n = len(X)
+    rng = np.random.default_rng(seed)
+    all_d = np.sqrt(dense_sq_dists(X, X))
+
+    def cost_of(medoids):
+        return float(all_d[:, medoids].min(axis=1).sum())
+
+    best_medoids, best_cost, traces = None, np.inf, []
+    for _ in range(num_local):
+        medoids = rng.choice(n, size=k, replace=False)
+        current = cost_of(medoids)
+        trace = [current]
+        fails = 0
+        while fails < max_neighbor:
+            pos = int(rng.integers(k))
+            candidate = int(rng.integers(n))
+            if candidate in medoids:
+                fails += 1
+                continue
+            trial = medoids.copy()
+            trial[pos] = candidate
+            c = cost_of(trial)
+            if c < current - 1e-12:
+                medoids, current = trial, c
+                trace.append(current)
+                fails = 0
+            else:
+                fails += 1
+        traces.append(trace)
+        if current < best_cost:
+            best_cost, best_medoids = current, medoids
+    return all_d[:, best_medoids].argmin(axis=1), best_medoids, best_cost, traces
+
+
+@st.composite
+def point_sets(draw):
+    """Coarsely quantized points, so equal distances and duplicates occur,
+    and a chunk budget small enough that blocks split the rows."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    budget = draw(st.integers(1, 3 * 8 * n * d))
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(0.0, 2.0, size=(n, d)) * 2) / 2
+    cols = [Column(f"x{j}", NUMERIC) for j in range(d)]
+    data = dataset_from_rows(cols, [[float(v) for v in row] for row in values])
+    return data, budget, rng
+
+
+class TestChunkedKernelsMatchDense:
+    @given(point_sets(), st.integers(1, 25))
+    def test_sq_dists(self, case, m):
+        data, budget, rng = case
+        X, _ = encode_for_clustering(data)
+        C = np.round(rng.normal(size=(m, X.shape[1])), 1)
+        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+            assert np.array_equal(_sq_dists(X, C), dense_sq_dists(X, C))
+            assert np.array_equal(_sq_dists(X, X), dense_sq_dists(X, X))
+
+    @given(point_sets(), st.integers(1, 6), st.floats(0.0, 1.0))
+    def test_dbscan(self, case, min_pts, q):
+        data, budget, _ = case
+        X, _ = encode_for_clustering(data)
+        # eps is one of the pairwise distances, so points sit exactly on it
+        dists = np.sqrt(dense_sq_dists(X, X)).ravel()
+        eps = float(np.quantile(dists, q, method="nearest")) or 0.25
+        assign, n_clusters, core_idx = union_find_dbscan(X, eps, min_pts)
+        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+            result = dbscan(data, eps=eps, min_pts=min_pts)
+        assert np.array_equal(result.assignments, assign)
+        assert result.n_clusters == n_clusters
+        assert np.array_equal(result.meta["core_points"], core_idx)
+        assert result.meta["n_core"] == len(core_idx)
+
+    def test_dbscan_border_between_two_clusters_and_noise(self):
+        # cluster B comes first in row order, so it is cluster 0
+        d = points_1d([9.7, 9.8, 9.9, 10.0, 5.0, 0.0, 0.1, 0.2, 0.3, 20.0])
+        X, _ = encode_for_clustering(d)
+        eps, min_pts = 4.75 / 20.0, 4
+        assign, n_clusters, core_idx = union_find_dbscan(X, eps, min_pts)
+        assert n_clusters == 2 and assign[4] == 0 and 4 not in core_idx
+        assert assign[9] == -1
+        with mock.patch.object(cluster, "_CHUNK_BYTES", 8 * 10 * 3):  # 3 rows a block
+            result = dbscan(d, eps=eps, min_pts=min_pts)
+        assert np.array_equal(result.assignments, assign)
+        assert np.array_equal(result.meta["core_points"], core_idx)
+
+    @given(point_sets(), st.integers(1, 6), st.floats(1.0, 100.0))
+    def test_default_eps(self, case, min_pts, percentile):
+        data, budget, _ = case
+        X, _ = encode_for_clustering(data)
+        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+            eps = dbscan_default_eps(data, min_pts=min_pts, percentile=percentile)
+        assert eps == sorted_eps(X, min_pts, percentile)
+
+    @given(point_sets(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 20),
+           st.integers(0, 1000))
+    def test_clarans(self, case, k, num_local, max_neighbor, seed):
+        data, budget, _ = case
+        X, _ = encode_for_clustering(data)
+        k = min(k, len(X))
+        assign, medoids, cost, traces = dense_clarans(X, k, num_local, max_neighbor, seed)
+        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+            result = clarans(data, k, num_local=num_local, max_neighbor=max_neighbor,
+                             seed=seed)
+        assert np.array_equal(result.assignments, assign)
+        assert np.array_equal(result.meta["medoids"], medoids)
+        assert result.meta["cost"] == cost
+        assert result.meta["accepted_costs"] == traces
+
+
+def test_distance_kernels_memory_is_bounded_at_10k_rows():
+    # the dense n x n x d temporary alone would take 1.6 GB here
+    d = make_blobs(10_000, n_features=2, n_classes=2, seed=0)
+    limit = 64 * 2**20
+    for run in (
+        lambda: dbscan_default_eps(d),
+        lambda: dbscan(d, eps=0.01),  # close to the default eps of these blobs
+        lambda: clarans(d, 2, num_local=2, seed=0),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from dirtybench.evaluate import Algorithm
+from dirtybench import cluster, robustness
+from dirtybench.cluster import dbscan_default_eps
+from dirtybench.corrupt import derive_seed
+from dirtybench.evaluate import Algorithm, evaluate_algorithm
 from dirtybench.errors import ConfigurationError, ParameterError
 from dirtybench.robustness import (
     Guideline,
@@ -198,6 +201,27 @@ class TestRunSweep:
         entry = report.entry("blobs3", "logistic_regression", "missing", "precision")
         assert entry.sensibility is None and "incomplete-series" in entry.flags
         assert report.entry("blobs3", "knn", "missing", "precision").sensibility is not None
+
+    def test_dbscan_eps_frozen_once_per_dataset(self, monkeypatch):
+        calls = []
+
+        def counting_eps(d):
+            calls.append(d)
+            return dbscan_default_eps(d)
+
+        monkeypatch.setattr(cluster, "dbscan_default_eps", counting_eps)
+        ds = SweepDataset("blobs", make_blobs(40, n_classes=2, seed=2), "clustering")
+        grid = RateGrid(start=0.0, step=0.25, count=2)
+        report = run_sweep([ds], [Algorithm("dbscan")], ("missing",), grid,
+                           seed=4, timing_repeats=1)
+        assert calls == [ds.dataset]
+        # each point evaluated alone recomputes the same radius
+        for rate, result in zip(grid.rates(), report.results):
+            spec = robustness._spec_for(ds, "missing", rate, 4)
+            alone = evaluate_algorithm(ds.dataset, Algorithm("dbscan"), spec,
+                                       seed=derive_seed(4, "blobs"), timing_repeats=1)
+            assert alone.measures == result.measures
+        assert len(calls) == 1 + len(grid.rates())
 
     def test_grid_must_start_at_zero(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
