@@ -39,37 +39,6 @@ def _as_counts(counts) -> np.ndarray:
     return arr
 
 
-def gini(counts) -> float:
-    """1 - sum of squared class frequencies; 0 for a pure node."""
-    p = _as_counts(counts)
-    p = p / p.sum()
-    return float(1.0 - (p ** 2).sum())
-
-
-def entropy(counts) -> float:
-    """Shannon entropy in bits (base-2 log, 0*log0 treated as 0)."""
-    p = _as_counts(counts)
-    p = p / p.sum()
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def misclassification_error(counts) -> float:
-    p = _as_counts(counts)
-    return float(1.0 - p.max() / p.sum())
-
-
-def information_gain(parent_counts, partitions) -> float:
-    """Entropy reduction when the parent splits into the given partitions."""
-    parent = _as_counts(parent_counts)
-    total = parent.sum()
-    children = [_as_counts(c) for c in partitions]
-    if not math.isclose(sum(c.sum() for c in children), total):
-        raise UndefinedNodeError("partitions must cover the parent node")
-    weighted = sum(c.sum() / total * entropy(c) for c in children)
-    return float(entropy(parent) - weighted)
-
-
 def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
     """Row-wise impurity of a (m, n_classes) count matrix."""
     n = counts.sum(axis=1, keepdims=True)
@@ -88,9 +57,42 @@ def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
     return np.where(n[:, 0] > 0, out, 0.0)
 
 
+def gini(counts) -> float:
+    """1 - sum of squared class frequencies; 0 for a pure node."""
+    return float(_impurity_rows(_as_counts(counts)[None, :], "gini")[0])
+
+
+def entropy(counts) -> float:
+    """Shannon entropy in bits (base-2 log, 0*log0 treated as 0)."""
+    return float(_impurity_rows(_as_counts(counts)[None, :], "gain")[0])
+
+
+def misclassification_error(counts) -> float:
+    return float(_impurity_rows(_as_counts(counts)[None, :], "error")[0])
+
+
+def information_gain(parent_counts, partitions) -> float:
+    """Entropy reduction when the parent splits into the given partitions."""
+    parent = _as_counts(parent_counts)
+    total = parent.sum()
+    children = [_as_counts(c) for c in partitions]
+    if not math.isclose(sum(c.sum() for c in children), total):
+        raise UndefinedNodeError("partitions must cover the parent node")
+    weighted = sum(c.sum() / total * entropy(c) for c in children)
+    return float(entropy(parent) - weighted)
+
+
 # ---------------------------------------------------------------------------
 # decision tree
 # ---------------------------------------------------------------------------
+
+class _RowClassifier:
+    """Predicts dataset rows one at a time through ``predict_cells``."""
+
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        idx = range(dataset.n_rows) if rows is None else rows
+        return [self.predict_cells(dataset.rows[i]) for i in idx]
+
 
 class _Node:
     __slots__ = ("label", "col", "is_numeric", "threshold", "category", "left", "right")
@@ -105,7 +107,7 @@ class _Node:
         self.right = None
 
 
-class DecisionTreeClassifier:
+class DecisionTreeClassifier(_RowClassifier):
     """Greedy CART-style tree: numeric midpoints, one-vs-rest categories."""
 
     def __init__(self, criterion: str = "gini", max_depth: int = 25, min_split: int = 2,
@@ -255,16 +257,12 @@ class DecisionTreeClassifier:
                 node = node.left if code == node.category else node.right
         return self.codec.decode(node.label)
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
 
-class KNNClassifier:
+class KNNClassifier(_RowClassifier):
     """Majority vote over the k nearest training rows (Euclidean distance on
     the shared min-max / overlap encoding)."""
 
@@ -293,10 +291,6 @@ class KNNClassifier:
         votes = np.bincount(self.y[nearest], minlength=self.codec.n_classes)
         return self.codec.decode(int(np.argmax(votes)))
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 def euclidean_distance(p: Sequence[float], q: Sequence[float]) -> float:
     a = np.asarray(p, dtype=float)
@@ -308,7 +302,7 @@ def euclidean_distance(p: Sequence[float], q: Sequence[float]) -> float:
 # naive Bayes
 # ---------------------------------------------------------------------------
 
-class NaiveBayesClassifier:
+class NaiveBayesClassifier(_RowClassifier):
     """Class priors times per-feature conditionals with additive smoothing.
 
     Numeric features are discretized into equal-width bins fitted on the
@@ -358,10 +352,6 @@ class NaiveBayesClassifier:
     def predict_cells(self, cells: Sequence[Cell]) -> Cell:
         return self.codec.decode(int(np.argmax(self.predict_log_joint(cells))))
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 # ---------------------------------------------------------------------------
 # Bayesian network
@@ -399,7 +389,7 @@ def bayes_net_cost(codes: np.ndarray, cards: Sequence[int],
     )
 
 
-class BayesianNetworkClassifier:
+class BayesianNetworkClassifier(_RowClassifier):
     """Greedy description-length structure search over add/remove edge moves,
     smoothed CPTs, and exact posterior enumeration over the class variable."""
 
@@ -521,10 +511,6 @@ class BayesianNetworkClassifier:
     def predict_cells(self, cells: Sequence[Cell]) -> Cell:
         return self.codec.decode(int(np.argmax(self.predict_log_joint(cells))))
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 # ---------------------------------------------------------------------------
 # logistic regression
@@ -552,7 +538,7 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray):
     return X.T @ residual, float(residual.sum())
 
 
-class LogisticRegressionClassifier:
+class LogisticRegressionClassifier(_RowClassifier):
     """Binary classifier trained by batch gradient ascent on the
     log-likelihood; predicts the positive class when the squashed score
     reaches 0.5."""
@@ -598,16 +584,12 @@ class LogisticRegressionClassifier:
     def predict_cells(self, cells: Sequence[Cell]) -> Cell:
         return self.codec.decode(1 if self.decision_value(cells) >= 0.5 else 0)
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
 
-class RandomForestClassifier:
+class RandomForestClassifier(_RowClassifier):
     """Bagged decision trees with a random feature subset at every split."""
 
     def __init__(self, n_trees: int = 50, feat_frac: float | None = None, seed: int = 0,
@@ -658,7 +640,3 @@ class RandomForestClassifier:
         for tree in self.trees:
             votes[self.codec.index[tree.predict_cells(cells)]] += 1
         return self.codec.decode(int(np.argmax(votes)))
-
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]

@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig
-from .corrupt import CONFLICTING, CorruptionSpec, INCONSISTENT, MISSING, derive_seed, inject
+from .corrupt import MISSING, inject
 from .data import dataset_to_text, detect_error_rates
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS
-from .robustness import RobustnessReport, recommend, run_sweep
+from .robustness import RobustnessReport, corruption_spec, recommend, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,15 +81,7 @@ def cmd_inject(args) -> int:
         entry = next(d for d in config.datasets if d.name == ds.name)
         for error_type in config.error_types:
             for rate in config.rate_grid.rates():
-                spec = CorruptionSpec(
-                    error_type=error_type,
-                    rate=rate,
-                    seed=derive_seed(config.seed, ds.name, error_type, rate),
-                    column_mask=ds.column_mask,
-                    corrupt_target_in_train=ds.corrupt_target_in_train,
-                    rules=ds.rules if error_type == INCONSISTENT else (),
-                    entity_key=ds.entity_key if error_type == CONFLICTING else (),
-                )
+                spec = corruption_spec(ds, error_type, rate, config.seed)
                 corrupted = inject(ds.dataset, spec)
                 name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
                 target = out_dir / name

@@ -11,7 +11,7 @@ from .corrupt import ERROR_TYPES
 from .data import load_dataset, parse_fd_rules
 from .errors import ConfigurationError
 from .evaluate import ALL_ALGORITHMS, Algorithm
-from .robustness import RateGrid, SweepDataset
+from .robustness import RateGrid, SweepDataset, check_unique_names, sweep_pairs
 
 TASKS = ("classification", "clustering", "regression")
 
@@ -22,8 +22,7 @@ _DATASET_KEYS = {
 }
 _TOP_KEYS = {
     "seed", "output_dir", "rate_grid", "error_types", "folds", "timing_repeats",
-    "k_classification", "k_regression", "jobs", "size_small", "size_large",
-    "datasets", "algorithms",
+    "k_classification", "k_regression", "jobs", "datasets", "algorithms",
 }
 _GRID_KEYS = {"start", "step", "count"}
 
@@ -103,22 +102,18 @@ class RunConfig:
     k_classification: float = 0.10
     k_regression: float = 0.1
     jobs: int = 0  # 0 = one worker per available core
-    size_small: int = 1000
-    size_large: int = 10000
 
     def __post_init__(self):
         if not self.datasets:
             raise ConfigurationError("config needs at least one dataset")
         if not self.algorithms:
             raise ConfigurationError("config needs at least one algorithm")
-        names = [d.name for d in self.datasets]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("dataset names must be unique")
+        check_unique_names(self.datasets, self.algorithms)
         for et in self.error_types:
             if et not in ERROR_TYPES:
                 raise ConfigurationError(f"unknown error type {et!r}")
         for algo in self.algorithms:
-            if algo.name != "scripted" and algo.name not in ALL_ALGORITHMS:
+            if algo.name not in ALL_ALGORITHMS:
                 raise ConfigurationError(f"unknown algorithm {algo.name!r}")
         if self.folds < 2:
             raise ConfigurationError("folds must be at least 2")
@@ -168,7 +163,7 @@ class RunConfig:
             k: data[k]
             for k in (
                 "seed", "output_dir", "folds", "timing_repeats", "k_classification",
-                "k_regression", "jobs", "size_small", "size_large",
+                "k_regression", "jobs",
             )
             if k in data
         }
@@ -196,8 +191,6 @@ class RunConfig:
             "k_classification": self.k_classification,
             "k_regression": self.k_regression,
             "jobs": self.jobs,
-            "size_small": self.size_small,
-            "size_large": self.size_large,
             "datasets": [d.as_dict() for d in self.datasets],
             "algorithms": [
                 {"name": a.name, "params": dict(a.params)} for a in self.algorithms
@@ -245,23 +238,9 @@ class RunConfig:
         for a in self.algorithms:
             suffix = f" {a.params}" if a.params else ""
             lines.append(f"  - {a.name}{suffix}")
-        combos = sum(
-            1
-            for d in self.datasets
-            for a in self.algorithms
-            if a.name == "scripted" or _algo_task(a) == d.task
-        )
+        combos = len(sweep_pairs(self.datasets, self.algorithms))
         lines.append(
             f"combinations: {combos} (dataset x algorithm) x "
             f"{len(self.error_types)} error types x {len(rates)} rates"
         )
         return lines
-
-
-def _algo_task(algorithm: Algorithm) -> str | None:
-    from .evaluate import task_of
-
-    try:
-        return task_of(algorithm)
-    except Exception:
-        return None

@@ -193,8 +193,6 @@ ALL_ALGORITHMS = tuple(CLASSIFIER_TYPES) + CLUSTERER_NAMES + tuple(REGRESSOR_FIT
 
 
 def task_of(algorithm: Algorithm) -> str:
-    if algorithm.name == "scripted":
-        return algorithm.params["task"]
     if algorithm.name in CLASSIFIER_TYPES:
         return CLASSIFICATION
     if algorithm.name in CLUSTERER_NAMES:
@@ -419,34 +417,6 @@ def evaluate_clustering(
     )
 
 
-def scripted_result(dataset_name: str, algorithm: Algorithm, error_type: str | None,
-                    rate: float, seed: int) -> EvalResult:
-    """Look up preset measure values for a stub algorithm (golden tests and
-    report-shape checks run on these without any model fitting)."""
-    task = algorithm.params["task"]
-    values = algorithm.params["values"]
-    measures: dict[str, float | None] = {}
-    for m in measures_of(task):
-        table = values.get(m, {})
-        found = None
-        for r, v in table.items():
-            if abs(float(r) - rate) < 1e-9:
-                found = float(v)
-        measures[m] = found
-    return EvalResult(
-        dataset=dataset_name,
-        algorithm=algorithm.params.get("label", "scripted"),
-        task=task,
-        error_type=error_type,
-        rate=rate,
-        seed=seed,
-        measures=measures,
-        fold_values={m: [v] for m, v in measures.items()},
-        flags=("scripted",),
-        wall_time_log10_ms=0.0,
-    )
-
-
 def evaluate_algorithm(
     dataset: Dataset,
     algorithm: Algorithm,
@@ -457,11 +427,6 @@ def evaluate_algorithm(
     dataset_name: str | None = None,
 ) -> EvalResult:
     """Dispatch to the protocol matching the algorithm's task."""
-    if algorithm.name == "scripted":
-        return scripted_result(
-            dataset_name or dataset.source, algorithm,
-            spec.error_type if spec else None, spec.rate if spec else 0.0, seed,
-        )
     task = task_of(algorithm)
     if task == CLUSTERING:
         return evaluate_clustering(dataset, algorithm, spec, seed, timing_repeats, dataset_name)

@@ -29,7 +29,6 @@ from .evaluate import (
     REGRESSION,
     evaluate_algorithm,
     measures_of,
-    scripted_result,
     task_of,
 )
 
@@ -275,9 +274,9 @@ class RobustnessReport:
         return report
 
 
-def _spec_for(ds: SweepDataset, error_type: str, rate: float, seed: int) -> CorruptionSpec | None:
-    if rate == 0:
-        return None
+def corruption_spec(ds: SweepDataset, error_type: str, rate: float, seed: int) -> CorruptionSpec:
+    """The seeded corruption of one (dataset, error type, rate) point; FD rules
+    go only to inconsistent injection and the entity key only to conflicting."""
     return CorruptionSpec(
         error_type=error_type,
         rate=rate,
@@ -289,41 +288,48 @@ def _spec_for(ds: SweepDataset, error_type: str, rate: float, seed: int) -> Corr
     )
 
 
-def algorithm_label(algorithm: Algorithm) -> str:
-    if algorithm.name == "scripted":
-        return algorithm.params.get("label", "scripted")
-    return algorithm.name
+def check_unique_names(datasets, algorithms) -> None:
+    """Series, ledger rows and summaries are keyed by name, so a repeated
+    dataset or algorithm name would silently merge two runs."""
+    for kind, items in (("dataset", datasets), ("algorithm", algorithms)):
+        names = [item.name for item in items]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"{kind} names must be unique")
 
 
-def _frozen_eps(ds: SweepDataset) -> float | None:
-    """DBSCAN's default radius on the clean dataset, computed once for every
-    rate; None when it cannot be computed, so that each point recomputes it
-    and records the failure."""
+def sweep_pairs(datasets, algorithms) -> list:
+    """Every (dataset, algorithm) pair whose tasks match, datasets outermost:
+    the sweep's plan is these pairs x error types x rates, in that order."""
+    return [(ds, a) for ds in datasets for a in algorithms if task_of(a) == ds.task]
+
+
+def _with_frozen_eps(ds: SweepDataset, algorithm: Algorithm) -> Algorithm:
+    """DBSCAN with its default radius computed once on the clean dataset for
+    every rate.  When it cannot be computed, params stay without eps, so that
+    each point recomputes it and records the failure."""
+    if algorithm.name != "dbscan" or "eps" in algorithm.params:
+        return algorithm
     try:
-        return cluster_mod.dbscan_default_eps(ds.dataset)
+        eps = cluster_mod.dbscan_default_eps(ds.dataset)
     except Exception:  # reported per point by evaluate_clustering's fallback
-        return None
+        return algorithm
+    return Algorithm(algorithm.name, {**algorithm.params, "eps": eps})
 
 
 def _run_combination(payload):
     ds, algorithm, error_type, rate, seed, folds, timing_repeats = payload
-    key = (ds.name, algorithm_label(algorithm), error_type, rate)
     try:
-        if algorithm.name == "scripted":
-            result = scripted_result(ds.name, algorithm, error_type, rate,
-                                     derive_seed(seed, ds.name))
-        else:
-            spec = _spec_for(ds, error_type, rate, seed)
-            result = evaluate_algorithm(
-                ds.dataset, algorithm, spec,
-                folds=folds,
-                seed=derive_seed(seed, ds.name),
-                timing_repeats=timing_repeats,
-                dataset_name=ds.name,
-            )
-        return key, result, None
+        result = evaluate_algorithm(
+            ds.dataset, algorithm,
+            corruption_spec(ds, error_type, rate, seed) if rate else None,
+            folds=folds,
+            seed=derive_seed(seed, ds.name),
+            timing_repeats=timing_repeats,
+            dataset_name=ds.name,
+        )
+        return result, None
     except Exception as exc:  # a failed combination must not kill the sweep
-        return key, None, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(
@@ -350,79 +356,57 @@ def run_sweep(
         raise ConfigurationError("no algorithms selected")
     if not datasets:
         raise ConfigurationError("no datasets selected")
-
-    tasks = []
-    for ds in datasets:
-        eps = None
-        for algorithm in algorithms:
-            if task_of(algorithm) != ds.task:
-                continue
-            if algorithm.name == "dbscan" and "eps" not in algorithm.params:
-                eps = _frozen_eps(ds) if eps is None else eps
-                if eps is not None:
-                    algorithm = Algorithm(algorithm.name, {**algorithm.params, "eps": eps})
-            for et in error_types:
-                for rate in grid.rates():
-                    tasks.append((ds, algorithm, et, rate, seed, folds, timing_repeats))
-    if not tasks:
+    if not error_types:
+        raise ConfigurationError("no error types selected")
+    check_unique_names(datasets, algorithms)
+    pairs = [(ds, _with_frozen_eps(ds, a)) for ds, a in sweep_pairs(datasets, algorithms)]
+    if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
 
-    outcomes = {}
+    rates = grid.rates()
+    series = [(ds, algorithm, et) for ds, algorithm in pairs for et in error_types]
+    tasks = [
+        (ds, algorithm, et, rate, seed, folds, timing_repeats)
+        for ds, algorithm, et in series
+        for rate in rates
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, result, error in pool.map(_run_combination, tasks):
-                outcomes[key] = (result, error)
+            outcomes = list(pool.map(_run_combination, tasks))
     else:
-        for payload in tasks:
-            key, result, error = _run_combination(payload)
-            outcomes[key] = (result, error)
+        outcomes = [_run_combination(payload) for payload in tasks]
 
     report = RobustnessReport(
         grid=grid, seed=seed,
         k_classification=k_classification, k_regression=k_regression,
     )
-    rates = grid.rates()
-    for ds in datasets:
-        for algorithm in algorithms:
-            if task_of(algorithm) != ds.task:
-                continue
-            algo_label = algorithm_label(algorithm)
-            for et in error_types:
-                failures = []
-                point_results = []
-                for rate in rates:
-                    result, error = outcomes[(ds.name, algo_label, et, rate)]
-                    if error is not None:
-                        failures.append({"dataset": ds.name, "algorithm": algo_label,
-                                         "error_type": et, "rate": rate, "message": error})
-                    else:
-                        point_results.append(result)
-                        report.results.append(result)
-                report.errors.extend(failures)
-                k = k_regression if ds.task == REGRESSION else k_classification
-                for measure in measures_of(ds.task):
-                    report.entries.append(_series_entry(
-                        ds, algo_label, et, measure, rates, point_results,
-                        bool(failures), k,
-                    ))
-    _summarize(report, datasets, algorithms, error_types)
+    for s, (ds, algorithm, et) in enumerate(series):
+        chunk = outcomes[s * len(rates):(s + 1) * len(rates)]
+        point_results = [result for result, _ in chunk]
+        report.results.extend(r for r in point_results if r is not None)
+        report.errors.extend(
+            {"dataset": ds.name, "algorithm": algorithm.name,
+             "error_type": et, "rate": rate, "message": error}
+            for rate, (_, error) in zip(rates, chunk) if error is not None
+        )
+        k = k_regression if ds.task == REGRESSION else k_classification
+        for measure in measures_of(ds.task):
+            report.entries.append(_series_entry(
+                ds, algorithm.name, et, measure, rates, point_results, k,
+            ))
+    _summarize(report, pairs, error_types)
     return report
 
 
-def _series_entry(ds, algo_label, error_type, measure, rates, point_results,
-                  had_failures, k) -> SeriesEntry:
+def _series_entry(ds, algo_name, error_type, measure, rates, point_results, k) -> SeriesEntry:
+    """One measure's series over the rates; ``point_results`` holds one result
+    per rate, None where that point failed."""
     flags = []
-    values = []
-    by_rate = {r.rate: r for r in point_results}
-    for rate in rates:
-        r = by_rate.get(rate)
-        values.append(None if r is None else r.measures.get(measure))
+    values = [None if r is None else r.measures.get(measure) for r in point_results]
     direction = LOWER if measure in LOWER_IS_BETTER else HIGHER
-    if had_failures or any(v is None for v in values):
-        if had_failures:
-            flags.append("incomplete-series")
-        if any(v is None for v in values) and not had_failures:
-            flags.append("undefined-points")
+    if any(v is None for v in values):
+        had_failures = any(r is None for r in point_results)
+        flags.append("incomplete-series" if had_failures else "undefined-points")
         series = None
         sens = kp = None
     else:
@@ -434,21 +418,14 @@ def _series_entry(ds, algo_label, error_type, measure, rates, point_results,
             flags.append("degenerate-grid")
             sens = kp = None
     return SeriesEntry(
-        dataset=ds.name, algorithm=algo_label, task=ds.task, error_type=error_type,
+        dataset=ds.name, algorithm=algo_name, task=ds.task, error_type=error_type,
         measure=measure, series=series, sensibility=sens, keeping_point=kp,
         flags=tuple(flags),
     )
 
 
-def _summarize(report: RobustnessReport, datasets, algorithms, error_types):
-    combos: list[tuple[str, str]] = []
-    for ds in datasets:
-        for algorithm in algorithms:
-            if task_of(algorithm) != ds.task:
-                continue
-            label = algorithm_label(algorithm)
-            if (ds.task, label) not in combos:
-                combos.append((ds.task, label))
+def _summarize(report: RobustnessReport, pairs, error_types):
+    combos = dict.fromkeys((ds.task, algorithm.name) for ds, algorithm in pairs)
     for task, algo in combos:
         for et in error_types:
             for measure in measures_of(task):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import settings
 
 from dirtybench.data import CATEGORICAL, Column, dataset_from_rows, load_dataset
+from dirtybench.errors import ParameterError
+from dirtybench.evaluate import EvalResult, measures_of, task_of
 
 # Property tests draw a fixed, bounded set of examples so the suite stays
 # deterministic and fast.
@@ -41,3 +43,43 @@ def student_table():
         ["170304", "Bob", "LA", "U.S.A"],
     ]
     return dataset_from_rows(cols, rows, source="<students>")
+
+
+class ScriptedEvaluator:
+    """Stands in for ``robustness.evaluate_algorithm`` without fitting
+    anything: each algorithm's measures come from a preset table
+    ``{algorithm name: {measure: {rate: value}}}`` (absent entries give None),
+    and the calls whose 0-based position is in ``fail_calls`` raise.  With
+    ``jobs=1`` the sweep calls it once per planned point, in plan order."""
+
+    def __init__(self, values, fail_calls=()):
+        self.values = values
+        self.fail_calls = set(fail_calls)
+        self.calls = 0
+
+    def __call__(self, dataset, algorithm, spec=None, folds=10, seed=0,
+                 timing_repeats=5, dataset_name=None):
+        call, self.calls = self.calls, self.calls + 1
+        if call in self.fail_calls:
+            raise ParameterError(f"scripted failure at call {call}")
+        task = task_of(algorithm)
+        rate = spec.rate if spec else 0.0
+        table = self.values.get(algorithm.name, {})
+        measures = {
+            m: next((float(v) for r, v in table.get(m, {}).items()
+                     if abs(float(r) - rate) < 1e-9), None)
+            for m in measures_of(task)
+        }
+        return EvalResult(
+            dataset=dataset_name or dataset.source, algorithm=algorithm.name, task=task,
+            error_type=spec.error_type if spec else None, rate=rate, seed=seed,
+            measures=measures, fold_values={m: [v] for m, v in measures.items()},
+            flags=(), wall_time_log10_ms=0.0,
+        )
+
+
+@pytest.fixture(scope="session")
+def scripted_evaluator():
+    """The ScriptedEvaluator class; tests install an instance with
+    ``monkeypatch.setattr(robustness, "evaluate_algorithm", ...)``."""
+    return ScriptedEvaluator

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from dirtybench import cli
+from dirtybench import cli, robustness
 from dirtybench.data import dataset_to_text, load_dataset
 
 PCT_RATES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -20,11 +20,13 @@ def grid_csv(path: Path, n_rows=10, n_cols=4):
     return path
 
 
-def scripted_config(tmp_path, data_path, grid=None, k=10.0):
-    values = {
-        measure: {str(rate / 100.0): v for rate, v in zip(PCT_RATES, IRIS_TRACE)}
-        for measure in ("precision", "recall", "f_measure")
-    }
+TREE_VALUES = {
+    measure: {rate / 100.0: v for rate, v in zip(PCT_RATES, IRIS_TRACE)}
+    for measure in ("precision", "recall", "f_measure")
+}
+
+
+def tree_config(tmp_path, data_path, grid=None, k=10.0):
     config = {
         "seed": 11,
         "output_dir": str(tmp_path / "out"),
@@ -33,19 +35,25 @@ def scripted_config(tmp_path, data_path, grid=None, k=10.0):
         "folds": 2,
         "timing_repeats": 1,
         "k_classification": k,
+        "jobs": 1,
         "datasets": [{
             "name": "flowers",
             "path": str(data_path),
             "task": "classification",
             "target": "species",
         }],
-        "algorithms": [{"name": "scripted",
-                        "params": {"task": "classification", "label": "tree",
-                                   "values": values}}],
+        "algorithms": ["decision_tree"],
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+@pytest.fixture()
+def iris_trace(monkeypatch, scripted_evaluator):
+    """decision_tree reports IRIS_TRACE as its P/R/F at every grid rate."""
+    monkeypatch.setattr(robustness, "evaluate_algorithm", scripted_evaluator(
+        {"decision_tree": TREE_VALUES}))
 
 
 @pytest.fixture()
@@ -57,22 +65,32 @@ def iris_copy(tmp_path, iris_path):
 
 class TestValidateConfig:
     def test_valid_config_prints_plan(self, tmp_path, iris_copy, capsys):
-        config = scripted_config(tmp_path, iris_copy)
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["validate-config", str(config)]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "config OK" in out
         assert "flowers" in out
 
     def test_unknown_key_rejected(self, tmp_path, iris_copy, capsys):
-        config = scripted_config(tmp_path, iris_copy)
+        config = tree_config(tmp_path, iris_copy)
+        for key in ("surprise", "size_small"):
+            data = json.loads(config.read_text())
+            data[key] = 1
+            config.write_text(json.dumps(data))
+            assert cli.main(["validate-config", str(config)]) == cli.EXIT_CONFIG
+            assert key in capsys.readouterr().err
+
+    def test_duplicate_algorithm_names_rejected(self, tmp_path, iris_copy, capsys):
+        config = tree_config(tmp_path, iris_copy)
         data = json.loads(config.read_text())
-        data["surprise"] = 1
+        data["algorithms"] = [{"name": "knn", "params": {"k": 1}},
+                              {"name": "knn", "params": {"k": 9}}]
         config.write_text(json.dumps(data))
         assert cli.main(["validate-config", str(config)]) == cli.EXIT_CONFIG
-        assert "surprise" in capsys.readouterr().err
+        assert "algorithm names must be unique" in capsys.readouterr().err
 
     def test_empty_algorithms_rejected_before_compute(self, tmp_path, iris_copy):
-        config = scripted_config(tmp_path, iris_copy)
+        config = tree_config(tmp_path, iris_copy)
         data = json.loads(config.read_text())
         data["algorithms"] = []
         config.write_text(json.dumps(data))
@@ -199,31 +217,31 @@ class TestInject:
 
 
 class TestSweep:
-    def test_scripted_sweep_reproduces_golden_numbers(self, tmp_path, iris_copy):
-        config = scripted_config(tmp_path, iris_copy)
+    def test_scripted_sweep_reproduces_golden_numbers(self, tmp_path, iris_copy, iris_trace):
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         entry = next(
             e for e in report["entries"]
-            if e["algorithm"] == "tree" and e["measure"] == "precision"
+            if e["algorithm"] == "decision_tree" and e["measure"] == "precision"
         )
         assert entry["sensibility"] == pytest.approx(31.24, abs=0.005)
         assert entry["keeping_point"] == pytest.approx(0.30)
         assert report["config_hash"]
         assert (tmp_path / "out" / "sensibility_classification.csv").exists()
         assert (tmp_path / "out" / "keeping_point_classification.csv").exists()
-        plot = tmp_path / "out" / "plots" / "flowers__tree__missing__precision.csv"
+        plot = tmp_path / "out" / "plots" / "flowers__decision_tree__missing__precision.csv"
         assert plot.exists()
 
-    def test_same_seed_identical_ledgers(self, tmp_path, iris_copy):
-        config = scripted_config(tmp_path, iris_copy)
+    def test_same_seed_identical_ledgers(self, tmp_path, iris_copy, iris_trace):
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK
         first = (tmp_path / "out" / "results.csv").read_bytes()
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK
         assert (tmp_path / "out" / "results.csv").read_bytes() == first
 
-    def test_resolved_config_reproduces_run(self, tmp_path, iris_copy):
-        config = scripted_config(tmp_path, iris_copy)
+    def test_resolved_config_reproduces_run(self, tmp_path, iris_copy, iris_trace):
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK
         first = (tmp_path / "out" / "results.csv").read_bytes()
         resolved = tmp_path / "out" / "resolved_config.json"
@@ -237,7 +255,7 @@ class TestSweep:
         assert first.split(b"\n", 1)[1] == second.split(b"\n", 1)[1]
 
     def test_partial_failure_exit_code(self, tmp_path, iris_copy, capsys):
-        config = scripted_config(tmp_path, iris_copy)
+        config = tree_config(tmp_path, iris_copy)
         data = json.loads(config.read_text())
         # logistic regression cannot handle the 3-class iris target
         data["algorithms"] = [{"name": "logistic_regression", "params": {}}]
@@ -274,15 +292,15 @@ class TestSweep:
                               for rate in (0.0, 0.25, 0.5))
 
     def test_dry_run_produces_no_output(self, tmp_path, iris_copy, capsys):
-        config = scripted_config(tmp_path, iris_copy)
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config), "--dry-run"]) == cli.EXIT_OK
         assert not (tmp_path / "out").exists()
         assert "combinations" in capsys.readouterr().out
 
 
 class TestRecommend:
-    def test_guideline_from_report(self, tmp_path, iris_copy, capsys):
-        config = scripted_config(tmp_path, iris_copy)
+    def test_guideline_from_report(self, tmp_path, iris_copy, iris_trace, capsys):
+        config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK
         out_json = tmp_path / "guide.json"
         code = cli.main([
@@ -295,7 +313,7 @@ class TestRecommend:
         ])
         assert code == cli.EXIT_OK
         text = capsys.readouterr().out
-        assert "Selected algorithm: tree" in text
+        assert "Selected algorithm: decision_tree" in text
         payload = json.loads(out_json.read_text())
-        assert payload["chosen"] == "tree"
+        assert payload["chosen"] == "decision_tree"
         assert payload["dominant_error"] == "missing"

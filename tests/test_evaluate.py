@@ -20,7 +20,6 @@ from dirtybench.evaluate import (
     macro_precision_recall_f,
     match_clusters,
     regression_measures,
-    task_of,
 )
 from dirtybench.synth import make_blobs, make_linear
 
@@ -200,6 +199,15 @@ class TestCrossValidate:
         with pytest.raises(ConfigurationError):
             cross_validate(d, Algorithm("kmeans"))
 
+    def test_ledger_row_shape(self):
+        d = make_blobs(20, n_classes=2, seed=1)
+        result = evaluate_algorithm(d, Algorithm("knn", {"k": 3}), folds=2, seed=0,
+                                    timing_repeats=1)
+        row = result.ledger_row()
+        assert row["dataset"] == d.source
+        assert row["algorithm"] == "knn"
+        assert row["rmsd"] == ""
+
 
 class TestEvaluateClustering:
     def test_clean_blobs_score_high(self):
@@ -219,25 +227,3 @@ class TestEvaluateClustering:
         a = evaluate_clustering(d, Algorithm("cure"), seed=3, timing_repeats=1)
         b = evaluate_clustering(d, Algorithm("cure"), seed=3, timing_repeats=1)
         assert a.measures == b.measures
-
-
-class TestScriptedAlgorithm:
-    def test_lookup_by_rate(self):
-        d = make_blobs(10, seed=0)
-        algo = Algorithm("scripted", {
-            "task": "classification",
-            "values": {"precision": {0.0: 0.9, 0.1: 0.7}},
-        })
-        spec = CorruptionSpec(error_type="missing", rate=0.1, seed=0)
-        result = evaluate_algorithm(d, algo, spec, timing_repeats=1)
-        assert result.measures["precision"] == pytest.approx(0.7)
-        assert task_of(algo) == "classification"
-
-    def test_ledger_row_shape(self):
-        d = make_blobs(20, n_classes=2, seed=1)
-        result = evaluate_algorithm(d, Algorithm("knn", {"k": 3}), folds=2, seed=0,
-                                    timing_repeats=1)
-        row = result.ledger_row()
-        assert row["dataset"] == d.source
-        assert row["algorithm"] == "knn"
-        assert row["rmsd"] == ""

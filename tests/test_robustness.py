@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dirtybench import cluster, robustness
 from dirtybench.cluster import dbscan_default_eps
-from dirtybench.corrupt import derive_seed
-from dirtybench.evaluate import Algorithm, evaluate_algorithm
+from dirtybench.config import DatasetConfig, RunConfig
+from dirtybench.corrupt import ERROR_TYPES, derive_seed
+from dirtybench.data import FDRule
+from dirtybench.evaluate import (
+    ALL_ALGORITHMS,
+    Algorithm,
+    PRF_MEASURES,
+    REGRESSION_MEASURES,
+    evaluate_algorithm,
+    task_of,
+)
 from dirtybench.errors import ConfigurationError, ParameterError
 from dirtybench.robustness import (
     Guideline,
@@ -130,45 +140,60 @@ class TestMetricSeries:
             RateGrid(count=-1)
 
 
-def scripted_sweep_algorithm(label, traces_by_measure, task="classification"):
-    values = {
+def trace_values(traces_by_measure):
+    """Preset evaluator entry: each measure's trace on the fraction grid."""
+    return {
         measure: {rate / 100.0: v for rate, v in zip(PCT_RATES, trace)}
         for measure, trace in traces_by_measure.items()
     }
-    return Algorithm("scripted", {"task": task, "label": label, "values": values})
 
 
 class TestRunSweep:
     def fraction_grid(self):
         return RateGrid(start=0.0, step=0.10, count=5)
 
-    def test_scripted_sweep_reproduces_golden_numbers(self):
-        # sweep each benchmark trace through a scripted stub, one per dataset
+    def test_scripted_sweep_reproduces_golden_numbers(self, monkeypatch, scripted_evaluator):
+        # sweep each benchmark trace through a scripted evaluator, one per dataset
         entries = []
         for name in sorted(TRACES):
             trace = {m: TRACES[name] for m in ("precision", "recall", "f_measure")}
-            algo = scripted_sweep_algorithm("tree", trace)
+            monkeypatch.setattr(robustness, "evaluate_algorithm",
+                                scripted_evaluator({"decision_tree": trace_values(trace)}))
             ds = SweepDataset(name, make_blobs(20, seed=5), "classification")
-            report = run_sweep([ds], [algo], ("missing",), self.fraction_grid(),
-                               seed=3, k_classification=10.0, timing_repeats=1)
-            entries.append(report.entry(name, "tree", "missing", "precision"))
+            report = run_sweep([ds], [Algorithm("decision_tree")], ("missing",),
+                               self.fraction_grid(), seed=3, k_classification=10.0,
+                               timing_repeats=1)
+            entries.append(report.entry(name, "decision_tree", "missing", "precision"))
         sens = [e.sensibility for e in entries]
         kps = [e.keeping_point for e in entries]
         assert np.mean(sens) == pytest.approx(25.89, abs=0.005)
         # keeping points on the fraction grid: 0.30/0.20/0.0/0.50/0.40
         assert np.mean(kps) == pytest.approx(0.28, abs=1e-9)
 
-    def test_single_dataset_summary_values(self):
+    def test_single_dataset_summary_values(self, monkeypatch, scripted_evaluator):
+        trace = {m: TRACES["iris"] for m in ("precision", "recall", "f_measure")}
+        monkeypatch.setattr(robustness, "evaluate_algorithm",
+                            scripted_evaluator({"decision_tree": trace_values(trace)}))
         report = run_sweep(
             [SweepDataset("iris", make_blobs(20, seed=5), "classification")],
-            [scripted_sweep_algorithm("tree", {m: TRACES["iris"] for m in
-                                               ("precision", "recall", "f_measure")})],
+            [Algorithm("decision_tree")],
             ("missing",), self.fraction_grid(), seed=1,
             k_classification=10.0, timing_repeats=1,
         )
-        s = report.summary("tree", "missing", "precision")
+        s = report.summary("decision_tree", "missing", "precision")
         assert s.mean_sensibility == pytest.approx(31.24, abs=0.005)
         assert s.mean_keeping_point == pytest.approx(0.30)
+
+    def test_duplicate_names_rejected(self):
+        # same-named runs would share one series and one set of ledger keys
+        ds = SweepDataset("blobs", make_blobs(20, n_classes=2, seed=1), "classification")
+        grid = RateGrid(start=0.0, step=0.3, count=1)
+        with pytest.raises(ConfigurationError, match="algorithm names"):
+            run_sweep([ds], [Algorithm("knn", {"k": 1}), Algorithm("knn", {"k": 9})],
+                      ("missing",), grid, folds=2, timing_repeats=1)
+        with pytest.raises(ConfigurationError, match="dataset names"):
+            run_sweep([ds, ds], [Algorithm("knn", {"k": 1})], ("missing",), grid,
+                      folds=2, timing_repeats=1)
 
     def test_degenerate_grid_flags(self):
         ds = SweepDataset("blobs", make_blobs(20, n_classes=2, seed=1), "classification")
@@ -217,7 +242,7 @@ class TestRunSweep:
         assert calls == [ds.dataset]
         # each point evaluated alone recomputes the same radius
         for rate, result in zip(grid.rates(), report.results):
-            spec = robustness._spec_for(ds, "missing", rate, 4)
+            spec = robustness.corruption_spec(ds, "missing", rate, 4) if rate else None
             alone = evaluate_algorithm(ds.dataset, Algorithm("dbscan"), spec,
                                        seed=derive_seed(4, "blobs"), timing_repeats=1)
             assert alone.measures == result.measures
@@ -228,6 +253,11 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep([ds], [Algorithm("knn")], ("missing",),
                       RateGrid(start=0.1, step=0.1, count=2))
+
+    def test_empty_error_types_rejected(self):
+        ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
+        with pytest.raises(ConfigurationError, match="no error types"):
+            run_sweep([ds], [Algorithm("knn")], (), RateGrid(start=0.0, step=0.1, count=2))
 
     def test_regression_sweep_produces_lower_better_series(self):
         ds = SweepDataset("lin", make_linear(60, seed=4), "regression")
@@ -259,57 +289,118 @@ class TestRunSweep:
             assert e_s.series.values == e_p.series.values
 
 
-def scripted_report(sens_by_algo, clean_by_algo, keeping_by_algo=None, task="classification"):
-    """Build a minimal report by sweeping scripted algorithms."""
-    grid = RateGrid(start=0.0, step=0.10, count=5)
-    algorithms = []
-    for algo, clean in clean_by_algo.items():
-        total = sens_by_algo[algo]
-        # fabricate a monotone trace with the requested total variation
-        drop = total / 5.0
-        trace = tuple(clean - i * drop for i in range(6))
-        if keeping_by_algo and algo in keeping_by_algo:
-            kp = keeping_by_algo[algo]
-            k = 0.10 if task != "regression" else 0.1
-            trace = list(trace)
-            for i, rate in enumerate(grid.rates()):
-                if rate > kp:
-                    trace[i] = clean - 2.0 * k - i * drop
-            trace = tuple(trace)
-        measures = ("rmsd", "nrmsd", "cv_rmsd") if task == "regression" else (
-            "precision", "recall", "f_measure")
-        algorithms.append(scripted_sweep_algorithm(
-            algo, {m: trace for m in measures}, task=task))
-    ds = SweepDataset("synthetic", make_blobs(20, seed=9), task)
-    return run_sweep([ds], algorithms, ("missing", "inconsistent", "conflicting"),
-                     grid, seed=0, timing_repeats=1)
+# never fitted: the sweep plan is tested through the scripted evaluator
+PLAN_DATA = make_blobs(12, n_classes=2, seed=0)
+PLAN_RULES = (FDRule(("x0",), "x1"),)
+TASKS = ("classification", "clustering", "regression")
+
+
+class TestSweepPlan:
+    @given(data=st.data())
+    def test_every_point_lands_once_in_plan_order(self, scripted_evaluator, data):
+        dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
+        datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
+                    for i, task in enumerate(dataset_tasks)]
+        algorithms = [Algorithm(name) for name in data.draw(
+            st.lists(st.sampled_from(ALL_ALGORITHMS), min_size=1, max_size=5, unique=True))]
+        error_types = data.draw(st.lists(st.sampled_from(ERROR_TYPES), min_size=1, unique=True))
+        grid = RateGrid(start=0.0, step=0.1, count=data.draw(st.integers(0, 3)))
+        rates = grid.rates()
+        pairs = [(ds.name, a.name) for ds in datasets for a in algorithms
+                 if task_of(a) == ds.task]
+        plan = [(d, a, et, rate) for d, a in pairs for et in error_types for rate in rates]
+        failing = data.draw(st.sets(st.integers(0, len(plan) - 1))) if plan else set()
+
+        config = RunConfig(
+            datasets=[DatasetConfig(ds.name, f"{ds.name}.csv", ds.task) for ds in datasets],
+            algorithms=algorithms, error_types=tuple(error_types), rate_grid=grid, jobs=1,
+        )
+        combinations = next(line for line in config.plan_lines()
+                            if line.startswith("combinations:"))
+        assert combinations.split()[1] == str(len(pairs))
+
+        values = {a.name: {m: {r: 1.0 - r for r in rates}
+                           for m in PRF_MEASURES + REGRESSION_MEASURES}
+                  for a in algorithms}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(robustness, "evaluate_algorithm", scripted_evaluator(values, failing))
+            if not plan:
+                with pytest.raises(ConfigurationError):
+                    run_sweep(datasets, algorithms, error_types, grid, jobs=1)
+                return
+            report = run_sweep(datasets, algorithms, error_types, grid, jobs=1)
+
+        # the evaluator's message names its call, so each error pins one point
+        assert [(e["dataset"], e["algorithm"], e["error_type"], e["rate"], e["message"])
+                for e in report.errors] == [
+            (*point, f"ParameterError: scripted failure at call {i}")
+            for i, point in enumerate(plan) if i in failing
+        ]
+        assert [(r.dataset, r.algorithm, r.error_type, r.rate) for r in report.results] == [
+            (d, a, et if rate else None, rate)
+            for i, (d, a, et, rate) in enumerate(plan) if i not in failing
+        ]
+        failed_series = {plan[i][:3] for i in failing}
+        assert {(e.dataset, e.algorithm, e.error_type) for e in report.entries} == {
+            point[:3] for point in plan
+        }
+        for e in report.entries:
+            assert ("incomplete-series" in e.flags) == (
+                (e.dataset, e.algorithm, e.error_type) in failed_series
+            )
+
+
+@pytest.fixture()
+def scripted_report(monkeypatch, scripted_evaluator):
+    """Build a minimal report by sweeping preset classifier traces."""
+
+    def build(sens_by_algo, clean_by_algo, keeping_by_algo=None):
+        grid = RateGrid(start=0.0, step=0.10, count=5)
+        values = {}
+        for algo, clean in clean_by_algo.items():
+            total = sens_by_algo[algo]
+            # fabricate a monotone trace with the requested total variation
+            drop = total / 5.0
+            trace = [clean - i * drop for i in range(6)]
+            if keeping_by_algo and algo in keeping_by_algo:
+                for i, rate in enumerate(grid.rates()):
+                    if rate > keeping_by_algo[algo]:
+                        trace[i] = clean - 2.0 * 0.10 - i * drop
+            values[algo] = trace_values({m: trace for m in PRF_MEASURES})
+        monkeypatch.setattr(robustness, "evaluate_algorithm", scripted_evaluator(values))
+        ds = SweepDataset("synthetic", make_blobs(20, seed=9), "classification")
+        return run_sweep([ds], [Algorithm(a) for a in clean_by_algo],
+                         ("missing", "inconsistent", "conflicting"),
+                         grid, seed=0, timing_repeats=1)
+
+    return build
 
 
 class TestRecommend:
-    def test_argmin_sensibility_rule(self):
+    def test_argmin_sensibility_rule(self, scripted_report):
         report = scripted_report(
-            sens_by_algo={"alg_a": 0.05, "alg_b": 0.30},
-            clean_by_algo={"alg_a": 0.85, "alg_b": 0.92},
+            sens_by_algo={"decision_tree": 0.05, "knn": 0.30},
+            clean_by_algo={"decision_tree": 0.85, "knn": 0.92},
         )
         guide = recommend(report, "classification", {"missing": 0.4}, data_size=5000)
-        assert guide.chosen == "alg_a"
+        assert guide.chosen == "decision_tree"
         assert guide.dominant_error == "missing"
 
-    def test_empty_candidates_reports_misses(self):
+    def test_empty_candidates_reports_misses(self, scripted_report):
         report = scripted_report(
-            sens_by_algo={"alg_a": 0.05, "alg_b": 0.30},
-            clean_by_algo={"alg_a": 0.55, "alg_b": 0.60},
+            sens_by_algo={"decision_tree": 0.05, "knn": 0.30},
+            clean_by_algo={"decision_tree": 0.55, "knn": 0.60},
         )
         guide = recommend(report, "classification", {"missing": 0.2}, data_size=5000)
         assert guide.no_acceptable
-        assert guide.nearest_misses[0][0] == "alg_b"
+        assert guide.nearest_misses[0][0] == "knn"
         assert "No acceptable algorithm" in guide.narrative()
 
-    def test_cleaning_targets_rule(self):
+    def test_cleaning_targets_rule(self, scripted_report):
         report = scripted_report(
-            sens_by_algo={"alg_a": 0.02},
-            clean_by_algo={"alg_a": 0.9},
-            keeping_by_algo={"alg_a": 0.30},
+            sens_by_algo={"decision_tree": 0.02},
+            clean_by_algo={"decision_tree": 0.9},
+            keeping_by_algo={"decision_tree": 0.30},
         )
         guide = recommend(
             report, "classification",
@@ -321,23 +412,23 @@ class TestRecommend:
         assert targets["missing"]["target"] == pytest.approx(kp)
         assert targets["inconsistent"]["target"] is None
 
-    def test_dominant_error_tie_break(self):
+    def test_dominant_error_tie_break(self, scripted_report):
         report = scripted_report(
-            sens_by_algo={"alg_a": 0.05},
-            clean_by_algo={"alg_a": 0.9},
+            sens_by_algo={"decision_tree": 0.05},
+            clean_by_algo={"decision_tree": 0.9},
         )
         guide = recommend(report, "classification",
                           {"missing": 0.3, "inconsistent": 0.3}, data_size=100)
         assert guide.dominant_error == "missing"
 
-    def test_scaling_invariance_of_choice(self):
+    def test_scaling_invariance_of_choice(self, scripted_report):
         base = scripted_report(
-            sens_by_algo={"alg_a": 0.04, "alg_b": 0.12, "alg_c": 0.4},
-            clean_by_algo={"alg_a": 0.8, "alg_b": 0.9, "alg_c": 0.85},
+            sens_by_algo={"decision_tree": 0.04, "knn": 0.12, "naive_bayes": 0.4},
+            clean_by_algo={"decision_tree": 0.8, "knn": 0.9, "naive_bayes": 0.85},
         )
         scaled = scripted_report(
-            sens_by_algo={"alg_a": 0.08, "alg_b": 0.24, "alg_c": 0.8},
-            clean_by_algo={"alg_a": 0.8, "alg_b": 0.9, "alg_c": 0.85},
+            sens_by_algo={"decision_tree": 0.08, "knn": 0.24, "naive_bayes": 0.8},
+            clean_by_algo={"decision_tree": 0.8, "knn": 0.9, "naive_bayes": 0.85},
         )
         g1 = recommend(base, "classification", {"missing": 0.2}, data_size=5000)
         g2 = recommend(scaled, "classification", {"missing": 0.2}, data_size=5000)
