@@ -1,8 +1,10 @@
 """Six classical classifiers implemented from scratch on the Dataset type.
 
 Every classifier exposes ``fit(dataset, rows=None)`` (rows are indices into
-``dataset.rows``; None means all) and ``predict_cells(cells)`` /
-``predict_rows(dataset, rows=None)`` returning raw label tokens.  Training
+``dataset.rows``; None means all) and one batched
+``predict_rows(dataset, rows=None)`` that returns the raw label tokens of
+all the given rows.  Both read the features through the shared encoding in
+:mod:`dirtybench.features`, fitted on the training rows only.  Training
 labels are read from the (possibly corrupted) rows, never from the clean
 shadow.  Ties in argmax votes always break toward the lowest label index,
 where label indices follow first-seen order in the training rows.
@@ -14,17 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
+from .cluster import _sq_dist_blocks
 from .corrupt import derive_seed
-from .data import Cell, Dataset, NUMERIC
+from .data import Cell, Dataset
 from .errors import (
     DivergenceError,
     EmptyInputError,
     ParameterError,
-    SchemaError,
     UndefinedNodeError,
     UnsupportedTaskError,
 )
-from .features import Discretizer, FeatureEncoder, LabelCodec, train_labels
+from .features import ColumnFit, Discretizer, FeatureEncoder, LabelCodec, train_labels
 
 # ---------------------------------------------------------------------------
 # node purity measures
@@ -82,32 +84,40 @@ def information_gain(parent_counts, partitions) -> float:
     return float(entropy(parent) - weighted)
 
 
+def _labelled_rows(dataset: Dataset, rows: Sequence[int] | None,
+                   model: str) -> tuple[list[int], LabelCodec, np.ndarray]:
+    """Training row indices, a codec of their labels and their label codes."""
+    idx = list(range(dataset.n_rows)) if rows is None else list(rows)
+    if not idx:
+        raise EmptyInputError(f"cannot fit {model} on zero rows")
+    labels = train_labels(dataset, idx)
+    codec = LabelCodec(labels)
+    return idx, codec, codec.encode(labels)
+
+
+def _argmax_labels(codec: LabelCodec, scores: np.ndarray) -> list[Cell]:
+    """Each row's highest-scoring label; ties go to the lowest label code."""
+    return [codec.values[c] for c in np.argmax(scores, axis=1)]
+
+
 # ---------------------------------------------------------------------------
 # decision tree
 # ---------------------------------------------------------------------------
-
-class _RowClassifier:
-    """Predicts dataset rows one at a time through ``predict_cells``."""
-
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        idx = range(dataset.n_rows) if rows is None else rows
-        return [self.predict_cells(dataset.rows[i]) for i in idx]
-
 
 class _Node:
     __slots__ = ("label", "col", "is_numeric", "threshold", "category", "left", "right")
 
     def __init__(self, label=None):
         self.label = label  # leaf label code, None for internal nodes
-        self.col = -1
+        self.col = -1  # column of the fit's numeric or code block
         self.is_numeric = True
         self.threshold = 0.0
-        self.category = -1
+        self.category = -1  # a code of the fit's vocabulary
         self.left = None
         self.right = None
 
 
-class DecisionTreeClassifier(_RowClassifier):
+class DecisionTreeClassifier:
     """Greedy CART-style tree: numeric midpoints, one-vs-rest categories."""
 
     def __init__(self, criterion: str = "gini", max_depth: int = 25, min_split: int = 2,
@@ -122,46 +132,34 @@ class DecisionTreeClassifier(_RowClassifier):
         self.root: _Node | None = None
         self.codec: LabelCodec | None = None
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None,
-            codec: LabelCodec | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot train a tree on zero rows")
-        labels = train_labels(dataset, idx)
-        self.codec = codec if codec is not None else LabelCodec(labels)
-        y = self.codec.encode(labels)
-        self._feature_cols = list(dataset.schema.feature_indices)
-        self._col_numeric = []
-        self._col_values = []
-        self._col_vocab: list[dict[str, int] | None] = []
-        for j in self._feature_cols:
-            col = dataset.schema.columns[j]
-            if col.kind == NUMERIC:
-                vals = np.array([self._need(dataset.rows[i][j], col.name) for i in idx],
-                                dtype=float)
-                self._col_numeric.append(True)
-                self._col_values.append(vals)
-                self._col_vocab.append(None)
-            else:
-                vocab: dict[str, int] = {}
-                codes = np.empty(len(idx), dtype=np.int64)
-                for a, i in enumerate(idx):
-                    v = self._need(dataset.rows[i][j], col.name)
-                    if v not in vocab:
-                        vocab[v] = len(vocab)
-                    codes[a] = vocab[v]
-                self._col_numeric.append(False)
-                self._col_values.append(codes)
-                self._col_vocab.append(vocab)
-        self.root = self._build(np.arange(len(idx)), y, depth=0)
-        del self._col_values  # per-fit scratch; vocab kept for prediction
-        return self
+    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
+        idx, self.codec, y = _labelled_rows(dataset, rows, "a tree")
+        return self._grow(ColumnFit(dataset, idx), np.arange(len(idx)), y)
 
-    @staticmethod
-    def _need(value: Cell, name: str):
-        if value is None:
-            raise SchemaError(f"missing cell in column {name!r}; impute before training")
-        return value
+    def _grow(self, encoding: ColumnFit, sample: np.ndarray, y: np.ndarray):
+        """Grow on the rows ``encoding`` was fitted on, at positions
+        ``sample`` (repeats allowed), whose label codes are ``y[sample]``;
+        ``self.codec`` is already set."""
+        self.encoding = encoding
+        self._col_values = []
+        self._to_fit_code = []
+        for n, b in zip(encoding.is_numeric, encoding.block_col):
+            if n:
+                self._col_values.append(encoding.num[sample, b])
+                self._to_fit_code.append(None)
+                continue
+            # categories are tried in first-seen order within the sample, as
+            # ties between equally good splits go to the first one tried
+            codes = encoding.codes[sample, b]
+            found, first = np.unique(codes, return_index=True)
+            order = found[np.argsort(first)]
+            local = np.empty(len(encoding.vocab[b]), dtype=np.int64)
+            local[order] = np.arange(len(order))
+            self._col_values.append(local[codes])
+            self._to_fit_code.append(order)
+        self.root = self._build(np.arange(len(sample)), y[sample], depth=0)
+        del self._col_values, self._to_fit_code  # per-fit scratch
+        return self
 
     def _leaf(self, counts: np.ndarray) -> _Node:
         return _Node(label=int(np.argmax(counts)))
@@ -179,18 +177,18 @@ class DecisionTreeClassifier(_RowClassifier):
             return self._leaf(counts)
         pos, left_mask = best[0], best[1]
         node = _Node()
-        node.col = pos
-        node.is_numeric = self._col_numeric[pos]
+        node.col = self.encoding.block_col[pos]
+        node.is_numeric = self.encoding.is_numeric[pos]
         if node.is_numeric:
             node.threshold = best[2]
         else:
-            node.category = best[2]
+            node.category = int(self._to_fit_code[pos][best[2]])
         node.left = self._build(local[left_mask], y, depth + 1)
         node.right = self._build(local[~left_mask], y, depth + 1)
         return node
 
     def _candidate_columns(self) -> list[int]:
-        n_cols = len(self._feature_cols)
+        n_cols = len(self._col_values)
         if self.features_per_split is None or self.features_per_split >= n_cols:
             return list(range(n_cols))
         picked = self.rng.choice(n_cols, size=self.features_per_split, replace=False)
@@ -203,7 +201,7 @@ class DecisionTreeClassifier(_RowClassifier):
         best = None  # (weighted_impurity, pos, left_mask, threshold_or_category)
         for pos in self._candidate_columns():
             vals = self._col_values[pos][local]
-            if self._col_numeric[pos]:
+            if self.encoding.is_numeric[pos]:
                 order = np.argsort(vals, kind="stable")
                 sv = vals[order]
                 sy = y[local][order]
@@ -245,24 +243,34 @@ class DecisionTreeClassifier(_RowClassifier):
             return None
         return best[1], best[2], best[3]
 
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        node = self.root
-        while node.label is None:
-            j = self._feature_cols[node.col]
-            v = self._need(cells[j], f"column {j}")
+    def _predict_codes(self, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Label codes of the encoded rows, routed down the tree as index sets."""
+        out = np.empty(len(num), dtype=np.int64)
+        stack = [(self.root, np.arange(len(num)))]
+        while stack:
+            node, at = stack.pop()
+            if node.label is not None:
+                out[at] = node.label
+                continue
             if node.is_numeric:
-                node = node.left if float(v) <= node.threshold else node.right
-            else:
-                code = self._col_vocab[node.col].get(v, -1)
-                node = node.left if code == node.category else node.right
-        return self.codec.decode(node.label)
+                left = num[at, node.col] <= node.threshold
+            else:  # an unseen category (-1) never matches, so it goes right
+                left = codes[at, node.col] == node.category
+            for child, part in ((node.left, at[left]), (node.right, at[~left])):
+                if len(part):
+                    stack.append((child, part))
+        return out
+
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        codes = self._predict_codes(*self.encoding.encode(dataset, rows))
+        return [self.codec.values[c] for c in codes]
 
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
 
-class KNNClassifier(_RowClassifier):
+class KNNClassifier:
     """Majority vote over the k nearest training rows (Euclidean distance on
     the shared min-max / overlap encoding)."""
 
@@ -272,37 +280,29 @@ class KNNClassifier(_RowClassifier):
         self.k = k
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot fit KNN on zero rows")
+        idx, self.codec, self.y = _labelled_rows(dataset, rows, "KNN")
         if self.k > len(idx):
             raise ParameterError(f"k={self.k} exceeds training size {len(idx)}")
         self.encoder = FeatureEncoder(dataset, idx)
         self.X = self.encoder.transform_rows(dataset, idx)
-        labels = train_labels(dataset, idx)
-        self.codec = LabelCodec(labels)
-        self.y = self.codec.encode(labels)
         return self
 
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        x = self.encoder.transform_cells(cells)
-        d2 = ((self.X - x) ** 2).sum(axis=1)
-        nearest = np.argsort(d2, kind="stable")[: self.k]
-        votes = np.bincount(self.y[nearest], minlength=self.codec.n_classes)
-        return self.codec.decode(int(np.argmax(votes)))
-
-
-def euclidean_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        Q = self.encoder.transform_rows(dataset, rows)
+        winners = np.empty(len(Q), dtype=np.int64)
+        classes = np.arange(self.codec.n_classes)
+        for a, d2 in _sq_dist_blocks(Q, self.X):
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            votes = (self.y[nearest][:, :, None] == classes).sum(axis=1)
+            winners[a:a + len(d2)] = votes.argmax(axis=1)
+        return [self.codec.values[c] for c in winners]
 
 
 # ---------------------------------------------------------------------------
 # naive Bayes
 # ---------------------------------------------------------------------------
 
-class NaiveBayesClassifier(_RowClassifier):
+class NaiveBayesClassifier:
     """Class priors times per-feature conditionals with additive smoothing.
 
     Numeric features are discretized into equal-width bins fitted on the
@@ -316,14 +316,9 @@ class NaiveBayesClassifier(_RowClassifier):
         self.n_bins = n_bins
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot fit naive Bayes on zero rows")
+        idx, self.codec, y = _labelled_rows(dataset, rows, "naive Bayes")
         self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
         codes = self.disc.codes_rows(dataset, idx)
-        labels = train_labels(dataset, idx)
-        self.codec = LabelCodec(labels)
-        y = self.codec.encode(labels)
         m = len(idx)
         n_c = self.codec.n_classes
         s = self.smoothing
@@ -336,45 +331,49 @@ class NaiveBayesClassifier(_RowClassifier):
             self.log_cond.append(np.log((tab + s) / (class_counts[None, :] + s * card)))
         return self
 
-    def predict_log_joint(self, cells: Sequence[Cell]) -> np.ndarray:
-        codes = self.disc.codes_cells(cells)
-        log_joint = self.log_prior.copy()
-        for f, c in enumerate(codes):
-            log_joint += self.log_cond[f][c]
+    def predict_log_joint(self, dataset: Dataset,
+                          rows: Sequence[int] | None = None) -> np.ndarray:
+        """(rows, classes) log prior plus the per-feature log conditionals."""
+        codes = self.disc.codes_rows(dataset, rows)
+        log_joint = np.tile(self.log_prior, (len(codes), 1))
+        for f, table in enumerate(self.log_cond):
+            log_joint += table[codes[:, f]]
         return log_joint
 
-    def predict_proba(self, cells: Sequence[Cell]) -> np.ndarray:
-        lj = self.predict_log_joint(cells)
-        lj -= lj.max()
-        p = np.exp(lj)
-        return p / p.sum()
-
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        return self.codec.decode(int(np.argmax(self.predict_log_joint(cells))))
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        return _argmax_labels(self.codec, self.predict_log_joint(dataset, rows))
 
 
 # ---------------------------------------------------------------------------
 # Bayesian network
 # ---------------------------------------------------------------------------
 
+def _parent_configs(codes: np.ndarray, cards: Sequence[int],
+                    parents: tuple[int, ...]) -> np.ndarray:
+    """Each row's joint parent configuration, one index per row."""
+    if not parents:
+        return np.zeros(len(codes), dtype=np.int64)
+    dims = [cards[p] for p in parents]
+    return np.ravel_multi_index(tuple(codes[:, p] for p in parents), dims)
+
+
+def _cpt(codes: np.ndarray, cards: Sequence[int], v: int, parents: tuple[int, ...],
+         smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed (parent configuration, value) table of variable v, and the
+    rows' parent configurations."""
+    cfg = _parent_configs(codes, cards, parents)
+    tab = np.zeros((int(np.prod([cards[p] for p in parents])), cards[v]))
+    np.add.at(tab, (cfg, codes[:, v]), 1.0)
+    return (tab + smoothing) / (tab.sum(axis=1, keepdims=True) + smoothing * cards[v]), cfg
+
+
 def _node_cost(codes: np.ndarray, cards: Sequence[int], v: int,
                parents: tuple[int, ...], smoothing: float, bits: float) -> float:
     """Description-length share of one node: coding cost of its parameters
     plus the negative log-likelihood of its column given its parents."""
-    r_v = cards[v]
-    if parents:
-        dims = [cards[p] for p in parents]
-        cfg = np.ravel_multi_index(tuple(codes[:, p] for p in parents), dims)
-        n_cfg = int(np.prod(dims))
-    else:
-        cfg = np.zeros(len(codes), dtype=np.int64)
-        n_cfg = 1
-    tab = np.zeros((n_cfg, r_v))
-    np.add.at(tab, (cfg, codes[:, v]), 1.0)
-    probs = (tab + smoothing) / (tab.sum(axis=1, keepdims=True) + smoothing * r_v)
+    probs, cfg = _cpt(codes, cards, v, parents, smoothing)
     loglik = float(np.log(probs[cfg, codes[:, v]]).sum())
-    n_params = (r_v - 1) * n_cfg
-    return bits * n_params - loglik
+    return bits * ((cards[v] - 1) * len(probs)) - loglik
 
 
 def bayes_net_cost(codes: np.ndarray, cards: Sequence[int],
@@ -389,7 +388,7 @@ def bayes_net_cost(codes: np.ndarray, cards: Sequence[int],
     )
 
 
-class BayesianNetworkClassifier(_RowClassifier):
+class BayesianNetworkClassifier:
     """Greedy description-length structure search over add/remove edge moves,
     smoothed CPTs, and exact posterior enumeration over the class variable."""
 
@@ -401,15 +400,9 @@ class BayesianNetworkClassifier(_RowClassifier):
         self.smoothing = smoothing
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot fit a Bayesian network on zero rows")
+        idx, self.codec, y = _labelled_rows(dataset, rows, "a Bayesian network")
         self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
-        feat_codes = self.disc.codes_rows(dataset, idx)
-        labels = train_labels(dataset, idx)
-        self.codec = LabelCodec(labels)
-        y = self.codec.encode(labels)
-        codes = np.column_stack([feat_codes, y])
+        codes = np.column_stack([self.disc.codes_rows(dataset, idx), y])
         cards = list(self.disc.cardinalities) + [self.codec.n_classes]
         self.n_vars = codes.shape[1]
         self.class_var = self.n_vars - 1
@@ -453,22 +446,10 @@ class BayesianNetworkClassifier(_RowClassifier):
         self.parents = parents
         self.cost = sum(node_costs.values())
 
-        self.cpts: dict[int, np.ndarray] = {}
-        for v in range(self.n_vars):
-            pa = parents[v]
-            r_v = cards[v]
-            if pa:
-                dims = [cards[p] for p in pa]
-                cfg = np.ravel_multi_index(tuple(codes[:, p] for p in pa), dims)
-                n_cfg = int(np.prod(dims))
-            else:
-                cfg = np.zeros(m, dtype=np.int64)
-                n_cfg = 1
-            tab = np.zeros((n_cfg, r_v))
-            np.add.at(tab, (cfg, codes[:, v]), 1.0)
-            self.cpts[v] = np.log(
-                (tab + self.smoothing) / (tab.sum(axis=1, keepdims=True) + self.smoothing * r_v)
-            )
+        self.cpts = {
+            v: np.log(_cpt(codes, cards, v, parents[v], self.smoothing)[0])
+            for v in range(self.n_vars)
+        }
         return self
 
     @staticmethod
@@ -486,30 +467,24 @@ class BayesianNetworkClassifier(_RowClassifier):
             stack.extend(parents[node])
         return False
 
-    def _assignment_logp(self, assign: np.ndarray) -> float:
-        total = 0.0
-        for v in range(self.n_vars):
-            pa = self.parents[v]
-            if pa:
-                dims = [self.cards[p] for p in pa]
-                cfg = int(np.ravel_multi_index(tuple(assign[list(pa)]), dims))
-            else:
-                cfg = 0
-            total += float(self.cpts[v][cfg, assign[v]])
-        return total
-
-    def predict_log_joint(self, cells: Sequence[Cell]) -> np.ndarray:
-        codes = self.disc.codes_cells(cells)
-        n_c = self.cards[self.class_var]
-        out = np.empty(n_c)
-        assign = np.append(codes, 0)
-        for y in range(n_c):
-            assign[self.class_var] = y
-            out[y] = self._assignment_logp(assign)
+    def predict_log_joint(self, dataset: Dataset,
+                          rows: Sequence[int] | None = None) -> np.ndarray:
+        """(rows, classes) joint log probability of each row's features with
+        each class, the CPT terms added in variable order."""
+        codes = self.disc.codes_rows(dataset, rows)
+        out = np.empty((len(codes), self.cards[self.class_var]))
+        assign = np.column_stack([codes, np.zeros(len(codes), dtype=np.int64)])
+        for y in range(out.shape[1]):
+            assign[:, self.class_var] = y
+            total = np.zeros(len(codes))
+            for v in range(self.n_vars):
+                cfg = _parent_configs(assign, self.cards, self.parents[v])
+                total += self.cpts[v][cfg, assign[:, v]]
+            out[:, y] = total
         return out
 
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        return self.codec.decode(int(np.argmax(self.predict_log_joint(cells))))
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        return _argmax_labels(self.codec, self.predict_log_joint(dataset, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +513,7 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray):
     return X.T @ residual, float(residual.sum())
 
 
-class LogisticRegressionClassifier(_RowClassifier):
+class LogisticRegressionClassifier:
     """Binary classifier trained by batch gradient ascent on the
     log-likelihood; predicts the positive class when the squashed score
     reaches 0.5."""
@@ -550,18 +525,14 @@ class LogisticRegressionClassifier(_RowClassifier):
         self.iters = iters
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot fit logistic regression on zero rows")
-        labels = train_labels(dataset, idx)
-        self.codec = LabelCodec(labels)
+        idx, self.codec, y = _labelled_rows(dataset, rows, "logistic regression")
         if self.codec.n_classes != 2:
             raise UnsupportedTaskError(
                 f"logistic regression needs a binary target, got {self.codec.n_classes} classes"
             )
         self.encoder = FeatureEncoder(dataset, idx)
         X = self.encoder.transform_rows(dataset, idx)
-        y = self.codec.encode(labels).astype(float)
+        y = y.astype(float)
         m = len(idx)
         w = np.zeros(X.shape[1])
         b = 0.0
@@ -577,19 +548,18 @@ class LogisticRegressionClassifier(_RowClassifier):
         self.b = b
         return self
 
-    def decision_value(self, cells: Sequence[Cell]) -> float:
-        x = self.encoder.transform_cells(cells)
-        return float(sigmoid(x @ self.w + self.b))
-
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        return self.codec.decode(1 if self.decision_value(cells) >= 0.5 else 0)
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        # one dot product per row: a matrix product may round the scores
+        # differently in the last bit
+        X = self.encoder.transform_rows(dataset, rows)
+        return [self.codec.values[1 if sigmoid(x @ self.w + self.b) >= 0.5 else 0] for x in X]
 
 
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
 
-class RandomForestClassifier(_RowClassifier):
+class RandomForestClassifier:
     """Bagged decision trees with a random feature subset at every split."""
 
     def __init__(self, n_trees: int = 50, feat_frac: float | None = None, seed: int = 0,
@@ -606,24 +576,21 @@ class RandomForestClassifier(_RowClassifier):
         self.min_split = min_split
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-        if not idx:
-            raise EmptyInputError("cannot fit a forest on zero rows")
-        labels = train_labels(dataset, idx)
-        self.codec = LabelCodec(labels)
+        idx, self.codec, y = _labelled_rows(dataset, rows, "a forest")
         n_feat = dataset.schema.n
         if self.feat_frac is None:
             per_split = max(1, math.ceil(math.sqrt(n_feat)))
         else:
             per_split = max(1, math.ceil(self.feat_frac * n_feat))
         per_split = min(per_split, n_feat)
+        self.encoding = ColumnFit(dataset, idx)
         self.trees: list[DecisionTreeClassifier] = []
         for t in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, "tree", t))
             if self.bootstrap:
-                sample = [idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
+                sample = rng.integers(0, len(idx), size=len(idx))
             else:
-                sample = idx
+                sample = np.arange(len(idx))
             tree = DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
@@ -631,12 +598,14 @@ class RandomForestClassifier(_RowClassifier):
                 features_per_split=per_split if per_split < n_feat else None,
                 rng=rng,
             )
-            tree.fit(dataset, sample, codec=self.codec)
-            self.trees.append(tree)
+            tree.codec = self.codec
+            self.trees.append(tree._grow(self.encoding, sample, y))
         return self
 
-    def predict_cells(self, cells: Sequence[Cell]) -> Cell:
-        votes = np.zeros(self.codec.n_classes, dtype=int)
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        num, codes = self.encoding.encode(dataset, rows)
+        votes = np.zeros((len(num), self.codec.n_classes), dtype=np.int64)
+        at = np.arange(len(num))
         for tree in self.trees:
-            votes[self.codec.index[tree.predict_cells(cells)]] += 1
-        return self.codec.decode(int(np.argmax(votes)))
+            votes[at, tree._predict_codes(num, codes)] += 1
+        return _argmax_labels(self.codec, votes)

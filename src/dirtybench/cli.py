@@ -49,9 +49,16 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return config
 
 
+def _load(args):
+    """The config with its command-line overrides, and its datasets loaded,
+    so that a missing or unreadable data file fails before any plan is
+    printed, the same way in validation, a dry run and a real run."""
+    config = _apply_overrides(RunConfig.load_file(args.config), args)
+    return config, config.load_sweep_datasets()
+
+
 def cmd_validate_config(args) -> int:
-    config = RunConfig.load_file(args.config)
-    config = _apply_overrides(config, args)
+    config, _ = _load(args)
     print("\n".join(config.plan_lines()))
     print("config OK")
     return EXIT_OK
@@ -68,8 +75,7 @@ def _rate_tag(rate: float) -> str:
 
 
 def cmd_inject(args) -> int:
-    config = RunConfig.load_file(args.config)
-    config = _apply_overrides(config, args)
+    config, datasets = _load(args)
     if args.dry_run:
         print("\n".join(config.plan_lines()))
         return EXIT_OK
@@ -77,7 +83,7 @@ def cmd_inject(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(config.config_hash, config.seed)
     summary_rows = []
-    for ds in config.load_sweep_datasets():
+    for ds in datasets:
         entry = next(d for d in config.datasets if d.name == ds.name)
         for error_type in config.error_types:
             for rate in config.rate_grid.rates():
@@ -119,12 +125,10 @@ def cmd_inject(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = RunConfig.load_file(args.config)
-    config = _apply_overrides(config, args)
+    config, datasets = _load(args)
     if args.dry_run:
         print("\n".join(config.plan_lines()))
         return EXIT_OK
-    datasets = config.load_sweep_datasets()
     report = run_sweep(
         datasets,
         config.algorithms,

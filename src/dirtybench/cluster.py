@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from .corrupt import impute
 from .data import Dataset
 from .errors import ParameterError
-from .features import FeatureEncoder
+from .features import FeatureEncoder, LabelCodec, train_labels
 
 NOISE = -1
 
@@ -56,9 +56,9 @@ def encode_for_clustering(d: Dataset) -> tuple[np.ndarray, FeatureEncoder]:
 
 
 def _maybe_original_centroids(enc: FeatureEncoder, centroids: np.ndarray):
-    if enc.categorical_cols:
+    if enc.encoding.categorical_cols:
         return None
-    return np.array([enc.inverse_numeric(c) for c in centroids])
+    return enc.inverse_numeric(centroids)
 
 
 # Byte budget of the (rows x len(C) x d) temporary behind one distance block.
@@ -160,19 +160,14 @@ def lvq(d: Dataset, q: int | None = None, learning_rate: float = 0.1,
     Training reads the dataset's stored labels (dirty ones included);
     evaluation against clean truth is the harness's job.
     """
-    work = impute(d) if d.has_missing() else d
-    enc = FeatureEncoder(work)
-    X = enc.transform_rows(work)
-    t = work.schema.target_index
-    if t is None:
+    work = impute(d) if d.has_missing() else d  # labels are imputed along with features
+    X, _ = encode_for_clustering(work)
+    if work.schema.target_index is None:
         raise ParameterError("LVQ needs a labeled dataset")
-    labels = [work.rows[i][t] for i in range(work.n_rows)]
-    order: dict = {}
-    for v in labels:
-        if v not in order:
-            order[v] = len(order)
-    y = np.array([order[v] for v in labels])
-    n_c = len(order)
+    labels = train_labels(work)
+    codec = LabelCodec(labels)
+    y = codec.encode(labels)
+    n_c = codec.n_classes
     if q is None:
         q = n_c
     if q < n_c:

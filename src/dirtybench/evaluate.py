@@ -246,6 +246,17 @@ class EvalResult:
         row["flags"] = ";".join(self.flags)
         return row
 
+    @classmethod
+    def from_ledger_row(cls, row: dict) -> "EvalResult":
+        """Inverse of :meth:`ledger_row`; the ledger keeps no per-fold values."""
+        return cls(
+            dataset=row["dataset"], algorithm=row["algorithm"], task=row["task"],
+            error_type=row["error_type"] or None, rate=row["rate"], seed=row["seed"],
+            measures={m: None if row[m] == "" else row[m] for m in measures_of(row["task"])},
+            fold_values={}, flags=tuple(row["flags"].split(";")) if row["flags"] else (),
+            wall_time_log10_ms=row["time_log10_ms"],
+        )
+
 
 LEDGER_COLUMNS = (
     "dataset", "algorithm", "task", "error_type", "rate",

@@ -1,9 +1,12 @@
 """Four regression fitters sharing a fit/predict contract.
 
 All fitters use the numeric feature columns only; categorical feature columns
-are dropped with a warning.  Linear solves go through the normal equations
-with a Cholesky factorization and fall back to a lightly damped ridge system
-when the design is singular (the model records that it did).
+are dropped with a warning.  The design matrix is the raw numeric block read
+by :func:`dirtybench.features.numeric_block`, the reader behind the shared
+encoding, and :func:`predict_rows` reads the rows to predict the same way, in
+one block.  Linear solves go through the normal equations with a Cholesky
+factorization and fall back to a lightly damped ridge system when the design
+is singular (the model records that it did).
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .data import Cell, Dataset, NUMERIC
+from .data import Dataset, NUMERIC
 from .errors import (
     DivergenceError,
     EmptyInputError,
@@ -23,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularityError,
 )
-from .features import numeric_feature_matrix
+from .features import numeric_block
 
 RIDGE_DAMPING = 1e-8
 
@@ -89,7 +92,7 @@ def _numeric_setup(dataset: Dataset, rows: Sequence[int] | None):
         )
     if not num_cols:
         raise SchemaError("regression needs at least one numeric feature column")
-    X = numeric_feature_matrix(dataset, idx, num_cols)
+    X = numeric_block(dataset, idx, num_cols)
     y = np.array([float(_target(dataset, i, t)) for i in idx])
     return X, y, tuple(num_cols)
 
@@ -294,18 +297,9 @@ def fit_stepwise(dataset: Dataset, alpha_in: float = 0.05, alpha_out: float = 0.
     return StepwiseModel(selected=tuple(selected), inner=inner, feature_cols=cols)
 
 
-def predict(model: RegressionModel, cells: Sequence[Cell]) -> float:
-    """Evaluate a fitted model on one record (full schema arity)."""
-    x = np.empty(len(model.feature_cols))
-    for pos, j in enumerate(model.feature_cols):
-        v = cells[j]
-        if v is None:
-            raise SchemaError("missing feature value at prediction; impute first")
-        x[pos] = float(v)
-    return model.evaluate(x)
-
-
 def predict_rows(model: RegressionModel, dataset: Dataset,
                  rows: Sequence[int] | None = None) -> np.ndarray:
-    idx = range(dataset.n_rows) if rows is None else rows
-    return np.array([predict(model, dataset.rows[i]) for i in idx])
+    """Evaluate a fitted model on the given rows (None means all)."""
+    X = numeric_block(dataset, rows, model.feature_cols)
+    # row by row: a matrix product may round differently in the last bit
+    return np.array([model.evaluate(x) for x in X])

@@ -271,6 +271,7 @@ class RobustnessReport:
         report.summaries = [AlgorithmSummary(**s) for s in data["summaries"]]
         report.rankings = list(data["rankings"])
         report.errors = list(data["errors"])
+        report.results = [EvalResult.from_ledger_row(row) for row in data["results"]]
         return report
 
 

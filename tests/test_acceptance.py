@@ -150,10 +150,10 @@ class TestCriterion4OracleEquivalence:
             d = dataset_from_rows(cols, rows)
             k = int(rng.integers(1, 6))
             model = KNNClassifier(k=k).fit(d)
-            q = [*map(float, rng.uniform(0, 1, size=3)), None]
-            got = model.predict_cells(q)
+            query = dataset_from_rows(cols, [[*map(float, rng.uniform(0, 1, size=3)), None]])
+            got = model.predict_rows(query)[0]
             Xs = model.encoder.transform_rows(d)
-            qs = model.encoder.transform_cells(q)
+            qs = model.encoder.transform_rows(query)[0]
             order = np.argsort(((Xs - qs) ** 2).sum(axis=1), kind="stable")[:k]
             votes = {}
             for i in order:

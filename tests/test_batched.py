@@ -1,0 +1,329 @@
+"""Batched encodings and predictions against per-record reference code.
+
+The references below encode and predict one record at a time, each fitting
+its own statistics and vocabularies, the way the encoders and models did
+before they shared one batched encoding.  No benchmark workload has a
+categorical feature, so these properties are what hold that path: mixed
+schemas, categories unseen in training, constant numeric columns and test
+values outside the training range.
+"""
+import math
+import warnings
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from dirtybench import cluster, regress
+from dirtybench.classify import (
+    BayesianNetworkClassifier,
+    DecisionTreeClassifier,
+    KNNClassifier,
+    LogisticRegressionClassifier,
+    NaiveBayesClassifier,
+    RandomForestClassifier,
+    _impurity_rows,
+    sigmoid,
+)
+from dirtybench.corrupt import derive_seed
+from dirtybench.data import CATEGORICAL, NUMERIC, Column, dataset_from_rows
+from dirtybench.errors import DirtyBenchError
+from dirtybench.features import CAT_SCALE, Discretizer, FeatureEncoder, LabelCodec, train_labels
+
+# training values come from few levels so constant columns are common; test
+# values reach past both ends and take categories training never saw
+TRAIN_NUMBERS = (0.0, 1.0, 2.5)
+TEST_NUMBERS = (-3.0, 0.0, 1.0, 1.7, 2.5, 9.0)
+TRAIN_WORDS = ("a", "b", "c")
+TEST_WORDS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def split_tables(draw, target_kind=CATEGORICAL):
+    """(dataset, training rows, test rows) over a random mixed schema."""
+    kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=1, max_size=4))
+    if target_kind == NUMERIC and NUMERIC not in kinds:
+        kinds.append(NUMERIC)
+    n_train = draw(st.integers(4, 16))
+    n_test = draw(st.integers(1, 8))
+
+    def row(numbers, words):
+        cells = [draw(st.sampled_from(numbers if k == NUMERIC else words)) for k in kinds]
+        if target_kind == NUMERIC:
+            return cells + [draw(st.floats(-5, 5, allow_nan=False))]
+        return cells + [draw(st.sampled_from(("p", "q", "r")))]
+
+    rows = [row(TRAIN_NUMBERS, TRAIN_WORDS) for _ in range(n_train)]
+    rows += [row(TEST_NUMBERS, TEST_WORDS) for _ in range(n_test)]
+    cols = [Column(f"x{j}", k) for j, k in enumerate(kinds)]
+    cols.append(Column("y", target_kind, "target"))
+    d = dataset_from_rows(cols, rows)
+    return d, list(range(n_train)), list(range(n_train, n_train + n_test))
+
+
+# ---------------------------------------------------------------------------
+# per-record references
+# ---------------------------------------------------------------------------
+
+class RefEncoder:
+    """Min-max + scaled one-hot, fitted and applied one record at a time."""
+
+    def __init__(self, d, idx):
+        self.cols = d.schema.feature_indices
+        self.numeric = [j for j in self.cols if d.schema.columns[j].kind == NUMERIC]
+        self.categorical = [j for j in self.cols if j not in self.numeric]
+        self.lo = {j: min(d.rows[i][j] for i in idx) for j in self.numeric}
+        self.hi = {j: max(d.rows[i][j] for i in idx) for j in self.numeric}
+        self.vocab = {}
+        for j in self.categorical:
+            seen = {}
+            for i in idx:
+                seen.setdefault(d.rows[i][j], len(seen))
+            self.vocab[j] = seen
+        self.width = len(self.numeric) + sum(len(v) for v in self.vocab.values())
+
+    def transform_cells(self, cells):
+        out = np.zeros(self.width)
+        pos = 0
+        for j in self.numeric:
+            span = self.hi[j] - self.lo[j]
+            out[pos] = (float(cells[j]) - self.lo[j]) / span if span > 0 else 0.0
+            pos += 1
+        for j in self.categorical:
+            slot = self.vocab[j].get(cells[j])
+            if slot is not None:
+                out[pos + slot] = CAT_SCALE
+            pos += len(self.vocab[j])
+        return out
+
+    def codes_cells(self, cells, n_bins):
+        out = []
+        for j in self.cols:
+            if j in self.vocab:
+                out.append(self.vocab[j].get(cells[j], len(self.vocab[j])))
+                continue
+            span = self.hi[j] - self.lo[j]
+            b = int((float(cells[j]) - self.lo[j]) / span * n_bins) if span > 0 else 0
+            out.append(min(max(b, 0), n_bins - 1))
+        return np.array(out, dtype=np.int64)
+
+
+def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
+             max_depth=25, min_split=2):
+    """Grow a tree on rows ``idx`` (repeats allowed) with per-fit
+    first-seen vocabularies; returns a function predicting one record."""
+    cols = d.schema.feature_indices
+    numeric = [d.schema.columns[j].kind == NUMERIC for j in cols]
+    values, vocabs = [], []
+    for j, is_num in zip(cols, numeric):
+        raw = [d.rows[i][j] for i in idx]
+        vocab = None if is_num else {}
+        if not is_num:
+            for v in raw:
+                vocab.setdefault(v, len(vocab))
+            raw = [vocab[v] for v in raw]
+        values.append(np.array(raw, dtype=float if is_num else np.int64))
+        vocabs.append(vocab)
+    y = codec.encode(train_labels(d, idx))
+    n_c = codec.n_classes
+
+    def impurity(counts):
+        return _impurity_rows(np.atleast_2d(counts), criterion)
+
+    def best_split(local, counts):
+        n = len(local)
+        best = None
+        if per_split is None or per_split >= len(cols):
+            candidates = range(len(cols))
+        else:
+            candidates = sorted(int(c) for c in rng.choice(len(cols), size=per_split,
+                                                           replace=False))
+        for pos in candidates:
+            vals = values[pos][local]
+            if numeric[pos]:
+                order = np.argsort(vals, kind="stable")
+                sv, sy = vals[order], y[local][order]
+                cuts = np.nonzero(sv[:-1] < sv[1:])[0]
+                if len(cuts) == 0:
+                    continue
+                onehot = np.zeros((n, n_c))
+                onehot[np.arange(n), sy] = 1.0
+                left = onehot.cumsum(axis=0)[cuts]
+                n_left = left.sum(axis=1)
+                weighted = (n_left * impurity(left)
+                            + (n - n_left) * impurity(counts[None, :] - left)) / n
+                k = int(np.argmin(weighted))
+                if best is None or weighted[k] < best[0] - 1e-12:
+                    mask = np.zeros(n, dtype=bool)
+                    mask[order[: cuts[k] + 1]] = True
+                    best = (float(weighted[k]), pos, mask,
+                            float((sv[cuts[k]] + sv[cuts[k] + 1]) / 2.0))
+            else:
+                for cat in range(int(vals.max()) + 1):
+                    mask = vals == cat
+                    n_left = int(mask.sum())
+                    if n_left == 0 or n_left == n:
+                        continue
+                    left = np.bincount(y[local][mask], minlength=n_c).astype(float)
+                    weighted = (n_left * impurity(left)[0]
+                                + (n - n_left) * impurity(counts - left)[0]) / n
+                    if best is None or weighted < best[0] - 1e-12:
+                        best = (float(weighted), pos, mask, cat)
+        if best is None or best[0] >= impurity(counts)[0] - 1e-12:
+            return None
+        return best[1:]
+
+    def build(local, depth):
+        counts = np.bincount(y[local], minlength=n_c).astype(float)
+        split = None
+        if depth < max_depth and len(local) >= max(2, min_split) and (counts > 0).sum() > 1:
+            split = best_split(local, counts)
+        if split is None:
+            return int(np.argmax(counts))
+        pos, mask, at = split
+        return pos, at, build(local[mask], depth + 1), build(local[~mask], depth + 1)
+
+    root = build(np.arange(len(idx)), 0)
+
+    def predict_cells(cells):
+        node = root
+        while not isinstance(node, int):
+            pos, at, left, right = node
+            v = cells[cols[pos]]
+            if numeric[pos]:
+                node = left if float(v) <= at else right
+            else:
+                node = left if vocabs[pos].get(v, -1) == at else right
+        return codec.decode(node)
+
+    return predict_cells
+
+
+def ref_forest(d, idx, n_trees, feat_frac, seed):
+    codec = LabelCodec(train_labels(d, idx))
+    n_feat = d.schema.n
+    per_split = min(max(1, math.ceil(feat_frac * n_feat)), n_feat)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(derive_seed(seed, "tree", t))
+        sample = [idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
+        trees.append(ref_tree(d, sample, codec, per_split=per_split, rng=rng))
+
+    def predict_cells(cells):
+        votes = np.zeros(codec.n_classes, dtype=int)
+        for tree in trees:
+            votes[codec.index[tree(cells)]] += 1
+        return codec.decode(int(np.argmax(votes)))
+
+    return predict_cells
+
+
+def ref_knn(d, idx, k, codec):
+    enc = RefEncoder(d, idx)
+    X = np.array([enc.transform_cells(d.rows[i]) for i in idx])
+    y = codec.encode(train_labels(d, idx))
+
+    def predict_cells(cells):
+        d2 = ((X - enc.transform_cells(cells)) ** 2).sum(axis=1)
+        nearest = np.argsort(d2, kind="stable")[:k]
+        return codec.decode(int(np.argmax(np.bincount(y[nearest], minlength=codec.n_classes))))
+
+    return predict_cells
+
+
+def ref_bn_log_joint(model, codes):
+    out = np.empty(model.cards[model.class_var])
+    assign = np.append(codes, 0)
+    for y in range(len(out)):
+        assign[model.class_var] = y
+        total = 0.0
+        for v in range(model.n_vars):
+            pa = model.parents[v]
+            cfg = 0
+            if pa:
+                dims = [model.cards[p] for p in pa]
+                cfg = int(np.ravel_multi_index(tuple(assign[list(pa)]), dims))
+            total += float(model.cpts[v][cfg, assign[v]])
+        out[y] = total
+    return out
+
+
+def ref_regress_predict(model, cells):
+    return model.evaluate(np.array([float(cells[j]) for j in model.feature_cols]))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+@given(split_tables(), st.integers(2, 6))
+def test_encodings_equal_per_record_reference(case, n_bins):
+    d, train, test = case
+    ref = RefEncoder(d, train)
+    enc = FeatureEncoder(d, train)
+    disc = Discretizer(d, train, n_bins=n_bins)
+    for rows in (train, test, None):
+        cells = [d.rows[i] for i in (range(d.n_rows) if rows is None else rows)]
+        want_x = np.array([ref.transform_cells(c) for c in cells])
+        want_codes = np.array([ref.codes_cells(c, n_bins) for c in cells])
+        assert np.array_equal(enc.transform_rows(d, rows), want_x)
+        assert np.array_equal(disc.codes_rows(d, rows), want_codes)
+
+
+@given(split_tables(), st.sampled_from(("gini", "gain", "error")))
+def test_classifiers_equal_per_record_reference(case, criterion):
+    d, train, test = case
+    codec = LabelCodec(train_labels(d, train))
+    cells = [d.rows[i] for i in test]
+
+    tree = DecisionTreeClassifier(criterion=criterion).fit(d, train)
+    assert tree.predict_rows(d, test) == list(map(ref_tree(d, train, codec, criterion), cells))
+
+    forest = RandomForestClassifier(n_trees=4, feat_frac=0.5, seed=3).fit(d, train)
+    assert forest.predict_rows(d, test) == list(map(ref_forest(d, train, 4, 0.5, 3), cells))
+
+    k = min(3, len(train))
+    knn = KNNClassifier(k=k).fit(d, train)
+    want = list(map(ref_knn(d, train, k, codec), cells))
+    assert knn.predict_rows(d, test) == want
+    with mock.patch.object(cluster, "_CHUNK_BYTES", 1):  # one query row per block
+        assert knn.predict_rows(d, test) == want
+
+    ref = RefEncoder(d, train)
+    nb = NaiveBayesClassifier(n_bins=4).fit(d, train)
+    want = []
+    for c in cells:
+        lj = nb.log_prior.copy()
+        for f, code in enumerate(ref.codes_cells(c, 4)):
+            lj += nb.log_cond[f][code]
+        want.append(lj)
+    assert np.array_equal(nb.predict_log_joint(d, test), np.array(want))
+    assert nb.predict_rows(d, test) == [codec.decode(int(np.argmax(lj))) for lj in want]
+
+    bn = BayesianNetworkClassifier(max_parents=2, n_bins=4).fit(d, train)
+    want = [ref_bn_log_joint(bn, ref.codes_cells(c, 4)) for c in cells]
+    assert np.array_equal(bn.predict_log_joint(d, test), np.array(want))
+    assert bn.predict_rows(d, test) == [codec.decode(int(np.argmax(lj))) for lj in want]
+
+    if codec.n_classes == 2:
+        logistic = LogisticRegressionClassifier(iters=50).fit(d, train)
+        assert logistic.predict_rows(d, test) == [
+            codec.decode(1 if float(sigmoid(ref.transform_cells(c) @ logistic.w + logistic.b))
+                         >= 0.5 else 0)
+            for c in cells
+        ]
+
+
+@given(split_tables(target_kind=NUMERIC))
+def test_regression_equals_per_record_reference(case):
+    d, train, test = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # categorical features are dropped with a warning
+        for fitter in (regress.fit_least_squares, regress.fit_polynomial, regress.fit_stepwise,
+                       regress.fit_maximum_likelihood):
+            try:
+                model = fitter(d, rows=train)
+            except DirtyBenchError:
+                continue
+            want = [ref_regress_predict(model, d.rows[i]) for i in test]
+            assert np.array_equal(regress.predict_rows(model, d, test), np.array(want))

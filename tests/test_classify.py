@@ -12,7 +12,6 @@ from dirtybench.classify import (
     RandomForestClassifier,
     bayes_net_cost,
     entropy,
-    euclidean_distance,
     gini,
     information_gain,
     logistic_gradient,
@@ -36,6 +35,18 @@ def labeled(rows, kinds):
     cols = [Column(f"x{j}", k) for j, k in enumerate(kinds)]
     cols.append(Column("label", CATEGORICAL, TARGET))
     return dataset_from_rows(cols, rows)
+
+
+def predict_one(model, d, cells):
+    """The model's prediction for one record of d's schema."""
+    return model.predict_rows(dataset_from_rows(d.schema, [cells]))[0]
+
+
+def posterior(model, d, cells):
+    """Normalized class posterior of one record from the batched log joint."""
+    lj = model.predict_log_joint(dataset_from_rows(d.schema, [cells]))[0]
+    p = np.exp(lj - lj.max())
+    return p / p.sum()
 
 
 class TestPurityMeasures:
@@ -104,7 +115,7 @@ class TestDecisionTree:
     def test_single_row_is_leaf(self):
         d = labeled([[1.0, "pos"]], [NUMERIC])
         model = DecisionTreeClassifier().fit(d)
-        assert model.predict_cells([5.0, None]) == "pos"
+        assert predict_one(model, d, [5.0, None]) == "pos"
 
     @pytest.mark.parametrize("criterion", ["gini", "gain", "error"])
     def test_threshold_separable_training_accuracy(self, criterion):
@@ -117,14 +128,14 @@ class TestDecisionTree:
         rows = [[1.0, "a"], [1.0, "a"], [1.0, "b"]]
         d = labeled(rows, [NUMERIC])
         model = DecisionTreeClassifier().fit(d)
-        assert model.predict_cells([1.0, None]) == "a"
+        assert predict_one(model, d, [1.0, None]) == "a"
 
     def test_categorical_split(self):
         rows = [["red", "stop"], ["red", "stop"], ["green", "go"], ["green", "go"]]
         d = labeled(rows, [CATEGORICAL])
         model = DecisionTreeClassifier().fit(d)
-        assert model.predict_cells(["red", None]) == "stop"
-        assert model.predict_cells(["green", None]) == "go"
+        assert predict_one(model, d, ["red", None]) == "stop"
+        assert predict_one(model, d, ["green", None]) == "go"
 
     def test_empty_train_raises(self):
         d = labeled([[1.0, "a"]], [NUMERIC])
@@ -143,10 +154,7 @@ class TestKNN:
     def test_query_equal_to_training_row(self):
         d = labeled([[0.0, 0.0, "a"], [5.0, 5.0, "b"], [9.0, 1.0, "c"]], [NUMERIC, NUMERIC])
         model = KNNClassifier(k=1).fit(d)
-        assert model.predict_cells([5.0, 5.0, None]) == "b"
-
-    def test_345_triangle_distance(self):
-        assert euclidean_distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+        assert predict_one(model, d, [5.0, 5.0, None]) == "b"
 
     def test_matches_bruteforce_sort(self):
         rng = np.random.default_rng(7)
@@ -157,10 +165,11 @@ class TestKNN:
             d = labeled(rows, [NUMERIC] * 3)
             model = KNNClassifier(k=3).fit(d)
             q = rng.uniform(0, 1, size=3)
-            got = model.predict_cells([*map(float, q), None])
+            query = dataset_from_rows(d.schema, [[*map(float, q), None]])
+            got = model.predict_rows(query)[0]
             # oracle: exhaustive distance sort on the same scaled space
             Xs = model.encoder.transform_rows(d)
-            qs = model.encoder.transform_cells([*map(float, q), None])
+            qs = model.encoder.transform_rows(query)[0]
             order = np.argsort(((Xs - qs) ** 2).sum(axis=1), kind="stable")[:3]
             votes = {}
             for i in order:
@@ -176,7 +185,7 @@ class TestKNN:
         d = labeled(rows, [NUMERIC])
         model = KNNClassifier(k=5).fit(d)
         for q in (-10.0, 0.0, 2.5, 99.0):
-            assert model.predict_cells([q, None]) == "a"
+            assert predict_one(model, d, [q, None]) == "a"
 
     def test_k_validation(self):
         d = labeled([[0.0, "a"], [1.0, "b"]], [NUMERIC])
@@ -190,13 +199,13 @@ class TestNaiveBayes:
     def test_single_class_always_wins(self):
         d = labeled([[1.0, "a"], [2.0, "a"], [3.0, "a"]], [NUMERIC])
         model = NaiveBayesClassifier().fit(d)
-        assert model.predict_cells([99.0, None]) == "a"
+        assert predict_one(model, d, [99.0, None]) == "a"
 
     def test_dominant_likelihood(self):
         d = labeled([["a", "pos"], ["b", "neg"]], [CATEGORICAL])
         model = NaiveBayesClassifier().fit(d)
-        assert model.predict_cells(["a", None]) == "pos"
-        assert model.predict_cells(["b", None]) == "neg"
+        assert predict_one(model, d, ["a", None]) == "pos"
+        assert predict_one(model, d, ["b", None]) == "neg"
 
     def test_eight_row_hand_computed_posterior(self):
         rows = [["a", "+"], ["a", "+"], ["b", "-"], ["a", "-"],
@@ -208,15 +217,15 @@ class TestNaiveBayes:
         # P(a|+) = (3+1)/(4+3), P(a|-) = (1+1)/(4+3)
         p_plus = 0.5 * (4 / 7)
         p_minus = 0.5 * (2 / 7)
-        proba = model.predict_proba(["a", None])
+        proba = posterior(model, d, ["a", None])
         assert proba[model.codec.index["+"]] == pytest.approx(p_plus / (p_plus + p_minus))
-        assert model.predict_cells(["a", None]) == "+"
+        assert predict_one(model, d, ["a", None]) == "+"
 
     def test_posterior_sums_to_one(self):
         train = make_blobs(60, n_classes=3, seed=5)
         model = NaiveBayesClassifier().fit(train)
         for i in range(0, 60, 7):
-            assert model.predict_proba(train.rows[i]).sum() == pytest.approx(1.0, abs=1e-9)
+            assert posterior(model, train, train.rows[i]).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBayesianNetwork:
@@ -225,7 +234,7 @@ class TestBayesianNetwork:
         d = labeled(rows, [CATEGORICAL])
         model = BayesianNetworkClassifier(max_parents=0).fit(d)
         # with no edges the class posterior is the prior, so the majority wins
-        assert model.predict_cells(["b", None]) == "+"
+        assert predict_one(model, d, ["b", None]) == "+"
         assert all(p == () for p in model.parents.values())
 
     def test_chain_scores_below_empty_graph(self):
@@ -314,12 +323,12 @@ class TestRandomForest:
             cells = d.rows[i]
             votes = {}
             for tree in forest.trees:
-                p = tree.predict_cells(cells)
+                p = predict_one(tree, d, cells)
                 votes[p] = votes.get(p, 0) + 1
             top = max(votes.values())
             winners = [lbl for lbl in votes if votes[lbl] == top]
             expect = min(winners, key=forest.codec.index.get)
-            assert forest.predict_cells(cells) == expect
+            assert predict_one(forest, d, cells) == expect
 
     def test_n_trees_validation(self):
         with pytest.raises(ParameterError):

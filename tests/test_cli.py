@@ -99,6 +99,14 @@ class TestValidateConfig:
     def test_missing_file_is_io_error(self, tmp_path):
         assert cli.main(["validate-config", str(tmp_path / "nope.json")]) == cli.EXIT_IO
 
+    @pytest.mark.parametrize("argv", [["validate-config"], ["sweep", "--dry-run"],
+                                      ["inject", "--dry-run"]])
+    def test_missing_dataset_file_fails_validation(self, tmp_path, capsys, argv):
+        config = tree_config(tmp_path, tmp_path / "nope.csv")
+        assert cli.main([argv[0], str(config), *argv[1:]]) == cli.EXIT_IO
+        out, err = capsys.readouterr()
+        assert "config OK" not in out and "nope.csv" in err
+
 
 class TestInject:
     def test_rate_zero_output_equals_canonical_input(self, tmp_path):

@@ -9,7 +9,6 @@ from dirtybench.regress import (
     fit_maximum_likelihood,
     fit_polynomial,
     fit_stepwise,
-    predict,
     predict_rows,
 )
 from dirtybench.synth import make_linear
@@ -23,6 +22,11 @@ def xy_dataset(X, y):
     cols.append(Column("y", NUMERIC, "target"))
     rows = [[*map(float, X[i]), float(y[i])] for i in range(len(y))]
     return dataset_from_rows(cols, rows)
+
+
+def predict_one(model, d, cells):
+    """The model's prediction for one record of d's schema."""
+    return float(predict_rows(model, dataset_from_rows(d.schema, [cells]))[0])
 
 
 def training_sse(model, d):
@@ -212,23 +216,25 @@ class TestPredict:
     def test_linear_formula(self):
         d = xy_dataset(np.arange(4.0), 2.0 * np.arange(4.0) + 1.0)
         model = fit_least_squares(d)
-        assert predict(model, [3.0, None]) == pytest.approx(7.0)
+        assert predict_one(model, d, [3.0, None]) == pytest.approx(7.0)
 
     def test_polynomial_formula(self):
         xs = np.linspace(-3, 3, 9)
-        model = fit_polynomial(xy_dataset(xs, xs ** 2), degree=2)
-        assert predict(model, [4.0, None]) == pytest.approx(16.0, abs=1e-6)
+        d = xy_dataset(xs, xs ** 2)
+        model = fit_polynomial(d, degree=2)
+        assert predict_one(model, d, [4.0, None]) == pytest.approx(16.0, abs=1e-6)
 
     def test_intercept_only_is_mean(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((30, 2))
         y = rng.standard_normal(30)
-        model = fit_stepwise(xy_dataset(X, y))
+        d = xy_dataset(X, y)
+        model = fit_stepwise(d)
         if model.selected == ():
-            assert predict(model, [1.0, 2.0, None]) == pytest.approx(float(y.mean()))
+            assert predict_one(model, d, [1.0, 2.0, None]) == pytest.approx(float(y.mean()))
 
     def test_missing_feature_raises(self):
         d = xy_dataset(np.arange(4.0), np.arange(4.0))
         model = fit_least_squares(d)
         with pytest.raises(SchemaError):
-            predict(model, [None, 1.0])
+            predict_one(model, d, [None, 1.0])

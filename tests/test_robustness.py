@@ -278,6 +278,23 @@ class TestRunSweep:
         assert e0.series.values == e1.series.values
         assert e0.sensibility == e1.sensibility
 
+    def test_report_json_round_trip_keeps_the_ledger(self, monkeypatch, scripted_evaluator):
+        trace = trace_values({"precision": TRACES["iris"], "recall": TRACES["car"]})
+        monkeypatch.setattr(robustness, "evaluate_algorithm",
+                            scripted_evaluator({"decision_tree": trace}, fail_calls={2}))
+        ds = SweepDataset("iris", make_blobs(20, seed=5), "classification")
+        report = run_sweep([ds], [Algorithm("decision_tree")], ("missing",),
+                           self.fraction_grid(), seed=3, timing_repeats=1)
+        data = report.to_json_dict()
+        data["results"][1]["flags"] = "fold0:a;fold1:b"
+        assert report.errors and len(data["results"]) == 5
+        assert data["results"][0]["f_measure"] == ""  # absent from the preset table
+        back = RobustnessReport.from_json_dict(data)
+        assert len(back.results) == 5
+        assert back.results[0].error_type is None and back.results[0].measures["f_measure"] is None
+        assert back.results[1].flags == ("fold0:a", "fold1:b")
+        assert back.to_json_dict() == data
+
     def test_parallel_jobs_match_serial(self):
         ds = SweepDataset("blobs", make_blobs(24, n_classes=2, seed=6), "classification")
         args = ([ds], [Algorithm("knn", {"k": 1}), Algorithm("decision_tree")],
