@@ -312,6 +312,8 @@ class NaiveBayesClassifier:
     def __init__(self, smoothing: float = 1.0, n_bins: int = 10):
         if smoothing <= 0:
             raise ParameterError("smoothing must be positive")
+        if n_bins < 1:
+            raise ParameterError("n_bins must be at least 1")
         self.smoothing = smoothing
         self.n_bins = n_bins
 
@@ -395,6 +397,8 @@ class BayesianNetworkClassifier:
     def __init__(self, max_parents: int = 2, n_bins: int = 10, smoothing: float = 1.0):
         if max_parents < 0:
             raise ParameterError("max_parents must be >= 0")
+        if n_bins < 1:
+            raise ParameterError("n_bins must be at least 1")
         self.max_parents = max_parents
         self.n_bins = n_bins
         self.smoothing = smoothing

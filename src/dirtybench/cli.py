@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig
@@ -17,7 +18,9 @@ from .corrupt import MISSING, inject
 from .data import dataset_to_text, detect_error_rates
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS
-from .robustness import RobustnessReport, corruption_spec, recommend, run_sweep
+from .robustness import (
+    RobustnessReport, check_sweep, corruption_spec, recommend, run_sweep,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,26 +42,32 @@ def _write_csv(path: Path, header, rows, stamp: str) -> None:
             writer.writerow(["" if v is None else v for v in row])
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "output_dir", None) is not None:
-        config.output_dir = args.output_dir
-    if getattr(args, "jobs", None) is not None:
-        config.jobs = args.jobs
-    return config
-
-
 def _load(args):
     """The config with its command-line overrides, and its datasets loaded,
     so that a missing or unreadable data file fails before any plan is
-    printed, the same way in validation, a dry run and a real run."""
-    config = _apply_overrides(RunConfig.load_file(args.config), args)
+    printed, the same way in validation, a dry run and a real run.  The
+    overrides are merged into the config's JSON form and rebuilt, so they
+    meet the same checks as values from the file."""
+    config = RunConfig.load_file(args.config)
+    overrides = {key: getattr(args, key) for key in ("seed", "output_dir", "jobs")
+                 if getattr(args, key) is not None}
+    if overrides:
+        base_dir = config.base_dir
+        config = RunConfig.from_dict({**config.to_dict(), **overrides})
+        config._base_dir = base_dir
     return config, config.load_sweep_datasets()
+
+
+def _check_sweep(config: RunConfig) -> None:
+    """The rules ``run_sweep`` applies, so that validation and a dry run
+    accept exactly the configs a sweep runs."""
+    check_sweep(config.datasets, config.algorithms, config.error_types,
+                config.rate_grid, config.k_classification, config.k_regression)
 
 
 def cmd_validate_config(args) -> int:
     config, _ = _load(args)
+    _check_sweep(config)
     print("\n".join(config.plan_lines()))
     print("config OK")
     return EXIT_OK
@@ -127,6 +136,7 @@ def cmd_inject(args) -> int:
 def cmd_sweep(args) -> int:
     config, datasets = _load(args)
     if args.dry_run:
+        _check_sweep(config)
         print("\n".join(config.plan_lines()))
         return EXIT_OK
     report = run_sweep(
@@ -214,19 +224,9 @@ def cmd_recommend(args) -> int:
     print(text)
     if args.output:
         payload = {
+            **asdict(guide),
             "config_hash": data.get("config_hash", ""),
             "root_seed": data.get("root_seed", report.seed),
-            "task": guide.task,
-            "detected_rates": guide.detected_rates,
-            "priority_measure": guide.priority_measure,
-            "dominant_error": guide.dominant_error,
-            "candidates": guide.candidates,
-            "nearest_misses": guide.nearest_misses,
-            "size_preference": guide.size_preference,
-            "chosen": guide.chosen,
-            "ranking": guide.ranking,
-            "cleaning_targets": guide.cleaning_targets,
-            "notes": guide.notes,
             "narrative": text,
         }
         Path(args.output).write_text(

@@ -1,30 +1,63 @@
-"""Run configuration: one JSON file with documented keys, strict validation,
-and loss-free round-tripping so an emitted config reproduces its run."""
+"""Run configuration: one JSON file, read into the dataclasses below.
+
+The dataclasses are the only statement of the schema: their fields are the
+keys a config accepts, their annotations the value types, their defaults
+the defaults, and ``dataclasses.asdict`` their JSON form, so an emitted
+config round-trips loss-free and reproduces its run.  ``RunConfig`` checks
+the field rules every command needs; the sweep's own rules live in
+``robustness.check_sweep``, which ``run_sweep``, ``validate-config`` and
+``sweep --dry-run`` all apply before any point is evaluated.
+"""
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .corrupt import ERROR_TYPES
 from .data import load_dataset, parse_fd_rules
 from .errors import ConfigurationError
-from .evaluate import ALL_ALGORITHMS, Algorithm
-from .robustness import RateGrid, SweepDataset, check_unique_names, sweep_pairs
+from .evaluate import Algorithm
+from .robustness import RateGrid, SweepDataset, check_names, sweep_pairs
 
 TASKS = ("classification", "clustering", "regression")
 
-_DATASET_KEYS = {
-    "name", "path", "task", "target", "keys", "delimiter", "has_header",
-    "fd_rules", "fd_rules_inline", "entity_key", "column_mask",
-    "corrupt_target_in_train",
-}
-_TOP_KEYS = {
-    "seed", "output_dir", "rate_grid", "error_types", "folds", "timing_repeats",
-    "k_classification", "k_regression", "jobs", "datasets", "algorithms",
-}
-_GRID_KEYS = {"start", "step", "count"}
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an array fits a list or
+    a tuple, an integer fits a float, and a boolean fits only ``bool``."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) in (list, tuple):
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build(cls, entry, what: str):
+    """``cls`` from one JSON object, whose keys must be its fields, whose
+    values must fit their annotations, and which names every field that
+    has no default."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {entry!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(entry) - set(known)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [name for name, f in known.items() if name not in entry
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigurationError(f"{what} needs {missing}")
+    hints = typing.get_type_hints(cls)
+    for key, value in entry.items():
+        if not _fits(value, hints[key]):
+            raise ConfigurationError(f"{what} key {key!r} must be {known[key].type}, "
+                                     f"got {value!r}")
+    return cls(**entry)
 
 
 @dataclass
@@ -45,22 +78,9 @@ class DatasetConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigurationError(f"dataset {self.name!r}: unknown task {self.task!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "task": self.task,
-            "target": self.target,
-            "keys": list(self.keys),
-            "delimiter": self.delimiter,
-            "has_header": self.has_header,
-            "fd_rules": self.fd_rules,
-            "fd_rules_inline": list(self.fd_rules_inline),
-            "entity_key": list(self.entity_key),
-            "column_mask": list(self.column_mask) if self.column_mask is not None else None,
-            "corrupt_target_in_train": self.corrupt_target_in_train,
-        }
+        for name in ("keys", "fd_rules_inline", "entity_key", "column_mask"):
+            if getattr(self, name) is not None:
+                setattr(self, name, tuple(getattr(self, name)))
 
     def load(self, base_dir: Path) -> SweepDataset:
         path = Path(self.path)
@@ -83,8 +103,7 @@ class DatasetConfig:
             dataset = dataset.attach_rules(rules)
         return SweepDataset(
             name=self.name, dataset=dataset, task=self.task,
-            rules=rules, entity_key=tuple(self.entity_key),
-            column_mask=tuple(self.column_mask) if self.column_mask is not None else None,
+            rules=rules, entity_key=self.entity_key, column_mask=self.column_mask,
             corrupt_target_in_train=self.corrupt_target_in_train,
         )
 
@@ -104,17 +123,8 @@ class RunConfig:
     jobs: int = 0  # 0 = one worker per available core
 
     def __post_init__(self):
-        if not self.datasets:
-            raise ConfigurationError("config needs at least one dataset")
-        if not self.algorithms:
-            raise ConfigurationError("config needs at least one algorithm")
-        check_unique_names(self.datasets, self.algorithms)
-        for et in self.error_types:
-            if et not in ERROR_TYPES:
-                raise ConfigurationError(f"unknown error type {et!r}")
-        for algo in self.algorithms:
-            if algo.name not in ALL_ALGORITHMS:
-                raise ConfigurationError(f"unknown algorithm {algo.name!r}")
+        self.error_types = tuple(self.error_types)
+        check_names(self.datasets, self.algorithms, self.error_types)
         if self.folds < 2:
             raise ConfigurationError("folds must be at least 2")
         if self.jobs < 0:
@@ -129,73 +139,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - _TOP_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        if "datasets" not in data or "algorithms" not in data:
-            raise ConfigurationError("config needs 'datasets' and 'algorithms'")
-        datasets = []
-        for entry in data["datasets"]:
-            bad = set(entry) - _DATASET_KEYS
-            if bad:
-                raise ConfigurationError(f"unknown dataset keys: {sorted(bad)}")
-            entry = dict(entry)
-            for key in ("keys", "fd_rules_inline", "entity_key"):
-                if key in entry:
-                    entry[key] = tuple(entry[key])
-            if entry.get("column_mask") is not None:
-                entry["column_mask"] = tuple(entry["column_mask"])
-            datasets.append(DatasetConfig(**entry))
-        algorithms = []
-        for entry in data["algorithms"]:
-            if isinstance(entry, str):
-                algorithms.append(Algorithm(entry))
-            else:
-                bad = set(entry) - {"name", "params"}
-                if bad:
-                    raise ConfigurationError(f"unknown algorithm keys: {sorted(bad)}")
-                algorithms.append(Algorithm(entry["name"], dict(entry.get("params", {}))))
-        grid_data = data.get("rate_grid", {})
-        bad = set(grid_data) - _GRID_KEYS
-        if bad:
-            raise ConfigurationError(f"unknown rate_grid keys: {sorted(bad)}")
-        kwargs = {
-            k: data[k]
-            for k in (
-                "seed", "output_dir", "folds", "timing_repeats", "k_classification",
-                "k_regression", "jobs",
-            )
-            if k in data
-        }
-        if "error_types" in data:
-            kwargs["error_types"] = tuple(data["error_types"])
-        return cls(
-            datasets=datasets,
-            algorithms=algorithms,
-            rate_grid=RateGrid(**grid_data),
-            **kwargs,
-        )
+        if isinstance(data, dict):
+            data = dict(data)
+            if isinstance(data.get("datasets"), list):
+                data["datasets"] = [_build(DatasetConfig, entry, "dataset")
+                                    for entry in data["datasets"]]
+            if isinstance(data.get("algorithms"), list):
+                data["algorithms"] = [
+                    _build(Algorithm, {"name": entry} if isinstance(entry, str) else entry,
+                           "algorithm")
+                    for entry in data["algorithms"]
+                ]
+            if "rate_grid" in data:
+                data["rate_grid"] = _build(RateGrid, data["rate_grid"], "rate_grid")
+        return _build(cls, data, "config")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "rate_grid": {
-                "start": self.rate_grid.start,
-                "step": self.rate_grid.step,
-                "count": self.rate_grid.count,
-            },
-            "error_types": list(self.error_types),
-            "folds": self.folds,
-            "timing_repeats": self.timing_repeats,
-            "k_classification": self.k_classification,
-            "k_regression": self.k_regression,
-            "jobs": self.jobs,
-            "datasets": [d.as_dict() for d in self.datasets],
-            "algorithms": [
-                {"name": a.name, "params": dict(a.params)} for a in self.algorithms
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def load_file(cls, path: str | Path) -> "RunConfig":

@@ -10,6 +10,7 @@ reduces it to both metrics plus per-algorithm averages and rankings;
 """
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,10 +24,12 @@ from .errors import ConfigurationError, ParameterError
 from .evaluate import (
     Algorithm,
     CLASSIFICATION,
+    CLASSIFIER_TYPES,
     CLUSTERING,
     EvalResult,
     LOWER_IS_BETTER,
     REGRESSION,
+    REGRESSOR_FITTERS,
     evaluate_algorithm,
     measures_of,
     task_of,
@@ -289,13 +292,46 @@ def corruption_spec(ds: SweepDataset, error_type: str, rate: float, seed: int) -
     )
 
 
-def check_unique_names(datasets, algorithms) -> None:
-    """Series, ledger rows and summaries are keyed by name, so a repeated
-    dataset or algorithm name would silently merge two runs."""
+def check_names(datasets, algorithms, error_types) -> None:
+    """Every algorithm and error type must be known, and no dataset or
+    algorithm name may repeat: series, ledger rows, summaries and injected
+    files are keyed by name, so a repeat would silently merge two runs."""
     for kind, items in (("dataset", datasets), ("algorithm", algorithms)):
         names = [item.name for item in items]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"{kind} names must be unique")
+    for algorithm in algorithms:
+        task_of(algorithm)  # an unknown name raises here
+    for et in error_types:
+        if et not in ERROR_TYPES:
+            raise ConfigurationError(f"unknown error type {et!r}")
+
+
+def check_sweep(datasets, algorithms, error_types, grid: RateGrid,
+                k_classification: float, k_regression: float) -> None:
+    """The sweep's rules, checked before any point is evaluated; ``run_sweep``,
+    ``validate-config`` and ``sweep --dry-run`` apply exactly these.  Each
+    algorithm's params must bind to its learner's signature, so a misspelled
+    parameter fails here rather than at every point."""
+    for kind, items in (("datasets", datasets), ("algorithms", algorithms),
+                        ("error types", error_types)):
+        if not items:
+            raise ConfigurationError(f"no {kind} selected")
+    check_names(datasets, algorithms, error_types)
+    for algorithm in algorithms:
+        learner = (CLASSIFIER_TYPES.get(algorithm.name)
+                   or REGRESSOR_FITTERS.get(algorithm.name)
+                   or getattr(cluster_mod, algorithm.name))
+        try:
+            inspect.signature(learner).bind_partial(**algorithm.params)
+        except TypeError as exc:
+            raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
+    if grid.start != 0.0:
+        raise ConfigurationError("rate grid must start at the clean baseline 0")
+    if not sweep_pairs(datasets, algorithms):
+        raise ConfigurationError("no (dataset, algorithm) pair matches by task")
+    if not (k_classification > 0 and k_regression > 0):
+        raise ConfigurationError("k_classification and k_regression must be positive")
 
 
 def sweep_pairs(datasets, algorithms) -> list:
@@ -348,21 +384,8 @@ def run_sweep(
     """Evaluate every combination, then reduce to series, metrics, averages,
     and sensibility rankings.  Deterministic for a fixed seed regardless of
     worker count; a failing combination is recorded and skipped."""
-    if grid.start != 0.0:
-        raise ConfigurationError("rate grid must start at the clean baseline 0")
-    for et in error_types:
-        if et not in ERROR_TYPES:
-            raise ConfigurationError(f"unknown error type {et!r}")
-    if not algorithms:
-        raise ConfigurationError("no algorithms selected")
-    if not datasets:
-        raise ConfigurationError("no datasets selected")
-    if not error_types:
-        raise ConfigurationError("no error types selected")
-    check_unique_names(datasets, algorithms)
+    check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression)
     pairs = [(ds, _with_frozen_eps(ds, a)) for ds, a in sweep_pairs(datasets, algorithms)]
-    if not pairs:
-        raise ConfigurationError("no (dataset, algorithm) pair matches by task")
 
     rates = grid.rates()
     series = [(ds, algorithm, et) for ds, algorithm in pairs for et in error_types]

@@ -227,6 +227,12 @@ class TestNaiveBayes:
         for i in range(0, 60, 7):
             assert posterior(model, train, train.rows[i]).sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_parameter_validation(self):
+        with pytest.raises(ParameterError, match="smoothing"):
+            NaiveBayesClassifier(smoothing=0.0)
+        with pytest.raises(ParameterError, match="n_bins"):
+            NaiveBayesClassifier(n_bins=0)
+
 
 class TestBayesianNetwork:
     def test_max_parents_zero_matches_marginal_argmax(self):
@@ -262,6 +268,8 @@ class TestBayesianNetwork:
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             BayesianNetworkClassifier(max_parents=-1)
+        with pytest.raises(ParameterError, match="n_bins"):
+            BayesianNetworkClassifier(n_bins=0)
 
 
 class TestLogistic:

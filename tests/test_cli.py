@@ -1,11 +1,13 @@
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from dirtybench import cli, robustness
 from dirtybench.data import dataset_to_text, load_dataset
+from dirtybench.robustness import Guideline
 
 PCT_RATES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 IRIS_TRACE = (78.37, 84.16, 78.08, 74.36, 64.99, 58.71)
@@ -63,7 +65,40 @@ def iris_copy(tmp_path, iris_path):
     return dest
 
 
+# Each config is rejected by validation, a dry run and a sweep alike; the
+# flags are command-line overrides and the message is part of the error.
+REJECTED = [
+    pytest.param({"rate_grid": {"start": 0.1, "step": 0.1, "count": 2}}, [],
+                 "clean baseline 0", id="grid-off-zero"),
+    pytest.param({"error_types": []}, [], "no error types", id="no-error-types"),
+    pytest.param({"algorithms": ["kmeans"]}, [], "no (dataset, algorithm) pair",
+                 id="no-matching-pair"),
+    pytest.param({"k_classification": 0}, [], "must be positive", id="zero-k"),
+    pytest.param({}, ["--jobs", "-3"], "jobs must be", id="negative-jobs"),
+    pytest.param({"datasets": [{"name": "flowers", "task": "classification"}]}, [],
+                 "dataset needs ['path']", id="dataset-without-path"),
+    pytest.param({"algorithms": [{"params": {"k": 3}}]}, [], "algorithm needs ['name']",
+                 id="algorithm-without-name"),
+    pytest.param({"folds": "10"}, [], "'folds' must be int", id="folds-as-text"),
+    pytest.param({"algorithms": [{"name": "knn", "params": {"kk": 3}}]}, [],
+                 "'knn': got an unexpected keyword argument 'kk'", id="misspelled-param"),
+]
+
+
 class TestValidateConfig:
+    @pytest.mark.parametrize("changes, flags, message", REJECTED)
+    def test_rejected_before_any_point(self, tmp_path, iris_copy, monkeypatch, capsys,
+                                       scripted_evaluator, changes, flags, message):
+        config = tree_config(tmp_path, iris_copy)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
+        evaluator = scripted_evaluator({})
+        monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
+        for argv in (["validate-config"], ["sweep", "--dry-run"], ["sweep"]):
+            assert cli.main([argv[0], str(config), *argv[1:], *flags]) == cli.EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert "config OK" not in out and message in err
+        assert evaluator.calls == 0 and not (tmp_path / "out").exists()
+
     def test_valid_config_prints_plan(self, tmp_path, iris_copy, capsys):
         config = tree_config(tmp_path, iris_copy)
         assert cli.main(["validate-config", str(config)]) == cli.EXIT_OK
@@ -323,5 +358,8 @@ class TestRecommend:
         text = capsys.readouterr().out
         assert "Selected algorithm: decision_tree" in text
         payload = json.loads(out_json.read_text())
+        assert set(payload) == {f.name for f in fields(Guideline)} | {
+            "config_hash", "root_seed", "narrative"}
+        assert payload["narrative"] in text
         assert payload["chosen"] == "decision_tree"
         assert payload["dominant_error"] == "missing"

@@ -254,6 +254,15 @@ class TestRunSweep:
             run_sweep([ds], [Algorithm("knn")], ("missing",),
                       RateGrid(start=0.1, step=0.1, count=2))
 
+    def test_zero_k_rejected_before_any_point(self, monkeypatch, scripted_evaluator):
+        evaluator = scripted_evaluator({})
+        monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
+        ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            run_sweep([ds], [Algorithm("knn")], ("missing",),
+                      RateGrid(start=0.0, step=0.1, count=2), k_classification=0, jobs=1)
+        assert evaluator.calls == 0
+
     def test_empty_error_types_rejected(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
         with pytest.raises(ConfigurationError, match="no error types"):
