@@ -35,7 +35,6 @@ report = run_sweep(
     grid=RateGrid(start=0.0, step=0.10, count=5),
     seed=42,
     folds=10,
-    timing_repeats=1,
 )
 
 print("series for decision_tree / f_measure:")

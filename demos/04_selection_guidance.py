@@ -28,7 +28,6 @@ report = run_sweep(
     error_types=("missing",),
     grid=RateGrid(start=0.0, step=0.10, count=5),
     seed=7,
-    timing_repeats=1,
 )
 
 # Pretend the production table arrived with these measured error rates;

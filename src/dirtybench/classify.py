@@ -292,10 +292,22 @@ class KNNClassifier:
         winners = np.empty(len(Q), dtype=np.int64)
         classes = np.arange(self.codec.n_classes)
         for a, d2 in _sq_dist_blocks(Q, self.X):
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            nearest = _k_nearest(d2, self.k)
             votes = (self.y[nearest][:, :, None] == classes).sum(axis=1)
             winners[a:a + len(d2)] = votes.argmax(axis=1)
         return [self.codec.values[c] for c in winners]
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``d2``, the column indices of its k smallest entries, ties
+    going to the lower index: the set of the first k of a stable argsort, in
+    ascending index order.  A selection, not a sort: every entry below the
+    k-th smallest value, then the lowest-index entries equal to it."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    tied = d2 == kth
+    take = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    return np.nonzero(take)[1].reshape(len(d2), k)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     folds: int = 10
-    timing_repeats: int = 5
+    timing_repeats: int = 1
     k_classification: float = 0.10
     k_regression: float = 0.1
     jobs: int = 0  # 0 = one worker per available core

@@ -417,6 +417,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
         raise ConfigurationError("all columns are key columns; nothing can conflict")
 
     domains = {j: _column_domain(d, j) for j in mutate_cols}
+    positions = {j: {v: p for p, v in enumerate(dom)} for j, dom in domains.items()}
     usable_cols = [j for j in mutate_cols if len(domains[j]) >= 2]
     if not usable_cols and spec.rate > 0:
         raise InjectionImpossibleError("no non-key column has two distinct values")
@@ -451,7 +452,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
             members = index.groups[key]
             if len(members) < 2 or len(members) > need:
                 continue
-            if _disagree_group(index, members, usable_cols, domains, rng):
+            if _disagree_group(index, members, usable_cols, domains, positions, rng):
                 index.refresh(key)
                 mutated = True
                 break
@@ -471,7 +472,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
             break
         i, key = dup
         copy_i = index.append_duplicate(i)
-        if _disagree_group(index, [i, copy_i], usable_cols, domains, rng):
+        if _disagree_group(index, [i, copy_i], usable_cols, domains, positions, rng):
             index.refresh(key)
 
     final_target = int(round(spec.rate * len(out.rows)))
@@ -484,25 +485,36 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
 
 
 def _disagree_group(index: _EntityIndex, members: list[int], usable_cols: list[int],
-                    domains: dict[int, list[Cell]], rng: np.random.Generator) -> bool:
+                    domains: dict[int, list[Cell]], positions: dict[int, dict[Cell, int]],
+                    rng: np.random.Generator) -> bool:
     """Make one attribute differ inside a currently-agreeing group."""
     if not usable_cols:
         return False
     col = usable_cols[int(rng.integers(len(usable_cols)))]
     holders = [i for i in members if index.rows[i][col] is not None]
     dom = domains[col]
-    if len(holders) >= 2:
-        # group agrees on one value; overwrite one holder with another value
-        options = [v for v in dom if v != index.rows[holders[0]][col]]
-        index.rows[holders[0]][col] = options[int(rng.integers(len(options)))]
-    elif len(holders) == 1:
-        victim = next(i for i in members if i != holders[0])
-        options = [v for v in dom if v != index.rows[holders[0]][col]]
-        index.rows[victim][col] = options[int(rng.integers(len(options)))]
-    else:
+    if not holders:
         index.rows[members[0]][col] = dom[0]
         index.rows[members[1]][col] = dom[1]
+        return True
+    # the group agrees on one value; overwrite one holder (or, when only one
+    # member holds a value, another member) with a different value
+    target = holders[0] if len(holders) >= 2 else next(i for i in members if i != holders[0])
+    current = index.rows[holders[0]][col]
+    index.rows[target][col] = _other_value(dom, positions[col], current, rng)
     return True
+
+
+def _other_value(dom: list[Cell], position: dict[Cell, int], current: Cell,
+                 rng: np.random.Generator) -> Cell:
+    """A uniform draw from ``[v for v in dom if v != current]`` without
+    building it: the domain is distinct, so dropping ``current`` at position
+    ``pos`` shifts every later option one place."""
+    pos = position.get(current)
+    if pos is None:
+        return dom[int(rng.integers(len(dom)))]
+    r = int(rng.integers(len(dom) - 1))
+    return dom[r + (r >= pos)]
 
 
 # ---------------------------------------------------------------------------

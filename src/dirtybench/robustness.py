@@ -311,8 +311,9 @@ def check_sweep(datasets, algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float) -> None:
     """The sweep's rules, checked before any point is evaluated; ``run_sweep``,
     ``validate-config`` and ``sweep --dry-run`` apply exactly these.  Each
-    algorithm's params must bind to its learner's signature, so a misspelled
-    parameter fails here rather than at every point."""
+    algorithm's params must bind to its learner's signature, and each
+    classifier is constructed once, so a misspelled parameter or one its
+    constructor rejects (``n_bins: 0``) fails here rather than at every point."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -324,7 +325,9 @@ def check_sweep(datasets, algorithms, error_types, grid: RateGrid,
                    or getattr(cluster_mod, algorithm.name))
         try:
             inspect.signature(learner).bind_partial(**algorithm.params)
-        except TypeError as exc:
+            if algorithm.name in CLASSIFIER_TYPES:
+                learner(**algorithm.params)
+        except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:
         raise ConfigurationError("rate grid must start at the clean baseline 0")
@@ -378,7 +381,7 @@ def run_sweep(
     k_classification: float = 0.10,
     k_regression: float = 0.1,
     folds: int = 10,
-    timing_repeats: int = 5,
+    timing_repeats: int = 1,
     jobs: int = 1,
 ) -> RobustnessReport:
     """Evaluate every combination, then reduce to series, metrics, averages,

@@ -58,7 +58,7 @@ class ScriptedEvaluator:
         self.calls = 0
 
     def __call__(self, dataset, algorithm, spec=None, folds=10, seed=0,
-                 timing_repeats=5, dataset_name=None):
+                 timing_repeats=1, dataset_name=None):
         call, self.calls = self.calls, self.calls + 1
         if call in self.fail_calls:
             raise ParameterError(f"scripted failure at call {call}")

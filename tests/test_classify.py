@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dirtybench.classify import (
     BayesianNetworkClassifier,
@@ -18,6 +19,7 @@ from dirtybench.classify import (
     logistic_log_likelihood,
     misclassification_error,
     sigmoid,
+    _k_nearest,
 )
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import (
@@ -186,6 +188,15 @@ class TestKNN:
         model = KNNClassifier(k=5).fit(d)
         for q in (-10.0, 0.0, 2.5, 99.0):
             assert predict_one(model, d, [q, None]) == "a"
+
+    @given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_selection_equals_stable_argsort(self, m, n, levels, seed):
+        # distances rounded onto a few levels, so most rows tie at the k-th value
+        rng = np.random.default_rng(seed)
+        d2 = np.round(rng.uniform(0, 1, size=(m, n)) * levels) / max(levels, 1)
+        for k in sorted({1, (n + 1) // 2, n}):
+            expect = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+            assert np.array_equal(_k_nearest(d2, k), expect)
 
     def test_k_validation(self):
         d = labeled([[0.0, "a"], [1.0, "b"]], [NUMERIC])

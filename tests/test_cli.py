@@ -82,6 +82,14 @@ REJECTED = [
     pytest.param({"folds": "10"}, [], "'folds' must be int", id="folds-as-text"),
     pytest.param({"algorithms": [{"name": "knn", "params": {"kk": 3}}]}, [],
                  "'knn': got an unexpected keyword argument 'kk'", id="misspelled-param"),
+    pytest.param({"algorithms": [{"name": "naive_bayes", "params": {"n_bins": 0}}]}, [],
+                 "'naive_bayes': n_bins must be at least 1", id="zero-bins"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"n_trees": 0}}]}, [],
+                 "'random_forest': n_trees must be at least 1", id="zero-trees"),
+    pytest.param({"algorithms": [{"name": "knn", "params": {"k": 0}}]}, [],
+                 "'knn': k must be at least 1", id="zero-neighbours"),
+    pytest.param({"algorithms": [{"name": "knn", "params": {"k": "3"}}]}, [],
+                 "'knn': '<' not supported", id="neighbours-as-text"),
 ]
 
 

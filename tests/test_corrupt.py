@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from dirtybench import corrupt
 from dirtybench.corrupt import (
     CorruptionSpec,
     derive_seed,
@@ -166,6 +168,47 @@ class TestConflicting:
         a = inject_conflicting(d, spec)
         b = inject_conflicting(d, spec)
         assert a.rows == b.rows and a.row_origin == b.row_origin
+
+    @staticmethod
+    def listed_disagree_group(index, members, usable_cols, domains, positions, rng):
+        """The disagreeing draw as a list of the other values, one per call."""
+        col = usable_cols[int(rng.integers(len(usable_cols)))]
+        holders = [i for i in members if index.rows[i][col] is not None]
+        dom = domains[col]
+        if len(holders) >= 2:
+            options = [v for v in dom if v != index.rows[holders[0]][col]]
+            index.rows[holders[0]][col] = options[int(rng.integers(len(options)))]
+        elif len(holders) == 1:
+            victim = next(i for i in members if i != holders[0])
+            options = [v for v in dom if v != index.rows[holders[0]][col]]
+            index.rows[victim][col] = options[int(rng.integers(len(options)))]
+        else:
+            index.rows[members[0]][col] = dom[0]
+            index.rows[members[1]][col] = dom[1]
+        return True
+
+    def test_positional_draw_equals_listed_draw(self, monkeypatch):
+        keyed = make_keyed_records(120, seed=3)
+        # missing cells first, so groups with one or no holder are drawn too
+        holed = inject(keyed, CorruptionSpec(error_type="missing", rate=0.3, seed=5))
+        for d in (keyed, holed):
+            for seed in (0, 1, 7):
+                for rate in (0.05, 0.3, 0.6):
+                    spec = CorruptionSpec(error_type="conflicting", rate=rate, seed=seed,
+                                          entity_key=("entity",))
+                    got = inject_conflicting(d, spec)
+                    with monkeypatch.context() as m:
+                        m.setattr(corrupt, "_disagree_group", self.listed_disagree_group)
+                        expect = inject_conflicting(d, spec)
+                    assert got.rows == expect.rows and got.row_origin == expect.row_origin
+        dom = ["a", "b", "c", "d"]
+        position = {v: p for p, v in enumerate(dom)}
+        for current in dom + ["z"]:
+            options = [v for v in dom if v != current]
+            got, expect = np.random.default_rng(4), np.random.default_rng(4)
+            for _ in range(20):
+                drawn = corrupt._other_value(dom, position, current, got)
+                assert drawn == options[int(expect.integers(len(options)))]
 
 
 class TestImpute:

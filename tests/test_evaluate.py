@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from dirtybench.classify import KNNClassifier
+from dirtybench import cluster
+from dirtybench.classify import DecisionTreeClassifier, KNNClassifier
 from dirtybench.cluster import Clustering
 from dirtybench.corrupt import CorruptionSpec, derive_seed
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
@@ -194,6 +195,25 @@ class TestCrossValidate:
         assert result.measures["rmsd"] < 1.0
         assert result.task == "regression"
 
+    def test_one_pass_per_point_unless_more_repeats(self, monkeypatch):
+        fit = DecisionTreeClassifier.fit
+        calls = []
+
+        def counted_fit(model, *args):
+            calls.append(1)
+            return fit(model, *args)
+
+        monkeypatch.setattr(DecisionTreeClassifier, "fit", counted_fit)
+        d = make_blobs(30, n_classes=2, seed=2)
+        spec = CorruptionSpec(error_type="missing", rate=0.2, seed=9)
+        algo = Algorithm("decision_tree")
+        once = cross_validate(d, algo, spec, folds=3, seed=4)
+        assert len(calls) == 3
+        thrice = cross_validate(d, algo, spec, folds=3, seed=4, timing_repeats=3)
+        assert len(calls) == 3 + 3 * 3
+        assert thrice.measures == once.measures
+        assert thrice.fold_values == once.fold_values and thrice.flags == once.flags
+
     def test_clustering_rejected(self):
         d = make_blobs(20, seed=0)
         with pytest.raises(ConfigurationError):
@@ -221,6 +241,22 @@ class TestEvaluateClustering:
         spec = CorruptionSpec(error_type="missing", rate=0.3, seed=3)
         result = evaluate_clustering(d, Algorithm("dbscan"), spec, seed=0, timing_repeats=1)
         assert set(result.measures) == {"precision", "recall", "f_measure"}
+
+    def test_one_pass_per_point_unless_more_repeats(self, monkeypatch):
+        kmeans = cluster.kmeans
+        calls = []
+
+        def counted_kmeans(*args, **kwargs):
+            calls.append(1)
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, "kmeans", counted_kmeans)
+        d = make_blobs(40, n_classes=2, seed=8)
+        once = evaluate_clustering(d, Algorithm("kmeans"), seed=3)
+        assert len(calls) == 1
+        thrice = evaluate_clustering(d, Algorithm("kmeans"), seed=3, timing_repeats=3)
+        assert len(calls) == 1 + 3
+        assert thrice.measures == once.measures and thrice.fold_values == once.fold_values
 
     def test_determinism(self):
         d = make_blobs(40, n_classes=2, seed=8)
