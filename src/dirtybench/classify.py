@@ -104,11 +104,24 @@ def _argmax_labels(codec: LabelCodec, scores: np.ndarray) -> list[Cell]:
 # decision tree
 # ---------------------------------------------------------------------------
 
+# Byte budget of one split search's class histogram, which holds at most one
+# int64 count per (row, candidate column, class): a round of nodes with more
+# rows is scored in chunks of nodes, at least one node per chunk.
+_HIST_BYTES = 2 << 20
+
+
+def _check_tree_params(criterion: str, max_depth: int) -> None:
+    if criterion not in ("gini", "gain", "error"):
+        raise ParameterError(f"unknown split criterion {criterion!r}")
+    if max_depth < 0:
+        raise ParameterError("max_depth must be >= 0")
+
+
 class _Node:
     __slots__ = ("label", "col", "is_numeric", "threshold", "category", "left", "right")
 
-    def __init__(self, label=None):
-        self.label = label  # leaf label code, None for internal nodes
+    def __init__(self):
+        self.label = None  # leaf label code, None for internal nodes
         self.col = -1  # column of the fit's numeric or code block
         self.is_numeric = True
         self.threshold = 0.0
@@ -122,8 +135,7 @@ class DecisionTreeClassifier:
 
     def __init__(self, criterion: str = "gini", max_depth: int = 25, min_split: int = 2,
                  features_per_split: int | None = None, rng: np.random.Generator | None = None):
-        if criterion not in ("gini", "gain", "error"):
-            raise ParameterError(f"unknown split criterion {criterion!r}")
+        _check_tree_params(criterion, max_depth)
         self.criterion = criterion
         self.max_depth = max_depth
         self.min_split = max(2, min_split)
@@ -134,114 +146,9 @@ class DecisionTreeClassifier:
 
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
         idx, self.codec, y = _labelled_rows(dataset, rows, "a tree")
-        return self._grow(ColumnFit(dataset, idx), np.arange(len(idx)), y)
-
-    def _grow(self, encoding: ColumnFit, sample: np.ndarray, y: np.ndarray):
-        """Grow on the rows ``encoding`` was fitted on, at positions
-        ``sample`` (repeats allowed), whose label codes are ``y[sample]``;
-        ``self.codec`` is already set."""
-        self.encoding = encoding
-        self._col_values = []
-        self._to_fit_code = []
-        for n, b in zip(encoding.is_numeric, encoding.block_col):
-            if n:
-                self._col_values.append(encoding.num[sample, b])
-                self._to_fit_code.append(None)
-                continue
-            # categories are tried in first-seen order within the sample, as
-            # ties between equally good splits go to the first one tried
-            codes = encoding.codes[sample, b]
-            found, first = np.unique(codes, return_index=True)
-            order = found[np.argsort(first)]
-            local = np.empty(len(encoding.vocab[b]), dtype=np.int64)
-            local[order] = np.arange(len(order))
-            self._col_values.append(local[codes])
-            self._to_fit_code.append(order)
-        self.root = self._build(np.arange(len(sample)), y[sample], depth=0)
-        del self._col_values, self._to_fit_code  # per-fit scratch
+        self.encoding = ColumnFit(dataset, idx)
+        _Lockstep([self], y, [np.arange(len(idx))]).grow()
         return self
-
-    def _leaf(self, counts: np.ndarray) -> _Node:
-        return _Node(label=int(np.argmax(counts)))
-
-    def _build(self, local: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        counts = np.bincount(y[local], minlength=self.codec.n_classes).astype(float)
-        if (
-            depth >= self.max_depth
-            or len(local) < self.min_split
-            or (counts > 0).sum() <= 1
-        ):
-            return self._leaf(counts)
-        best = self._best_split(local, y, counts)
-        if best is None:
-            return self._leaf(counts)
-        pos, left_mask = best[0], best[1]
-        node = _Node()
-        node.col = self.encoding.block_col[pos]
-        node.is_numeric = self.encoding.is_numeric[pos]
-        if node.is_numeric:
-            node.threshold = best[2]
-        else:
-            node.category = int(self._to_fit_code[pos][best[2]])
-        node.left = self._build(local[left_mask], y, depth + 1)
-        node.right = self._build(local[~left_mask], y, depth + 1)
-        return node
-
-    def _candidate_columns(self) -> list[int]:
-        n_cols = len(self._col_values)
-        if self.features_per_split is None or self.features_per_split >= n_cols:
-            return list(range(n_cols))
-        picked = self.rng.choice(n_cols, size=self.features_per_split, replace=False)
-        return sorted(int(c) for c in picked)
-
-    def _best_split(self, local: np.ndarray, y: np.ndarray, counts: np.ndarray):
-        n = len(local)
-        n_c = self.codec.n_classes
-        parent = _impurity_rows(counts[None, :], self.criterion)[0]
-        best = None  # (weighted_impurity, pos, left_mask, threshold_or_category)
-        for pos in self._candidate_columns():
-            vals = self._col_values[pos][local]
-            if self.encoding.is_numeric[pos]:
-                order = np.argsort(vals, kind="stable")
-                sv = vals[order]
-                sy = y[local][order]
-                cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-                if len(cuts) == 0:
-                    continue
-                onehot = np.zeros((n, n_c))
-                onehot[np.arange(n), sy] = 1.0
-                cum = onehot.cumsum(axis=0)
-                left = cum[cuts]
-                right = counts[None, :] - left
-                n_left = left.sum(axis=1)
-                n_right = n - n_left
-                weighted = (
-                    n_left * _impurity_rows(left, self.criterion)
-                    + n_right * _impurity_rows(right, self.criterion)
-                ) / n
-                k = int(np.argmin(weighted))
-                if best is None or weighted[k] < best[0] - 1e-12:
-                    thr = float((sv[cuts[k]] + sv[cuts[k] + 1]) / 2.0)
-                    mask = np.zeros(n, dtype=bool)
-                    mask[order[: cuts[k] + 1]] = True
-                    best = (float(weighted[k]), pos, mask, thr)
-            else:
-                for cat in range(int(vals.max()) + 1 if len(vals) else 0):
-                    mask = vals == cat
-                    n_left = int(mask.sum())
-                    if n_left == 0 or n_left == n:
-                        continue
-                    left = np.bincount(y[local][mask], minlength=n_c).astype(float)
-                    right = counts - left
-                    weighted = (
-                        n_left * _impurity_rows(left[None, :], self.criterion)[0]
-                        + (n - n_left) * _impurity_rows(right[None, :], self.criterion)[0]
-                    ) / n
-                    if best is None or weighted < best[0] - 1e-12:
-                        best = (float(weighted), pos, mask, cat)
-        if best is None or best[0] >= parent - 1e-12:
-            return None
-        return best[1], best[2], best[3]
 
     def _predict_codes(self, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Label codes of the encoded rows, routed down the tree as index sets."""
@@ -264,6 +171,227 @@ class DecisionTreeClassifier:
     def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
         codes = self._predict_codes(*self.encoding.encode(dataset, rows))
         return [self.codec.values[c] for c in codes]
+
+
+def _first_seen(codes: np.ndarray) -> list[int]:
+    found, first = np.unique(codes, return_index=True)
+    return found[np.argsort(first)].tolist()
+
+
+class _Lockstep:
+    """Grows trees that share one encoding, codec, criterion and limits
+    together, each on its own sample of the fit's rows and with its own rng.
+
+    Every feature is read as integer levels fixed once per fit: a numeric
+    value's rank among the fit's distinct values (the presorted attribute
+    lists of SLIQ, Mehta, Agrawal & Rissanen, EDBT 1996), a category's fit
+    code.  Each tree grows depth first, as a recursive build would.  A round
+    takes the next node to split from every tree and draws its candidate
+    columns from that tree's rng, so each tree's RNG stream and node order
+    do not depend on the other trees (a tree that draws nothing gives every
+    pending node).  It scores all the round's nodes with
+    one class histogram over the (node, candidate, level) triples present:
+    a numeric cut's left counts are the histogram summed up to its level, a
+    category's are its own row, and either child's counts are that row and
+    the parent's counts minus it.
+    """
+
+    def __init__(self, trees: list[DecisionTreeClassifier], y: np.ndarray,
+                 samples: list[np.ndarray]):
+        """``y`` holds the label codes of the rows the trees' encoding was
+        fitted on; tree t grows on the row positions ``samples[t]``, repeats
+        allowed."""
+        spec = trees[0]
+        encoding = spec.encoding
+        self.trees, self.y, self.samples = trees, y, samples
+        self.criterion, self.max_depth, self.min_split = (
+            spec.criterion, spec.max_depth, spec.min_split)
+        self.n_c = spec.codec.n_classes
+        self.numeric = np.array(encoding.is_numeric, dtype=bool)
+        self.block_col = encoding.block_col
+        n_feat = len(self.numeric)
+        self.values = np.empty((len(y), n_feat), dtype=np.int64)
+        distinct = []
+        for p, b in enumerate(encoding.block_col):
+            if self.numeric[p]:
+                found, self.values[:, p] = np.unique(encoding.num[:, b], return_inverse=True)
+            else:
+                found, self.values[:, p] = (), encoding.codes[:, b]
+            distinct.append(found)
+        self.width = int(self.values.max(initial=0)) + 1
+        self.levels = np.zeros((n_feat, self.width))  # numeric values by rank
+        for p, found in enumerate(distinct):
+            self.levels[p, :len(found)] = found
+        per_split = spec.features_per_split
+        self.draw = per_split is not None and per_split < n_feat
+        self.n_cand = per_split if self.draw else n_feat
+        # categories are tried in first-seen order within the tree's sample,
+        # as ties between equally good splits go to the first one tried
+        self.order = [{p: _first_seen(self.values[sample, p])
+                       for p in np.flatnonzero(~self.numeric).tolist()}
+                      for sample in samples]
+
+    def grow(self) -> None:
+        """Set every tree's ``root``."""
+        self.stacks = [[] for _ in self.trees]
+        roots = []
+        for t, tree in enumerate(self.trees):
+            tree.root = _Node()
+            roots.append((t, tree.root, self.samples[t], 0))
+        self._settle(roots, np.array([np.bincount(self.y[s], minlength=self.n_c)
+                                      for s in self.samples]))
+        row_bytes = 8 * self.n_cand * self.n_c  # histogram bytes per row, at most
+        while True:
+            slots = []
+            for t, stack in enumerate(self.stacks):
+                # a tree that draws no candidates has no RNG order to keep,
+                # so a round takes every node it has pending
+                for _ in range(min(1, len(stack)) if self.draw else len(stack)):
+                    slots.append((t, *stack.pop(), self._candidates(t)))
+            if not slots:
+                return
+            chunk, used = [], 0
+            for entry in slots:
+                if chunk and used + len(entry[2]) * row_bytes > _HIST_BYTES:
+                    self._split(chunk)
+                    chunk, used = [], 0
+                chunk.append(entry)
+                used += len(entry[2]) * row_bytes
+            self._split(chunk)
+
+    def _candidates(self, t: int) -> list[int]:
+        n_feat = len(self.numeric)
+        if not self.draw:
+            return list(range(n_feat))
+        return sorted(self.trees[t].rng.choice(n_feat, size=self.n_cand, replace=False).tolist())
+
+    def _settle(self, new: list[tuple], counts: np.ndarray) -> None:
+        """Make each new (tree, node, rows, depth) a leaf if it cannot split,
+        else push it onto its tree's stack; ``counts`` holds their class
+        counts, one row each."""
+        n = counts.sum(axis=1)
+        leaf = ((n < self.min_split) | (counts.max(axis=1) == n)).tolist()  # one class left
+        labels = counts.argmax(axis=1).tolist()
+        for k, (t, node, rows, depth) in enumerate(new):
+            if leaf[k] or depth >= self.max_depth:
+                node.label = labels[k]
+            else:
+                self.stacks[t].append((node, rows, counts[k], depth))
+
+    def _split(self, slots: list[tuple]) -> None:
+        """Score the split candidates of one chunk of a round's nodes; split
+        the nodes that improve on their impurity, make leaves of the others."""
+        trees, nodes, rows, counts, depths, cands = zip(*slots)
+        n_s, c, n_c, width = len(slots), self.n_cand, self.n_c, self.width
+        n_feat = len(self.numeric)
+        parent = np.array(counts)
+        cand = np.array(cands, dtype=np.int64).reshape(n_s, c)
+        sizes = parent.sum(axis=1)
+        at = np.concatenate(rows)
+        # one entry per (candidate, row), candidate-major so that numpy
+        # broadcasts along the rows: its block (node, candidate) and level
+        block = np.repeat(np.arange(n_s * c).reshape(n_s, c).T, sizes, axis=1)
+        level = self.values.take(np.repeat(cand.T, sizes, axis=1) + at * n_feat)
+        # the (block, level) pairs present, ascending, and their class counts
+        pairs, pair_of = np.unique(block * width + level, return_inverse=True)
+        hist = np.bincount(pair_of.ravel() * n_c + np.tile(self.y[at], c),
+                           minlength=len(pairs) * n_c).reshape(len(pairs), n_c)
+        pair_block, pair_level = np.divmod(pairs, width)
+        start = np.searchsorted(pair_block, np.arange(n_s * c))  # every block has a pair
+        numeric = self.numeric[cand]
+        # a numeric cut's left side is every level of its block up to it, a
+        # category's is that category alone
+        cum = hist.cumsum(axis=0)
+        before = np.concatenate([np.zeros((1, n_c), dtype=cum.dtype), cum]).take(start, axis=0)
+        left = np.where(numeric.ravel()[pair_block][:, None],
+                        cum - before.take(pair_block, axis=0), hist)
+        n_left = left.sum(axis=1)
+        whose = pair_block // c
+        valid = n_left < sizes[whose]
+        whose = whose[valid]
+        left_counts = left[valid].astype(float)
+        m = len(whose)
+        impurity = _impurity_rows(np.concatenate([
+            left_counts, parent[whose] - left_counts, parent.astype(float),
+        ]), self.criterion)
+        n, nl = sizes[whose], n_left[valid]
+        weighted = np.full(len(pairs), np.inf)  # no split where invalid
+        weighted[valid] = (nl * impurity[:m] + (n - nl) * impurity[m:2 * m]) / n
+        parent_impurity = impurity[2 * m:].tolist()
+        # each block's lowest score and the first pair that reaches it
+        col_best = np.minimum.reduceat(weighted, start)
+        col_arg = np.minimum.reduceat(
+            np.where(weighted == col_best[pair_block], np.arange(len(pairs)), len(pairs)), start)
+        col_best = col_best.reshape(n_s, c).tolist()
+        col_arg = col_arg.reshape(n_s, c).tolist()
+        is_numeric = numeric.tolist()
+        labels = parent.argmax(axis=1).tolist()
+        if not numeric.all():
+            bounds = np.append(start, len(pairs)).tolist()
+            code_list, score_list = pair_level.tolist(), weighted.tolist()
+
+        # sequential "strictly better by 1e-12" acceptance over the candidate
+        # columns in order, and over a column's categories in first-seen order
+        picks = []
+        for s in range(n_s):
+            best, pick = math.inf, None
+            for j, p in enumerate(cands[s]):
+                if is_numeric[s][j]:
+                    if col_best[s][j] < best - 1e-12:
+                        best, pick = col_best[s][j], (s, j, col_arg[s][j])
+                    continue
+                b = s * c + j
+                pair_at = {code_list[e]: e for e in range(bounds[b], bounds[b + 1])}
+                for code in self.order[trees[s]][p]:
+                    e = pair_at.get(code)
+                    if e is not None and score_list[e] < best - 1e-12:
+                        best, pick = score_list[e], (s, j, e)
+            if pick is not None and best < parent_impurity[s] - 1e-12:
+                picks.append(pick)
+            else:
+                nodes[s].label = labels[s]
+        if not picks:
+            return
+
+        ss, js, es = (np.array(v) for v in zip(*picks))
+        cols, us = cand[ss, js], pair_level[es]
+        # a numeric cut falls midway to the next level in its block
+        following = pair_level.take(es + 1, mode="clip")  # unused for a category
+        thresholds = ((self.levels[cols, us] + self.levels[cols, following]) / 2.0).tolist()
+        # route each split node's rows by their level in its column, every
+        # row of an unsplit node to the right
+        cut = np.full(n_s, -1)
+        cut[ss] = us
+        col = np.zeros(n_s, dtype=np.int64)
+        col[ss] = cols
+        row_level = self.values.take(at * n_feat + np.repeat(col, sizes))
+        row_cut = np.repeat(cut, sizes)
+        goes_left = np.where(np.repeat(self.numeric[col], sizes),
+                             row_level <= row_cut, row_level == row_cut)
+        n_right = sizes.copy()
+        n_right[ss] -= n_left[es]
+        right_end = np.cumsum(n_right).tolist()
+        left_end = np.cumsum(sizes - n_right).tolist()
+        left_rows, right_rows = at[goes_left], at[~goes_left]
+
+        new = []
+        for i, (s, j, e) in enumerate(picks):
+            node, depth = nodes[s], depths[s] + 1
+            node.col = self.block_col[cands[s][j]]
+            node.is_numeric = is_numeric[s][j]
+            if node.is_numeric:
+                node.threshold = thresholds[i]
+            else:
+                node.category = int(us[i])
+            node.left, node.right = _Node(), _Node()
+            # right first, so the left child is taken first
+            new.append((trees[s], node.right,
+                        right_rows[right_end[s - 1] if s else 0:right_end[s]], depth))
+            new.append((trees[s], node.left,
+                        left_rows[left_end[s - 1] if s else 0:left_end[s]], depth))
+        child_left = left[es]
+        self._settle(new, np.stack([parent[ss] - child_left, child_left], axis=1)
+                     .reshape(-1, n_c))
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +662,8 @@ class LogisticRegressionClassifier:
     log-likelihood; predicts the positive class when the squashed score
     reaches 0.5."""
 
+    binary_only = True  # ``check_sweep`` pairs it only with two-label targets
+
     def __init__(self, lr: float = 0.1, iters: int = 500):
         if lr <= 0 or iters < 0:
             raise ParameterError("lr must be positive and iters non-negative")
@@ -583,6 +713,9 @@ class RandomForestClassifier:
                  max_depth: int = 25, min_split: int = 2):
         if n_trees < 1:
             raise ParameterError("n_trees must be at least 1")
+        if feat_frac is not None and not 0 < feat_frac <= 1:
+            raise ParameterError("feat_frac must be in (0, 1]")
+        _check_tree_params(criterion, max_depth)
         self.n_trees = n_trees
         self.feat_frac = feat_frac
         self.seed = seed
@@ -601,12 +734,13 @@ class RandomForestClassifier:
         per_split = min(per_split, n_feat)
         self.encoding = ColumnFit(dataset, idx)
         self.trees: list[DecisionTreeClassifier] = []
+        samples = []
         for t in range(self.n_trees):
             rng = np.random.default_rng(derive_seed(self.seed, "tree", t))
             if self.bootstrap:
-                sample = rng.integers(0, len(idx), size=len(idx))
+                samples.append(rng.integers(0, len(idx), size=len(idx)))
             else:
-                sample = np.arange(len(idx))
+                samples.append(np.arange(len(idx)))
             tree = DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
@@ -614,8 +748,9 @@ class RandomForestClassifier:
                 features_per_split=per_split if per_split < n_feat else None,
                 rng=rng,
             )
-            tree.codec = self.codec
-            self.trees.append(tree._grow(self.encoding, sample, y))
+            tree.codec, tree.encoding = self.codec, self.encoding
+            self.trees.append(tree)
+        _Lockstep(self.trees, y, samples).grow()
         return self
 
     def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:

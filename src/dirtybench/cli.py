@@ -58,16 +58,16 @@ def _load(args):
     return config, config.load_sweep_datasets()
 
 
-def _check_sweep(config: RunConfig) -> None:
+def _check_sweep(config: RunConfig, datasets) -> None:
     """The rules ``run_sweep`` applies, so that validation and a dry run
     accept exactly the configs a sweep runs."""
-    check_sweep(config.datasets, config.algorithms, config.error_types,
+    check_sweep(datasets, config.algorithms, config.error_types,
                 config.rate_grid, config.k_classification, config.k_regression)
 
 
 def cmd_validate_config(args) -> int:
-    config, _ = _load(args)
-    _check_sweep(config)
+    config, datasets = _load(args)
+    _check_sweep(config, datasets)
     print("\n".join(config.plan_lines()))
     print("config OK")
     return EXIT_OK
@@ -136,7 +136,7 @@ def cmd_inject(args) -> int:
 def cmd_sweep(args) -> int:
     config, datasets = _load(args)
     if args.dry_run:
-        _check_sweep(config)
+        _check_sweep(config, datasets)
         print("\n".join(config.plan_lines()))
         return EXIT_OK
     report = run_sweep(

@@ -21,6 +21,7 @@ from . import cluster as cluster_mod
 from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
 from .data import Dataset, FDRule
 from .errors import ConfigurationError, ParameterError
+from .features import train_labels
 from .evaluate import (
     Algorithm,
     CLASSIFICATION,
@@ -307,13 +308,15 @@ def check_names(datasets, algorithms, error_types) -> None:
             raise ConfigurationError(f"unknown error type {et!r}")
 
 
-def check_sweep(datasets, algorithms, error_types, grid: RateGrid,
+def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float) -> None:
-    """The sweep's rules, checked before any point is evaluated; ``run_sweep``,
-    ``validate-config`` and ``sweep --dry-run`` apply exactly these.  Each
-    algorithm's params must bind to its learner's signature, and each
-    classifier is constructed once, so a misspelled parameter or one its
-    constructor rejects (``n_bins: 0``) fails here rather than at every point."""
+    """The sweep's rules, checked on the loaded datasets before any point is
+    evaluated; ``run_sweep``, ``validate-config`` and ``sweep --dry-run``
+    apply exactly these.  Each algorithm's params must bind to its learner's
+    signature, and each classifier is constructed once, so a misspelled
+    parameter or one its constructor rejects (``n_bins: 0``) fails here
+    rather than at every point.  So does a binary-only classifier paired with
+    a dataset whose clean target does not hold exactly two labels."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -331,8 +334,16 @@ def check_sweep(datasets, algorithms, error_types, grid: RateGrid,
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:
         raise ConfigurationError("rate grid must start at the clean baseline 0")
-    if not sweep_pairs(datasets, algorithms):
+    pairs = sweep_pairs(datasets, algorithms)
+    if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
+    for ds, algorithm in pairs:
+        if getattr(CLASSIFIER_TYPES.get(algorithm.name), "binary_only", False):
+            labels = {v for v in train_labels(ds.dataset) if v is not None}
+            if len(labels) != 2:
+                raise ConfigurationError(
+                    f"algorithm {algorithm.name!r} needs a binary target, "
+                    f"dataset {ds.name!r} has {len(labels)} classes")
     if not (k_classification > 0 and k_regression > 0):
         raise ConfigurationError("k_classification and k_regression must be positive")
 

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, strategies as st
 
-from dirtybench import cluster, regress
+from dirtybench import classify, cluster, regress
 from dirtybench.classify import (
     BayesianNetworkClassifier,
     DecisionTreeClassifier,
@@ -38,23 +38,33 @@ TRAIN_WORDS = ("a", "b", "c")
 TEST_WORDS = ("a", "b", "c", "d", "e")
 
 
+# deeper trees: more rows, numeric levels, categories and labels
+DEEP_NUMBERS = tuple(v / 4 for v in range(-6, 18))
+DEEP_WORDS = ("a", "b", "c", "d", "e", "f")
+DEEP_LABELS = ("p", "q", "r", "s")
+
+
 @st.composite
-def split_tables(draw, target_kind=CATEGORICAL):
+def split_tables(draw, target_kind=CATEGORICAL, deep=False):
     """(dataset, training rows, test rows) over a random mixed schema."""
     kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=1, max_size=4))
     if target_kind == NUMERIC and NUMERIC not in kinds:
         kinds.append(NUMERIC)
-    n_train = draw(st.integers(4, 16))
+    n_train = draw(st.integers(20, 80) if deep else st.integers(4, 16))
     n_test = draw(st.integers(1, 8))
+    labels = DEEP_LABELS if deep else ("p", "q", "r")
 
     def row(numbers, words):
         cells = [draw(st.sampled_from(numbers if k == NUMERIC else words)) for k in kinds]
         if target_kind == NUMERIC:
             return cells + [draw(st.floats(-5, 5, allow_nan=False))]
-        return cells + [draw(st.sampled_from(("p", "q", "r")))]
+        return cells + [draw(st.sampled_from(labels))]
 
-    rows = [row(TRAIN_NUMBERS, TRAIN_WORDS) for _ in range(n_train)]
-    rows += [row(TEST_NUMBERS, TEST_WORDS) for _ in range(n_test)]
+    if deep:
+        rows = [row(DEEP_NUMBERS, DEEP_WORDS) for _ in range(n_train + n_test)]
+    else:
+        rows = [row(TRAIN_NUMBERS, TRAIN_WORDS) for _ in range(n_train)]
+        rows += [row(TEST_NUMBERS, TEST_WORDS) for _ in range(n_test)]
     cols = [Column(f"x{j}", k) for j, k in enumerate(kinds)]
     cols.append(Column("y", target_kind, "target"))
     d = dataset_from_rows(cols, rows)
@@ -111,7 +121,9 @@ class RefEncoder:
 def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
              max_depth=25, min_split=2):
     """Grow a tree on rows ``idx`` (repeats allowed) with per-fit
-    first-seen vocabularies; returns a function predicting one record."""
+    first-seen vocabularies, one column and its numeric argsort at a time.
+    Returns the tree as a leaf label or (schema column, threshold or
+    category, left, right)."""
     cols = d.schema.feature_indices
     numeric = [d.schema.columns[j].kind == NUMERIC for j in cols]
     values, vocabs = [], []
@@ -179,43 +191,63 @@ def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
         if depth < max_depth and len(local) >= max(2, min_split) and (counts > 0).sum() > 1:
             split = best_split(local, counts)
         if split is None:
-            return int(np.argmax(counts))
+            return codec.decode(int(np.argmax(counts)))
         pos, mask, at = split
-        return pos, at, build(local[mask], depth + 1), build(local[~mask], depth + 1)
+        if not numeric[pos]:
+            at = next(v for v, code in vocabs[pos].items() if code == at)
+        return (cols[pos], at, build(local[mask], depth + 1), build(local[~mask], depth + 1))
 
-    root = build(np.arange(len(idx)), 0)
-
-    def predict_cells(cells):
-        node = root
-        while not isinstance(node, int):
-            pos, at, left, right = node
-            v = cells[cols[pos]]
-            if numeric[pos]:
-                node = left if float(v) <= at else right
-            else:
-                node = left if vocabs[pos].get(v, -1) == at else right
-        return codec.decode(node)
-
-    return predict_cells
+    return build(np.arange(len(idx)), 0)
 
 
-def ref_forest(d, idx, n_trees, feat_frac, seed):
+def ref_predict(tree, d, cells):
+    """The label a tree grown by ``ref_tree`` gives one record."""
+    while isinstance(tree, tuple):
+        j, at, left, right = tree
+        if d.schema.columns[j].kind == NUMERIC:
+            tree = left if float(cells[j]) <= at else right
+        else:
+            tree = left if cells[j] == at else right
+    return tree
+
+
+def ref_forest(d, idx, n_trees, feat_frac, seed, **tree_params):
+    """The trees of a forest, each grown by ``ref_tree``."""
     codec = LabelCodec(train_labels(d, idx))
     n_feat = d.schema.n
-    per_split = min(max(1, math.ceil(feat_frac * n_feat)), n_feat)
+    per_split = math.ceil(math.sqrt(n_feat)) if feat_frac is None else math.ceil(feat_frac * n_feat)
+    per_split = min(max(1, per_split), n_feat)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         sample = [idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
-        trees.append(ref_tree(d, sample, codec, per_split=per_split, rng=rng))
+        trees.append(ref_tree(d, sample, codec, per_split=per_split, rng=rng, **tree_params))
+    return trees
 
-    def predict_cells(cells):
-        votes = np.zeros(codec.n_classes, dtype=int)
-        for tree in trees:
-            votes[codec.index[tree(cells)]] += 1
-        return codec.decode(int(np.argmax(votes)))
 
-    return predict_cells
+def ref_vote(trees, codec, d, cells):
+    votes = np.zeros(codec.n_classes, dtype=int)
+    for tree in trees:
+        votes[codec.index[ref_predict(tree, d, cells)]] += 1
+    return codec.decode(int(np.argmax(votes)))
+
+
+def grown(tree):
+    """A fitted tree in ``ref_tree``'s form: schema columns, numeric
+    thresholds, raw categories and raw labels."""
+    enc = tree.encoding
+
+    def walk(node):
+        if node.label is not None:
+            return tree.codec.decode(node.label)
+        if node.is_numeric:
+            j, at = enc.numeric_cols[node.col], node.threshold
+        else:
+            j = enc.categorical_cols[node.col]
+            at = next(v for v, code in enc.vocab[node.col].items() if code == node.category)
+        return (j, at, walk(node.left), walk(node.right))
+
+    return walk(tree.root)
 
 
 def ref_knn(d, idx, k, codec):
@@ -277,10 +309,12 @@ def test_classifiers_equal_per_record_reference(case, criterion):
     cells = [d.rows[i] for i in test]
 
     tree = DecisionTreeClassifier(criterion=criterion).fit(d, train)
-    assert tree.predict_rows(d, test) == list(map(ref_tree(d, train, codec, criterion), cells))
+    ref = ref_tree(d, train, codec, criterion)
+    assert tree.predict_rows(d, test) == [ref_predict(ref, d, c) for c in cells]
 
     forest = RandomForestClassifier(n_trees=4, feat_frac=0.5, seed=3).fit(d, train)
-    assert forest.predict_rows(d, test) == list(map(ref_forest(d, train, 4, 0.5, 3), cells))
+    refs = ref_forest(d, train, 4, 0.5, 3)
+    assert forest.predict_rows(d, test) == [ref_vote(refs, codec, d, c) for c in cells]
 
     k = min(3, len(train))
     knn = KNNClassifier(k=k).fit(d, train)
@@ -312,6 +346,44 @@ def test_classifiers_equal_per_record_reference(case, criterion):
                          >= 0.5 else 0)
             for c in cells
         ]
+
+
+@given(split_tables(deep=True), st.sampled_from(("gini", "gain", "error")),
+       st.sampled_from((None, 0.25, 0.5, 0.75, 1.0)), st.sampled_from((1, 3, 25)),
+       st.integers(2, 5), st.integers(0, 50))
+def test_trees_grow_as_reference(case, criterion, feat_frac, max_depth, min_split, seed):
+    """Every node's column and threshold or category equals the reference's:
+    a tree, a tree drawing its candidate columns, and a forest's trees."""
+    d, train, _ = case
+    codec = LabelCodec(train_labels(d, train))
+    limits = dict(criterion=criterion, max_depth=max_depth, min_split=min_split)
+
+    tree = DecisionTreeClassifier(**limits).fit(d, train)
+    assert grown(tree) == ref_tree(d, train, codec, **limits)
+
+    per_split = max(1, d.schema.n // 2)
+    drawing = DecisionTreeClassifier(features_per_split=per_split,
+                                     rng=np.random.default_rng(seed), **limits).fit(d, train)
+    assert grown(drawing) == ref_tree(d, train, codec, per_split=per_split,
+                                      rng=np.random.default_rng(seed), **limits)
+
+    forest = RandomForestClassifier(n_trees=3, feat_frac=feat_frac, seed=seed,
+                                    **limits).fit(d, train)
+    assert [grown(t) for t in forest.trees] == ref_forest(d, train, 3, feat_frac, seed,
+                                                          **limits)
+
+
+@given(split_tables(deep=True), st.integers(0, 50), st.sampled_from((1, 1500, 6000)))
+def test_trees_grow_alike_in_histogram_chunks(case, seed, budget):
+    """Rounds scored in chunks of a few nodes, or one node at a time (a
+    budget below one node's histogram), grow the same trees."""
+    d, train, _ = case
+    codec = LabelCodec(train_labels(d, train))
+    with mock.patch.object(classify, "_HIST_BYTES", budget):
+        tree = DecisionTreeClassifier().fit(d, train)
+        forest = RandomForestClassifier(n_trees=3, feat_frac=0.5, seed=seed).fit(d, train)
+    assert grown(tree) == ref_tree(d, train, codec)
+    assert [grown(t) for t in forest.trees] == ref_forest(d, train, 3, 0.5, seed)
 
 
 @given(split_tables(target_kind=NUMERIC))

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from dirtybench import cli, robustness
+from dirtybench.classify import DecisionTreeClassifier
 from dirtybench.data import dataset_to_text, load_dataset
+from dirtybench.errors import ParameterError
+from dirtybench.evaluate import CLASSIFIER_TYPES
 from dirtybench.robustness import Guideline
 
 PCT_RATES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -90,6 +93,21 @@ REJECTED = [
                  "'knn': k must be at least 1", id="zero-neighbours"),
     pytest.param({"algorithms": [{"name": "knn", "params": {"k": "3"}}]}, [],
                  "'knn': '<' not supported", id="neighbours-as-text"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"criterion": "bogus"}}]},
+                 [], "'random_forest': unknown split criterion 'bogus'", id="forest-criterion"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"feat_frac": -1.0}}]},
+                 [], "'random_forest': feat_frac must be in (0, 1]", id="negative-feat-frac"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"feat_frac": 0.0}}]},
+                 [], "'random_forest': feat_frac must be in (0, 1]", id="zero-feat-frac"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"feat_frac": 1.5}}]},
+                 [], "'random_forest': feat_frac must be in (0, 1]", id="feat-frac-over-one"),
+    pytest.param({"algorithms": [{"name": "decision_tree", "params": {"max_depth": -1}}]},
+                 [], "'decision_tree': max_depth must be >= 0", id="tree-negative-depth"),
+    pytest.param({"algorithms": [{"name": "random_forest", "params": {"max_depth": -1}}]},
+                 [], "'random_forest': max_depth must be >= 0", id="forest-negative-depth"),
+    pytest.param({"algorithms": ["logistic_regression"]}, [],
+                 "'logistic_regression' needs a binary target, dataset 'flowers' has 3 classes",
+                 id="binary-learner-on-three-classes"),
 ]
 
 
@@ -305,13 +323,13 @@ class TestSweep:
         # stamp differs only by config hash (output_dir changed); compare bodies
         assert first.split(b"\n", 1)[1] == second.split(b"\n", 1)[1]
 
-    def test_partial_failure_exit_code(self, tmp_path, iris_copy, capsys):
-        config = tree_config(tmp_path, iris_copy)
-        data = json.loads(config.read_text())
-        # logistic regression cannot handle the 3-class iris target
-        data["algorithms"] = [{"name": "logistic_regression", "params": {}}]
-        data["rate_grid"] = {"start": 0.0, "step": 0.5, "count": 1}
-        config.write_text(json.dumps(data))
+    def test_partial_failure_exit_code(self, tmp_path, iris_copy, capsys, monkeypatch):
+        class FailingTree(DecisionTreeClassifier):
+            def fit(self, *args, **kwargs):
+                raise ParameterError("fit fails at every point")
+
+        monkeypatch.setitem(CLASSIFIER_TYPES, "decision_tree", FailingTree)
+        config = tree_config(tmp_path, iris_copy, grid={"start": 0.0, "step": 0.5, "count": 1})
         assert cli.main(["sweep", str(config)]) == cli.EXIT_PARTIAL
         assert "failed combinations" in capsys.readouterr().err
 

@@ -214,18 +214,23 @@ class TestRunSweep:
         e2 = r2.entry("blobs", "decision_tree", "missing", "f_measure")
         assert e1.series.values == e2.series.values
 
-    def test_failed_combination_recorded_not_fatal(self):
+    def test_failed_combination_recorded_not_fatal(self, monkeypatch, scripted_evaluator):
+        # plan order: knn at rates 0 and 0.5 (calls 0, 1), then the tree
+        tree = {"precision": {0.0: 0.9, 0.5: 0.6}}
+        monkeypatch.setattr(robustness, "evaluate_algorithm",
+                            scripted_evaluator({"decision_tree": tree}, fail_calls={0, 1}))
         ds = SweepDataset("blobs3", make_blobs(30, n_classes=3, seed=3), "classification")
         report = run_sweep(
             [ds],
-            [Algorithm("logistic_regression"), Algorithm("knn", {"k": 1})],
+            [Algorithm("knn"), Algorithm("decision_tree")],
             ("missing",), RateGrid(start=0.0, step=0.5, count=1),
             seed=0, folds=3, timing_repeats=1,
         )
-        assert report.errors  # logistic cannot do 3 classes
-        entry = report.entry("blobs3", "logistic_regression", "missing", "precision")
+        assert len(report.errors) == 2
+        entry = report.entry("blobs3", "knn", "missing", "precision")
         assert entry.sensibility is None and "incomplete-series" in entry.flags
-        assert report.entry("blobs3", "knn", "missing", "precision").sensibility is not None
+        assert report.entry("blobs3", "decision_tree", "missing",
+                            "precision").sensibility is not None
 
     def test_dbscan_eps_frozen_once_per_dataset(self, monkeypatch):
         calls = []
