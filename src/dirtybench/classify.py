@@ -101,20 +101,13 @@ def _argmax_labels(codec: LabelCodec, scores: np.ndarray) -> list[Cell]:
 
 
 # ---------------------------------------------------------------------------
-# decision tree
+# decision trees and random forests
 # ---------------------------------------------------------------------------
 
 # Byte budget of one split search's class histogram, which holds at most one
 # int64 count per (row, candidate column, class): a round of nodes with more
 # rows is scored in chunks of nodes, at least one node per chunk.
 _HIST_BYTES = 2 << 20
-
-
-def _check_tree_params(criterion: str, max_depth: int) -> None:
-    if criterion not in ("gini", "gain", "error"):
-        raise ParameterError(f"unknown split criterion {criterion!r}")
-    if max_depth < 0:
-        raise ParameterError("max_depth must be >= 0")
 
 
 class _Node:
@@ -130,47 +123,23 @@ class _Node:
         self.right = None
 
 
-class DecisionTreeClassifier:
-    """Greedy CART-style tree: numeric midpoints, one-vs-rest categories."""
-
-    def __init__(self, criterion: str = "gini", max_depth: int = 25, min_split: int = 2,
-                 features_per_split: int | None = None, rng: np.random.Generator | None = None):
-        _check_tree_params(criterion, max_depth)
-        self.criterion = criterion
-        self.max_depth = max_depth
-        self.min_split = max(2, min_split)
-        self.features_per_split = features_per_split
-        self.rng = rng
-        self.root: _Node | None = None
-        self.codec: LabelCodec | None = None
-
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "a tree")
-        self.encoding = ColumnFit(dataset, idx)
-        _Lockstep([self], y, [np.arange(len(idx))]).grow()
-        return self
-
-    def _predict_codes(self, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Label codes of the encoded rows, routed down the tree as index sets."""
-        out = np.empty(len(num), dtype=np.int64)
-        stack = [(self.root, np.arange(len(num)))]
-        while stack:
-            node, at = stack.pop()
-            if node.label is not None:
-                out[at] = node.label
-                continue
-            if node.is_numeric:
-                left = num[at, node.col] <= node.threshold
-            else:  # an unseen category (-1) never matches, so it goes right
-                left = codes[at, node.col] == node.category
-            for child, part in ((node.left, at[left]), (node.right, at[~left])):
-                if len(part):
-                    stack.append((child, part))
-        return out
-
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        codes = self._predict_codes(*self.encoding.encode(dataset, rows))
-        return [self.codec.values[c] for c in codes]
+def _route(root: _Node, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Label codes of the encoded rows, routed down one tree as index sets."""
+    out = np.empty(len(num), dtype=np.int64)
+    stack = [(root, np.arange(len(num)))]
+    while stack:
+        node, at = stack.pop()
+        if node.label is not None:
+            out[at] = node.label
+            continue
+        if node.is_numeric:
+            left = num[at, node.col] <= node.threshold
+        else:  # an unseen category (-1) never matches, so it goes right
+            left = codes[at, node.col] == node.category
+        for child, part in ((node.left, at[left]), (node.right, at[~left])):
+            if len(part):
+                stack.append((child, part))
+    return out
 
 
 def _first_seen(codes: np.ndarray) -> list[int]:
@@ -179,8 +148,8 @@ def _first_seen(codes: np.ndarray) -> list[int]:
 
 
 class _Lockstep:
-    """Grows trees that share one encoding, codec, criterion and limits
-    together, each on its own sample of the fit's rows and with its own rng.
+    """Grows trees that share one encoding, criterion and limits together,
+    each on its own sample of the fit's rows and with its own rng.
 
     Every feature is read as integer levels fixed once per fit: a numeric
     value's rank among the fit's distinct values (the presorted attribute
@@ -196,17 +165,16 @@ class _Lockstep:
     the parent's counts minus it.
     """
 
-    def __init__(self, trees: list[DecisionTreeClassifier], y: np.ndarray,
-                 samples: list[np.ndarray]):
-        """``y`` holds the label codes of the rows the trees' encoding was
-        fitted on; tree t grows on the row positions ``samples[t]``, repeats
-        allowed."""
-        spec = trees[0]
-        encoding = spec.encoding
-        self.trees, self.y, self.samples = trees, y, samples
-        self.criterion, self.max_depth, self.min_split = (
-            spec.criterion, spec.max_depth, spec.min_split)
-        self.n_c = spec.codec.n_classes
+    def __init__(self, encoding: ColumnFit, n_classes: int, y: np.ndarray,
+                 samples: list[np.ndarray], rngs: list[np.random.Generator],
+                 per_split: int, criterion: str, max_depth: int, min_split: int):
+        """``y`` holds the label codes of the rows ``encoding`` was fitted
+        on; tree t grows on the row positions ``samples[t]``, repeats
+        allowed, and draws ``per_split`` candidate columns per split from
+        ``rngs[t]`` unless that is every column."""
+        self.y, self.samples, self.rngs = y, samples, rngs
+        self.criterion, self.max_depth, self.min_split = criterion, max_depth, min_split
+        self.n_c = n_classes
         self.numeric = np.array(encoding.is_numeric, dtype=bool)
         self.block_col = encoding.block_col
         n_feat = len(self.numeric)
@@ -222,8 +190,7 @@ class _Lockstep:
         self.levels = np.zeros((n_feat, self.width))  # numeric values by rank
         for p, found in enumerate(distinct):
             self.levels[p, :len(found)] = found
-        per_split = spec.features_per_split
-        self.draw = per_split is not None and per_split < n_feat
+        self.draw = per_split < n_feat
         self.n_cand = per_split if self.draw else n_feat
         # categories are tried in first-seen order within the tree's sample,
         # as ties between equally good splits go to the first one tried
@@ -231,15 +198,13 @@ class _Lockstep:
                        for p in np.flatnonzero(~self.numeric).tolist()}
                       for sample in samples]
 
-    def grow(self) -> None:
-        """Set every tree's ``root``."""
-        self.stacks = [[] for _ in self.trees]
-        roots = []
-        for t, tree in enumerate(self.trees):
-            tree.root = _Node()
-            roots.append((t, tree.root, self.samples[t], 0))
-        self._settle(roots, np.array([np.bincount(self.y[s], minlength=self.n_c)
-                                      for s in self.samples]))
+    def grow(self) -> list[_Node]:
+        """Every tree's root."""
+        self.stacks = [[] for _ in self.samples]
+        roots = [_Node() for _ in self.samples]
+        self._settle([(t, root, self.samples[t], 0) for t, root in enumerate(roots)],
+                     np.array([np.bincount(self.y[s], minlength=self.n_c)
+                               for s in self.samples]))
         row_bytes = 8 * self.n_cand * self.n_c  # histogram bytes per row, at most
         while True:
             slots = []
@@ -249,7 +214,7 @@ class _Lockstep:
                 for _ in range(min(1, len(stack)) if self.draw else len(stack)):
                     slots.append((t, *stack.pop(), self._candidates(t)))
             if not slots:
-                return
+                return roots
             chunk, used = [], 0
             for entry in slots:
                 if chunk and used + len(entry[2]) * row_bytes > _HIST_BYTES:
@@ -263,7 +228,7 @@ class _Lockstep:
         n_feat = len(self.numeric)
         if not self.draw:
             return list(range(n_feat))
-        return sorted(self.trees[t].rng.choice(n_feat, size=self.n_cand, replace=False).tolist())
+        return sorted(self.rngs[t].choice(n_feat, size=self.n_cand, replace=False).tolist())
 
     def _settle(self, new: list[tuple], counts: np.ndarray) -> None:
         """Make each new (tree, node, rows, depth) a leaf if it cannot split,
@@ -394,6 +359,68 @@ class _Lockstep:
                      .reshape(-1, n_c))
 
 
+class RandomForestClassifier:
+    """Bagged decision trees with a random feature subset at every split."""
+
+    def __init__(self, n_trees: int = 50, feat_frac: float | None = None, seed: int = 0,
+                 bootstrap: bool = True, criterion: str = "gini",
+                 max_depth: int = 25, min_split: int = 2):
+        if n_trees < 1:
+            raise ParameterError("n_trees must be at least 1")
+        if feat_frac is not None and not 0 < feat_frac <= 1:
+            raise ParameterError("feat_frac must be in (0, 1]")
+        if criterion not in ("gini", "gain", "error"):
+            raise ParameterError(f"unknown split criterion {criterion!r}")
+        if max_depth < 0:
+            raise ParameterError("max_depth must be >= 0")
+        self.n_trees = n_trees
+        self.feat_frac = feat_frac
+        self.seed = seed
+        self.bootstrap = bootstrap
+        self.criterion = criterion
+        self.max_depth = max_depth
+        self.min_split = max(2, min_split)
+
+    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
+        idx, self.codec, y = _labelled_rows(dataset, rows, "a forest")
+        n_feat = dataset.schema.n
+        if self.feat_frac is None:
+            per_split = max(1, math.ceil(math.sqrt(n_feat)))
+        else:
+            per_split = max(1, math.ceil(self.feat_frac * n_feat))
+        self.encoding = ColumnFit(dataset, idx)
+        rngs = [np.random.default_rng(derive_seed(self.seed, "tree", t))
+                for t in range(self.n_trees)]
+        samples = [rng.integers(0, len(idx), size=len(idx)) if self.bootstrap
+                   else np.arange(len(idx)) for rng in rngs]
+        self.roots = _Lockstep(self.encoding, self.codec.n_classes, y, samples, rngs,
+                               per_split, self.criterion, self.max_depth,
+                               self.min_split).grow()
+        return self
+
+    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+        num, codes = self.encoding.encode(dataset, rows)
+        votes = np.zeros((len(num), self.codec.n_classes), dtype=np.int64)
+        at = np.arange(len(num))
+        for root in self.roots:
+            votes[at, _route(root, num, codes)] += 1
+        return _argmax_labels(self.codec, votes)
+
+
+class DecisionTreeClassifier(RandomForestClassifier):
+    """Greedy CART-style tree: numeric midpoints, one-vs-rest categories.
+    It is a forest of one tree grown on every training row, with every
+    column a candidate at every split (Breiman, Random Forests, 2001)."""
+
+    def __init__(self, criterion: str = "gini", max_depth: int = 25, min_split: int = 2):
+        super().__init__(n_trees=1, feat_frac=1.0, bootstrap=False, criterion=criterion,
+                         max_depth=max_depth, min_split=min_split)
+
+    @property
+    def root(self) -> _Node:
+        return self.roots[0]
+
+
 # ---------------------------------------------------------------------------
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
@@ -412,7 +439,7 @@ class KNNClassifier:
         if self.k > len(idx):
             raise ParameterError(f"k={self.k} exceeds training size {len(idx)}")
         self.encoder = FeatureEncoder(dataset, idx)
-        self.X = self.encoder.transform_rows(dataset, idx)
+        self.X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         return self
 
     def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
@@ -460,7 +487,7 @@ class NaiveBayesClassifier:
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
         idx, self.codec, y = _labelled_rows(dataset, rows, "naive Bayes")
         self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
-        codes = self.disc.codes_rows(dataset, idx)
+        codes = self.disc.code(self.disc.encoding.num, self.disc.encoding.codes)
         m = len(idx)
         n_c = self.codec.n_classes
         s = self.smoothing
@@ -546,7 +573,8 @@ class BayesianNetworkClassifier:
     def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
         idx, self.codec, y = _labelled_rows(dataset, rows, "a Bayesian network")
         self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
-        codes = np.column_stack([self.disc.codes_rows(dataset, idx), y])
+        codes = np.column_stack([self.disc.code(self.disc.encoding.num,
+                                                self.disc.encoding.codes), y])
         cards = list(self.disc.cardinalities) + [self.codec.n_classes]
         self.n_vars = codes.shape[1]
         self.class_var = self.n_vars - 1
@@ -677,7 +705,7 @@ class LogisticRegressionClassifier:
                 f"logistic regression needs a binary target, got {self.codec.n_classes} classes"
             )
         self.encoder = FeatureEncoder(dataset, idx)
-        X = self.encoder.transform_rows(dataset, idx)
+        X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         y = y.astype(float)
         m = len(idx)
         w = np.zeros(X.shape[1])
@@ -699,64 +727,3 @@ class LogisticRegressionClassifier:
         # differently in the last bit
         X = self.encoder.transform_rows(dataset, rows)
         return [self.codec.values[1 if sigmoid(x @ self.w + self.b) >= 0.5 else 0] for x in X]
-
-
-# ---------------------------------------------------------------------------
-# random forest
-# ---------------------------------------------------------------------------
-
-class RandomForestClassifier:
-    """Bagged decision trees with a random feature subset at every split."""
-
-    def __init__(self, n_trees: int = 50, feat_frac: float | None = None, seed: int = 0,
-                 bootstrap: bool = True, criterion: str = "gini",
-                 max_depth: int = 25, min_split: int = 2):
-        if n_trees < 1:
-            raise ParameterError("n_trees must be at least 1")
-        if feat_frac is not None and not 0 < feat_frac <= 1:
-            raise ParameterError("feat_frac must be in (0, 1]")
-        _check_tree_params(criterion, max_depth)
-        self.n_trees = n_trees
-        self.feat_frac = feat_frac
-        self.seed = seed
-        self.bootstrap = bootstrap
-        self.criterion = criterion
-        self.max_depth = max_depth
-        self.min_split = min_split
-
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "a forest")
-        n_feat = dataset.schema.n
-        if self.feat_frac is None:
-            per_split = max(1, math.ceil(math.sqrt(n_feat)))
-        else:
-            per_split = max(1, math.ceil(self.feat_frac * n_feat))
-        per_split = min(per_split, n_feat)
-        self.encoding = ColumnFit(dataset, idx)
-        self.trees: list[DecisionTreeClassifier] = []
-        samples = []
-        for t in range(self.n_trees):
-            rng = np.random.default_rng(derive_seed(self.seed, "tree", t))
-            if self.bootstrap:
-                samples.append(rng.integers(0, len(idx), size=len(idx)))
-            else:
-                samples.append(np.arange(len(idx)))
-            tree = DecisionTreeClassifier(
-                criterion=self.criterion,
-                max_depth=self.max_depth,
-                min_split=self.min_split,
-                features_per_split=per_split if per_split < n_feat else None,
-                rng=rng,
-            )
-            tree.codec, tree.encoding = self.codec, self.encoding
-            self.trees.append(tree)
-        _Lockstep(self.trees, y, samples).grow()
-        return self
-
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        num, codes = self.encoding.encode(dataset, rows)
-        votes = np.zeros((len(num), self.codec.n_classes), dtype=np.int64)
-        at = np.arange(len(num))
-        for tree in self.trees:
-            votes[at, tree._predict_codes(num, codes)] += 1
-        return _argmax_labels(self.codec, votes)

@@ -104,11 +104,10 @@ def cmd_inject(args) -> int:
                     dataset_to_text(corrupted, delimiter=entry.delimiter),
                     encoding="utf-8",
                 )
-                rates = detect_error_rates(
-                    corrupted,
-                    rules=ds.rules or None,
-                    entity_key=ds.entity_key or None,
-                )
+                # the spec holds only its own error type's rules or key, so
+                # only that rate is measured; the others read as 0
+                rates = detect_error_rates(corrupted, rules=spec.rules,
+                                           entity_key=spec.entity_key)
                 if error_type == MISSING:
                     changed = sum(
                         1 for row in corrupted.rows for cell in row if cell is None
@@ -217,8 +216,6 @@ def cmd_recommend(args) -> int:
         detected_rates=detected,
         data_size=args.data_size,
         priority_measure=args.measure,
-        small_threshold=args.small_threshold,
-        large_threshold=args.large_threshold,
     )
     text = guide.narrative()
     print(text)
@@ -269,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--inconsistent-rate", type=float)
     rec.add_argument("--conflicting-rate", type=float)
     rec.add_argument("--measure", help="priority measure (default: f_measure or rmsd)")
-    rec.add_argument("--small-threshold", type=int, default=1000)
-    rec.add_argument("--large-threshold", type=int, default=10000)
     rec.add_argument("--output", help="also write the guidance as JSON here")
     return parser
 

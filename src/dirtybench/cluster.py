@@ -52,7 +52,7 @@ def write_clustering(clustering: Clustering, path, delimiter: str = ",") -> None
 def encode_for_clustering(d: Dataset) -> tuple[np.ndarray, FeatureEncoder]:
     work = impute(d) if d.has_missing() else d
     enc = FeatureEncoder(work)
-    return enc.transform_rows(work), enc
+    return enc.embed(enc.encoding.num, enc.encoding.codes), enc
 
 
 def _maybe_original_centroids(enc: FeatureEncoder, centroids: np.ndarray):

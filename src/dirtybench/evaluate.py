@@ -206,11 +206,25 @@ def measures_of(task: str) -> tuple[str, ...]:
     return REGRESSION_MEASURES if task == REGRESSION else PRF_MEASURES
 
 
-def _build_classifier(algorithm: Algorithm, seed: int):
+# the learners whose seed a run derives from its own, and the clusterers
+# whose k is the clean table's class count
+SEEDED = ("random_forest", "kmeans", "lvq", "clarans", "cure")
+K_IS_CLASS_COUNT = ("kmeans", "clarans", "birch", "cure")
+
+
+def with_run_defaults(algorithm: Algorithm, clean: Dataset, seed: int) -> Algorithm:
+    """The algorithm with every parameter a run derives filled in where its
+    params leave it out: the seed from the run's seed, k from the class
+    count, and DBSCAN's radius from the clean table, so that a sweep varies
+    only the corruption."""
     params = dict(algorithm.params)
-    if algorithm.name == "random_forest":
+    if algorithm.name in SEEDED:
         params.setdefault("seed", derive_seed(seed, "algo", algorithm.name))
-    return CLASSIFIER_TYPES[algorithm.name](**params)
+    if algorithm.name in K_IS_CLASS_COUNT:
+        params.setdefault("k", clean.n_c)
+    if algorithm.name == "dbscan" and "eps" not in params:
+        params["eps"] = cluster_mod.dbscan_default_eps(clean)
+    return Algorithm(algorithm.name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +325,7 @@ def cross_validate(
     if task == CLUSTERING:
         raise ConfigurationError("clustering runs fold-free; use evaluate_clustering")
     name = dataset_name or dataset.source
+    params = with_run_defaults(algorithm, dataset, seed).params
     work = _prepare(dataset, spec)
     parts = fold_partition(work.n_rows, folds, np.random.default_rng(derive_seed(seed, "folds")))
     t = work.schema.target_index
@@ -322,7 +337,7 @@ def cross_validate(
             train_rows = np.concatenate([p for g, p in enumerate(parts) if g != f])
             truth = [work.clean_shadow[work.row_origin[i]][t] for i in test_rows]
             if task == CLASSIFICATION:
-                model = _build_classifier(algorithm, seed).fit(work, train_rows)
+                model = CLASSIFIER_TYPES[algorithm.name](**params).fit(work, train_rows)
                 pred = model.predict_rows(work, test_rows)
                 P, R, F = macro_precision_recall_f(pred, truth)
                 per_fold["precision"].append(P)
@@ -330,7 +345,7 @@ def cross_validate(
                 per_fold["f_measure"].append(F)
             else:
                 fitter = REGRESSOR_FITTERS[algorithm.name]
-                model = fitter(work, rows=train_rows, **algorithm.params)
+                model = fitter(work, rows=train_rows, **params)
                 pred = regress.predict_rows(model, work, test_rows)
                 rm = regression_measures(pred, [float(v) for v in truth])
                 per_fold["rmsd"].append(rm.rmsd)
@@ -371,21 +386,6 @@ def _aggregate(task: str, per_fold: dict[str, list[float | None]]) -> dict[str, 
     return out
 
 
-def run_clustering_algorithm(
-    dataset: Dataset, algorithm: Algorithm, seed: int = 0,
-) -> Clustering:
-    params = dict(algorithm.params)
-    name = algorithm.name
-    if name in ("kmeans", "clarans", "birch", "cure"):
-        params.setdefault("k", dataset.n_c)
-    if name in ("kmeans", "lvq", "clarans", "cure"):
-        params.setdefault("seed", derive_seed(seed, "algo", name))
-    if name == "dbscan" and "eps" not in params:
-        raise ConfigurationError("dbscan needs eps (freeze it on the clean dataset)")
-    fn = getattr(cluster_mod, name)
-    return fn(dataset, **params)
-
-
 def evaluate_clustering(
     dataset: Dataset,
     algorithm: Algorithm,
@@ -402,14 +402,10 @@ def evaluate_clustering(
     if t is None:
         raise ConfigurationError("clustering evaluation needs ground-truth labels")
     truth = [work.clean_shadow[o][t] for o in work.row_origin]
-    params = dict(algorithm.params)
-    if algorithm.name == "dbscan" and "eps" not in params:
-        # radius frozen on the clean data so the sweep varies only corruption
-        params["eps"] = cluster_mod.dbscan_default_eps(dataset)
-    frozen = Algorithm(algorithm.name, params)
+    params = with_run_defaults(algorithm, dataset, seed).params
 
     def run_pass():
-        clustering = run_clustering_algorithm(work, frozen, seed)
+        clustering = getattr(cluster_mod, algorithm.name)(work, **params)
         pred = match_clusters(clustering, truth)
         return macro_precision_recall_f(pred, truth)
 

@@ -7,7 +7,8 @@ float64 numeric block and an int code block.  Encoding other rows through the
 fit maps a category it never saw to code -1.  Every feature cell must be
 present: impute before encoding, a missing cell raises :class:`SchemaError`.
 
-The views built on a fit work on whole row sets:
+The views built on a fit work on whole row sets, read from a dataset or
+given as the fit's own blocks (``num``, ``codes``):
 
 * :class:`FeatureEncoder` min-max scales numeric features to [0, 1] and turns
   categorical ones into one-hot blocks scaled by 1/sqrt(2), so the squared
@@ -114,7 +115,10 @@ class FeatureEncoder:
         self.width = int(bounds[-1])
 
     def transform_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> np.ndarray:
-        num, codes = self.encoding.encode(dataset, rows)
+        return self.embed(*self.encoding.encode(dataset, rows))
+
+    def embed(self, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The embedding of encoded rows: a numeric block and a code block."""
         out = np.zeros((len(num), self.width))
         out[:, :num.shape[1]] = self.encoding.unit_scale(num)
         for b, offset in enumerate(self.offsets):
@@ -149,7 +153,10 @@ class Discretizer:
         ]
 
     def codes_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> np.ndarray:
-        num, codes = self.encoding.encode(dataset, rows)
+        return self.code(*self.encoding.encode(dataset, rows))
+
+    def code(self, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """The code matrix of encoded rows: a numeric block and a code block."""
         scaled = self.encoding.unit_scale(num) * self.n_bins
         bins = np.clip(scaled, 0, self.n_bins - 1).astype(np.int64)  # clamps out-of-range values
         out = np.empty((len(num), len(self.encoding.is_numeric)), dtype=np.int64)

@@ -34,6 +34,7 @@ from .evaluate import (
     evaluate_algorithm,
     measures_of,
     task_of,
+    with_run_defaults,
 )
 
 HIGHER = "higher"
@@ -354,19 +355,6 @@ def sweep_pairs(datasets, algorithms) -> list:
     return [(ds, a) for ds in datasets for a in algorithms if task_of(a) == ds.task]
 
 
-def _with_frozen_eps(ds: SweepDataset, algorithm: Algorithm) -> Algorithm:
-    """DBSCAN with its default radius computed once on the clean dataset for
-    every rate.  When it cannot be computed, params stay without eps, so that
-    each point recomputes it and records the failure."""
-    if algorithm.name != "dbscan" or "eps" in algorithm.params:
-        return algorithm
-    try:
-        eps = cluster_mod.dbscan_default_eps(ds.dataset)
-    except Exception:  # reported per point by evaluate_clustering's fallback
-        return algorithm
-    return Algorithm(algorithm.name, {**algorithm.params, "eps": eps})
-
-
 def _run_combination(payload):
     ds, algorithm, error_type, rate, seed, folds, timing_repeats = payload
     try:
@@ -399,7 +387,15 @@ def run_sweep(
     and sensibility rankings.  Deterministic for a fixed seed regardless of
     worker count; a failing combination is recorded and skipped."""
     check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression)
-    pairs = [(ds, _with_frozen_eps(ds, a)) for ds, a in sweep_pairs(datasets, algorithms)]
+    pairs = []
+    for ds, algorithm in sweep_pairs(datasets, algorithms):
+        # the pair's run-derived parameters, computed once for every rate;
+        # where they cannot be, each point recomputes them and records why
+        try:
+            algorithm = with_run_defaults(algorithm, ds.dataset, derive_seed(seed, ds.name))
+        except Exception:
+            pass
+        pairs.append((ds, algorithm))
 
     rates = grid.rates()
     series = [(ds, algorithm, et) for ds, algorithm in pairs for et in error_types]
@@ -516,6 +512,11 @@ CANDIDATE_THRESHOLDS = {
 
 ERROR_PRIORITY = ("missing", "inconsistent", "conflicting")
 
+# the data-size rule: logistic regression below SMALL_DATA rows, DBSCAN from
+# LARGE_DATA rows on
+SMALL_DATA = 1000
+LARGE_DATA = 10000
+
 
 @dataclass
 class Guideline:
@@ -589,8 +590,6 @@ def recommend(
     detected_rates: dict[str, float],
     data_size: int,
     priority_measure: str | None = None,
-    small_threshold: int = 1000,
-    large_threshold: int = 10000,
 ) -> Guideline:
     """Stepwise selection: threshold candidates on clean accuracy, apply the
     data-size preference, pick the least sensitive candidate for the dominant
@@ -633,12 +632,12 @@ def recommend(
 
     size_preference = None
     candidate_names = [a for a, _ in candidates]
-    if task == CLASSIFICATION and data_size < small_threshold:
+    if task == CLASSIFICATION and data_size < SMALL_DATA:
         if "logistic_regression" in candidate_names:
             size_preference = "logistic_regression"
         else:
             notes.append("small-data preference (logistic_regression) is not a candidate")
-    if task == CLUSTERING and data_size >= large_threshold:
+    if task == CLUSTERING and data_size >= LARGE_DATA:
         if "dbscan" in candidate_names:
             size_preference = "dbscan"
         else:

@@ -232,14 +232,14 @@ def ref_vote(trees, codec, d, cells):
     return codec.decode(int(np.argmax(votes)))
 
 
-def grown(tree):
-    """A fitted tree in ``ref_tree``'s form: schema columns, numeric
-    thresholds, raw categories and raw labels."""
-    enc = tree.encoding
+def grown(forest):
+    """A fitted forest's trees in ``ref_tree``'s form: schema columns,
+    numeric thresholds, raw categories and raw labels."""
+    enc = forest.encoding
 
     def walk(node):
         if node.label is not None:
-            return tree.codec.decode(node.label)
+            return forest.codec.decode(node.label)
         if node.is_numeric:
             j, at = enc.numeric_cols[node.col], node.threshold
         else:
@@ -247,7 +247,7 @@ def grown(tree):
             at = next(v for v, code in enc.vocab[node.col].items() if code == node.category)
         return (j, at, walk(node.left), walk(node.right))
 
-    return walk(tree.root)
+    return [walk(root) for root in forest.roots]
 
 
 def ref_knn(d, idx, k, codec):
@@ -353,24 +353,17 @@ def test_classifiers_equal_per_record_reference(case, criterion):
        st.integers(2, 5), st.integers(0, 50))
 def test_trees_grow_as_reference(case, criterion, feat_frac, max_depth, min_split, seed):
     """Every node's column and threshold or category equals the reference's:
-    a tree, a tree drawing its candidate columns, and a forest's trees."""
+    a tree, and a forest's trees drawing their candidate columns."""
     d, train, _ = case
     codec = LabelCodec(train_labels(d, train))
     limits = dict(criterion=criterion, max_depth=max_depth, min_split=min_split)
 
     tree = DecisionTreeClassifier(**limits).fit(d, train)
-    assert grown(tree) == ref_tree(d, train, codec, **limits)
-
-    per_split = max(1, d.schema.n // 2)
-    drawing = DecisionTreeClassifier(features_per_split=per_split,
-                                     rng=np.random.default_rng(seed), **limits).fit(d, train)
-    assert grown(drawing) == ref_tree(d, train, codec, per_split=per_split,
-                                      rng=np.random.default_rng(seed), **limits)
+    assert grown(tree) == [ref_tree(d, train, codec, **limits)]
 
     forest = RandomForestClassifier(n_trees=3, feat_frac=feat_frac, seed=seed,
                                     **limits).fit(d, train)
-    assert [grown(t) for t in forest.trees] == ref_forest(d, train, 3, feat_frac, seed,
-                                                          **limits)
+    assert grown(forest) == ref_forest(d, train, 3, feat_frac, seed, **limits)
 
 
 @given(split_tables(deep=True), st.integers(0, 50), st.sampled_from((1, 1500, 6000)))
@@ -382,8 +375,8 @@ def test_trees_grow_alike_in_histogram_chunks(case, seed, budget):
     with mock.patch.object(classify, "_HIST_BYTES", budget):
         tree = DecisionTreeClassifier().fit(d, train)
         forest = RandomForestClassifier(n_trees=3, feat_frac=0.5, seed=seed).fit(d, train)
-    assert grown(tree) == ref_tree(d, train, codec)
-    assert [grown(t) for t in forest.trees] == ref_forest(d, train, 3, 0.5, seed)
+    assert grown(tree) == [ref_tree(d, train, codec)]
+    assert grown(forest) == ref_forest(d, train, 3, 0.5, seed)
 
 
 @given(split_tables(target_kind=NUMERIC))

@@ -20,6 +20,7 @@ from dirtybench.classify import (
     misclassification_error,
     sigmoid,
     _k_nearest,
+    _route,
 )
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import (
@@ -340,9 +341,10 @@ class TestRandomForest:
         forest = RandomForestClassifier(n_trees=9, seed=1).fit(d)
         for i in range(0, 30, 5):
             cells = d.rows[i]
+            num, codes = forest.encoding.encode(dataset_from_rows(d.schema, [cells]))
             votes = {}
-            for tree in forest.trees:
-                p = predict_one(tree, d, cells)
+            for root in forest.roots:
+                p = forest.codec.decode(_route(root, num, codes)[0])
                 votes[p] = votes.get(p, 0) + 1
             top = max(votes.values())
             winners = [lbl for lbl in votes if votes[lbl] == top]

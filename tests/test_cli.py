@@ -105,6 +105,10 @@ REJECTED = [
                  [], "'decision_tree': max_depth must be >= 0", id="tree-negative-depth"),
     pytest.param({"algorithms": [{"name": "random_forest", "params": {"max_depth": -1}}]},
                  [], "'random_forest': max_depth must be >= 0", id="forest-negative-depth"),
+    pytest.param({"algorithms": [{"name": "decision_tree",
+                                  "params": {"features_per_split": 2}}]}, [],
+                 "'decision_tree': got an unexpected keyword argument 'features_per_split'",
+                 id="tree-features-per-split"),
     pytest.param({"algorithms": ["logistic_regression"]}, [],
                  "'logistic_regression' needs a binary target, dataset 'flowers' has 3 classes",
                  id="binary-learner-on-three-classes"),

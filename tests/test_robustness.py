@@ -10,6 +10,7 @@ from dirtybench.data import FDRule
 from dirtybench.evaluate import (
     ALL_ALGORITHMS,
     Algorithm,
+    CLASSIFIER_TYPES,
     PRF_MEASURES,
     REGRESSION_MEASURES,
     evaluate_algorithm,
@@ -252,6 +253,48 @@ class TestRunSweep:
                                        seed=derive_seed(4, "blobs"), timing_repeats=1)
             assert alone.measures == result.measures
         assert len(calls) == 1 + len(grid.rates())
+
+    @pytest.mark.parametrize("name", ["kmeans", "clarans", "cure", "lvq", "birch",
+                                      "random_forest"])
+    def test_derived_params_match_each_point_alone(self, monkeypatch, name):
+        """The k and seed a sweep derives once per (dataset, algorithm) pair
+        reach the learner as they do when each point is evaluated alone."""
+        seen = []
+        if name in CLASSIFIER_TYPES:
+            class Recorded(CLASSIFIER_TYPES[name]):
+                def fit(self, *args):
+                    seen.append({"seed": self.seed})
+                    return super().fit(*args)
+
+            monkeypatch.setitem(CLASSIFIER_TYPES, name, Recorded)
+            task, params = "classification", {"n_trees": 3}
+        else:
+            learner = getattr(cluster, name)
+
+            def recorded(*args, **kwargs):
+                seen.append(kwargs)
+                return learner(*args, **kwargs)
+
+            monkeypatch.setattr(cluster, name, recorded)
+            task, params = "clustering", {}
+        ds = SweepDataset("blobs", make_blobs(40, n_classes=3, seed=2), task)
+        grid = RateGrid(start=0.0, step=0.25, count=2)
+        report = run_sweep([ds], [Algorithm(name, params)], ("missing",), grid,
+                           seed=4, folds=3)
+        in_sweep = list(seen)
+        seen.clear()
+        assert len(report.results) == len(grid.rates())
+        for rate, result in zip(grid.rates(), report.results):
+            spec = robustness.corruption_spec(ds, "missing", rate, 4) if rate else None
+            alone = evaluate_algorithm(ds.dataset, Algorithm(name, params), spec, folds=3,
+                                       seed=derive_seed(4, "blobs"))
+            assert alone.measures == result.measures
+        assert in_sweep == seen
+        derived_seed = derive_seed(derive_seed(4, "blobs"), "algo", name)
+        if name != "birch":
+            assert {kwargs["seed"] for kwargs in seen} == {derived_seed}
+        if name not in ("lvq", "random_forest"):
+            assert {kwargs["k"] for kwargs in seen} == {3}
 
     def test_grid_must_start_at_zero(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
