@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig
-from .corrupt import MISSING, inject
+from .corrupt import MISSING, _eligible_feature_columns, inject
 from .data import dataset_to_text, detect_error_rates
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS
@@ -104,17 +104,18 @@ def cmd_inject(args) -> int:
                     dataset_to_text(corrupted, delimiter=entry.delimiter),
                     encoding="utf-8",
                 )
-                # the spec holds only its own error type's rules or key, so
-                # only that rate is measured; the others read as 0
-                rates = detect_error_rates(corrupted, rules=spec.rules,
-                                           entity_key=spec.entity_key)
                 if error_type == MISSING:
-                    changed = sum(
-                        1 for row in corrupted.rows for cell in row if cell is None
-                    )
-                    achieved = rates.missing
+                    # over the cells the injector was allowed to delete
+                    cols = _eligible_feature_columns(ds.dataset, spec)
+                    cells = len(cols) * len(corrupted.rows)
+                    changed = sum(1 for row in corrupted.rows for j in cols if row[j] is None)
+                    achieved = changed / cells if cells else 0.0
                     unit = "cells"
                 else:
+                    # the spec holds only its own error type's rules or key,
+                    # so only that rate is measured
+                    rates = detect_error_rates(corrupted, rules=spec.rules,
+                                               entity_key=spec.entity_key)
                     achieved = getattr(rates, error_type)
                     changed = int(round(achieved * len(corrupted.rows)))
                     unit = "rows"

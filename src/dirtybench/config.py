@@ -103,7 +103,7 @@ class DatasetConfig:
             dataset = dataset.attach_rules(rules)
         return SweepDataset(
             name=self.name, dataset=dataset, task=self.task,
-            rules=rules, entity_key=self.entity_key, column_mask=self.column_mask,
+            entity_key=self.entity_key, column_mask=self.column_mask,
             corrupt_target_in_train=self.corrupt_target_in_train,
         )
 

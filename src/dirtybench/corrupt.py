@@ -2,9 +2,10 @@
 
 All injectors are pure: they return a new Dataset and leave the input (and its
 clean shadow) untouched.  Rate denominators: cells for missing data, rows for
-inconsistent and conflicting data.  Inconsistent/conflicting injection chases
-the detector reading, so the achieved row fraction lands within one row of the
-requested rate on data with workable group structure.
+inconsistent and conflicting data.  Inconsistent/conflicting injection keeps
+the detectors' index current (``data.FDIndex``/``data.EntityIndex``, where the
+violation rules live), so the achieved row fraction lands within one row of
+the requested rate on data with workable group structure.
 """
 from __future__ import annotations
 
@@ -13,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    CATEGORICAL,
-    Cell,
-    Dataset,
-    FDRule,
-    NUMERIC,
-    TARGET,
-)
+from .data import Cell, Dataset, EntityIndex, FDIndex, FDRule, NUMERIC
 from .errors import (
     ConfigurationError,
     ImputationImpossibleError,
@@ -106,8 +100,6 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
         if spec.rate > 0 and total == 0:
             raise ConfigurationError("no eligible cells to delete")
         return out
-    if total == 0:
-        raise ConfigurationError("no eligible cells to delete")
     rng = np.random.default_rng(spec.seed)
     chosen = rng.choice(total, size=n_delete, replace=False)
     for flat in chosen:
@@ -120,103 +112,10 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
 # inconsistent (FD violations)
 # ---------------------------------------------------------------------------
 
-class _FDIndex:
-    """Incremental per-rule grouping with violated-group flag counts.
-
-    Group iteration uses insertion-ordered dicts throughout so behavior is
-    identical across process restarts.
-    """
-
-    def __init__(self, rows: list[list[Cell]], bindings: list[tuple[tuple[int, ...], int]]):
-        self.rows = rows
-        self.bindings = bindings
-        self.groups: list[dict[tuple, list[int]]] = [dict() for _ in bindings]
-        self.violated: list[dict[tuple, None]] = [dict() for _ in bindings]
-        self.flag_count: dict[int, int] = {}
-        for r in range(len(bindings)):
-            for i in range(len(rows)):
-                self._add(r, i)
-
-    @property
-    def flagged(self) -> int:
-        return len(self.flag_count)
-
-    def is_flagged(self, i: int) -> bool:
-        return i in self.flag_count
-
-    def key(self, r: int, i: int) -> tuple | None:
-        lhs_idx, rhs_idx = self.bindings[r]
-        vals = tuple(self.rows[i][j] for j in lhs_idx)
-        if any(v is None for v in vals) or self.rows[i][rhs_idx] is None:
-            return None
-        return vals
-
-    def _is_violated(self, r: int, key: tuple) -> bool:
-        rhs_idx = self.bindings[r][1]
-        return len({self.rows[i][rhs_idx] for i in self.groups[r].get(key, ())}) > 1
-
-    def _flag(self, i: int):
-        self.flag_count[i] = self.flag_count.get(i, 0) + 1
-
-    def _unflag(self, i: int):
-        self.flag_count[i] -= 1
-        if self.flag_count[i] == 0:
-            del self.flag_count[i]
-
-    def _add(self, r: int, i: int):
-        key = self.key(r, i)
-        if key is None:
-            return
-        members = self.groups[r].setdefault(key, [])
-        was = key in self.violated[r]
-        members.append(i)
-        now = self._is_violated(r, key)
-        if now and was:
-            self._flag(i)
-        elif now and not was:
-            self.violated[r][key] = None
-            for m in members:
-                self._flag(m)
-
-    def _remove(self, r: int, i: int):
-        key = self.key(r, i)
-        if key is None:
-            return
-        members = self.groups[r][key]
-        was = key in self.violated[r]
-        members.remove(i)
-        if not members:
-            del self.groups[r][key]
-            if was:
-                del self.violated[r][key]
-                self._unflag(i)
-            return
-        now = self._is_violated(r, key)
-        if was and not now:
-            del self.violated[r][key]
-            self._unflag(i)
-            for m in members:
-                self._unflag(m)
-        elif was and now:
-            self._unflag(i)
-
-    def set_cells(self, i: int, updates: dict[int, Cell]):
-        affected = [
-            r
-            for r, (lhs_idx, rhs_idx) in enumerate(self.bindings)
-            if any(j in updates for j in lhs_idx) or rhs_idx in updates
-        ]
-        for r in affected:
-            self._remove(r, i)
-        for j, v in updates.items():
-            self.rows[i][j] = v
-        for r in affected:
-            self._add(r, i)
-
-
 def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     """Mutate rhs cells (fabricating lhs partners when needed) until the
-    fraction of rows in FD-violating groups reaches round(rate * rows)."""
+    fraction of rows in FD-violating groups reaches round(rate * rows);
+    raises InjectionImpossibleError unless it lands within one row above."""
     out = d.copy()
     n = out.n_rows
     target = int(round(spec.rate * n))
@@ -247,7 +146,7 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
         raise ConfigurationError("no usable FD rule after applying column restrictions")
 
     rng = np.random.default_rng(spec.seed)
-    index = _FDIndex(out.rows, bindings)
+    index = FDIndex(out.rows, bindings)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
         guard += 1
@@ -313,14 +212,15 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
         updates[rhs_idx] = pick
         index.set_cells(p_row, updates)
 
-    if index.flagged < target:
+    # a fabricated partner flags its whole lhs group, which can overshoot
+    if not target <= index.flagged <= target + 1:
         raise InjectionImpossibleError(
             f"could not reach inconsistent rate {spec.rate} (reached {index.flagged}/{n} rows)"
         )
     return out
 
 
-def _join_violated_fd(index: _FDIndex, rng: np.random.Generator) -> bool:
+def _join_violated_fd(index: FDIndex, rng: np.random.Generator) -> bool:
     """Attach one unflagged row to an already-violated group (+1 exactly)."""
     for r, viol in enumerate(index.violated):
         if not viol:
@@ -345,66 +245,6 @@ def _join_violated_fd(index: _FDIndex, rng: np.random.Generator) -> bool:
 # conflicting (entity disagreements)
 # ---------------------------------------------------------------------------
 
-class _EntityIndex:
-    """Entity groups keyed by the entity-key tuple, with conflict flags."""
-
-    def __init__(self, rows: list[list[Cell]], origin: list[int],
-                 key_idx: tuple[int, ...], compare_idx: list[int]):
-        self.rows = rows
-        self.origin = origin
-        self.key_idx = key_idx
-        self.compare_idx = compare_idx
-        self.groups: dict[tuple, list[int]] = {}
-        self.violated: dict[tuple, None] = {}
-        self.flag_count = 0
-        for i in range(len(rows)):
-            self._add(i)
-
-    def key(self, i: int) -> tuple | None:
-        vals = tuple(self.rows[i][j] for j in self.key_idx)
-        if any(v is None for v in vals):
-            return None
-        return vals
-
-    def _is_violated(self, key: tuple) -> bool:
-        members = self.groups.get(key, ())
-        for j in self.compare_idx:
-            if len({self.rows[i][j] for i in members if self.rows[i][j] is not None}) > 1:
-                return True
-        return False
-
-    def _add(self, i: int):
-        key = self.key(i)
-        if key is None:
-            return
-        members = self.groups.setdefault(key, [])
-        was = key in self.violated
-        members.append(i)
-        if was:
-            self.flag_count += 1
-        elif self._is_violated(key):
-            self.violated[key] = None
-            self.flag_count += len(members)
-
-    def refresh(self, key: tuple):
-        """Re-evaluate one group after in-place cell mutation."""
-        was = key in self.violated
-        now = self._is_violated(key)
-        if now and not was:
-            self.violated[key] = None
-            self.flag_count += len(self.groups[key])
-        elif was and not now:
-            del self.violated[key]
-            self.flag_count -= len(self.groups[key])
-
-    def append_duplicate(self, src: int) -> int:
-        self.rows.append(list(self.rows[src]))
-        self.origin.append(self.origin[src])
-        i = len(self.rows) - 1
-        self._add(i)
-        return i
-
-
 def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     """Disagree one non-key attribute inside entity groups (duplicating
     singleton entities first) until the conflicting-row fraction meets the
@@ -426,10 +266,10 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
         return out
 
     rng = np.random.default_rng(spec.seed)
-    index = _EntityIndex(out.rows, out.row_origin, key_idx, compare_idx)
-    guard = 0
-    while guard < 20 * out.n_rows + 100:
-        guard += 1
+    index = EntityIndex(out.rows, out.row_origin, key_idx, compare_idx)
+    # the bound is fixed by the input's row count: were it to grow with the
+    # appended duplicates, a rate of 1.0 could chase its target forever
+    for _ in range(20 * out.n_rows + 100):
         n = len(out.rows)
         target = int(round(spec.rate * n))
         if index.flag_count >= target:
@@ -484,7 +324,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     return out
 
 
-def _disagree_group(index: _EntityIndex, members: list[int], usable_cols: list[int],
+def _disagree_group(index: EntityIndex, members: list[int], usable_cols: list[int],
                     domains: dict[int, list[Cell]], positions: dict[int, dict[Cell, int]],
                     rng: np.random.Generator) -> bool:
     """Make one attribute differ inside a currently-agreeing group."""

@@ -4,11 +4,16 @@ Cells are plain Python values: ``float`` for numeric columns, ``str`` for
 categorical ones, and ``None`` as the dedicated missing marker (serialized as
 an empty field).  A loaded dataset keeps an immutable ``clean_shadow`` copy of
 its rows so that later corruption can always be measured against ground truth.
+
+What makes a row dirty is defined once, here: ``FDIndex`` holds the rule for
+an FD-violating group and ``EntityIndex`` the one for a conflicting entity
+group.  The detectors read them and the injectors in ``corrupt`` keep them.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -421,23 +426,185 @@ def missing_cell_rate(d: Dataset) -> float:
     return miss / total
 
 
+class FDIndex:
+    """Rows grouped by the lhs values of each bound FD rule, with the groups
+    that violate it and how many rules flag each row.
+
+    A row joins rule ``r``'s grouping when its lhs and rhs cells are all
+    present; a group is violated when its members disagree on the rhs.  The
+    injectors keep the index current through ``set_cells``.  ``groups`` and
+    ``violated`` are ordered as ``_group`` says, so iteration is the same
+    across process restarts.
+    """
+
+    def __init__(self, rows: list[list[Cell]], bindings: list[tuple[tuple[int, ...], int]]):
+        self.rows = rows
+        self.bindings = bindings
+        self.groups: list[dict[tuple, list[int]]] = []
+        self.violated: list[dict[tuple, None]] = []
+        self.flag_count: dict[int, int] = {}
+        for r in range(len(bindings)):
+            groups, violated = _group(len(rows), partial(self.key, r),
+                                      partial(self._violated_at, r))
+            self.groups.append(groups)
+            self.violated.append(violated)
+            for key in violated:
+                for m in groups[key]:
+                    self._flag(m)
+
+    @property
+    def flagged(self) -> int:
+        return len(self.flag_count)
+
+    def is_flagged(self, i: int) -> bool:
+        return i in self.flag_count
+
+    def key(self, r: int, i: int) -> tuple | None:
+        lhs_idx, rhs_idx = self.bindings[r]
+        vals = tuple(self.rows[i][j] for j in lhs_idx)
+        if any(v is None for v in vals) or self.rows[i][rhs_idx] is None:
+            return None
+        return vals
+
+    def _violated_at(self, r: int, members: list[int]) -> int | None:
+        """The first member whose rhs differs from an earlier member's."""
+        rhs_idx = self.bindings[r][1]
+        first = self.rows[members[0]][rhs_idx]
+        return next((m for m in members if self.rows[m][rhs_idx] != first), None)
+
+    def _flag(self, i: int):
+        self.flag_count[i] = self.flag_count.get(i, 0) + 1
+
+    def _unflag(self, i: int):
+        self.flag_count[i] -= 1
+        if self.flag_count[i] == 0:
+            del self.flag_count[i]
+
+    def _add(self, r: int, i: int):
+        key = self.key(r, i)
+        if key is None:
+            return
+        members = self.groups[r].setdefault(key, [])
+        members.append(i)
+        if key in self.violated[r]:
+            self._flag(i)
+        elif self._violated_at(r, members) is not None:
+            self.violated[r][key] = None
+            for m in members:
+                self._flag(m)
+
+    def _remove(self, r: int, i: int):
+        key = self.key(r, i)
+        if key is None:
+            return
+        members = self.groups[r][key]
+        members.remove(i)
+        if not members:
+            del self.groups[r][key]
+        if key in self.violated[r]:
+            self._unflag(i)
+            if not members or self._violated_at(r, members) is None:
+                del self.violated[r][key]
+                for m in members:
+                    self._unflag(m)
+
+    def set_cells(self, i: int, updates: dict[int, Cell]):
+        affected = [
+            r
+            for r, (lhs_idx, rhs_idx) in enumerate(self.bindings)
+            if any(j in updates for j in lhs_idx) or rhs_idx in updates
+        ]
+        for r in affected:
+            self._remove(r, i)
+        for j, v in updates.items():
+            self.rows[i][j] = v
+        for r in affected:
+            self._add(r, i)
+
+
+class EntityIndex:
+    """Rows grouped by their entity-key values, with the groups whose
+    members disagree on some compared column's present values, ordered as
+    ``_group`` says.  ``flag_count`` is the number of rows in violated groups.
+    """
+
+    def __init__(self, rows: list[list[Cell]], origin: list[int],
+                 key_idx: tuple[int, ...], compare_idx: list[int]):
+        self.rows = rows
+        self.origin = origin
+        self.key_idx = key_idx
+        self.compare_idx = compare_idx
+        self.groups, self.violated = _group(len(rows), self.key, self._violated_at)
+        self.flag_count = sum(len(self.groups[key]) for key in self.violated)
+
+    def key(self, i: int) -> tuple | None:
+        vals = tuple(self.rows[i][j] for j in self.key_idx)
+        if any(v is None for v in vals):
+            return None
+        return vals
+
+    def _violated_at(self, members: list[int]) -> int | None:
+        """The first member holding a value that differs from an earlier
+        member's present value in the same column."""
+        seen: dict[int, Cell] = {}
+        for m in members:
+            for j in self.compare_idx:
+                v = self.rows[m][j]
+                if v is not None and seen.setdefault(j, v) != v:
+                    return m
+        return None
+
+    def _add(self, i: int):
+        key = self.key(i)
+        if key is None:
+            return
+        members = self.groups.setdefault(key, [])
+        members.append(i)
+        if key in self.violated:
+            self.flag_count += 1
+        elif self._violated_at(members) is not None:
+            self.violated[key] = None
+            self.flag_count += len(members)
+
+    def refresh(self, key: tuple):
+        """Re-evaluate one group after in-place cell mutation."""
+        was = key in self.violated
+        now = self._violated_at(self.groups[key]) is not None
+        if now and not was:
+            self.violated[key] = None
+            self.flag_count += len(self.groups[key])
+        elif was and not now:
+            del self.violated[key]
+            self.flag_count -= len(self.groups[key])
+
+    def append_duplicate(self, src: int) -> int:
+        self.rows.append(list(self.rows[src]))
+        self.origin.append(self.origin[src])
+        i = len(self.rows) - 1
+        self._add(i)
+        return i
+
+
+def _group(n_rows: int, key, violated_at) -> tuple[dict[tuple, list[int]], dict[tuple, None]]:
+    """Rows grouped by ``key(i)`` in one pass (a None key leaves the row out),
+    and the keys of the violated groups.  ``violated_at(members)`` names the
+    member that made a group violated, or None.  Both dicts have the order a
+    row-by-row build through ``_add`` gives: groups by their first row,
+    violated groups by the row that made them violated."""
+    groups: dict[tuple, list[int]] = {}
+    for i in range(n_rows):
+        k = key(i)
+        if k is not None:
+            groups.setdefault(k, []).append(i)
+    at = {k: violated_at(members) for k, members in groups.items() if len(members) > 1}
+    return groups, dict.fromkeys(sorted((k for k in at if at[k] is not None), key=at.get))
+
+
 def inconsistent_rows(d: Dataset, rules: Sequence[FDRule]) -> set[int]:
     """Indices of rows that share FD lhs values with differing rhs values."""
     if not rules:
         raise ConfigurationError("inconsistent detection requires at least one FD rule")
-    flagged: set[int] = set()
-    for rule in rules:
-        lhs_idx, rhs_idx = rule.bind(d.schema)
-        groups: dict[tuple, list[int]] = {}
-        for i, row in enumerate(d.rows):
-            lhs_vals = tuple(row[j] for j in lhs_idx)
-            if any(v is None for v in lhs_vals) or row[rhs_idx] is None:
-                continue
-            groups.setdefault(lhs_vals, []).append(i)
-        for members in groups.values():
-            if len({d.rows[i][rhs_idx] for i in members}) > 1:
-                flagged.update(members)
-    return flagged
+    return set(FDIndex(d.rows, [rule.bind(d.schema) for rule in rules]).flag_count)
 
 
 def inconsistent_row_rate(d: Dataset, rules: Sequence[FDRule]) -> float:
@@ -454,21 +621,8 @@ def conflicting_rows(d: Dataset, entity_key: Sequence[str]) -> set[int]:
     other_idx = [j for j in range(d.schema.arity) if j not in key_idx]
     if not other_idx:
         raise ConfigurationError("all columns are key columns; nothing can conflict")
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(d.rows):
-        key_vals = tuple(row[j] for j in key_idx)
-        if any(v is None for v in key_vals):
-            continue
-        groups.setdefault(key_vals, []).append(i)
-    flagged: set[int] = set()
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for j in other_idx:
-            if len({d.rows[i][j] for i in members if d.rows[i][j] is not None}) > 1:
-                flagged.update(members)
-                break
-    return flagged
+    index = EntityIndex(d.rows, d.row_origin, key_idx, other_idx)
+    return {i for key in index.violated for i in index.groups[key]}
 
 
 def conflicting_row_rate(d: Dataset, entity_key: Sequence[str]) -> float:

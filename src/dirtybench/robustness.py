@@ -510,8 +510,6 @@ CANDIDATE_THRESHOLDS = {
     "nrmsd": (LOWER, 0.5),
 }
 
-ERROR_PRIORITY = ("missing", "inconsistent", "conflicting")
-
 # the data-size rule: logistic regression below SMALL_DATA rows, DBSCAN from
 # LARGE_DATA rows on
 SMALL_DATA = 1000
@@ -627,8 +625,8 @@ def recommend(
     notes: list[str] = []
     dominant = max(
         detected_rates,
-        key=lambda et: (detected_rates[et], -ERROR_PRIORITY.index(et)),
-    ) if detected_rates else ERROR_PRIORITY[0]
+        key=lambda et: (detected_rates[et], -ERROR_TYPES.index(et)),
+    ) if detected_rates else ERROR_TYPES[0]
 
     size_preference = None
     candidate_names = [a for a, _ in candidates]

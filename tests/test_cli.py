@@ -252,6 +252,25 @@ class TestInject:
             assert row[2] is not None and row[3] is not None
         holes = sum(1 for row in d.rows for c in row[:2] if c is None)
         assert holes == 10  # half of the 20 masked cells
+        # the summary counts over the masked cells too
+        row = (tmp_path / "out" / "injection_summary.csv").read_text().splitlines()[2].split(",")
+        assert (float(row[3]), row[4], row[5]) == (0.5, "10", "cells")
+
+    def test_target_in_train_counts_in_missing_summary(self, tmp_path, iris_copy):
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "rate_grid": {"start": 0.3, "step": 0.1, "count": 0},
+            "error_types": ["missing"],
+            "datasets": [{"name": "iris", "path": str(iris_copy), "task": "classification",
+                          "target": "species", "corrupt_target_in_train": True}],
+            "algorithms": ["decision_tree"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["inject", str(cfg)]) == cli.EXIT_OK
+        row = (tmp_path / "out" / "injection_summary.csv").read_text().splitlines()[2].split(",")
+        # 225 of the 750 feature and target cells
+        assert (float(row[3]), row[4]) == (0.3, "225")
 
     def test_fine_rate_step_writes_one_file_per_rate(self, tmp_path):
         data = grid_csv(tmp_path / "grid.csv", 20, 4)

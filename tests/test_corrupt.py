@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dirtybench import corrupt
 from dirtybench.corrupt import (
@@ -14,12 +15,17 @@ from dirtybench.corrupt import (
 from dirtybench.data import (
     CATEGORICAL,
     Column,
+    EntityIndex,
+    FDIndex,
     FDRule,
+    KEY,
     NUMERIC,
+    conflicting_row_rate,
+    conflicting_rows,
     dataset_from_rows,
     detect_error_rates,
     inconsistent_row_rate,
-    conflicting_row_rate,
+    inconsistent_rows,
 )
 from dirtybench.errors import (
     ConfigurationError,
@@ -109,6 +115,13 @@ class TestInconsistent:
         rule = FDRule(lhs=("a",), rhs="b")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.5, seed=0, rules=(rule,))
         with pytest.raises(InjectionImpossibleError):
+            inject_inconsistent(d, spec)
+
+    def test_overshoot_past_one_row_is_refused(self):
+        # one row is asked for, but the fabricated partner joins a pair
+        d = make_keyed_records(10, seed=0)
+        spec = CorruptionSpec(error_type="inconsistent", rate=0.1, seed=0, rules=d.rules)
+        with pytest.raises(InjectionImpossibleError, match="3/10 rows"):
             inject_inconsistent(d, spec)
 
     def test_requires_rules(self):
@@ -209,6 +222,79 @@ class TestConflicting:
             for _ in range(20):
                 drawn = corrupt._other_value(dom, position, current, got)
                 assert drawn == options[int(expect.integers(len(options)))]
+
+
+@st.composite
+def keyed_tables(draw):
+    """An entity-keyed table of small-domain categorical columns, with
+    missing cells and whatever FD violations and conflicts the draw brings,
+    plus one or two FD rules over its attribute columns."""
+    attrs = [f"a{j}" for j in range(draw(st.integers(2, 4)))]
+    cells = st.sampled_from([None, "v0", "v1", "v2", "v3"])
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from([None, "e0", "e1", "e2", "e3", "e4"]),
+                  *[cells] * len(attrs)).map(list),
+        min_size=1, max_size=24))
+    rules = []
+    for _ in range(draw(st.integers(1, 2))):
+        rhs = draw(st.sampled_from(attrs))
+        lhs = draw(st.lists(st.sampled_from([a for a in attrs if a != rhs]),
+                            min_size=1, max_size=2, unique=True))
+        rules.append(FDRule(lhs=tuple(lhs), rhs=rhs))
+    columns = [Column("entity", CATEGORICAL, KEY)] + [Column(a, CATEGORICAL) for a in attrs]
+    return dataset_from_rows(columns, rows, rules=rules)
+
+
+class TestViolationIndex:
+    @given(keyed_tables())
+    def test_one_pass_build_equals_row_by_row(self, d):
+        bindings = [rule.bind(d.schema) for rule in d.rules]
+        built = FDIndex(d.rows, bindings)
+        ref = FDIndex([], bindings)
+        ref.rows = d.rows
+        for r in range(len(bindings)):
+            for i in range(d.n_rows):
+                ref._add(r, i)
+        assert [list(g.items()) for g in built.groups] == [list(g.items()) for g in ref.groups]
+        assert [list(v) for v in built.violated] == [list(v) for v in ref.violated]
+        assert built.flag_count == ref.flag_count
+        for (_, rhs), groups, violated in zip(bindings, built.groups, built.violated):
+            assert set(violated) == {
+                key for key, members in groups.items()
+                if len({d.rows[m][rhs] for m in members}) > 1
+            }
+
+        compare = list(range(1, d.schema.arity))
+        built = EntityIndex(d.rows, d.row_origin, (0,), compare)
+        ref = EntityIndex([], [], (0,), compare)
+        ref.rows = d.rows
+        for i in range(d.n_rows):
+            ref._add(i)
+        assert list(built.groups.items()) == list(ref.groups.items())
+        assert list(built.violated) == list(ref.violated)
+        assert built.flag_count == ref.flag_count
+        assert set(built.violated) == {
+            key for key, members in built.groups.items()
+            if any(len({d.rows[m][j] for m in members} - {None}) > 1 for j in compare)
+        }
+
+    # the injectors add dirt and never clean it, so the rate is drawn at or
+    # above what the table already holds
+    @given(st.data())
+    def test_injected_rows_land_within_one_row(self, data):
+        d = data.draw(keyed_tables())
+        seed = data.draw(st.integers(0, 2**16))
+        for error_type, detect, field, context in (
+            ("inconsistent", inconsistent_rows, "rules", d.rules),
+            ("conflicting", conflicting_rows, "entity_key", ("entity",)),
+        ):
+            rate = data.draw(st.floats(len(detect(d, context)) / d.n_rows, 1.0))
+            spec = CorruptionSpec(error_type=error_type, rate=rate, seed=seed, **{field: context})
+            try:
+                out = inject(d, spec)
+            except InjectionImpossibleError:
+                continue
+            assert abs(len(detect(out, context)) - round(rate * len(out.rows))) <= 1
 
 
 class TestImpute:
