@@ -62,7 +62,8 @@ def _check_sweep(config: RunConfig, datasets) -> None:
     """The rules ``run_sweep`` applies, so that validation and a dry run
     accept exactly the configs a sweep runs."""
     check_sweep(datasets, config.algorithms, config.error_types,
-                config.rate_grid, config.k_classification, config.k_regression)
+                config.rate_grid, config.k_classification, config.k_regression,
+                config.folds)
 
 
 def cmd_validate_config(args) -> int:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .corrupt import impute
 from .data import Dataset
@@ -258,6 +256,24 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
 # DBSCAN
 # ---------------------------------------------------------------------------
 
+def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The lowest index of each of n nodes' connected components under the
+    undirected edges (u, v).  Hook and compress: every edge lowers the larger
+    of its two roots to the smaller, then pointer jumping flattens each tree,
+    until both ends of every edge share a root."""
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return root
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 def dbscan(d: Dataset, eps: float, min_pts: int = 4) -> Clustering:
     """Density clustering: clusters are eps-connected components of core
     points; border points join the lowest-indexed adjacent cluster."""
@@ -267,27 +283,28 @@ def dbscan(d: Dataset, eps: float, min_pts: int = 4) -> Clustering:
         raise ParameterError("min_pts must be at least 1")
     X, _ = encode_for_clustering(d)
     n = len(X)
-    # eps-neighbour graph (self loops included) in CSR form, one block of
-    # rows at a time; np.nonzero lists each block's edges in row order
+    # eps-neighbour edges (self loops included), one block of rows at a
+    # time; np.nonzero lists each block's edges in row order
     indices, degree = [], []
     for _, block in _sq_dist_blocks(X, X):
         within = np.sqrt(block) <= eps
         degree.append(within.sum(axis=1))
         indices.append(np.nonzero(within)[1])
     degree = np.concatenate(degree)
-    indptr = np.concatenate(([0], np.cumsum(degree)))
     indices = np.concatenate(indices)
+    rows = np.repeat(np.arange(n), degree)
     core = degree >= min_pts
     core_idx = np.flatnonzero(core)
 
     # components are numbered by their lowest core index
-    graph = csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
-    n_clusters, labels = connected_components(graph[core_idx][:, core_idx], directed=False)
+    linked = core[rows] & core[indices] & (rows < indices)
+    root = _component_roots(n, rows[linked], indices[linked])
+    roots, labels = np.unique(root[core_idx], return_inverse=True)
+    n_clusters = len(roots)
     assign = np.full(n, NOISE)
     assign[core_idx] = labels
 
     # a border point joins the lowest-numbered cluster among its core neighbours
-    rows = np.repeat(np.arange(n), degree)
     edge = ~core[rows] & core[indices]
     best = np.full(n, n_clusters)
     np.minimum.at(best, rows[edge], assign[indices[edge]])

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import classify, cluster as cluster_mod, regress
 from .corrupt import CorruptionSpec, derive_seed, impute, inject
@@ -114,6 +113,8 @@ def match_clusters(clustering: Clustering, truth: Sequence[Cell]) -> list[Cell]:
                     best = (score, perm)
             mapping = {c: classes[best[1][c]] for c in range(n_c)}
         else:
+            # scipy.optimize is slow to import and only this branch needs it
+            from scipy.optimize import linear_sum_assignment
             rows, cols = linear_sum_assignment(-contingency)
             mapping = {int(rc): classes[int(cc)] for rc, cc in zip(rows, cols)}
     else:

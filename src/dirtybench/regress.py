@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import fdtrc
 
 from .data import Dataset, NUMERIC
 from .errors import (
@@ -223,6 +223,13 @@ def _sse_of(A: np.ndarray, y: np.ndarray) -> float:
     return float(r @ r)
 
 
+def f1_tail(x: float, dof: int) -> float:
+    """P(F > x) for F ~ F(1, dof): a partial F-test's p-value.  The same bits
+    as ``scipy.stats.f.sf(x, 1, dof)``, which computes it with this same
+    ``fdtrc`` call, without the cost of importing ``scipy.stats``."""
+    return float(fdtrc(1, dof, x))
+
+
 def fit_stepwise(dataset: Dataset, alpha_in: float = 0.05, alpha_out: float = 0.10,
                  rows: Sequence[int] | None = None) -> StepwiseModel:
     """Forward/backward selection by partial F-tests: add the most significant
@@ -245,7 +252,7 @@ def fit_stepwise(dataset: Dataset, alpha_in: float = 0.05, alpha_out: float = 0.
 
     def partial_f_p(num: float, denom: float, dof: int) -> float:
         if denom > tol:
-            return float(stats.f.sf(num / denom, 1, dof))
+            return f1_tail(num / denom, dof)
         return 0.0 if num > tol else 1.0
 
     for _ in range(100):

@@ -310,14 +310,15 @@ def check_names(datasets, algorithms, error_types) -> None:
 
 
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
-                k_classification: float, k_regression: float) -> None:
+                k_classification: float, k_regression: float, folds: int) -> None:
     """The sweep's rules, checked on the loaded datasets before any point is
     evaluated; ``run_sweep``, ``validate-config`` and ``sweep --dry-run``
     apply exactly these.  Each algorithm's params must bind to its learner's
     signature, and each classifier is constructed once, so a misspelled
     parameter or one its constructor rejects (``n_bins: 0``) fails here
     rather than at every point.  So does a binary-only classifier paired with
-    a dataset whose clean target does not hold exactly two labels."""
+    a dataset whose clean target does not hold exactly two labels, and a
+    classification or regression dataset with fewer clean rows than folds."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -345,6 +346,10 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
                 raise ConfigurationError(
                     f"algorithm {algorithm.name!r} needs a binary target, "
                     f"dataset {ds.name!r} has {len(labels)} classes")
+        if ds.task != CLUSTERING and folds > ds.dataset.n_rows:
+            raise ConfigurationError(
+                f"{folds} folds need at least {folds} rows, "
+                f"dataset {ds.name!r} has {ds.dataset.n_rows}")
     if not (k_classification > 0 and k_regression > 0):
         raise ConfigurationError("k_classification and k_regression must be positive")
 
@@ -386,7 +391,8 @@ def run_sweep(
     """Evaluate every combination, then reduce to series, metrics, averages,
     and sensibility rankings.  Deterministic for a fixed seed regardless of
     worker count; a failing combination is recorded and skipped."""
-    check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression)
+    check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression,
+                folds)
     pairs = []
     for ds, algorithm in sweep_pairs(datasets, algorithms):
         # the pair's run-derived parameters, computed once for every rate;

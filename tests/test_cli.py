@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -112,6 +115,8 @@ REJECTED = [
     pytest.param({"algorithms": ["logistic_regression"]}, [],
                  "'logistic_regression' needs a binary target, dataset 'flowers' has 3 classes",
                  id="binary-learner-on-three-classes"),
+    pytest.param({"folds": 151}, [], "151 folds need at least 151 rows, dataset 'flowers' has 150",
+                 id="more-folds-than-rows"),
 ]
 
 
@@ -412,3 +417,15 @@ class TestRecommend:
         assert payload["narrative"] in text
         assert payload["chosen"] == "decision_tree"
         assert payload["dominant_error"] == "missing"
+
+
+def test_import_loads_no_unused_scipy_module():
+    # these modules were over half of every CLI start's time and memory
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse")
+    src = Path(__file__).parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, dirtybench.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -83,6 +83,14 @@ class TestMatchClusters:
             )
             assert got == best
 
+    def test_permuted_ten_classes_reach_full_accuracy(self):
+        # above 8 classes the matching is the Hungarian assignment
+        truth = [f"c{c}" for c in range(10) for _ in range(3)]
+        perm = np.random.default_rng(5).permutation(10)
+        assign = np.array([perm[c] for c in range(10) for _ in range(3)])
+        pred = match_clusters(Clustering(assign, 10), truth)
+        assert pred == truth
+
     def test_noise_rows_never_match(self):
         truth = ["a", "a", "b"]
         pred = match_clusters(Clustering(np.array([0, -1, 1]), 2), truth)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import ParameterError, SchemaError
 from dirtybench.regress import (
     LinearModel,
+    f1_tail,
     fit_least_squares,
     fit_maximum_likelihood,
     fit_polynomial,
@@ -210,6 +213,19 @@ class TestStepwise:
         d = make_linear(20, seed=1)
         with pytest.raises(ParameterError):
             fit_stepwise(d, alpha_in=0.2, alpha_out=0.1)
+
+    # the entering column is the smallest p-value, so near-ties keep the same
+    # choice only if every p-value keeps its bits
+    @settings(max_examples=400)
+    @given(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308)), st.integers(1, 5000))
+    @example(0.0, 1)
+    @example(0.0, 5000)
+    @example(1e3, 5000)  # a tail near 1e-200
+    @example(1e300, 5000)  # underflows to 0
+    @example(1e308, 1)
+    def test_p_value_bits_equal_scipy_stats(self, x, dof):
+        ours, theirs = f1_tail(x, dof), stats.f.sf(x, 1, dof)
+        assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
 
 
 class TestPredict:
