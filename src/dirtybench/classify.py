@@ -16,14 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import _sq_dist_blocks
+from .cluster import _pairwise_sum, _sq_dist_blocks
 from .corrupt import derive_seed
 from .data import Cell, Dataset
 from .errors import (
     DivergenceError,
     EmptyInputError,
     ParameterError,
-    UndefinedNodeError,
     UnsupportedTaskError,
 )
 from .features import ColumnFit, Discretizer, FeatureEncoder, LabelCodec, train_labels
@@ -32,56 +31,26 @@ from .features import ColumnFit, Discretizer, FeatureEncoder, LabelCodec, train_
 # node purity measures
 # ---------------------------------------------------------------------------
 
-def _as_counts(counts) -> np.ndarray:
-    arr = np.asarray(counts, dtype=float)
-    if arr.ndim != 1 or (arr < 0).any():
-        raise UndefinedNodeError("counts must be a non-negative vector")
-    if arr.sum() <= 0:
-        raise UndefinedNodeError("purity measure undefined for an empty node")
-    return arr
-
-
 def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
-    """Row-wise impurity of a (m, n_classes) count matrix."""
-    n = counts.sum(axis=1, keepdims=True)
-    safe = np.where(n > 0, n, 1.0)
-    p = counts / safe
+    """Row-wise impurity of a (m, n_classes) count matrix.  Row sums add the
+    class columns in numpy's order, so they have the bits of
+    ``.sum(axis=1)`` without its per-row reduction."""
+    cols = counts.T.copy()  # class-major
+
+    def row_sum(terms) -> np.ndarray:
+        return _pairwise_sum(iter(terms), len(cols))
+
+    n = row_sum(c.copy() for c in cols)
+    p = cols / np.where(n > 0, n, 1.0)
     if criterion == "gini":
-        out = 1.0 - (p ** 2).sum(axis=1)
+        out = 1.0 - row_sum(q ** 2 for q in p)
     elif criterion == "gain":  # minimizing child entropy maximizes gain
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        out = -(p * logs).sum(axis=1)
-    elif criterion == "error":
-        out = 1.0 - p.max(axis=1)
-    else:
-        raise ParameterError(f"unknown split criterion {criterion!r}")
-    return np.where(n[:, 0] > 0, out, 0.0)
-
-
-def gini(counts) -> float:
-    """1 - sum of squared class frequencies; 0 for a pure node."""
-    return float(_impurity_rows(_as_counts(counts)[None, :], "gini")[0])
-
-
-def entropy(counts) -> float:
-    """Shannon entropy in bits (base-2 log, 0*log0 treated as 0)."""
-    return float(_impurity_rows(_as_counts(counts)[None, :], "gain")[0])
-
-
-def misclassification_error(counts) -> float:
-    return float(_impurity_rows(_as_counts(counts)[None, :], "error")[0])
-
-
-def information_gain(parent_counts, partitions) -> float:
-    """Entropy reduction when the parent splits into the given partitions."""
-    parent = _as_counts(parent_counts)
-    total = parent.sum()
-    children = [_as_counts(c) for c in partitions]
-    if not math.isclose(sum(c.sum() for c in children), total):
-        raise UndefinedNodeError("partitions must cover the parent node")
-    weighted = sum(c.sum() / total * entropy(c) for c in children)
-    return float(entropy(parent) - weighted)
+        out = -row_sum(p * logs)
+    else:  # "error"
+        out = 1.0 - p.max(axis=0)
+    return np.where(n > 0, out, 0.0)
 
 
 def _labelled_rows(dataset: Dataset, rows: Sequence[int] | None,
@@ -531,8 +500,9 @@ def _cpt(codes: np.ndarray, cards: Sequence[int], v: int, parents: tuple[int, ..
     """Smoothed (parent configuration, value) table of variable v, and the
     rows' parent configurations."""
     cfg = _parent_configs(codes, cards, parents)
-    tab = np.zeros((int(np.prod([cards[p] for p in parents])), cards[v]))
-    np.add.at(tab, (cfg, codes[:, v]), 1.0)
+    shape = (int(np.prod([cards[p] for p in parents])), cards[v])
+    tab = np.bincount(cfg * cards[v] + codes[:, v], minlength=shape[0] * shape[1])
+    tab = tab.reshape(shape).astype(float)
     return (tab + smoothing) / (tab.sum(axis=1, keepdims=True) + smoothing * cards[v]), cfg
 
 
@@ -543,18 +513,6 @@ def _node_cost(codes: np.ndarray, cards: Sequence[int], v: int,
     probs, cfg = _cpt(codes, cards, v, parents, smoothing)
     loglik = float(np.log(probs[cfg, codes[:, v]]).sum())
     return bits * ((cards[v] - 1) * len(probs)) - loglik
-
-
-def bayes_net_cost(codes: np.ndarray, cards: Sequence[int],
-                   parents: dict[int, tuple[int, ...]],
-                   smoothing: float = 1.0, bits_per_param: float | None = None) -> float:
-    """Total description length of a network structure on coded data."""
-    m = len(codes)
-    bits = bits_per_param if bits_per_param is not None else 0.5 * math.log2(max(m, 2))
-    return sum(
-        _node_cost(codes, cards, v, tuple(parents.get(v, ())), smoothing, bits)
-        for v in range(codes.shape[1])
-    )
 
 
 class BayesianNetworkClassifier:
@@ -582,11 +540,17 @@ class BayesianNetworkClassifier:
         m = len(idx)
         bits = 0.5 * math.log2(max(m, 2))
 
+        # a node's cost depends only on its own parents, so each (node,
+        # parents) pair is scored once per fit
+        scored: dict[tuple[int, tuple[int, ...]], float] = {}
+
+        def cost(v: int, parents: tuple[int, ...]) -> float:
+            if (v, parents) not in scored:
+                scored[v, parents] = _node_cost(codes, cards, v, parents, self.smoothing, bits)
+            return scored[v, parents]
+
         parents: dict[int, tuple[int, ...]] = {v: () for v in range(self.n_vars)}
-        node_costs = {
-            v: _node_cost(codes, cards, v, (), self.smoothing, bits)
-            for v in range(self.n_vars)
-        }
+        node_costs = {v: cost(v, ()) for v in range(self.n_vars)}
         for _ in range(10 * self.n_vars * self.n_vars):
             best_move = None
             best_delta = -1e-9
@@ -603,10 +567,7 @@ class BayesianNetworkClassifier:
                         cand = tuple(sorted(current + (u,)))
                         if self._creates_cycle(parents, u, v):
                             continue
-                    delta = (
-                        _node_cost(codes, cards, v, cand, self.smoothing, bits)
-                        - node_costs[v]
-                    )
+                    delta = cost(v, cand) - node_costs[v]
                     if delta < best_delta:
                         best_delta = delta
                         best_move = (v, cand)
@@ -614,7 +575,7 @@ class BayesianNetworkClassifier:
                 break
             v, cand = best_move
             parents[v] = cand
-            node_costs[v] = _node_cost(codes, cards, v, cand, self.smoothing, bits)
+            node_costs[v] = cost(v, cand)
         self.parents = parents
         self.cost = sum(node_costs.values())
 
@@ -664,19 +625,11 @@ class BayesianNetworkClassifier:
 # ---------------------------------------------------------------------------
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)), computed from exp(-|z|) so it never overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
-
-
-def logistic_log_likelihood(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray) -> float:
-    z = X @ w + b
-    sign = 2.0 * y - 1.0
-    return float(-np.logaddexp(0.0, -sign * z).sum())
 
 
 def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray):
@@ -726,4 +679,5 @@ class LogisticRegressionClassifier:
         # one dot product per row: a matrix product may round the scores
         # differently in the last bit
         X = self.encoder.transform_rows(dataset, rows)
-        return [self.codec.values[1 if sigmoid(x @ self.w + self.b) >= 0.5 else 0] for x in X]
+        scores = np.array([x @ self.w for x in X]) + self.b
+        return [self.codec.values[c] for c in (sigmoid(scores) >= 0.5).astype(int).tolist()]

@@ -10,6 +10,7 @@ original units when the features are all numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -33,19 +34,6 @@ class Clustering:
         if bad.any():
             raise ParameterError("cluster index out of range")
 
-    def export_rows(self) -> list[tuple[int, int]]:
-        """(row index, cluster index) pairs; noise rows carry -1."""
-        return [(i, int(c)) for i, c in enumerate(self.assignments)]
-
-
-def write_clustering(clustering: Clustering, path, delimiter: str = ",") -> None:
-    """Two-column delimited export: row index, cluster index (noise = -1)."""
-    from pathlib import Path
-
-    lines = [f"row{delimiter}cluster"]
-    lines += [f"{i}{delimiter}{c}" for i, c in clustering.export_rows()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
 
 def encode_for_clustering(d: Dataset) -> tuple[np.ndarray, FeatureEncoder]:
     work = impute(d) if d.has_missing() else d
@@ -59,26 +47,77 @@ def _maybe_original_centroids(enc: FeatureEncoder, centroids: np.ndarray):
     return enc.inverse_numeric(centroids)
 
 
-# Byte budget of the (rows x len(C) x d) temporary behind one distance block.
+# Byte budget of the (rows x len(C) x d) temporary behind one distance block;
+# the kernel keeps at most that many bytes of per-feature terms alive.
 _CHUNK_BYTES = 2 << 20
+
+
+def _pairwise_sum(terms: Iterator[np.ndarray], n: int) -> np.ndarray:
+    """The sum of the next n arrays of ``terms``, added in the order in which
+    numpy's ``.sum`` adds n contiguous elements (pairwise summation): one
+    after another below 8; up to 128, eight running sums over the largest
+    multiple of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest one by one; above 128, the sum of two halves, the first a multiple
+    of 8.  Summing the columns of a matrix this way gives the bits of its
+    ``.sum(axis=-1)`` without numpy's per-row reduction; a test pins the
+    order against numpy.  The arrays must be fresh, as the sums are kept in
+    them."""
+    if n < 8:
+        out = next(terms)
+        for _ in range(n - 1):
+            out += next(terms)
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_sum(terms, half)
+        out += _pairwise_sum(terms, n - half)
+        return out
+    r = [next(terms) for _ in range(8)]
+    for i in range(8, n - n % 8):
+        r[i % 8] += next(terms)
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for _ in range(n % 8):
+        r[0] += next(terms)
+    return r[0]
 
 
 def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
     """Yield (first row, block) pairs covering the squared Euclidean distances
     from the rows of X to the rows of C, a fixed byte budget per block.
 
-    Every entry is computed by the same per-element formula whatever the
-    block size, so the values do not depend on the budget.  Distances between
-    two point sets go through here; per-sample loops that measure one point
-    against a set use the 2-D form ``((P - x) ** 2).sum(axis=1)``, which
-    gives the same bits without this generator's per-call cost.
+    Each block is the per-feature squares ``(x_j - c_j) ** 2`` summed in
+    numpy's order, so it has the bits of
+    ``((X[a:b, None] - C[None]) ** 2).sum(axis=2)`` whatever the block size.
+    Distances between two point sets go through here; per-sample loops that
+    measure one point against a small set use the 2-D form
+    ``((P - x) ** 2).sum(axis=1)``, which gives the same bits without this
+    generator's per-call cost, and against a large set ``_sq_dists_to``.
     """
     step = max(1, _CHUNK_BYTES // (8 * max(1, C.size)))
+    XT, CT = X.T.copy(), C.T.copy()  # feature-major
+
+    def terms(a):
+        for x, c in zip(XT[:, a:a + step], CT):
+            t = np.subtract.outer(x, c)
+            yield np.multiply(t, t, out=t)
+
     for a in range(0, len(X), step):
-        yield a, ((X[a:a + step, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        yield a, _pairwise_sum(terms(a), X.shape[1])
+
+
+def _sq_dists_to(XT: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared distances from the points in the columns of the feature-major
+    XT to one point: the bits of ``((XT.T - point) ** 2).sum(axis=1)``."""
+    terms = XT - point[:, None]
+    terms *= terms
+    return _pairwise_sum(iter(terms), len(terms))
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    if len(C) < len(X):
+        # the longer side innermost: (c - x) ** 2 has the bits of (x - c) ** 2
+        return np.ascontiguousarray(_sq_dists(C, X).T)
     out = np.empty((len(X), len(C)))
     for a, block in _sq_dist_blocks(X, C):
         out[a:a + len(block)] = block
@@ -134,16 +173,6 @@ def kmeans(d: Dataset, k: int, seed: int = 0, max_iters: int = 100) -> Clusterin
     if raw is not None:
         meta["centroids_original"] = raw
     return Clustering(assign, k, meta)
-
-
-def kmeans_sse(X: np.ndarray, assign: np.ndarray, k: int) -> float:
-    """Sum of squared distances to the per-cluster means (oracle helper)."""
-    total = 0.0
-    for c in range(k):
-        members = X[assign == c]
-        if len(members):
-            total += float(((members - members.mean(axis=0)) ** 2).sum())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +233,7 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
     if k < 1 or k > n:
         raise ParameterError(f"k={k} out of range for {n} rows")
     rng = np.random.default_rng(seed)
+    XT = X.T.copy()
 
     def dists_to(medoids) -> np.ndarray:
         return np.sqrt(_sq_dists(X, X[medoids]))
@@ -232,7 +262,7 @@ def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
             if candidate in medoids:
                 fails += 1
                 continue
-            col = np.sqrt(((X - X[candidate]) ** 2).sum(axis=1))
+            col = np.sqrt(_sq_dists_to(XT, X[candidate]))
             c = float(np.minimum(others[pos], col).sum())
             if c < current - 1e-12:
                 medoids[pos] = candidate
@@ -368,22 +398,37 @@ class _CF:
 
 
 class _CFNode:
-    __slots__ = ("is_leaf", "entries", "children")
+    """A CF-tree node: its entries, an internal node's children, and the
+    entries' centroids, kept row by row as entries change."""
 
-    def __init__(self, is_leaf: bool):
+    __slots__ = ("is_leaf", "entries", "children", "cents")
+
+    def __init__(self, is_leaf: bool, entries=(), children=()):
         self.is_leaf = is_leaf
-        self.entries: list[_CF] = []
-        self.children: list["_CFNode"] = []
+        self.entries: list[_CF] = list(entries)
+        self.children: list["_CFNode"] = list(children)
+        self.rebuild()
+
+    def rebuild(self):
+        self.cents = np.array([e.centroid for e in self.entries])
+
+    def put(self, i: int, cf: _CF):
+        self.entries[i] = cf
+        self.cents[i] = cf.centroid
+
+    def append(self, cf: _CF, child: "_CFNode | None" = None):
+        self.entries.append(cf)
+        if child is not None:
+            self.children.append(child)
+        self.rebuild()
 
 
 def _nearest_entry(node: _CFNode, point: np.ndarray) -> int:
-    cents = np.array([e.centroid for e in node.entries])
-    return int(((cents - point) ** 2).sum(axis=1).argmin())
+    return int(((node.cents - point) ** 2).sum(axis=1).argmin())
 
 
 def _split_node(node: _CFNode) -> tuple[_CFNode, _CFNode]:
-    cents = np.array([e.centroid for e in node.entries])
-    d2 = _sq_dists(cents, cents)
+    d2 = _sq_dists(node.cents, node.cents)
     a, b = np.unravel_index(int(d2.argmax()), d2.shape)
     left, right = _CFNode(node.is_leaf), _CFNode(node.is_leaf)
     for i, e in enumerate(node.entries):
@@ -400,6 +445,8 @@ def _split_node(node: _CFNode) -> tuple[_CFNode, _CFNode]:
         right.entries.append(left.entries.pop())
         if not node.is_leaf:
             right.children.append(left.children.pop())
+    left.rebuild()
+    right.rebuild()
     return left, right
 
 
@@ -410,22 +457,22 @@ def _insert_cf(node: _CFNode, cf: _CF, threshold: float, branching: int):
             i = _nearest_entry(node, cf.centroid)
             merged = node.entries[i].merged(cf)
             if merged.radius <= threshold:
-                node.entries[i] = merged
+                node.put(i, merged)
             else:
-                node.entries.append(cf)
+                node.append(cf)
         else:
-            node.entries.append(cf)
+            node.append(cf)
     else:
         i = _nearest_entry(node, cf.centroid)
         split = _insert_cf(node.children[i], cf, threshold, branching)
         if split is None:
             node.entries[i].add(cf)
+            node.put(i, node.entries[i])
         else:
             left, right = split
             node.children[i] = left
-            node.entries[i] = _summarize(left)
-            node.children.append(right)
-            node.entries.append(_summarize(right))
+            node.put(i, _summarize(left))
+            node.append(_summarize(right), right)
     if len(node.entries) > branching:
         return _split_node(node)
     return None
@@ -460,10 +507,12 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
     d = np.sqrt(_sq_dists(points, points))
     d[np.tril_indices(n)] = np.inf
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    alive = np.ones(n, dtype=bool)
     while len(members) > k:
         a, b = np.unravel_index(int(d.argmin()), d.shape)
         a, b = int(a), int(b)
         members[a].extend(members.pop(b))
+        alive[b] = False
         merged_row = np.minimum(
             np.minimum(d[a, :], d[:, a]), np.minimum(d[b, :], d[:, b])
         )
@@ -471,11 +520,9 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
         d[:, a] = np.inf
         d[b, :] = np.inf
         d[:, b] = np.inf
-        for c in members:
-            if c == a:
-                continue
-            lo, hi = (c, a) if c < a else (a, c)
-            d[lo, hi] = merged_row[c]
+        below, above = alive[:a].nonzero()[0], a + 1 + alive[a + 1:].nonzero()[0]
+        d[below, a] = merged_row[below]
+        d[a, above] = merged_row[above]
     return [members[key] for key in sorted(members)]
 
 
@@ -492,10 +539,7 @@ def birch(d: Dataset, k: int, branching: int = 50, threshold: float = 0.25) -> C
         split = _insert_cf(root, _CF(point=x), threshold, branching)
         if split is not None:
             left, right = split
-            new_root = _CFNode(is_leaf=False)
-            new_root.children = [left, right]
-            new_root.entries = [_summarize(left), _summarize(right)]
-            root = new_root
+            root = _CFNode(False, [_summarize(left), _summarize(right)], [left, right])
     leaf_entries = _collect_leaf_entries(root)
     if k > len(leaf_entries):
         raise ParameterError(

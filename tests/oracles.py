@@ -1,0 +1,103 @@
+"""Independent oracles the tests check the program against.
+
+The harness never calls these: they restate a measure the learners
+optimise (node purity, a network's description length, the logistic
+log-likelihood, the k-means objective) or export a result, in the plainest
+numpy form, so a faster form in the program has something to equal.
+"""
+import math
+from pathlib import Path
+
+import numpy as np
+
+from dirtybench.classify import _node_cost
+from dirtybench.errors import UndefinedNodeError
+
+
+def _as_counts(counts) -> np.ndarray:
+    arr = np.asarray(counts, dtype=float)
+    if arr.ndim != 1 or (arr < 0).any():
+        raise UndefinedNodeError("counts must be a non-negative vector")
+    if arr.sum() <= 0:
+        raise UndefinedNodeError("purity measure undefined for an empty node")
+    return arr
+
+
+def impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
+    """Row-wise impurity of a (m, n_classes) count matrix, reduced along the
+    class axis by numpy's ``.sum(axis=1)``."""
+    n = counts.sum(axis=1, keepdims=True)
+    p = counts / np.where(n > 0, n, 1.0)
+    if criterion == "gini":
+        out = 1.0 - (p ** 2).sum(axis=1)
+    elif criterion == "gain":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        out = -(p * logs).sum(axis=1)
+    else:
+        out = 1.0 - p.max(axis=1)
+    return np.where(n[:, 0] > 0, out, 0.0)
+
+
+def gini(counts) -> float:
+    """1 - sum of squared class frequencies; 0 for a pure node."""
+    return float(impurity_rows(_as_counts(counts)[None, :], "gini")[0])
+
+
+def entropy(counts) -> float:
+    """Shannon entropy in bits (base-2 log, 0*log0 treated as 0)."""
+    return float(impurity_rows(_as_counts(counts)[None, :], "gain")[0])
+
+
+def misclassification_error(counts) -> float:
+    return float(impurity_rows(_as_counts(counts)[None, :], "error")[0])
+
+
+def information_gain(parent_counts, partitions) -> float:
+    """Entropy reduction when the parent splits into the given partitions."""
+    parent = _as_counts(parent_counts)
+    total = parent.sum()
+    children = [_as_counts(c) for c in partitions]
+    if not math.isclose(sum(c.sum() for c in children), total):
+        raise UndefinedNodeError("partitions must cover the parent node")
+    weighted = sum(c.sum() / total * entropy(c) for c in children)
+    return float(entropy(parent) - weighted)
+
+
+def bayes_net_cost(codes: np.ndarray, cards, parents: dict, smoothing: float = 1.0,
+                   bits_per_param: float | None = None) -> float:
+    """Total description length of a network structure on coded data."""
+    m = len(codes)
+    bits = bits_per_param if bits_per_param is not None else 0.5 * math.log2(max(m, 2))
+    return sum(
+        _node_cost(codes, cards, v, tuple(parents.get(v, ())), smoothing, bits)
+        for v in range(codes.shape[1])
+    )
+
+
+def logistic_log_likelihood(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray) -> float:
+    z = X @ w + b
+    sign = 2.0 * y - 1.0
+    return float(-np.logaddexp(0.0, -sign * z).sum())
+
+
+def kmeans_sse(X: np.ndarray, assign: np.ndarray, k: int) -> float:
+    """Sum of squared distances to the per-cluster means."""
+    total = 0.0
+    for c in range(k):
+        members = X[assign == c]
+        if len(members):
+            total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
+
+
+def export_rows(clustering) -> list[tuple[int, int]]:
+    """(row index, cluster index) pairs; noise rows carry -1."""
+    return [(i, int(c)) for i, c in enumerate(clustering.assignments)]
+
+
+def write_clustering(clustering, path, delimiter: str = ",") -> None:
+    """Two-column delimited export: row index, cluster index (noise = -1)."""
+    lines = [f"row{delimiter}cluster"]
+    lines += [f"{i}{delimiter}{c}" for i, c in export_rows(clustering)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -14,8 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from dirtybench.classify import logistic_gradient, logistic_log_likelihood
-from dirtybench.cluster import Clustering, encode_for_clustering, kmeans, kmeans_sse
+from dirtybench.classify import logistic_gradient
+from dirtybench.cluster import Clustering, encode_for_clustering, kmeans
 from dirtybench.corrupt import CorruptionSpec, inject
 from dirtybench.data import (
     conflicting_row_rate,
@@ -43,6 +43,7 @@ from dirtybench.classify import KNNClassifier
 from dirtybench.regress import fit_least_squares, fit_maximum_likelihood, fit_polynomial
 from dirtybench.robustness import MetricSeries, RateGrid, SweepDataset, keeping_point, run_sweep, sensibility
 from dirtybench.synth import make_keyed_records, make_linear
+from oracles import kmeans_sse, logistic_log_likelihood
 
 GOLDEN_TRACES = {
     "iris": (78.37, 84.16, 78.08, 74.36, 64.99, 58.71),

@@ -22,13 +22,13 @@ from dirtybench.classify import (
     LogisticRegressionClassifier,
     NaiveBayesClassifier,
     RandomForestClassifier,
-    _impurity_rows,
     sigmoid,
 )
 from dirtybench.corrupt import derive_seed
 from dirtybench.data import CATEGORICAL, NUMERIC, Column, dataset_from_rows
 from dirtybench.errors import DirtyBenchError
 from dirtybench.features import CAT_SCALE, Discretizer, FeatureEncoder, LabelCodec, train_labels
+from oracles import impurity_rows
 
 # training values come from few levels so constant columns are common; test
 # values reach past both ends and take categories training never saw
@@ -140,7 +140,7 @@ def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
     n_c = codec.n_classes
 
     def impurity(counts):
-        return _impurity_rows(np.atleast_2d(counts), criterion)
+        return impurity_rows(np.atleast_2d(counts), criterion)
 
     def best_split(local, counts):
         n = len(local)

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dirtybench import classify
 from dirtybench.classify import (
     BayesianNetworkClassifier,
     DecisionTreeClassifier,
@@ -11,14 +13,9 @@ from dirtybench.classify import (
     LogisticRegressionClassifier,
     NaiveBayesClassifier,
     RandomForestClassifier,
-    bayes_net_cost,
-    entropy,
-    gini,
-    information_gain,
     logistic_gradient,
-    logistic_log_likelihood,
-    misclassification_error,
     sigmoid,
+    _impurity_rows,
     _k_nearest,
     _route,
 )
@@ -29,7 +26,17 @@ from dirtybench.errors import (
     UndefinedNodeError,
     UnsupportedTaskError,
 )
+from dirtybench.features import train_labels
 from dirtybench.synth import make_blobs
+from oracles import (
+    bayes_net_cost,
+    entropy,
+    gini,
+    impurity_rows,
+    information_gain,
+    logistic_log_likelihood,
+    misclassification_error,
+)
 
 TARGET = "target"
 
@@ -112,6 +119,16 @@ class TestPurityMeasures:
             left = np.bincount(labels[side], minlength=n_c)
             right = np.bincount(labels[~side], minlength=n_c)
             assert information_gain(parent, [left, right]) >= -1e-12
+
+    @given(st.integers(1, 140), st.integers(1, 30), st.integers(0, 2**32 - 1),
+           st.sampled_from(("gini", "gain", "error")))
+    def test_impurity_rows_equal_numpy_sums(self, n_c, m, seed, criterion):
+        """The forest's impurities add the class columns in numpy's order, so
+        they have the bits of the ``.sum(axis=1)`` form, empty rows included."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, size=(m, n_c)) * rng.integers(0, 400, size=(m, n_c))
+        counts = counts.astype(float)
+        assert np.array_equal(_impurity_rows(counts, criterion), impurity_rows(counts, criterion))
 
 
 class TestDecisionTree:
@@ -246,6 +263,56 @@ class TestNaiveBayes:
             NaiveBayesClassifier(n_bins=0)
 
 
+def add_at_cpt(codes, cards, v, parents, smoothing):
+    """A node's smoothed CPT counted with ``np.add.at``, and the rows'
+    parent configurations."""
+    cfg = classify._parent_configs(codes, cards, parents)
+    tab = np.zeros((int(np.prod([cards[p] for p in parents])), cards[v]))
+    np.add.at(tab, (cfg, codes[:, v]), 1.0)
+    return (tab + smoothing) / (tab.sum(axis=1, keepdims=True) + smoothing * cards[v]), cfg
+
+
+def rescoring_search(codes, cards, max_parents, smoothing):
+    """The greedy structure search that scores every move afresh at every
+    step: its parents, its cost and how many node scores it computed."""
+    n_vars = codes.shape[1]
+    bits = 0.5 * math.log2(max(len(codes), 2))
+    calls = 0
+
+    def node_cost(v, parents):
+        nonlocal calls
+        calls += 1
+        probs, cfg = add_at_cpt(codes, cards, v, parents, smoothing)
+        return bits * ((cards[v] - 1) * len(probs)) - float(np.log(probs[cfg, codes[:, v]]).sum())
+
+    parents = {v: () for v in range(n_vars)}
+    node_costs = {v: node_cost(v, ()) for v in range(n_vars)}
+    for _ in range(10 * n_vars * n_vars):
+        best_move, best_delta = None, -1e-9
+        for v in range(n_vars):
+            current = parents[v]
+            for u in range(n_vars):
+                if u == v:
+                    continue
+                if u in current:
+                    cand = tuple(p for p in current if p != u)
+                else:
+                    if len(current) >= max_parents:
+                        continue
+                    cand = tuple(sorted(current + (u,)))
+                    if BayesianNetworkClassifier._creates_cycle(parents, u, v):
+                        continue
+                delta = node_cost(v, cand) - node_costs[v]
+                if delta < best_delta:
+                    best_delta, best_move = delta, (v, cand)
+        if best_move is None:
+            break
+        v, cand = best_move
+        parents[v] = cand
+        node_costs[v] = node_cost(v, cand)
+    return parents, sum(node_costs.values()), calls
+
+
 class TestBayesianNetwork:
     def test_max_parents_zero_matches_marginal_argmax(self):
         rows = [["a", "+"], ["a", "+"], ["b", "+"], ["b", "-"]]
@@ -277,6 +344,26 @@ class TestBayesianNetwork:
         model = BayesianNetworkClassifier(max_parents=2).fit(d)
         assert model.predict_rows(d) == [r[1] for r in rows]
 
+    @given(st.integers(10, 80), st.integers(1, 4), st.integers(2, 3), st.integers(0, 3),
+           st.integers(2, 5), st.integers(0, 10_000))
+    def test_scored_once_search_equals_rescoring_search(self, n, n_feat, n_c, max_parents,
+                                                        n_bins, seed):
+        d = make_blobs(n, n_features=n_feat, n_classes=n_c, spread=1.5, seed=seed)
+        with mock.patch.object(classify, "_node_cost", wraps=classify._node_cost) as spy:
+            model = BayesianNetworkClassifier(max_parents=max_parents, n_bins=n_bins).fit(d)
+        codes = np.column_stack([model.disc.code(model.disc.encoding.num,
+                                                 model.disc.encoding.codes),
+                                 model.codec.encode(train_labels(d))])
+        parents, cost, calls = rescoring_search(codes, model.cards, max_parents, 1.0)
+        assert model.parents == parents
+        assert model.cost == cost
+        for v, p in parents.items():
+            assert np.array_equal(model.cpts[v], np.log(add_at_cpt(codes, model.cards, v, p, 1.0)[0]))
+        if any(parents.values()):
+            assert spy.call_count < calls
+        else:
+            assert spy.call_count <= calls
+
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
             BayesianNetworkClassifier(max_parents=-1)
@@ -287,6 +374,18 @@ class TestBayesianNetwork:
 class TestLogistic:
     def test_sigmoid_at_zero(self):
         assert sigmoid(0.0) == pytest.approx(0.5)
+
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=30))
+    def test_sigmoid_equals_masked_form(self, zs):
+        """The two branches, each on its own sign of z, without overflow."""
+        z = np.array(zs)
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        assert np.array_equal(sigmoid(z), want)
+        assert [sigmoid(v) for v in zs] == want.tolist()
 
     def test_separable_1d(self):
         rows = [[float(v), "neg" if v < 0 else "pos"] for v in range(-10, 10)]

@@ -18,12 +18,12 @@ from dirtybench.cluster import (
     dbscan_default_eps,
     encode_for_clustering,
     kmeans,
-    kmeans_sse,
     lvq,
 )
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import ParameterError
 from dirtybench.synth import make_blobs
+from oracles import export_rows, kmeans_sse, write_clustering
 
 
 def points_1d(values):
@@ -297,12 +297,10 @@ class TestCoverage:
     def test_export_rows(self):
         d = points_1d([0, 1, 9])
         result = kmeans(d, 2, seed=0)
-        pairs = result.export_rows()
+        pairs = export_rows(result)
         assert [p[0] for p in pairs] == [0, 1, 2]
 
     def test_write_clustering_file(self, tmp_path):
-        from dirtybench.cluster import write_clustering
-
         d = points_2d([(0, 0), (0.1, 0), (9, 9)])
         result = dbscan(d, eps=0.5, min_pts=2)
         out = tmp_path / "clusters.csv"
@@ -490,3 +488,104 @@ def test_distance_kernels_memory_is_bounded_at_10k_rows():
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+# ---------------------------------------------------------------------------
+# the distance kernel adds its per-feature terms in numpy's summation order
+# ---------------------------------------------------------------------------
+
+@st.composite
+def spread_pairs(draw):
+    """Two point sets whose coordinates span 1e-3 to 1e3 in magnitude, so a
+    change in the order of the additions shows in the last bits, and a small
+    block budget (1 gives one-row blocks)."""
+    d = draw(st.one_of(st.integers(1, 40), st.sampled_from((128, 131, 300))))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    budget = draw(st.one_of(st.just(1), st.integers(1, 8 * m * d * 3)))
+    rng = np.random.default_rng(seed)
+
+    def points(rows):
+        return rng.choice([-1.0, 1.0], size=(rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+
+    return points(n), points(m), budget
+
+
+class TestNumpySummationOrder:
+    """A numpy release that changed the order of ``.sum`` must fail here
+    rather than silently change the kernel's bits."""
+
+    @given(spread_pairs())
+    def test_sq_dists_equal_numpy_sum(self, case):
+        X, C, budget = case
+        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+            want = dense_sq_dists(X, C)
+            assert np.array_equal(_sq_dists(X, C), want)
+            assert np.array_equal(_sq_dists(C, X), dense_sq_dists(C, X))
+            for a, block in cluster._sq_dist_blocks(X, C):
+                assert np.array_equal(block, want[a:a + len(block)])
+        for p in C:
+            assert np.array_equal(cluster._sq_dists_to(X.T.copy(), p), ((X - p) ** 2).sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# MIN linkage and BIRCH against copies of their simpler forms
+# ---------------------------------------------------------------------------
+
+def loop_min_linkage_merge(points, k):
+    """The merge with the merged row written back one member at a time."""
+    n = len(points)
+    d = np.sqrt(dense_sq_dists(points, points))
+    d[np.tril_indices(n)] = np.inf
+    members = {i: [i] for i in range(n)}
+    while len(members) > k:
+        a, b = (int(i) for i in np.unravel_index(int(d.argmin()), d.shape))
+        members[a].extend(members.pop(b))
+        merged_row = np.minimum(np.minimum(d[a, :], d[:, a]), np.minimum(d[b, :], d[:, b]))
+        d[a, :] = d[:, a] = d[b, :] = d[:, b] = np.inf
+        for c in members:
+            if c != a:
+                d[min(c, a), max(c, a)] = merged_row[c]
+    return [members[key] for key in sorted(members)]
+
+
+def rebuilt_nearest_entry(node, point):
+    """The CF-tree descent step with the node's centroids rebuilt from its
+    entries at every call."""
+    cents = np.array([e.centroid for e in node.entries])
+    return int(((cents - point) ** 2).sum(axis=1).argmin())
+
+
+def cf_tree(node) -> list:
+    """A CF tree as nested lists of each entry's count and sums, in order;
+    every node's kept centroids must equal the ones rebuilt from its entries."""
+    assert np.array_equal(node.cents, np.array([e.centroid for e in node.entries]))
+    return [node.is_leaf, [(e.n, e.ls.tolist(), e.ss.tolist()) for e in node.entries],
+            [cf_tree(child) for child in node.children]]
+
+
+def birch_outcome(data, **params):
+    try:
+        result = birch(data, **params)
+    except ParameterError as exc:
+        return str(exc)
+    return result.assignments.tolist(), result.meta["seeds"].tolist(), cf_tree(
+        result.meta["cf_root"])
+
+
+class TestKeptStateMatchesRebuild:
+    @given(point_sets(), st.integers(1, 6))
+    def test_min_linkage_merge(self, case, k):
+        data, _, _ = case
+        X, _ = encode_for_clustering(data)
+        k = min(k, len(X))
+        assert _min_linkage_merge(X, k) == loop_min_linkage_merge(X, k)
+
+    @given(point_sets(), st.integers(1, 3), st.integers(2, 5),
+           st.sampled_from((0.05, 0.1, 0.2, 0.5)))
+    def test_birch(self, case, k, branching, threshold):
+        data, _, _ = case
+        params = dict(k=k, branching=branching, threshold=threshold)
+        kept = birch_outcome(data, **params)
+        with mock.patch.object(cluster, "_nearest_entry", rebuilt_nearest_entry):
+            assert kept == birch_outcome(data, **params)
