@@ -39,7 +39,7 @@ report = run_sweep(
 
 print("series for decision_tree / f_measure:")
 entry = report.entry("iris", "decision_tree", "missing", "f_measure")
-for rate, value in zip(entry.series.rates, entry.series.values):
+for rate, value in zip(entry.rates, entry.values):
     print(f"  missing {rate:4.0%} -> F = {value:.3f}")
 print(f"  sensibility  = {entry.sensibility:.4f}")
 print(f"  keeping point = {entry.keeping_point:.0%} (k = 10 points of F)")

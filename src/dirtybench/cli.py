@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, read_json
 from .corrupt import MISSING, _eligible_feature_columns, inject
 from .data import dataset_to_text, detect_error_rates
 from .errors import DirtyBenchError
@@ -173,12 +173,12 @@ def cmd_sweep(args) -> int:
 
     plots = out_dir / "plots"
     for entry in report.entries:
-        if entry.series is None:
+        if entry.rates is None:
             continue
         name = "__".join([entry.dataset, entry.algorithm, entry.error_type, entry.measure])
         _write_csv(
             plots / f"{name}.csv", ["rate", "value"],
-            list(zip(entry.series.rates, entry.series.values)), stamp,
+            list(zip(entry.rates, entry.values)), stamp,
         )
 
     payload = {"config_hash": config.config_hash, "root_seed": config.seed}
@@ -202,7 +202,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    data = read_json(Path(args.report))
+    # the run's stamp, which sweep writes beside the report's own fields
+    stamp = {key: data.pop(key) for key in ("config_hash", "root_seed")
+             if isinstance(data, dict) and key in data}
     report = RobustnessReport.from_json_dict(data)
     detected = {}
     for et, value in (
@@ -224,8 +227,8 @@ def cmd_recommend(args) -> int:
     if args.output:
         payload = {
             **asdict(guide),
-            "config_hash": data.get("config_hash", ""),
-            "root_seed": data.get("root_seed", report.seed),
+            "config_hash": stamp.get("config_hash", ""),
+            "root_seed": stamp.get("root_seed", report.seed),
             "narrative": text,
         }
         Path(args.output).write_text(

@@ -3,7 +3,8 @@
 The dataclasses are the only statement of the schema: their fields are the
 keys a config accepts, their annotations the value types, their defaults
 the defaults, and ``dataclasses.asdict`` their JSON form, so an emitted
-config round-trips loss-free and reproduces its run.  ``RunConfig`` checks
+config round-trips loss-free and reproduces its run.  ``robustness._build``
+reads each object, as it reads a sweep's report back.  ``RunConfig`` checks
 the field rules every command needs; the sweep's own rules live in
 ``robustness.check_sweep``, which ``run_sweep``, ``validate-config`` and
 ``sweep --dry-run`` all apply before any point is evaluated.
@@ -12,52 +13,24 @@ from __future__ import annotations
 
 import hashlib
 import json
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import load_dataset, parse_fd_rules
 from .errors import ConfigurationError
 from .evaluate import Algorithm
-from .robustness import RateGrid, SweepDataset, check_names, sweep_pairs
+from .robustness import RateGrid, SweepDataset, _build, check_names, sweep_pairs
 
 TASKS = ("classification", "clustering", "regression")
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation: an array fits a list or
-    a tuple, an integer fits a float, and a boolean fits only ``bool``."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) in (list, tuple):
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _build(cls, entry, what: str):
-    """``cls`` from one JSON object, whose keys must be its fields, whose
-    values must fit their annotations, and which names every field that
-    has no default."""
-    if not isinstance(entry, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, got {entry!r}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(entry) - set(known)
-    if unknown:
-        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = [name for name, f in known.items() if name not in entry
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ConfigurationError(f"{what} needs {missing}")
-    hints = typing.get_type_hints(cls)
-    for key, value in entry.items():
-        if not _fits(value, hints[key]):
-            raise ConfigurationError(f"{what} key {key!r} must be {known[key].type}, "
-                                     f"got {value!r}")
-    return cls(**entry)
+def read_json(path: Path):
+    """The JSON value in a file; a file that is not UTF-8 JSON text is a
+    ConfigurationError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 @dataclass
@@ -160,11 +133,7 @@ class RunConfig:
     @classmethod
     def load_file(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-        config = cls.from_dict(data)
+        config = cls.from_dict(read_json(path))
         config._base_dir = path.parent  # dataset paths resolve relative to the file
         return config
 

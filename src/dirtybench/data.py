@@ -11,7 +11,6 @@ group.  The detectors read them and the injectors in ``corrupt`` keep them.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -131,7 +130,7 @@ class Dataset:
     schema: Schema
     rows: list[list[Cell]]
     clean_shadow: tuple[tuple[Cell, ...], ...]
-    provenance: tuple[str, str] = ("<memory>", "")
+    source: str = "<memory>"
     rules: tuple[FDRule, ...] = ()
     row_origin: list[int] = field(default_factory=list)
 
@@ -147,14 +146,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def source(self) -> str:
-        return self.provenance[0]
-
-    @property
-    def content_hash(self) -> str:
-        return self.provenance[1]
 
     def has_missing(self) -> bool:
         return any(cell is None for row in self.rows for cell in row)
@@ -184,7 +175,7 @@ class Dataset:
             schema=self.schema,
             rows=rows,
             clean_shadow=self.clean_shadow,
-            provenance=self.provenance,
+            source=self.source,
             rules=self.rules,
             row_origin=list(row_origin) if row_origin is not None else list(self.row_origin),
         )
@@ -204,18 +195,11 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 def _parse_cell(token: str, kind: str) -> Cell:
-    token = token.strip()
+    """A trimmed token as a cell; ``infer_schema`` makes a column numeric only
+    when each of its tokens is a finite float."""
     if token == "":
         return None
-    if kind == NUMERIC:
-        try:
-            value = float(token)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric token {token!r} in numeric column") from exc
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ParseError(f"non-finite numeric token {token!r}")
-        return value
-    return token
+    return float(token) if kind == NUMERIC else token
 
 
 def _token_is_numeric(token: str) -> bool:
@@ -268,7 +252,6 @@ def infer_schema(
 
 def load_dataset(
     path: str | Path,
-    schema_hint: Schema | None = None,
     delimiter: str = ",",
     has_header: bool = True,
     target: str | None = None,
@@ -276,8 +259,8 @@ def load_dataset(
 ) -> Dataset:
     """Load a delimited text file into a typed Dataset.
 
-    Without ``schema_hint`` the schema is inferred from the file; ``target``
-    and ``keys`` assign column roles.  Raises ParseError on malformed rows,
+    The schema is inferred from the file; ``target`` and ``keys`` assign
+    column roles.  Raises ParseError on malformed rows,
     EmptyInputError when no data rows exist.
     """
     path = Path(path)
@@ -302,30 +285,11 @@ def load_dataset(
             )
         raw_rows.append(fields)
 
-    if schema_hint is not None:
-        schema = schema_hint
-        if schema.arity != width:
-            raise SchemaError(
-                f"schema hint arity {schema.arity} does not match file width {width}"
-            )
-    else:
-        schema = infer_schema(header, raw_rows, target=target, keys=keys)
-
-    rows: list[list[Cell]] = []
-    for lineno, fields in enumerate(raw_rows, start=2 if has_header else 1):
-        try:
-            rows.append([_parse_cell(tok, col.kind) for tok, col in zip(fields, schema.columns)])
-        except ParseError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-
-    shadow = tuple(tuple(r) for r in rows)
-    digest = content_hash(schema, rows, delimiter)
-    return Dataset(
-        schema=schema,
-        rows=[list(r) for r in rows],
-        clean_shadow=shadow,
-        provenance=(str(path), digest),
-    )
+    schema = infer_schema(header, raw_rows, target=target, keys=keys)
+    rows = [[_parse_cell(tok, col.kind) for tok, col in zip(fields, schema.columns)]
+            for fields in raw_rows]
+    return Dataset(schema=schema, rows=rows, clean_shadow=tuple(tuple(r) for r in rows),
+                   source=str(path))
 
 
 def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True) -> str:
@@ -339,13 +303,6 @@ def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True) -> st
 
 def save_dataset(d: Dataset, path: str | Path, delimiter: str = ",", header: bool = True) -> None:
     Path(path).write_text(dataset_to_text(d, delimiter, header), encoding="utf-8")
-
-
-def content_hash(schema: Schema, rows: Sequence[Sequence[Cell]], delimiter: str = ",") -> str:
-    """Hash over the canonical emitted text: trimmed fields, LF endings."""
-    canonical = delimiter.join(schema.names) + "\n"
-    canonical += "\n".join(delimiter.join(format_cell(c) for c in row) for row in rows)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def dataset_from_rows(
@@ -375,8 +332,7 @@ def dataset_from_rows(
     if not typed:
         raise EmptyInputError("no rows supplied")
     shadow = tuple(tuple(r) for r in typed)
-    digest = content_hash(schema, typed)
-    d = Dataset(schema=schema, rows=typed, clean_shadow=shadow, provenance=(source, digest))
+    d = Dataset(schema=schema, rows=typed, clean_shadow=shadow, source=source)
     return d.attach_rules(rules) if rules else d
 
 

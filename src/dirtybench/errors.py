@@ -37,10 +37,6 @@ class ParameterError(DirtyBenchError):
     """An algorithm hyperparameter is out of its valid range."""
 
 
-class UndefinedNodeError(DirtyBenchError):
-    """Purity measure requested for a node with no records."""
-
-
 class UnsupportedTaskError(DirtyBenchError):
     """The algorithm does not support this dataset shape (e.g. >2 classes)."""
 

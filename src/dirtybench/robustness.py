@@ -7,12 +7,18 @@ to the clean baseline (larger = more error-tolerant).  ``run_sweep`` builds
 the full (dataset x algorithm x error type x rate) grid of evaluations and
 reduces it to both metrics plus per-algorithm averages and rankings;
 ``recommend`` walks the stepwise selection guidance over a finished report.
+
+The report dataclasses are the only statement of ``report.json``: their
+fields are its keys, and ``_build`` reads each object back checked against
+them, as it reads a run configuration.
 """
 from __future__ import annotations
 
 import inspect
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +34,7 @@ from .evaluate import (
     CLASSIFIER_TYPES,
     CLUSTERING,
     EvalResult,
+    LEDGER_COLUMNS,
     LOWER_IS_BETTER,
     REGRESSION,
     REGRESSOR_FITTERS,
@@ -39,6 +46,48 @@ from .evaluate import (
 
 HIGHER = "higher"
 LOWER = "lower"
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an array fits a list or
+    a tuple, an integer fits a float, and a boolean fits only ``bool``."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) in (list, tuple):
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_keys(entry, known, required, what: str):
+    """``entry``, which must be a JSON object holding only ``known`` keys and
+    every ``required`` one."""
+    if not isinstance(entry, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {entry!r}")
+    unknown = set(entry) - set(known)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [name for name in required if name not in entry]
+    if missing:
+        raise ConfigurationError(f"{what} needs {missing}")
+    return entry
+
+
+def _build(cls, entry, what: str):
+    """``cls`` from one JSON object, whose keys must be its fields, whose
+    values must fit their annotations, and which names every field that
+    has no default."""
+    known = {f.name: f for f in fields(cls)}
+    _check_keys(entry, known, [name for name, f in known.items()
+                               if f.default is MISSING and f.default_factory is MISSING], what)
+    hints = typing.get_type_hints(cls)
+    for key, value in entry.items():
+        if not _fits(value, hints[key]):
+            raise ConfigurationError(f"{what} key {key!r} must be {known[key].type}, "
+                                     f"got {value!r}")
+    return cls(**entry)
 
 
 @dataclass(frozen=True)
@@ -141,15 +190,28 @@ class SweepDataset:
 
 @dataclass
 class SeriesEntry:
+    """One measure's curve over the rate grid and its two metrics; the curve
+    fields are all None when some point failed or left the measure undefined."""
+
     dataset: str
     algorithm: str
     task: str
     error_type: str
     measure: str
-    series: MetricSeries | None
+    rates: tuple[float, ...] | None
+    values: tuple[float, ...] | None
+    direction: str | None
     sensibility: float | None
     keeping_point: float | None
     flags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        self.flags = tuple(self.flags)
+        if (self.rates, self.values, self.direction) != (None, None, None):
+            # a curve read back from JSON meets the checks of the one computed
+            series = MetricSeries(tuple(self.rates or ()), tuple(self.values or ()),
+                                  self.direction)
+            self.rates, self.values = series.rates, series.values
 
 
 @dataclass
@@ -183,19 +245,18 @@ class RobustnessReport:
                 return e
         raise KeyError((dataset, algorithm, error_type, measure))
 
+    def summaries_by_key(self) -> dict[tuple[str, str, str], AlgorithmSummary]:
+        """Every summary under its (algorithm, error type, measure)."""
+        return {(s.algorithm, s.error_type, s.measure): s for s in self.summaries}
+
     def summary(self, algorithm: str, error_type: str, measure: str) -> AlgorithmSummary:
-        for s in self.summaries:
-            if (s.algorithm, s.error_type, s.measure) == (algorithm, error_type, measure):
-                return s
-        raise KeyError((algorithm, error_type, measure))
+        return self.summaries_by_key()[(algorithm, error_type, measure)]
 
     def clean_value(self, task: str, algorithm: str, measure: str) -> float | None:
         """Baseline (first grid rate) measure averaged across datasets."""
-        vals = []
-        for e in self.entries:
-            if e.task == task and e.algorithm == algorithm and e.measure == measure:
-                if e.series is not None and e.series.values:
-                    vals.append(e.series.values[0])
+        vals = [e.values[0] for e in self.entries
+                if e.task == task and e.algorithm == algorithm and e.measure == measure
+                and e.values]
         return float(np.mean(vals)) if vals else None
 
     def metric_table(self, task: str, metric: str) -> tuple[list[str], list[list]]:
@@ -206,78 +267,48 @@ class RobustnessReport:
         measures = measures_of(REGRESSION if task == REGRESSION else CLASSIFICATION)
         error_types = sorted({s.error_type for s in self.summaries}, key=ERROR_TYPES.index)
         header = ["algorithm"] + [f"{et}_{m}" for et in error_types for m in measures]
-        algorithms = []
-        for s in self.summaries:
-            if s.task == task and s.algorithm not in algorithms:
-                algorithms.append(s.algorithm)
+        algorithms = dict.fromkeys(s.algorithm for s in self.summaries if s.task == task)
+        by_key = self.summaries_by_key()
         rows = []
         for algo in algorithms:
             row: list = [algo]
             for et in error_types:
                 for m in measures:
-                    try:
-                        s = self.summary(algo, et, m)
-                        value = (
-                            s.mean_sensibility if metric == "sensibility"
-                            else s.mean_keeping_point
-                        )
-                    except KeyError:
-                        value = None
-                    row.append(value)
+                    s = by_key.get((algo, et, m))
+                    row.append(None if s is None else getattr(s, f"mean_{metric}"))
             rows.append(row)
         return header, rows
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": {"start": self.grid.start, "step": self.grid.step, "count": self.grid.count},
-            "seed": self.seed,
-            "k_classification": self.k_classification,
-            "k_regression": self.k_regression,
-            "entries": [
-                {
-                    "dataset": e.dataset,
-                    "algorithm": e.algorithm,
-                    "task": e.task,
-                    "error_type": e.error_type,
-                    "measure": e.measure,
-                    "rates": list(e.series.rates) if e.series else None,
-                    "values": list(e.series.values) if e.series else None,
-                    "direction": e.series.direction if e.series else None,
-                    "sensibility": e.sensibility,
-                    "keeping_point": e.keeping_point,
-                    "flags": list(e.flags),
-                }
-                for e in self.entries
-            ],
-            "summaries": [vars(s) for s in self.summaries],
-            "rankings": self.rankings,
-            "errors": self.errors,
-            "results": [r.ledger_row() for r in self.results],
-        }
+        """The report as JSON values, with each result as its ledger row."""
+        data = asdict(replace(self, results=[]))  # results go in as ledger rows
+        data["results"] = [r.ledger_row() for r in self.results]
+        return data
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RobustnessReport":
-        report = cls(
-            grid=RateGrid(**data["grid"]),
-            seed=data["seed"],
-            k_classification=data["k_classification"],
-            k_regression=data["k_regression"],
-        )
-        for e in data["entries"]:
-            series = None
-            if e["rates"] is not None:
-                series = MetricSeries(tuple(e["rates"]), tuple(e["values"]), e["direction"])
-            report.entries.append(SeriesEntry(
-                dataset=e["dataset"], algorithm=e["algorithm"], task=e["task"],
-                error_type=e["error_type"], measure=e["measure"], series=series,
-                sensibility=e["sensibility"], keeping_point=e["keeping_point"],
-                flags=tuple(e["flags"]),
-            ))
-        report.summaries = [AlgorithmSummary(**s) for s in data["summaries"]]
-        report.rankings = list(data["rankings"])
-        report.errors = list(data["errors"])
-        report.results = [EvalResult.from_ledger_row(row) for row in data["results"]]
-        return report
+    def from_json_dict(cls, data) -> "RobustnessReport":
+        """Inverse of :meth:`to_json_dict`.  Each object must hold every key
+        that method writes, and ``_build`` checks their values, so a missing,
+        unknown or ill-typed key raises a ConfigurationError that names it."""
+        def read(kind, entry, what: str):
+            names = [f.name for f in fields(kind)]
+            return _build(kind, _check_keys(entry, names, names, what), what)
+
+        if isinstance(data, dict):
+            data = dict(data)
+            if "grid" in data:
+                data["grid"] = read(RateGrid, data["grid"], "grid")
+            for key, kind, what in (("entries", SeriesEntry, "entry"),
+                                    ("summaries", AlgorithmSummary, "summary")):
+                if isinstance(data.get(key), list):
+                    data[key] = [read(kind, item, what) for item in data[key]]
+            if isinstance(data.get("results"), list):
+                data["results"] = [
+                    EvalResult.from_ledger_row(
+                        _check_keys(row, LEDGER_COLUMNS, LEDGER_COLUMNS, "ledger row"))
+                    for row in data["results"]
+                ]
+        return read(cls, data, "report")
 
 
 def corruption_spec(ds: SweepDataset, error_type: str, rate: float, seed: int) -> CorruptionSpec:
@@ -459,48 +490,41 @@ def _series_entry(ds, algo_name, error_type, measure, rates, point_results, k) -
             sens = kp = None
     return SeriesEntry(
         dataset=ds.name, algorithm=algo_name, task=ds.task, error_type=error_type,
-        measure=measure, series=series, sensibility=sens, keeping_point=kp,
-        flags=tuple(flags),
+        measure=measure, rates=series.rates if series else None,
+        values=series.values if series else None,
+        direction=series.direction if series else None,
+        sensibility=sens, keeping_point=kp, flags=tuple(flags),
     )
 
 
 def _summarize(report: RobustnessReport, pairs, error_types):
-    combos = dict.fromkeys((ds.task, algorithm.name) for ds, algorithm in pairs)
-    for task, algo in combos:
+    groups: dict[tuple, list[SeriesEntry]] = {}
+    for e in report.entries:
+        groups.setdefault((e.task, e.algorithm, e.error_type, e.measure), []).append(e)
+    rankings: dict[tuple, list] = {}
+    for task, algo in dict.fromkeys((ds.task, algorithm.name) for ds, algorithm in pairs):
         for et in error_types:
             for measure in measures_of(task):
-                sens = [
-                    e.sensibility for e in report.entries
-                    if e.task == task and e.algorithm == algo and e.error_type == et
-                    and e.measure == measure and e.sensibility is not None
-                ]
-                kps = [
-                    e.keeping_point for e in report.entries
-                    if e.task == task and e.algorithm == algo and e.error_type == et
-                    and e.measure == measure and e.keeping_point is not None
-                ]
-                report.summaries.append(AlgorithmSummary(
+                group = groups.get((task, algo, et, measure), [])
+                sens = [e.sensibility for e in group if e.sensibility is not None]
+                kps = [e.keeping_point for e in group if e.keeping_point is not None]
+                summary = AlgorithmSummary(
                     task=task, algorithm=algo, error_type=et, measure=measure,
                     mean_sensibility=float(np.mean(sens)) if sens else None,
                     mean_keeping_point=float(np.mean(kps)) if kps else None,
                     n_datasets=len(sens),
-                ))
-    for task in dict.fromkeys(t for t, _ in combos):
-        for et in error_types:
-            for measure in measures_of(task):
-                ranked = sorted(
-                    (
-                        (s.algorithm, s.mean_sensibility)
-                        for s in report.summaries
-                        if s.task == task and s.error_type == et
-                        and s.measure == measure and s.mean_sensibility is not None
-                    ),
-                    key=lambda p: (-p[1], p[0]),
                 )
-                report.rankings.append({
-                    "task": task, "error_type": et, "measure": measure,
-                    "most_sensitive_first": [a for a, _ in ranked],
-                })
+                report.summaries.append(summary)
+                # keyed on first sight, so rankings run task, error type, measure
+                ranked = rankings.setdefault((task, et, measure), [])
+                if summary.mean_sensibility is not None:
+                    ranked.append((algo, summary.mean_sensibility))
+    for (task, et, measure), ranked in rankings.items():
+        ranked.sort(key=lambda p: (-p[1], p[0]))
+        report.rankings.append({
+            "task": task, "error_type": et, "measure": measure,
+            "most_sensitive_first": [a for a, _ in ranked],
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +629,7 @@ def recommend(
     if priority_measure not in measures_of(task):
         raise ConfigurationError(f"measure {priority_measure!r} does not fit task {task!r}")
 
-    algorithms = []
-    for s in report.summaries:
-        if s.task == task and s.algorithm not in algorithms:
-            algorithms.append(s.algorithm)
+    algorithms = dict.fromkeys(s.algorithm for s in report.summaries if s.task == task)
     if not algorithms:
         raise ConfigurationError(f"report contains no {task} algorithms")
 
@@ -647,13 +668,11 @@ def recommend(
         else:
             notes.append("large-data preference (dbscan) is not a candidate")
 
+    by_key = report.summaries_by_key()
     ranking = []
     for algo in candidate_names:
-        try:
-            s = report.summary(algo, dominant, priority_measure)
-        except KeyError:
-            continue
-        if s.mean_sensibility is not None:
+        s = by_key.get((algo, dominant, priority_measure))
+        if s is not None and s.mean_sensibility is not None:
             ranking.append((algo, s.mean_sensibility))
     ranking.sort(key=lambda p: (p[1], p[0]))  # least sensitive first
 
@@ -674,11 +693,8 @@ def recommend(
             [s.error_type for s in report.summaries if s.task == task]
         )
         for et in error_types:
-            try:
-                s = report.summary(chosen, et, priority_measure)
-                kp = s.mean_keeping_point
-            except KeyError:
-                kp = None
+            s = by_key.get((chosen, et, priority_measure))
+            kp = None if s is None else s.mean_keeping_point
             detected = detected_rates.get(et, 0.0)
             target = kp if (kp is not None and detected > kp) else None
             cleaning_targets[et] = {

@@ -2,16 +2,22 @@
 
 The harness never calls these: they restate a measure the learners
 optimise (node purity, a network's description length, the logistic
-log-likelihood, the k-means objective) or export a result, in the plainest
-numpy form, so a faster form in the program has something to equal.
+log-likelihood, the k-means objective), export a result or hash a table's
+text, in the plainest form, so a faster form in the program has something
+to equal.
 """
+import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
 
 from dirtybench.classify import _node_cost
-from dirtybench.errors import UndefinedNodeError
+from dirtybench.data import format_cell
+
+
+class UndefinedNodeError(ValueError):
+    """Purity measure requested for a node with no records."""
 
 
 def _as_counts(counts) -> np.ndarray:
@@ -21,6 +27,13 @@ def _as_counts(counts) -> np.ndarray:
     if arr.sum() <= 0:
         raise UndefinedNodeError("purity measure undefined for an empty node")
     return arr
+
+
+def content_hash(schema, rows, delimiter: str = ",") -> str:
+    """Hash over the canonical emitted text: trimmed fields, LF endings."""
+    canonical = delimiter.join(schema.names) + "\n"
+    canonical += "\n".join(delimiter.join(format_cell(c) for c in row) for row in rows)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:

@@ -341,10 +341,10 @@ class TestCriterion7EndToEndDeskScale:
                                seed=seed, folds=10, timing_repeats=1)
             for e in report.entries:
                 key_measure = "rmsd" if e.task == "regression" else "f_measure"
-                if e.measure != key_measure or e.series is None:
+                if e.measure != key_measure or e.values is None:
                     continue
                 endpoints.setdefault(e.algorithm, []).append(
-                    (e.series.values[0], e.series.values[-1])
+                    (e.values[0], e.values[-1])
                 )
 
         # report shape: algorithm-by-measure tables for every task

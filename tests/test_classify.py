@@ -23,12 +23,12 @@ from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import (
     EmptyInputError,
     ParameterError,
-    UndefinedNodeError,
     UnsupportedTaskError,
 )
 from dirtybench.features import train_labels
 from dirtybench.synth import make_blobs
 from oracles import (
+    UndefinedNodeError,
     bayes_net_cost,
     entropy,
     gini,

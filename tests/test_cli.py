@@ -12,7 +12,7 @@ from dirtybench import cli, robustness
 from dirtybench.classify import DecisionTreeClassifier
 from dirtybench.data import dataset_to_text, load_dataset
 from dirtybench.errors import ParameterError
-from dirtybench.evaluate import CLASSIFIER_TYPES
+from dirtybench.evaluate import CLASSIFIER_TYPES, LEDGER_COLUMNS
 from dirtybench.robustness import Guideline
 
 PCT_RATES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -395,7 +395,79 @@ class TestSweep:
         assert "combinations" in capsys.readouterr().out
 
 
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+def _set(key, value):
+    return lambda obj: obj.update({key: value})
+
+
+# (the object a change applies to, the change, what the error must name);
+# each object is the first of its kind in a real sweep's report.json
+MALFORMED_REPORTS = [
+    pytest.param("report", _drop("seed"), "report needs ['seed']", id="report-missing"),
+    pytest.param("report", _set("sweep", {}), "unknown report keys: ['sweep']",
+                 id="report-unknown"),
+    pytest.param("report", _set("seed", "11"), "report key 'seed' must be int",
+                 id="report-ill-typed"),
+    pytest.param("entries", _drop("measure"), "entry needs ['measure']", id="entry-missing"),
+    pytest.param("entries", _set("series", None), "unknown entry keys: ['series']",
+                 id="entry-unknown"),
+    pytest.param("entries", _set("values", "0.9"), "entry key 'values' must be",
+                 id="entry-ill-typed"),
+    pytest.param("summaries", _drop("n_datasets"), "summary needs ['n_datasets']",
+                 id="summary-missing"),
+    pytest.param("summaries", _set("median", 0.5), "unknown summary keys: ['median']",
+                 id="summary-unknown"),
+    pytest.param("summaries", _set("n_datasets", 1.5), "summary key 'n_datasets' must be int",
+                 id="summary-ill-typed"),
+    pytest.param("grid", _drop("step"), "grid needs ['step']", id="grid-missing"),
+    pytest.param("grid", _set("stop", 0.5), "unknown grid keys: ['stop']", id="grid-unknown"),
+    pytest.param("grid", _set("count", True), "grid key 'count' must be int",
+                 id="grid-ill-typed"),
+    pytest.param("results", _drop(LEDGER_COLUMNS[-1]),
+                 f"ledger row needs ['{LEDGER_COLUMNS[-1]}']", id="ledger-missing"),
+    pytest.param("results", _set("fold_values", {}), "unknown ledger row keys: ['fold_values']",
+                 id="ledger-unknown"),
+]
+
+
 class TestRecommend:
+    @pytest.fixture()
+    def swept(self, tmp_path, iris_copy, iris_trace):
+        """The report.json that the sweep command writes for a scripted sweep."""
+        assert cli.main(["sweep", str(tree_config(tmp_path, iris_copy))]) == cli.EXIT_OK
+        return tmp_path / "out" / "report.json"
+
+    def recommend(self, report, output):
+        return cli.main(["recommend", "--report", str(report), "--task", "classification",
+                         "--data-size", "5000", "--output", str(output)])
+
+    @pytest.mark.parametrize("where, change, message", MALFORMED_REPORTS)
+    def test_malformed_report_names_the_key(self, tmp_path, swept, capsys,
+                                            where, change, message):
+        data = json.loads(swept.read_text())
+        target = data if where == "report" else data[where]
+        change(target[0] if isinstance(target, list) else target)
+        swept.write_text(json.dumps(data))
+        output = tmp_path / "guide.json"
+        assert self.recommend(swept, output) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "{report}: invalid JSON"),
+        ("[]", "report must be a JSON object, got []"),
+    ], ids=["not-json", "not-an-object"])
+    def test_unreadable_report(self, tmp_path, capsys, text, message):
+        report = tmp_path / "report.json"
+        report.write_text(text)
+        output = tmp_path / "guide.json"
+        assert self.recommend(report, output) == cli.EXIT_CONFIG
+        assert message.format(report=report) in capsys.readouterr().err
+        assert not output.exists()
+
     def test_guideline_from_report(self, tmp_path, iris_copy, iris_trace, capsys):
         config = tree_config(tmp_path, iris_copy)
         assert cli.main(["sweep", str(config)]) == cli.EXIT_OK

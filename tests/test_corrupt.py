@@ -33,6 +33,7 @@ from dirtybench.errors import (
     InjectionImpossibleError,
 )
 from dirtybench.synth import make_blobs, make_keyed_records
+from oracles import content_hash
 
 
 def grid_dataset(n_rows=10, n_cols=4):
@@ -330,8 +331,6 @@ class TestSeedsAndComposition:
     }
 
     def test_injection_hashes_frozen_across_processes(self):
-        from dirtybench.data import content_hash
-
         d = make_keyed_records(100, seed=0)
         assert content_hash(d.schema, d.rows) == self.FROZEN[None]
         for et, kwargs in (

@@ -1,6 +1,9 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dirtybench import cluster, robustness
 from dirtybench.cluster import dbscan_default_eps
@@ -213,7 +216,7 @@ class TestRunSweep:
         r2 = run_sweep([ds], [Algorithm("decision_tree")], **kwargs)
         e1 = r1.entry("blobs", "decision_tree", "missing", "f_measure")
         e2 = r2.entry("blobs", "decision_tree", "missing", "f_measure")
-        assert e1.series.values == e2.series.values
+        assert e1.values == e2.values
 
     def test_failed_combination_recorded_not_fatal(self, monkeypatch, scripted_evaluator):
         # plan order: knn at rates 0 and 0.5 (calls 0, 1), then the tree
@@ -322,7 +325,7 @@ class TestRunSweep:
                            RateGrid(start=0.0, step=0.25, count=2), seed=2,
                            folds=3, timing_repeats=1)
         entry = report.entry("lin", "least_squares", "missing", "rmsd")
-        assert entry.series.direction == "lower"
+        assert entry.direction == "lower"
 
     def test_report_json_round_trip(self):
         ds = SweepDataset("blobs", make_blobs(24, n_classes=2, seed=6), "classification")
@@ -332,7 +335,7 @@ class TestRunSweep:
         back = RobustnessReport.from_json_dict(report.to_json_dict())
         e0 = report.entry("blobs", "knn", "missing", "precision")
         e1 = back.entry("blobs", "knn", "missing", "precision")
-        assert e0.series.values == e1.series.values
+        assert e0.values == e1.values
         assert e0.sensibility == e1.sensibility
 
     def test_report_json_round_trip_keeps_the_ledger(self, monkeypatch, scripted_evaluator):
@@ -360,7 +363,7 @@ class TestRunSweep:
         serial = run_sweep(*args, **kwargs, jobs=1)
         parallel = run_sweep(*args, **kwargs, jobs=2)
         for e_s, e_p in zip(serial.entries, parallel.entries):
-            assert e_s.series.values == e_p.series.values
+            assert e_s.values == e_p.values
 
 
 # never fitted: the sweep plan is tested through the scripted evaluator
@@ -369,21 +372,40 @@ PLAN_RULES = (FDRule(("x0",), "x1"),)
 TASKS = ("classification", "clustering", "regression")
 
 
+def draw_sweep(data):
+    """A random sweep over PLAN_DATA: its datasets, algorithms, error types
+    and grid, which may have a single rate, its (dataset, algorithm) pairs,
+    its planned points in order, and the indices of the points that fail."""
+    dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
+    datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
+                for i, task in enumerate(dataset_tasks)]
+    algorithms = [Algorithm(name) for name in data.draw(
+        st.lists(st.sampled_from(ALL_ALGORITHMS), min_size=1, max_size=5, unique=True))]
+    error_types = data.draw(st.lists(st.sampled_from(ERROR_TYPES), min_size=1, unique=True))
+    grid = RateGrid(start=0.0, step=0.1, count=data.draw(st.integers(0, 3)))
+    pairs = [(ds.name, a.name) for ds in datasets for a in algorithms
+             if task_of(a) == ds.task]
+    plan = [(d, a, et, rate) for d, a in pairs for et in error_types for rate in grid.rates()]
+    failing = data.draw(st.sets(st.integers(0, len(plan) - 1))) if plan else set()
+    return datasets, algorithms, error_types, grid, pairs, plan, failing
+
+
+def scripted_sweep(evaluator, datasets, algorithms, error_types, grid, failing,
+                   undefined=()):
+    """The sweep with every measure at 1 - rate, except the ``undefined``
+    ones, which stay None, and with the ``failing`` points raising."""
+    values = {a.name: {m: {r: 1.0 - r for r in grid.rates()}
+                       for m in PRF_MEASURES + REGRESSION_MEASURES if m not in undefined}
+              for a in algorithms}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustness, "evaluate_algorithm", evaluator(values, failing))
+        return run_sweep(datasets, algorithms, error_types, grid, jobs=1)
+
+
 class TestSweepPlan:
     @given(data=st.data())
     def test_every_point_lands_once_in_plan_order(self, scripted_evaluator, data):
-        dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
-        datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
-                    for i, task in enumerate(dataset_tasks)]
-        algorithms = [Algorithm(name) for name in data.draw(
-            st.lists(st.sampled_from(ALL_ALGORITHMS), min_size=1, max_size=5, unique=True))]
-        error_types = data.draw(st.lists(st.sampled_from(ERROR_TYPES), min_size=1, unique=True))
-        grid = RateGrid(start=0.0, step=0.1, count=data.draw(st.integers(0, 3)))
-        rates = grid.rates()
-        pairs = [(ds.name, a.name) for ds in datasets for a in algorithms
-                 if task_of(a) == ds.task]
-        plan = [(d, a, et, rate) for d, a in pairs for et in error_types for rate in rates]
-        failing = data.draw(st.sets(st.integers(0, len(plan) - 1))) if plan else set()
+        datasets, algorithms, error_types, grid, pairs, plan, failing = draw_sweep(data)
 
         config = RunConfig(
             datasets=[DatasetConfig(ds.name, f"{ds.name}.csv", ds.task) for ds in datasets],
@@ -393,16 +415,12 @@ class TestSweepPlan:
                             if line.startswith("combinations:"))
         assert combinations.split()[1] == str(len(pairs))
 
-        values = {a.name: {m: {r: 1.0 - r for r in rates}
-                           for m in PRF_MEASURES + REGRESSION_MEASURES}
-                  for a in algorithms}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(robustness, "evaluate_algorithm", scripted_evaluator(values, failing))
-            if not plan:
-                with pytest.raises(ConfigurationError):
-                    run_sweep(datasets, algorithms, error_types, grid, jobs=1)
-                return
-            report = run_sweep(datasets, algorithms, error_types, grid, jobs=1)
+        sweep = (scripted_evaluator, datasets, algorithms, error_types, grid, failing)
+        if not plan:
+            with pytest.raises(ConfigurationError):
+                scripted_sweep(*sweep)
+            return
+        report = scripted_sweep(*sweep)
 
         # the evaluator's message names its call, so each error pins one point
         assert [(e["dataset"], e["algorithm"], e["error_type"], e["rate"], e["message"])
@@ -422,6 +440,26 @@ class TestSweepPlan:
             assert ("incomplete-series" in e.flags) == (
                 (e.dataset, e.algorithm, e.error_type) in failed_series
             )
+
+    @given(data=st.data())
+    def test_random_report_round_trips_through_json(self, scripted_evaluator, data):
+        """A report read back from its JSON text equals it field by field,
+        results by ledger row, and writes the same text again."""
+        datasets, algorithms, error_types, grid, _, plan, failing = draw_sweep(data)
+        assume(plan)
+        undefined = data.draw(st.sets(st.sampled_from(PRF_MEASURES + REGRESSION_MEASURES),
+                                      max_size=2))
+        report = scripted_sweep(scripted_evaluator, datasets, algorithms, error_types,
+                                grid, failing, undefined)
+        text = json.dumps(report.to_json_dict(), sort_keys=True)
+        back = RobustnessReport.from_json_dict(json.loads(text))
+        for f in fields(RobustnessReport):
+            if f.name == "results":
+                assert [r.ledger_row() for r in back.results] == [
+                    r.ledger_row() for r in report.results]
+            else:
+                assert getattr(back, f.name) == getattr(report, f.name), f.name
+        assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
 
 @pytest.fixture()
