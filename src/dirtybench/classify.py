@@ -1,13 +1,14 @@
 """Six classical classifiers implemented from scratch on the Dataset type.
 
-Every classifier exposes ``fit(dataset, rows=None)`` (rows are indices into
-``dataset.rows``; None means all) and one batched
-``predict_rows(dataset, rows=None)`` that returns the raw label tokens of
-all the given rows.  Both read the features through the shared encoding in
-:mod:`dirtybench.features`, fitted on the training rows only.  Training
-labels are read from the (possibly corrupted) rows, never from the clean
-shadow.  Ties in argmax votes always break toward the lowest label index,
-where label indices follow first-seen order in the training rows.
+Every classifier exposes ``fit(data, rows=None)`` (rows are row indices of
+``data``, a dataset or its :class:`~dirtybench.features.EncodedTable`; None
+means all) and one batched ``predict_rows(data, rows=None)`` that returns
+the raw label tokens of all the given rows.  Both read the features through
+the shared encoding in :mod:`dirtybench.features`, fitted on the training
+rows only.  Training labels are read from the (possibly corrupted) rows,
+never from the clean shadow.  Ties in argmax votes always break toward the
+lowest label index, where label indices follow first-seen order in the
+training rows.
 """
 from __future__ import annotations
 
@@ -18,14 +19,21 @@ import numpy as np
 
 from .cluster import _pairwise_sum, _sq_dist_blocks
 from .corrupt import derive_seed
-from .data import Cell, Dataset
+from .data import Cell
 from .errors import (
     DivergenceError,
-    EmptyInputError,
     ParameterError,
     UnsupportedTaskError,
 )
-from .features import ColumnFit, Discretizer, FeatureEncoder, LabelCodec, train_labels
+from .features import (
+    ColumnFit,
+    Data,
+    Discretizer,
+    EncodedTable,
+    FeatureEncoder,
+    LabelCodec,
+    first_seen,
+)
 
 # ---------------------------------------------------------------------------
 # node purity measures
@@ -53,15 +61,12 @@ def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
     return np.where(n > 0, out, 0.0)
 
 
-def _labelled_rows(dataset: Dataset, rows: Sequence[int] | None,
-                   model: str) -> tuple[list[int], LabelCodec, np.ndarray]:
-    """Training row indices, a codec of their labels and their label codes."""
-    idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-    if not idx:
-        raise EmptyInputError(f"cannot fit {model} on zero rows")
-    labels = train_labels(dataset, idx)
-    codec = LabelCodec(labels)
-    return idx, codec, codec.encode(labels)
+def _labelled_rows(data: Data, rows: Sequence[int] | None,
+                   model: str) -> tuple[EncodedTable, LabelCodec, np.ndarray]:
+    """The table of ``data``, a codec of the training rows' labels and their
+    label codes."""
+    table = EncodedTable.of(data)
+    return (table, *table.labels(rows, model))
 
 
 def _argmax_labels(codec: LabelCodec, scores: np.ndarray) -> list[Cell]:
@@ -111,11 +116,6 @@ def _route(root: _Node, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_seen(codes: np.ndarray) -> list[int]:
-    found, first = np.unique(codes, return_index=True)
-    return found[np.argsort(first)].tolist()
-
-
 class _Lockstep:
     """Grows trees that share one encoding, criterion and limits together,
     each on its own sample of the fit's rows and with its own rng.
@@ -163,7 +163,7 @@ class _Lockstep:
         self.n_cand = per_split if self.draw else n_feat
         # categories are tried in first-seen order within the tree's sample,
         # as ties between equally good splits go to the first one tried
-        self.order = [{p: _first_seen(self.values[sample, p])
+        self.order = [{p: first_seen(self.values[sample, p])
                        for p in np.flatnonzero(~self.numeric).tolist()}
                       for sample in samples]
 
@@ -350,25 +350,25 @@ class RandomForestClassifier:
         self.max_depth = max_depth
         self.min_split = max(2, min_split)
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "a forest")
-        n_feat = dataset.schema.n
+    def fit(self, data: Data, rows: Sequence[int] | None = None):
+        table, self.codec, y = _labelled_rows(data, rows, "a forest")
+        n_feat = table.schema.n
         if self.feat_frac is None:
             per_split = max(1, math.ceil(math.sqrt(n_feat)))
         else:
             per_split = max(1, math.ceil(self.feat_frac * n_feat))
-        self.encoding = ColumnFit(dataset, idx)
+        self.encoding = ColumnFit(table, rows)
         rngs = [np.random.default_rng(derive_seed(self.seed, "tree", t))
                 for t in range(self.n_trees)]
-        samples = [rng.integers(0, len(idx), size=len(idx)) if self.bootstrap
-                   else np.arange(len(idx)) for rng in rngs]
+        samples = [rng.integers(0, len(y), size=len(y)) if self.bootstrap
+                   else np.arange(len(y)) for rng in rngs]
         self.roots = _Lockstep(self.encoding, self.codec.n_classes, y, samples, rngs,
                                per_split, self.criterion, self.max_depth,
                                self.min_split).grow()
         return self
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        num, codes = self.encoding.encode(dataset, rows)
+    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
+        num, codes = self.encoding.encode(data, rows)
         votes = np.zeros((len(num), self.codec.n_classes), dtype=np.int64)
         at = np.arange(len(num))
         for root in self.roots:
@@ -403,16 +403,16 @@ class KNNClassifier:
             raise ParameterError("k must be at least 1")
         self.k = k
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, self.y = _labelled_rows(dataset, rows, "KNN")
-        if self.k > len(idx):
-            raise ParameterError(f"k={self.k} exceeds training size {len(idx)}")
-        self.encoder = FeatureEncoder(dataset, idx)
+    def fit(self, data: Data, rows: Sequence[int] | None = None):
+        table, self.codec, self.y = _labelled_rows(data, rows, "KNN")
+        if self.k > len(self.y):
+            raise ParameterError(f"k={self.k} exceeds training size {len(self.y)}")
+        self.encoder = FeatureEncoder(table, rows)
         self.X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         return self
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        Q = self.encoder.transform_rows(dataset, rows)
+    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
+        Q = self.encoder.transform_rows(data, rows)
         winners = np.empty(len(Q), dtype=np.int64)
         classes = np.arange(self.codec.n_classes)
         for a, d2 in _sq_dist_blocks(Q, self.X):
@@ -453,11 +453,11 @@ class NaiveBayesClassifier:
         self.smoothing = smoothing
         self.n_bins = n_bins
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "naive Bayes")
-        self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
+    def fit(self, data: Data, rows: Sequence[int] | None = None):
+        table, self.codec, y = _labelled_rows(data, rows, "naive Bayes")
+        self.disc = Discretizer(table, rows, n_bins=self.n_bins)
         codes = self.disc.code(self.disc.encoding.num, self.disc.encoding.codes)
-        m = len(idx)
+        m = len(y)
         n_c = self.codec.n_classes
         s = self.smoothing
         class_counts = np.bincount(y, minlength=n_c).astype(float)
@@ -469,17 +469,16 @@ class NaiveBayesClassifier:
             self.log_cond.append(np.log((tab + s) / (class_counts[None, :] + s * card)))
         return self
 
-    def predict_log_joint(self, dataset: Dataset,
-                          rows: Sequence[int] | None = None) -> np.ndarray:
+    def predict_log_joint(self, data: Data, rows: Sequence[int] | None = None) -> np.ndarray:
         """(rows, classes) log prior plus the per-feature log conditionals."""
-        codes = self.disc.codes_rows(dataset, rows)
+        codes = self.disc.codes_rows(data, rows)
         log_joint = np.tile(self.log_prior, (len(codes), 1))
         for f, table in enumerate(self.log_cond):
             log_joint += table[codes[:, f]]
         return log_joint
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        return _argmax_labels(self.codec, self.predict_log_joint(dataset, rows))
+    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
+        return _argmax_labels(self.codec, self.predict_log_joint(data, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -528,16 +527,16 @@ class BayesianNetworkClassifier:
         self.n_bins = n_bins
         self.smoothing = smoothing
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "a Bayesian network")
-        self.disc = Discretizer(dataset, idx, n_bins=self.n_bins)
+    def fit(self, data: Data, rows: Sequence[int] | None = None):
+        table, self.codec, y = _labelled_rows(data, rows, "a Bayesian network")
+        self.disc = Discretizer(table, rows, n_bins=self.n_bins)
         codes = np.column_stack([self.disc.code(self.disc.encoding.num,
                                                 self.disc.encoding.codes), y])
         cards = list(self.disc.cardinalities) + [self.codec.n_classes]
         self.n_vars = codes.shape[1]
         self.class_var = self.n_vars - 1
         self.cards = cards
-        m = len(idx)
+        m = len(y)
         bits = 0.5 * math.log2(max(m, 2))
 
         # a node's cost depends only on its own parents, so each (node,
@@ -600,11 +599,10 @@ class BayesianNetworkClassifier:
             stack.extend(parents[node])
         return False
 
-    def predict_log_joint(self, dataset: Dataset,
-                          rows: Sequence[int] | None = None) -> np.ndarray:
+    def predict_log_joint(self, data: Data, rows: Sequence[int] | None = None) -> np.ndarray:
         """(rows, classes) joint log probability of each row's features with
         each class, the CPT terms added in variable order."""
-        codes = self.disc.codes_rows(dataset, rows)
+        codes = self.disc.codes_rows(data, rows)
         out = np.empty((len(codes), self.cards[self.class_var]))
         assign = np.column_stack([codes, np.zeros(len(codes), dtype=np.int64)])
         for y in range(out.shape[1]):
@@ -616,8 +614,8 @@ class BayesianNetworkClassifier:
             out[:, y] = total
         return out
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-        return _argmax_labels(self.codec, self.predict_log_joint(dataset, rows))
+    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
+        return _argmax_labels(self.codec, self.predict_log_joint(data, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +649,16 @@ class LogisticRegressionClassifier:
         self.lr = lr
         self.iters = iters
 
-    def fit(self, dataset: Dataset, rows: Sequence[int] | None = None):
-        idx, self.codec, y = _labelled_rows(dataset, rows, "logistic regression")
+    def fit(self, data: Data, rows: Sequence[int] | None = None):
+        table, self.codec, y = _labelled_rows(data, rows, "logistic regression")
         if self.codec.n_classes != 2:
             raise UnsupportedTaskError(
                 f"logistic regression needs a binary target, got {self.codec.n_classes} classes"
             )
-        self.encoder = FeatureEncoder(dataset, idx)
+        self.encoder = FeatureEncoder(table, rows)
         X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         y = y.astype(float)
-        m = len(idx)
+        m = len(y)
         w = np.zeros(X.shape[1])
         b = 0.0
         for _ in range(self.iters):
@@ -675,9 +673,9 @@ class LogisticRegressionClassifier:
         self.b = b
         return self
 
-    def predict_rows(self, dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
+    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
         # one dot product per row: a matrix product may round the scores
         # differently in the last bit
-        X = self.encoder.transform_rows(dataset, rows)
+        X = self.encoder.transform_rows(data, rows)
         scores = np.array([x @ self.w for x in X]) + self.b
         return [self.codec.values[c] for c in (sigmoid(scores) >= 0.5).astype(int).tolist()]

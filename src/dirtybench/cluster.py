@@ -1,11 +1,12 @@
 """Six clustering algorithms over the shared feature encoding.
 
 Every function takes a Dataset (mean/mode-imputed first if it still has
-missing cells), clusters its rows, and returns a :class:`Clustering` whose
-``assignments`` array maps row index to cluster index (-1 marks DBSCAN
-noise).  ``meta`` carries algorithm traces used by the property tests:
-per-iteration SSE for k-means, accepted-cost trace for CLARANS, centroids in
-original units when the features are all numeric.
+missing cells) or the EncodedTable of an imputed one, clusters its rows, and
+returns a :class:`Clustering` whose ``assignments`` array maps row index to
+cluster index (-1 marks DBSCAN noise).  ``meta`` carries algorithm traces
+used by the property tests: per-iteration SSE for k-means, accepted-cost
+trace for CLARANS, centroids in original units when the features are all
+numeric.
 """
 from __future__ import annotations
 
@@ -15,9 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .corrupt import impute
-from .data import Dataset
 from .errors import ParameterError
-from .features import FeatureEncoder, LabelCodec, train_labels
+from .features import Data, EncodedTable, FeatureEncoder
 
 NOISE = -1
 
@@ -35,9 +35,16 @@ class Clustering:
             raise ParameterError("cluster index out of range")
 
 
-def encode_for_clustering(d: Dataset) -> tuple[np.ndarray, FeatureEncoder]:
-    work = impute(d) if d.has_missing() else d
-    enc = FeatureEncoder(work)
+def _table(d: Data) -> EncodedTable:
+    """The table a clusterer reads: ``d`` itself, or the rows of ``d``
+    imputed first if they have missing cells."""
+    if isinstance(d, EncodedTable):
+        return d
+    return EncodedTable(impute(d) if d.has_missing() else d)
+
+
+def encode_for_clustering(d: Data) -> tuple[np.ndarray, FeatureEncoder]:
+    enc = FeatureEncoder(_table(d))
     return enc.embed(enc.encoding.num, enc.encoding.codes), enc
 
 
@@ -139,7 +146,7 @@ def _maximin_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return X[chosen].copy()
 
 
-def kmeans(d: Dataset, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
+def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
     """Lloyd iterations from k maximin-seeded data points; empty clusters are
     re-seeded with the point farthest from its current centroid."""
     X, enc = encode_for_clustering(d)
@@ -179,7 +186,7 @@ def kmeans(d: Dataset, k: int, seed: int = 0, max_iters: int = 100) -> Clusterin
 # learning vector quantization
 # ---------------------------------------------------------------------------
 
-def lvq(d: Dataset, q: int | None = None, learning_rate: float = 0.1,
+def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
         iters: int = 1000, seed: int = 0) -> Clustering:
     """Label-guided prototypes: pull the nearest prototype toward a sample
     with the same label, push it away otherwise.
@@ -187,13 +194,11 @@ def lvq(d: Dataset, q: int | None = None, learning_rate: float = 0.1,
     Training reads the dataset's stored labels (dirty ones included);
     evaluation against clean truth is the harness's job.
     """
-    work = impute(d) if d.has_missing() else d  # labels are imputed along with features
-    X, _ = encode_for_clustering(work)
-    if work.schema.target_index is None:
+    table = _table(d)  # labels are imputed along with features
+    X, _ = encode_for_clustering(table)
+    if table.schema.target_index is None:
         raise ParameterError("LVQ needs a labeled dataset")
-    labels = train_labels(work)
-    codec = LabelCodec(labels)
-    y = codec.encode(labels)
+    codec, y = table.labels(None, "LVQ")
     n_c = codec.n_classes
     if q is None:
         q = n_c
@@ -224,7 +229,7 @@ def lvq(d: Dataset, q: int | None = None, learning_rate: float = 0.1,
 # CLARANS
 # ---------------------------------------------------------------------------
 
-def clarans(d: Dataset, k: int, num_local: int = 5, max_neighbor: int = 100,
+def clarans(d: Data, k: int, num_local: int = 5, max_neighbor: int = 100,
             seed: int = 0) -> Clustering:
     """Randomized medoid search: accept any cost-decreasing single-medoid
     swap, give up a restart after max_neighbor consecutive failures."""
@@ -304,7 +309,7 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-def dbscan(d: Dataset, eps: float, min_pts: int = 4) -> Clustering:
+def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
     """Density clustering: clusters are eps-connected components of core
     points; border points join the lowest-indexed adjacent cluster."""
     if eps <= 0:
@@ -343,7 +348,7 @@ def dbscan(d: Dataset, eps: float, min_pts: int = 4) -> Clustering:
     return Clustering(assign, n_clusters, {"core_points": core_idx, "n_core": int(core.sum())})
 
 
-def dbscan_default_eps(d: Dataset, min_pts: int = 4, percentile: float = 90.0) -> float:
+def dbscan_default_eps(d: Data, min_pts: int = 4, percentile: float = 90.0) -> float:
     """Radius heuristic frozen on the clean data: percentile of the
     min_pts-th nearest-neighbor distances."""
     X, _ = encode_for_clustering(d)
@@ -499,7 +504,9 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
 
     Cluster-to-cluster distances are updated in place with the single-linkage
     rule d(a+b, c) = min(d(a, c), d(b, c)); merge ties resolve to the lowest
-    index pair, so results are order-stable.
+    index pair, so results are order-stable.  Each row keeps its minimum and
+    the lowest column that holds it, so a merge updates the rows it touches
+    instead of scanning the whole matrix.
     """
     n = len(points)
     if k > n:
@@ -508,9 +515,11 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
     d[np.tril_indices(n)] = np.inf
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     alive = np.ones(n, dtype=bool)
+    near = d.argmin(axis=1)  # each row's lowest column at its minimum
+    low = d[np.arange(n), near]
     while len(members) > k:
-        a, b = np.unravel_index(int(d.argmin()), d.shape)
-        a, b = int(a), int(b)
+        a = int(low.argmin())  # the lowest row at the overall minimum
+        b = int(near[a])
         members[a].extend(members.pop(b))
         alive[b] = False
         merged_row = np.minimum(
@@ -523,10 +532,22 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
         below, above = alive[:a].nonzero()[0], a + 1 + alive[a + 1:].nonzero()[0]
         d[below, a] = merged_row[below]
         d[a, above] = merged_row[above]
+        # a row above a loses column b, and its column a becomes the smaller
+        # of its a and b entries, never below its minimum: column a takes
+        # over where it now holds the minimum at a lower column
+        gains = (merged_row[below] == low[below]) & (near[below] > a)
+        near[below[gains]], low[below[gains]] = a, merged_row[below[gains]]
+        # a row between a and b that lost its minimum at b, and row a itself,
+        # are searched again
+        lost = np.flatnonzero(alive & (near == b))
+        for i in np.append(lost[lost > a], a):
+            near[i] = d[i].argmin()
+            low[i] = d[i, near[i]]
+        low[b] = np.inf
     return [members[key] for key in sorted(members)]
 
 
-def birch(d: Dataset, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
+def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
     """Single-pass CF-tree summarization, MIN-linkage merge of the leaf-entry
     centroids down to k seeds, then a nearest-seed rescan of all rows."""
     if threshold <= 0:
@@ -565,7 +586,7 @@ def birch(d: Dataset, k: int, branching: int = 50, threshold: float = 0.25) -> C
 # CURE
 # ---------------------------------------------------------------------------
 
-def cure(d: Dataset, k: int, n_rep: int = 5, shrink: float = 0.3,
+def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
          sample_frac: float = 0.25, seed: int = 0) -> Clustering:
     """Representative-point clustering: MIN-linkage on a seeded sample,
     farthest-first representatives shrunk toward each centroid, then

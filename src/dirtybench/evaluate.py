@@ -7,6 +7,10 @@ denominators are flagged and recorded as absent rather than zero.
 
 Ground truth always comes from the dataset's clean shadow; corrupted rows
 feed only the training and the test-time features.
+
+A point (dataset, corruption) is corrupted, imputed and encoded once, into
+one :class:`~dirtybench.features.EncodedTable` that every algorithm
+evaluated there slices: pass the same :class:`PreparedPoint` to each call.
 """
 from __future__ import annotations
 
@@ -22,6 +26,7 @@ from .corrupt import CorruptionSpec, derive_seed, impute, inject
 from .data import Cell, Dataset
 from .errors import ConfigurationError, EmptyInputError, ParameterError
 from .cluster import Clustering
+from .features import EncodedTable
 
 CLASSIFICATION = "classification"
 CLUSTERING = "clustering"
@@ -273,11 +278,14 @@ class EvalResult:
         )
 
 
-LEDGER_COLUMNS = (
-    "dataset", "algorithm", "task", "error_type", "rate",
-    "precision", "recall", "f_measure", "rmsd", "nrmsd", "cv_rmsd",
-    "time_log10_ms", "seed", "flags",
-)
+# every ledger column, in order, with the type of its values; a measure
+# the point left undefined is written as ""
+LEDGER_TYPES = {
+    "dataset": str, "algorithm": str, "task": str, "error_type": str, "rate": float,
+    **{m: float for m in PRF_MEASURES + REGRESSION_MEASURES},
+    "time_log10_ms": float, "seed": int, "flags": str,
+}
+LEDGER_COLUMNS = tuple(LEDGER_TYPES)
 
 
 def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -303,9 +311,29 @@ def _timed(fn: Callable[[], object], repeats: int) -> tuple[object, float]:
     return value, float(np.log10(mean_ms))
 
 
-def _prepare(dataset: Dataset, spec: CorruptionSpec | None) -> Dataset:
+def _prepare(dataset: Dataset, spec: CorruptionSpec | None) -> EncodedTable:
     work = dataset if spec is None or spec.rate == 0 else inject(dataset, spec)
-    return impute(work) if work.has_missing() else work
+    return EncodedTable(impute(work) if work.has_missing() else work)
+
+
+class PreparedPoint:
+    """The table that every algorithm evaluated at one point reads:
+    ``dataset`` corrupted by ``spec``, imputed and encoded, prepared on first
+    use.  A preparation that fails raises the same error at every use."""
+
+    def __init__(self, dataset: Dataset, spec: CorruptionSpec | None):
+        self.dataset, self.spec = dataset, spec
+        self._outcome: EncodedTable | Exception | None = None
+
+    def table(self) -> EncodedTable:
+        if self._outcome is None:
+            try:
+                self._outcome = _prepare(self.dataset, self.spec)
+            except Exception as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome
 
 
 def cross_validate(
@@ -316,8 +344,10 @@ def cross_validate(
     seed: int = 0,
     timing_repeats: int = 1,
     dataset_name: str | None = None,
+    point: PreparedPoint | None = None,
 ) -> EvalResult:
-    """Corrupt, impute, k-fold train/test, aggregate fold means.
+    """Corrupt, impute, k-fold train/test, aggregate fold means.  ``point``,
+    when given, is the prepared (dataset, spec) point to read.
 
     The reported F-measure is recomputed from the aggregated precision and
     recall so the harmonic-mean identity holds on every emitted result.
@@ -327,16 +357,15 @@ def cross_validate(
         raise ConfigurationError("clustering runs fold-free; use evaluate_clustering")
     name = dataset_name or dataset.source
     params = with_run_defaults(algorithm, dataset, seed).params
-    work = _prepare(dataset, spec)
+    work = (point or PreparedPoint(dataset, spec)).table()
     parts = fold_partition(work.n_rows, folds, np.random.default_rng(derive_seed(seed, "folds")))
-    t = work.schema.target_index
 
     def run_pass():
         per_fold: dict[str, list[float | None]] = {m: [] for m in measures_of(task)}
         flags: list[str] = []
         for f, test_rows in enumerate(parts):
             train_rows = np.concatenate([p for g, p in enumerate(parts) if g != f])
-            truth = [work.clean_shadow[work.row_origin[i]][t] for i in test_rows]
+            truth = [work.truth[i] for i in test_rows]
             if task == CLASSIFICATION:
                 model = CLASSIFIER_TYPES[algorithm.name](**params).fit(work, train_rows)
                 pred = model.predict_rows(work, test_rows)
@@ -394,15 +423,16 @@ def evaluate_clustering(
     seed: int = 0,
     timing_repeats: int = 1,
     dataset_name: str | None = None,
+    point: PreparedPoint | None = None,
 ) -> EvalResult:
     """Fold-free protocol: cluster the whole corrupted dataset, match
-    clusters against the clean labels, report P/R/F."""
+    clusters against the clean labels, report P/R/F.  ``point``, when
+    given, is the prepared (dataset, spec) point to read."""
     name = dataset_name or dataset.source
-    work = _prepare(dataset, spec)
-    t = work.schema.target_index
-    if t is None:
+    work = (point or PreparedPoint(dataset, spec)).table()
+    if work.truth is None:
         raise ConfigurationError("clustering evaluation needs ground-truth labels")
-    truth = [work.clean_shadow[o][t] for o in work.row_origin]
+    truth = work.truth
     params = with_run_defaults(algorithm, dataset, seed).params
 
     def run_pass():
@@ -434,9 +464,13 @@ def evaluate_algorithm(
     seed: int = 0,
     timing_repeats: int = 1,
     dataset_name: str | None = None,
+    point: PreparedPoint | None = None,
 ) -> EvalResult:
-    """Dispatch to the protocol matching the algorithm's task."""
+    """Dispatch to the protocol matching the algorithm's task.  ``point``,
+    when given, is the prepared (dataset, spec) point to read."""
     task = task_of(algorithm)
     if task == CLUSTERING:
-        return evaluate_clustering(dataset, algorithm, spec, seed, timing_repeats, dataset_name)
-    return cross_validate(dataset, algorithm, spec, folds, seed, timing_repeats, dataset_name)
+        return evaluate_clustering(dataset, algorithm, spec, seed, timing_repeats, dataset_name,
+                                   point)
+    return cross_validate(dataset, algorithm, spec, folds, seed, timing_repeats, dataset_name,
+                          point)

@@ -1,12 +1,13 @@
 """Four regression fitters sharing a fit/predict contract.
 
 All fitters use the numeric feature columns only; categorical feature columns
-are dropped with a warning.  The design matrix is the raw numeric block read
-by :func:`dirtybench.features.numeric_block`, the reader behind the shared
-encoding, and :func:`predict_rows` reads the rows to predict the same way, in
-one block.  Linear solves go through the normal equations with a Cholesky
-factorization and fall back to a lightly damped ridge system when the design
-is singular (the model records that it did).
+are dropped with a warning.  The design matrix is the raw numeric block
+sliced from the :class:`dirtybench.features.EncodedTable` behind the shared
+encoding (a dataset is read into one), and :func:`predict_rows` slices the
+rows to predict the same way, in one block.  Linear solves go through the
+normal equations with a Cholesky factorization and fall back to a lightly
+damped ridge system when the design is singular (the model records that it
+did).
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import fdtrc
 
-from .data import Dataset, NUMERIC
 from .errors import (
     DivergenceError,
     EmptyInputError,
@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SingularityError,
 )
-from .features import numeric_block
+from .features import Data, EncodedTable
 
 RIDGE_DAMPING = 1e-8
 
@@ -71,37 +71,27 @@ class StepwiseModel:
 RegressionModel = LinearModel | PolynomialModel | StepwiseModel
 
 
-def _numeric_setup(dataset: Dataset, rows: Sequence[int] | None):
-    idx = list(range(dataset.n_rows)) if rows is None else list(rows)
-    if not idx:
+def _numeric_setup(data: Data, rows: Sequence[int] | None):
+    table = EncodedTable.of(data)
+    idx = np.arange(table.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    if not len(idx):
         raise EmptyInputError("cannot fit a regression on zero rows")
-    t = dataset.schema.target_index
-    if t is None or dataset.schema.columns[t].kind != NUMERIC:
+    if table.target_num is None:
         raise SchemaError("regression needs a numeric target column")
-    num_cols = []
-    dropped = []
-    for j in dataset.schema.feature_indices:
-        if dataset.schema.columns[j].kind == NUMERIC:
-            num_cols.append(j)
-        else:
-            dropped.append(dataset.schema.columns[j].name)
+    columns = table.schema.columns
+    dropped = [columns[j].name for j in table.categorical_cols]
     if dropped:
         warnings.warn(
             f"dropping categorical feature columns for regression: {dropped}",
             stacklevel=3,
         )
-    if not num_cols:
+    if not table.numeric_cols:
         raise SchemaError("regression needs at least one numeric feature column")
-    X = numeric_block(dataset, idx, num_cols)
-    y = np.array([float(_target(dataset, i, t)) for i in idx])
-    return X, y, tuple(num_cols)
-
-
-def _target(dataset: Dataset, i: int, t: int) -> float:
-    v = dataset.rows[i][t]
-    if v is None:
+    X = table.numeric(idx)
+    y = table.target_num[idx]
+    if np.isnan(y).any():
         raise SchemaError("missing target value; impute before fitting")
-    return float(v)
+    return X, y, tuple(table.numeric_cols)
 
 
 def solve_normal_equations(A: np.ndarray, y: np.ndarray,
@@ -134,10 +124,10 @@ def _design(X: np.ndarray) -> np.ndarray:
     return np.column_stack([X, np.ones(len(X))])
 
 
-def fit_least_squares(dataset: Dataset, rows: Sequence[int] | None = None,
+def fit_least_squares(data: Data, rows: Sequence[int] | None = None,
                       allow_ridge: bool = True) -> LinearModel:
     """Minimize the sum of squared residuals over (weights, intercept)."""
-    X, y, cols = _numeric_setup(dataset, rows)
+    X, y, cols = _numeric_setup(data, rows)
     beta, ridged = solve_normal_equations(_design(X), y, allow_ridge)
     return LinearModel(weights=beta[:-1], intercept=float(beta[-1]),
                        feature_cols=cols, ridge_fallback=ridged)
@@ -153,12 +143,12 @@ def gaussian_log_likelihood(residuals: np.ndarray) -> float:
     return -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
 
 
-def fit_maximum_likelihood(dataset: Dataset, rows: Sequence[int] | None = None,
+def fit_maximum_likelihood(data: Data, rows: Sequence[int] | None = None,
                            max_iters: int = 5000, tol: float = 1e-14) -> LinearModel:
     """Gradient ascent on the Gaussian log-likelihood with backtracking, so
     every recorded step is non-decreasing.  Features are standardized for
     conditioning; coefficients are reported in original units."""
-    X, y, cols = _numeric_setup(dataset, rows)
+    X, y, cols = _numeric_setup(data, rows)
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
     sd[sd == 0] = 1.0
@@ -202,12 +192,12 @@ def fit_maximum_likelihood(dataset: Dataset, rows: Sequence[int] | None = None,
                        ll_trace=trace)
 
 
-def fit_polynomial(dataset: Dataset, degree: int = 3, rows: Sequence[int] | None = None,
+def fit_polynomial(data: Data, degree: int = 3, rows: Sequence[int] | None = None,
                    allow_ridge: bool = True) -> PolynomialModel:
     """Least squares over per-feature power expansions x, x^2, ..., x^degree."""
     if degree < 1:
         raise ParameterError("degree must be at least 1")
-    X, y, cols = _numeric_setup(dataset, rows)
+    X, y, cols = _numeric_setup(data, rows)
     blocks = [X ** p for p in range(1, degree + 1)]
     design = _design(np.hstack(blocks))
     beta, ridged = solve_normal_equations(design, y, allow_ridge)
@@ -230,13 +220,13 @@ def f1_tail(x: float, dof: int) -> float:
     return float(fdtrc(1, dof, x))
 
 
-def fit_stepwise(dataset: Dataset, alpha_in: float = 0.05, alpha_out: float = 0.10,
+def fit_stepwise(data: Data, alpha_in: float = 0.05, alpha_out: float = 0.10,
                  rows: Sequence[int] | None = None) -> StepwiseModel:
     """Forward/backward selection by partial F-tests: add the most significant
     candidate with p < alpha_in, drop selected columns with p > alpha_out."""
     if not 0 < alpha_in <= alpha_out < 1:
         raise ParameterError("need 0 < alpha_in <= alpha_out < 1")
-    X, y, cols = _numeric_setup(dataset, rows)
+    X, y, cols = _numeric_setup(data, rows)
     m, n_feat = X.shape
     selected: list[int] = []
 
@@ -304,9 +294,9 @@ def fit_stepwise(dataset: Dataset, alpha_in: float = 0.05, alpha_out: float = 0.
     return StepwiseModel(selected=tuple(selected), inner=inner, feature_cols=cols)
 
 
-def predict_rows(model: RegressionModel, dataset: Dataset,
+def predict_rows(model: RegressionModel, data: Data,
                  rows: Sequence[int] | None = None) -> np.ndarray:
     """Evaluate a fitted model on the given rows (None means all)."""
-    X = numeric_block(dataset, rows, model.feature_cols)
+    X = EncodedTable.of(data).numeric(rows, model.feature_cols)
     # row by row: a matrix product may round differently in the last bit
     return np.array([model.evaluate(x) for x in X])

@@ -8,6 +8,11 @@ the full (dataset x algorithm x error type x rate) grid of evaluations and
 reduces it to both metrics plus per-algorithm averages and rankings;
 ``recommend`` walks the stepwise selection guidance over a finished report.
 
+A sweep runs point by point: each (dataset, error type, rate) point is
+corrupted and encoded once and evaluated by every algorithm of its dataset.
+A pool worker receives the sweep's plan once, when it starts, and each of
+its tasks is one point's key.
+
 The report dataclasses are the only statement of ``report.json``: their
 fields are its keys, and ``_build`` reads each object back checked against
 them, as it reads a run configuration.
@@ -35,8 +40,12 @@ from .evaluate import (
     CLUSTERING,
     EvalResult,
     LEDGER_COLUMNS,
+    LEDGER_TYPES,
     LOWER_IS_BETTER,
+    PRF_MEASURES,
+    PreparedPoint,
     REGRESSION,
+    REGRESSION_MEASURES,
     REGRESSOR_FITTERS,
     evaluate_algorithm,
     measures_of,
@@ -303,12 +312,21 @@ class RobustnessReport:
                 if isinstance(data.get(key), list):
                     data[key] = [read(kind, item, what) for item in data[key]]
             if isinstance(data.get("results"), list):
-                data["results"] = [
-                    EvalResult.from_ledger_row(
-                        _check_keys(row, LEDGER_COLUMNS, LEDGER_COLUMNS, "ledger row"))
-                    for row in data["results"]
-                ]
+                data["results"] = [_ledger_row(row) for row in data["results"]]
         return read(cls, data, "report")
+
+
+def _ledger_row(row) -> EvalResult:
+    """A result from its ledger row, which must hold every ledger column and
+    only those, each value of its column's type (a measure may be "")."""
+    _check_keys(row, LEDGER_COLUMNS, LEDGER_COLUMNS, "ledger row")
+    for key, kind in LEDGER_TYPES.items():
+        value = row[key]
+        absent = value == "" and key in PRF_MEASURES + REGRESSION_MEASURES
+        if not (_fits(value, kind) or absent):
+            raise ConfigurationError(f"ledger row key {key!r} must be {kind.__name__}, "
+                                     f"got {value!r}")
+    return EvalResult.from_ledger_row(row)
 
 
 def corruption_spec(ds: SweepDataset, error_type: str, rate: float, seed: int) -> CorruptionSpec:
@@ -349,7 +367,9 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     parameter or one its constructor rejects (``n_bins: 0``) fails here
     rather than at every point.  So does a binary-only classifier paired with
     a dataset whose clean target does not hold exactly two labels, and a
-    classification or regression dataset with fewer clean rows than folds."""
+    classification or regression dataset with fewer clean rows than folds,
+    and an error type a dataset cannot take: ``inconsistent`` without FD
+    rules, ``conflicting`` without an entity key."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -381,6 +401,12 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             raise ConfigurationError(
                 f"{folds} folds need at least {folds} rows, "
                 f"dataset {ds.name!r} has {ds.dataset.n_rows}")
+    for ds in {ds.name: ds for ds, _ in pairs}.values():
+        for et, needs, held in ((INCONSISTENT, "FD rules", ds.rules),
+                                (CONFLICTING, "an entity key", ds.entity_key)):
+            if et in error_types and not held:
+                raise ConfigurationError(
+                    f"error type {et!r} needs {needs}, dataset {ds.name!r} has none")
     if not (k_classification > 0 and k_regression > 0):
         raise ConfigurationError("k_classification and k_regression must be positive")
 
@@ -391,20 +417,52 @@ def sweep_pairs(datasets, algorithms) -> list:
     return [(ds, a) for ds in datasets for a in algorithms if task_of(a) == ds.task]
 
 
-def _run_combination(payload):
-    ds, algorithm, error_type, rate, seed, folds, timing_repeats = payload
-    try:
-        result = evaluate_algorithm(
-            ds.dataset, algorithm,
-            corruption_spec(ds, error_type, rate, seed) if rate else None,
-            folds=folds,
-            seed=derive_seed(seed, ds.name),
-            timing_repeats=timing_repeats,
-            dataset_name=ds.name,
-        )
-        return result, None
-    except Exception as exc:  # a failed combination must not kill the sweep
-        return None, f"{type(exc).__name__}: {exc}"
+@dataclass(frozen=True)
+class _Plan:
+    """What evaluating any point of a sweep needs: the datasets, each
+    dataset's algorithms in plan order with their run defaults filled in,
+    and the run's settings."""
+
+    datasets: tuple[SweepDataset, ...]
+    algorithms: tuple[tuple[Algorithm, ...], ...]
+    seed: int
+    folds: int
+    timing_repeats: int
+
+
+_served: _Plan | None = None  # the plan of the sweep this pool worker serves
+
+
+def _serve(plan: _Plan) -> None:
+    """Pool initializer: keep the sweep's plan for every task of the worker."""
+    global _served
+    _served = plan
+
+
+def _run_point(key: tuple[int, str, float], plan: _Plan | None = None) -> dict:
+    """Each algorithm's (result, error message) at the point ``key`` =
+    (dataset index, error type, rate), by algorithm name.  The point is
+    prepared once, on first use, for all of them; a pool worker reads the
+    plan it was served."""
+    plan = plan or _served
+    d, error_type, rate = key
+    ds = plan.datasets[d]
+    spec = corruption_spec(ds, error_type, rate, plan.seed) if rate else None
+    point = PreparedPoint(ds.dataset, spec)
+    outcomes = {}
+    for algorithm in plan.algorithms[d]:
+        try:
+            outcomes[algorithm.name] = evaluate_algorithm(
+                ds.dataset, algorithm, spec,
+                folds=plan.folds,
+                seed=derive_seed(plan.seed, ds.name),
+                timing_repeats=plan.timing_repeats,
+                dataset_name=ds.name,
+                point=point,
+            ), None
+        except Exception as exc:  # a failed combination must not kill the sweep
+            outcomes[algorithm.name] = None, f"{type(exc).__name__}: {exc}"
+    return outcomes
 
 
 def run_sweep(
@@ -420,8 +478,11 @@ def run_sweep(
     jobs: int = 1,
 ) -> RobustnessReport:
     """Evaluate every combination, then reduce to series, metrics, averages,
-    and sensibility rankings.  Deterministic for a fixed seed regardless of
-    worker count; a failing combination is recorded and skipped."""
+    and sensibility rankings.  Points are evaluated one (dataset, error type,
+    rate) point at a time, all of that dataset's algorithms on one prepared
+    table, and reduced in plan order: pairs x error types x rates.
+    Deterministic for a fixed seed regardless of worker count; a failing
+    combination is recorded and skipped."""
     check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression,
                 folds)
     pairs = []
@@ -435,36 +496,40 @@ def run_sweep(
         pairs.append((ds, algorithm))
 
     rates = grid.rates()
-    series = [(ds, algorithm, et) for ds, algorithm in pairs for et in error_types]
-    tasks = [
-        (ds, algorithm, et, rate, seed, folds, timing_repeats)
-        for ds, algorithm, et in series
-        for rate in rates
-    ]
+    plan = _Plan(
+        datasets=tuple(datasets),
+        algorithms=tuple(tuple(a for d, a in pairs if d is ds) for ds in datasets),
+        seed=seed, folds=folds, timing_repeats=timing_repeats,
+    )
+    keys = [(d, et, rate) for d, algos in enumerate(plan.algorithms) if algos
+            for et in error_types for rate in rates]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_combination, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_serve,
+                                 initargs=(plan,)) as pool:
+            outcomes = dict(zip(keys, pool.map(_run_point, keys)))
     else:
-        outcomes = [_run_combination(payload) for payload in tasks]
+        outcomes = {key: _run_point(key, plan) for key in keys}
 
     report = RobustnessReport(
         grid=grid, seed=seed,
         k_classification=k_classification, k_regression=k_regression,
     )
-    for s, (ds, algorithm, et) in enumerate(series):
-        chunk = outcomes[s * len(rates):(s + 1) * len(rates)]
-        point_results = [result for result, _ in chunk]
-        report.results.extend(r for r in point_results if r is not None)
-        report.errors.extend(
-            {"dataset": ds.name, "algorithm": algorithm.name,
-             "error_type": et, "rate": rate, "message": error}
-            for rate, (_, error) in zip(rates, chunk) if error is not None
-        )
+    index = {ds.name: d for d, ds in enumerate(datasets)}
+    for ds, algorithm in pairs:
         k = k_regression if ds.task == REGRESSION else k_classification
-        for measure in measures_of(ds.task):
-            report.entries.append(_series_entry(
-                ds, algorithm.name, et, measure, rates, point_results, k,
-            ))
+        for et in error_types:
+            chunk = [outcomes[index[ds.name], et, rate][algorithm.name] for rate in rates]
+            point_results = [result for result, _ in chunk]
+            report.results.extend(r for r in point_results if r is not None)
+            report.errors.extend(
+                {"dataset": ds.name, "algorithm": algorithm.name,
+                 "error_type": et, "rate": rate, "message": error}
+                for rate, (_, error) in zip(rates, chunk) if error is not None
+            )
+            for measure in measures_of(ds.task):
+                report.entries.append(_series_entry(
+                    ds, algorithm.name, et, measure, rates, point_results, k,
+                ))
     _summarize(report, pairs, error_types)
     return report
 

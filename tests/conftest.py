@@ -50,7 +50,9 @@ class ScriptedEvaluator:
     anything: each algorithm's measures come from a preset table
     ``{algorithm name: {measure: {rate: value}}}`` (absent entries give None),
     and the calls whose 0-based position is in ``fail_calls`` raise.  With
-    ``jobs=1`` the sweep calls it once per planned point, in plan order."""
+    ``jobs=1`` the sweep calls it once per planned point, one (dataset, error
+    type, rate) point at a time and a point's algorithms in plan order.  It
+    never reads the prepared ``point``, so no table is corrupted."""
 
     def __init__(self, values, fail_calls=()):
         self.values = values
@@ -58,7 +60,7 @@ class ScriptedEvaluator:
         self.calls = 0
 
     def __call__(self, dataset, algorithm, spec=None, folds=10, seed=0,
-                 timing_repeats=1, dataset_name=None):
+                 timing_repeats=1, dataset_name=None, point=None):
         call, self.calls = self.calls, self.calls + 1
         if call in self.fail_calls:
             raise ParameterError(f"scripted failure at call {call}")

@@ -27,7 +27,14 @@ from dirtybench.classify import (
 from dirtybench.corrupt import derive_seed
 from dirtybench.data import CATEGORICAL, NUMERIC, Column, dataset_from_rows
 from dirtybench.errors import DirtyBenchError
-from dirtybench.features import CAT_SCALE, Discretizer, FeatureEncoder, LabelCodec, train_labels
+from dirtybench.features import (
+    CAT_SCALE,
+    Discretizer,
+    EncodedTable,
+    FeatureEncoder,
+    LabelCodec,
+    train_labels,
+)
 from oracles import impurity_rows
 
 # training values come from few levels so constant columns are common; test
@@ -300,6 +307,24 @@ def test_encodings_equal_per_record_reference(case, n_bins):
         want_codes = np.array([ref.codes_cells(c, n_bins) for c in cells])
         assert np.array_equal(enc.transform_rows(d, rows), want_x)
         assert np.array_equal(disc.codes_rows(d, rows), want_codes)
+
+
+@given(split_tables())
+def test_one_shared_table_reads_as_the_dataset(case):
+    """Classifiers fitted and applied on one shared EncodedTable predict as
+    they do when each call reads the dataset's rows itself.  The table's
+    arrays are read-only, and every numeric block sliced from it, a column
+    subset too, is C-contiguous."""
+    d, train, test = case
+    table = EncodedTable(d)
+    assert not any(a.flags.writeable for a in (table.num, table.codes, table.target_codes))
+    for rows in (train, test, None):
+        assert table.numeric(rows).flags.c_contiguous
+        assert table.numeric(rows, table.numeric_cols[::-1]).flags.c_contiguous
+    for make in (DecisionTreeClassifier, lambda: RandomForestClassifier(n_trees=3, seed=1),
+                 lambda: KNNClassifier(k=1), NaiveBayesClassifier, BayesianNetworkClassifier):
+        assert (make().fit(table, train).predict_rows(table, test)
+                == make().fit(d, train).predict_rows(d, test))
 
 
 @given(split_tables(), st.sampled_from(("gini", "gain", "error")))

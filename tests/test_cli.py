@@ -117,6 +117,12 @@ REJECTED = [
                  id="binary-learner-on-three-classes"),
     pytest.param({"folds": 151}, [], "151 folds need at least 151 rows, dataset 'flowers' has 150",
                  id="more-folds-than-rows"),
+    pytest.param({"error_types": ["missing", "inconsistent"]}, [],
+                 "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
+                 id="inconsistent-without-rules"),
+    pytest.param({"error_types": ["missing", "conflicting"]}, [],
+                 "error type 'conflicting' needs an entity key, dataset 'flowers' has none",
+                 id="conflicting-without-key"),
 ]
 
 
@@ -430,6 +436,11 @@ MALFORMED_REPORTS = [
                  f"ledger row needs ['{LEDGER_COLUMNS[-1]}']", id="ledger-missing"),
     pytest.param("results", _set("fold_values", {}), "unknown ledger row keys: ['fold_values']",
                  id="ledger-unknown"),
+    pytest.param("results", _set("flags", 5), "ledger row key 'flags' must be str, got 5",
+                 id="ledger-ill-typed"),
+    pytest.param("results", _set("precision", "high"),
+                 "ledger row key 'precision' must be float, got 'high'",
+                 id="ledger-measure-ill-typed"),
 ]
 
 

@@ -581,6 +581,18 @@ class TestKeptStateMatchesRebuild:
         k = min(k, len(X))
         assert _min_linkage_merge(X, k) == loop_min_linkage_merge(X, k)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans(), st.integers(1, 8))
+    def test_min_linkage_merge_on_grids_and_random_points(self, seed, n, grid, k):
+        """Points on a 5-step integer grid in 2 or 3 dimensions tie many
+        distances (and repeat points); normal points tie none.  The merge
+        that keeps each row's minimum groups both as the whole-matrix search
+        does."""
+        rng = np.random.default_rng(seed)
+        X = (rng.integers(0, 5, size=(n, rng.integers(2, 4))).astype(float) if grid
+             else rng.normal(size=(n, rng.integers(1, 5))))
+        k = min(k, n)
+        assert _min_linkage_merge(X, k) == loop_min_linkage_merge(X, k)
+
     @given(point_sets(), st.integers(1, 3), st.integers(2, 5),
            st.sampled_from((0.05, 0.1, 0.2, 0.5)))
     def test_birch(self, case, k, branching, threshold):

@@ -1,15 +1,16 @@
 import json
+import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dirtybench import cluster, robustness
+from dirtybench import cluster, evaluate, robustness
 from dirtybench.cluster import dbscan_default_eps
 from dirtybench.config import DatasetConfig, RunConfig
-from dirtybench.corrupt import ERROR_TYPES, derive_seed
-from dirtybench.data import FDRule
+from dirtybench.corrupt import ERROR_TYPES, derive_seed, inject
+from dirtybench.data import CATEGORICAL, KEY, Column, FDRule, dataset_from_rows
 from dirtybench.evaluate import (
     ALL_ALGORITHMS,
     Algorithm,
@@ -219,10 +220,11 @@ class TestRunSweep:
         assert e1.values == e2.values
 
     def test_failed_combination_recorded_not_fatal(self, monkeypatch, scripted_evaluator):
-        # plan order: knn at rates 0 and 0.5 (calls 0, 1), then the tree
+        # point by point: knn then the tree at rate 0 (calls 0, 1), then at
+        # 0.5 (calls 2, 3); knn fails at both rates
         tree = {"precision": {0.0: 0.9, 0.5: 0.6}}
         monkeypatch.setattr(robustness, "evaluate_algorithm",
-                            scripted_evaluator({"decision_tree": tree}, fail_calls={0, 1}))
+                            scripted_evaluator({"decision_tree": tree}, fail_calls={0, 2}))
         ds = SweepDataset("blobs3", make_blobs(30, n_classes=3, seed=3), "classification")
         report = run_sweep(
             [ds],
@@ -356,14 +358,77 @@ class TestRunSweep:
         assert back.to_json_dict() == data
 
     def test_parallel_jobs_match_serial(self):
-        ds = SweepDataset("blobs", make_blobs(24, n_classes=2, seed=6), "classification")
-        args = ([ds], [Algorithm("knn", {"k": 1}), Algorithm("decision_tree")],
-                ("missing",), RateGrid(start=0.0, step=0.25, count=2))
+        """The whole report, but for the timings, is the same at 1 and 2
+        workers, on a sweep of all three tasks and two error types."""
+        datasets = [
+            SweepDataset("blobs", keyed(make_blobs(24, n_classes=2, seed=6)), "classification"),
+            SweepDataset("blobs_c", keyed(make_blobs(24, n_classes=2, seed=6)), "clustering"),
+            SweepDataset("linear", keyed(make_linear(24, seed=6)), "regression"),
+        ]
+        algorithms = [Algorithm("knn", {"k": 1}), Algorithm("decision_tree"),
+                      Algorithm("kmeans"), Algorithm("dbscan"), Algorithm("least_squares")]
+        args = (datasets, algorithms, ("missing", "conflicting"),
+                RateGrid(start=0.0, step=0.25, count=2))
         kwargs = dict(seed=1, folds=3, timing_repeats=1)
         serial = run_sweep(*args, **kwargs, jobs=1)
         parallel = run_sweep(*args, **kwargs, jobs=2)
-        for e_s, e_p in zip(serial.entries, parallel.entries):
-            assert e_s.values == e_p.values
+        assert len(serial.results) == 5 * 2 * 3 and not serial.errors
+        assert untimed(serial.to_json_dict()) == untimed(parallel.to_json_dict())
+
+    def test_pool_tasks_carry_keys_not_tables(self, monkeypatch):
+        """Counted as the benchmark counts them, every pool task of a
+        2000-row sweep pickles to under 1 KB: the datasets reach each worker
+        once, when it starts."""
+        sizes = []
+
+        class CountingPool(robustness.ProcessPoolExecutor):
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                sizes.extend(len(pickle.dumps((fn, t))) for t in tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(robustness, "ProcessPoolExecutor", CountingPool)
+        ds = SweepDataset("blobs", make_blobs(2000, n_classes=2, seed=1), "classification")
+        report = run_sweep([ds], [Algorithm("naive_bayes"), Algorithm("knn")], ("missing",),
+                           RateGrid(start=0.0, step=0.5, count=1), seed=2, folds=2, jobs=2)
+        assert len(report.results) == 4 and not report.errors
+        assert len(sizes) == 2 and max(sizes) < 1024
+
+    def test_failed_injection_fails_every_algorithm_at_its_point(self, monkeypatch):
+        """A point is prepared once for all its algorithms; when its
+        injection raises, each of them records that error, and the other
+        points still run."""
+        calls = []
+
+        def failing_inject(dataset, spec):
+            calls.append(spec.rate)
+            if spec.rate == 0.5:
+                raise ParameterError("injection failed at 0.5")
+            return inject(dataset, spec)
+
+        monkeypatch.setattr(evaluate, "inject", failing_inject)
+        ds = SweepDataset("blobs", make_blobs(30, n_classes=2, seed=3), "classification")
+        algorithms = [Algorithm("knn"), Algorithm("naive_bayes"), Algorithm("decision_tree")]
+        report = run_sweep([ds], algorithms, ("missing",),
+                           RateGrid(start=0.0, step=0.25, count=2), seed=0, folds=3)
+        assert calls == [0.25, 0.5]
+        assert [(e["algorithm"], e["rate"], e["message"]) for e in report.errors] == [
+            (a.name, 0.5, "ParameterError: injection failed at 0.5") for a in algorithms]
+        assert [(r.algorithm, r.rate) for r in report.results] == [
+            (a.name, rate) for a in algorithms for rate in (0.0, 0.25)]
+
+
+def keyed(data):
+    """``data`` with a unique ``id`` key column in front, so that it can
+    take conflicting duplicates."""
+    columns = (Column("id", CATEGORICAL, KEY),) + data.schema.columns
+    return dataset_from_rows(columns, [[f"r{i}", *row] for i, row in enumerate(data.rows)])
+
+
+def untimed(report_json: dict) -> dict:
+    """A report's JSON with every result's time masked."""
+    return {**report_json, "results": [{**row, "time_log10_ms": None}
+                                       for row in report_json["results"]]}
 
 
 # never fitted: the sweep plan is tested through the scripted evaluator
@@ -375,7 +440,11 @@ TASKS = ("classification", "clustering", "regression")
 def draw_sweep(data):
     """A random sweep over PLAN_DATA: its datasets, algorithms, error types
     and grid, which may have a single rate, its (dataset, algorithm) pairs,
-    its planned points in order, and the indices of the points that fail."""
+    its planned points in order, the indices of the points that fail, and
+    the evaluator call of each planned point.  The sweep evaluates one
+    (dataset, error type, rate) point at a time, its algorithms in plan
+    order, so the calls run point by point while the plan runs pair by
+    pair."""
     dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
     datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
                 for i, task in enumerate(dataset_tasks)]
@@ -387,25 +456,30 @@ def draw_sweep(data):
              if task_of(a) == ds.task]
     plan = [(d, a, et, rate) for d, a in pairs for et in error_types for rate in grid.rates()]
     failing = data.draw(st.sets(st.integers(0, len(plan) - 1))) if plan else set()
-    return datasets, algorithms, error_types, grid, pairs, plan, failing
+    names = [ds.name for ds in datasets]
+    by_point = sorted(range(len(plan)), key=lambda i: (
+        names.index(plan[i][0]), error_types.index(plan[i][2]), plan[i][3]))
+    calls = [by_point.index(i) for i in range(len(plan))]
+    return datasets, algorithms, error_types, grid, pairs, plan, failing, calls
 
 
-def scripted_sweep(evaluator, datasets, algorithms, error_types, grid, failing,
+def scripted_sweep(evaluator, datasets, algorithms, error_types, grid, failing_calls,
                    undefined=()):
     """The sweep with every measure at 1 - rate, except the ``undefined``
-    ones, which stay None, and with the ``failing`` points raising."""
+    ones, which stay None, and with the ``failing_calls`` of the evaluator
+    raising."""
     values = {a.name: {m: {r: 1.0 - r for r in grid.rates()}
                        for m in PRF_MEASURES + REGRESSION_MEASURES if m not in undefined}
               for a in algorithms}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(robustness, "evaluate_algorithm", evaluator(values, failing))
+        mp.setattr(robustness, "evaluate_algorithm", evaluator(values, failing_calls))
         return run_sweep(datasets, algorithms, error_types, grid, jobs=1)
 
 
 class TestSweepPlan:
     @given(data=st.data())
     def test_every_point_lands_once_in_plan_order(self, scripted_evaluator, data):
-        datasets, algorithms, error_types, grid, pairs, plan, failing = draw_sweep(data)
+        datasets, algorithms, error_types, grid, pairs, plan, failing, calls = draw_sweep(data)
 
         config = RunConfig(
             datasets=[DatasetConfig(ds.name, f"{ds.name}.csv", ds.task) for ds in datasets],
@@ -415,7 +489,8 @@ class TestSweepPlan:
                             if line.startswith("combinations:"))
         assert combinations.split()[1] == str(len(pairs))
 
-        sweep = (scripted_evaluator, datasets, algorithms, error_types, grid, failing)
+        sweep = (scripted_evaluator, datasets, algorithms, error_types, grid,
+                 {calls[i] for i in failing})
         if not plan:
             with pytest.raises(ConfigurationError):
                 scripted_sweep(*sweep)
@@ -425,7 +500,7 @@ class TestSweepPlan:
         # the evaluator's message names its call, so each error pins one point
         assert [(e["dataset"], e["algorithm"], e["error_type"], e["rate"], e["message"])
                 for e in report.errors] == [
-            (*point, f"ParameterError: scripted failure at call {i}")
+            (*point, f"ParameterError: scripted failure at call {calls[i]}")
             for i, point in enumerate(plan) if i in failing
         ]
         assert [(r.dataset, r.algorithm, r.error_type, r.rate) for r in report.results] == [
@@ -445,12 +520,12 @@ class TestSweepPlan:
     def test_random_report_round_trips_through_json(self, scripted_evaluator, data):
         """A report read back from its JSON text equals it field by field,
         results by ledger row, and writes the same text again."""
-        datasets, algorithms, error_types, grid, _, plan, failing = draw_sweep(data)
+        datasets, algorithms, error_types, grid, _, plan, failing, calls = draw_sweep(data)
         assume(plan)
         undefined = data.draw(st.sets(st.sampled_from(PRF_MEASURES + REGRESSION_MEASURES),
                                       max_size=2))
         report = scripted_sweep(scripted_evaluator, datasets, algorithms, error_types,
-                                grid, failing, undefined)
+                                grid, {calls[i] for i in failing}, undefined)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         back = RobustnessReport.from_json_dict(json.loads(text))
         for f in fields(RobustnessReport):
@@ -480,7 +555,8 @@ def scripted_report(monkeypatch, scripted_evaluator):
                         trace[i] = clean - 2.0 * 0.10 - i * drop
             values[algo] = trace_values({m: trace for m in PRF_MEASURES})
         monkeypatch.setattr(robustness, "evaluate_algorithm", scripted_evaluator(values))
-        ds = SweepDataset("synthetic", make_blobs(20, seed=9), "classification")
+        ds = SweepDataset("synthetic", make_blobs(20, seed=9), "classification",
+                          rules=PLAN_RULES, entity_key=("x0",))
         return run_sweep([ds], [Algorithm(a) for a in clean_by_algo],
                          ("missing", "inconsistent", "conflicting"),
                          grid, seed=0, timing_repeats=1)
