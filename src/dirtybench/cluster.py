@@ -5,8 +5,7 @@ missing cells) or the EncodedTable of an imputed one, clusters its rows, and
 returns a :class:`Clustering` whose ``assignments`` array maps row index to
 cluster index (-1 marks DBSCAN noise).  ``meta`` carries algorithm traces
 used by the property tests: per-iteration SSE for k-means, accepted-cost
-trace for CLARANS, centroids in original units when the features are all
-numeric.
+trace for CLARANS.
 """
 from __future__ import annotations
 
@@ -43,15 +42,9 @@ def _table(d: Data) -> EncodedTable:
     return EncodedTable(impute(d) if d.has_missing() else d)
 
 
-def encode_for_clustering(d: Data) -> tuple[np.ndarray, FeatureEncoder]:
+def encode_for_clustering(d: Data) -> np.ndarray:
     enc = FeatureEncoder(_table(d))
-    return enc.embed(enc.encoding.num, enc.encoding.codes), enc
-
-
-def _maybe_original_centroids(enc: FeatureEncoder, centroids: np.ndarray):
-    if enc.encoding.categorical_cols:
-        return None
-    return enc.inverse_numeric(centroids)
+    return enc.embed(enc.encoding.num, enc.encoding.codes)
 
 
 # Byte budget of the (rows x len(C) x d) temporary behind one distance block;
@@ -149,7 +142,7 @@ def _maximin_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
 def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
     """Lloyd iterations from k maximin-seeded data points; empty clusters are
     re-seeded with the point farthest from its current centroid."""
-    X, enc = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     n = len(X)
     if k < 1:
         raise ParameterError("k must be at least 1")
@@ -175,11 +168,7 @@ def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
             members = X[assign == c]
             if len(members):
                 centroids[c] = members.mean(axis=0)
-    meta = {"centroids": centroids, "sse": sse_trace}
-    raw = _maybe_original_centroids(enc, centroids)
-    if raw is not None:
-        meta["centroids_original"] = raw
-    return Clustering(assign, k, meta)
+    return Clustering(assign, k, {"centroids": centroids, "sse": sse_trace})
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +184,7 @@ def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
     evaluation against clean truth is the harness's job.
     """
     table = _table(d)  # labels are imputed along with features
-    X, _ = encode_for_clustering(table)
+    X = encode_for_clustering(table)
     if table.schema.target_index is None:
         raise ParameterError("LVQ needs a labeled dataset")
     codec, y = table.labels(None, "LVQ")
@@ -233,7 +222,7 @@ def clarans(d: Data, k: int, num_local: int = 5, max_neighbor: int = 100,
             seed: int = 0) -> Clustering:
     """Randomized medoid search: accept any cost-decreasing single-medoid
     swap, give up a restart after max_neighbor consecutive failures."""
-    X, enc = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     n = len(X)
     if k < 1 or k > n:
         raise ParameterError(f"k={k} out of range for {n} rows")
@@ -316,7 +305,7 @@ def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
         raise ParameterError("eps must be positive")
     if min_pts < 1:
         raise ParameterError("min_pts must be at least 1")
-    X, _ = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     n = len(X)
     # eps-neighbour edges (self loops included), one block of rows at a
     # time; np.nonzero lists each block's edges in row order
@@ -351,7 +340,7 @@ def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
 def dbscan_default_eps(d: Data, min_pts: int = 4, percentile: float = 90.0) -> float:
     """Radius heuristic frozen on the clean data: percentile of the
     min_pts-th nearest-neighbor distances."""
-    X, _ = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     kk = min(min_pts, len(X) - 1)
     # sqrt is monotone, so the k-th smallest root is the root of the k-th
     # smallest square
@@ -554,7 +543,7 @@ def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clus
         raise ParameterError("threshold must be positive")
     if branching < 2:
         raise ParameterError("branching must be at least 2")
-    X, enc = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     root = _CFNode(is_leaf=True)
     for x in X:
         split = _insert_cf(root, _CF(point=x), threshold, branching)
@@ -575,11 +564,8 @@ def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clus
             merged.add(leaf_entries[i])
         seeds[g] = merged.centroid
     assign = _sq_dists(X, seeds).argmin(axis=1)
-    meta = {"seeds": seeds, "n_leaf_entries": len(leaf_entries), "cf_root": root}
-    raw = _maybe_original_centroids(enc, seeds)
-    if raw is not None:
-        meta["centroids_original"] = raw
-    return Clustering(assign, k, meta)
+    return Clustering(assign, k, {"seeds": seeds, "n_leaf_entries": len(leaf_entries),
+                                  "cf_root": root})
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +581,7 @@ def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
         raise ParameterError("shrink must be in (0, 1]")
     if n_rep < 1:
         raise ParameterError("n_rep must be at least 1")
-    X, enc = encode_for_clustering(d)
+    X = encode_for_clustering(d)
     n = len(X)
     size = int(round(sample_frac * n))
     if size < k:

@@ -8,9 +8,11 @@ denominators are flagged and recorded as absent rather than zero.
 Ground truth always comes from the dataset's clean shadow; corrupted rows
 feed only the training and the test-time features.
 
-A point (dataset, corruption) is corrupted, imputed and encoded once, into
-one :class:`~dirtybench.features.EncodedTable` that every algorithm
-evaluated there slices: pass the same :class:`PreparedPoint` to each call.
+A :class:`PreparedPoint` (dataset, corruption) is the one input of every
+protocol, and its results carry its name, error type and rate.  It is
+corrupted, imputed and encoded once, into one
+:class:`~dirtybench.features.EncodedTable` that every algorithm evaluated
+there slices: pass the same point to each call.
 """
 from __future__ import annotations
 
@@ -59,12 +61,7 @@ def macro_precision_recall_f(pred: Sequence[Cell], truth: Sequence[Cell]) -> tup
         raise ParameterError("prediction and truth lengths differ")
     if not truth:
         raise EmptyInputError("no records to score")
-    classes: list[Cell] = []
-    seen = set()
-    for v in truth:
-        if v not in seen:
-            seen.add(v)
-            classes.append(v)
+    classes = list(dict.fromkeys(truth))
     precisions = []
     recalls = []
     for c in classes:
@@ -94,12 +91,7 @@ def match_clusters(clustering: Clustering, truth: Sequence[Cell]) -> list[Cell]:
     """
     if len(truth) != len(clustering.assignments):
         raise ParameterError("truth must cover every row")
-    classes: list[Cell] = []
-    seen = set()
-    for v in truth:
-        if v not in seen:
-            seen.add(v)
-            classes.append(v)
+    classes = list(dict.fromkeys(truth))
     n_c = len(classes)
     k = clustering.n_clusters
     class_idx = {c: i for i, c in enumerate(classes)}
@@ -138,9 +130,6 @@ class RegressionMeasures:
     nrmsd: float | None
     cv_rmsd: float | None
     flags: tuple[str, ...] = ()
-
-    def as_dict(self) -> dict[str, float | None]:
-        return {"rmsd": self.rmsd, "nrmsd": self.nrmsd, "cv_rmsd": self.cv_rmsd}
 
 
 def regression_measures(pred: Sequence[float], truth: Sequence[float]) -> RegressionMeasures:
@@ -312,17 +301,21 @@ def _timed(fn: Callable[[], object], repeats: int) -> tuple[object, float]:
 
 
 def _prepare(dataset: Dataset, spec: CorruptionSpec | None) -> EncodedTable:
-    work = dataset if spec is None or spec.rate == 0 else inject(dataset, spec)
+    work = dataset if spec is None else inject(dataset, spec)
     return EncodedTable(impute(work) if work.has_missing() else work)
 
 
 class PreparedPoint:
-    """The table that every algorithm evaluated at one point reads:
-    ``dataset`` corrupted by ``spec``, imputed and encoded, prepared on first
-    use.  A preparation that fails raises the same error at every use."""
+    """The one input of an evaluation: ``dataset`` corrupted by ``spec``,
+    imputed and encoded on first use, and the ``name`` (by default the
+    dataset's source) that its results carry.  A spec at rate 0 is the clean
+    point, the same as none.  A preparation that fails raises the same error
+    at every use."""
 
-    def __init__(self, dataset: Dataset, spec: CorruptionSpec | None):
-        self.dataset, self.spec = dataset, spec
+    def __init__(self, dataset: Dataset, spec: CorruptionSpec | None = None,
+                 name: str | None = None):
+        self.dataset, self.name = dataset, name or dataset.source
+        self.spec = None if spec is None or spec.rate == 0 else spec
         self._outcome: EncodedTable | Exception | None = None
 
     def table(self) -> EncodedTable:
@@ -336,18 +329,30 @@ class PreparedPoint:
         return self._outcome
 
 
-def cross_validate(
-    dataset: Dataset,
-    algorithm: Algorithm,
-    spec: CorruptionSpec | None = None,
-    folds: int = 10,
-    seed: int = 0,
-    timing_repeats: int = 1,
-    dataset_name: str | None = None,
-    point: PreparedPoint | None = None,
-) -> EvalResult:
-    """Corrupt, impute, k-fold train/test, aggregate fold means.  ``point``,
-    when given, is the prepared (dataset, spec) point to read.
+def _result(point: PreparedPoint, algorithm: Algorithm, seed: int,
+            run_pass: Callable[[], tuple], timing_repeats: int) -> EvalResult:
+    """The result of ``algorithm`` at ``point`` from timing ``run_pass``,
+    which returns the per-fold measures and the flags; measures are fold means."""
+    (per_fold, flags), wall = _timed(run_pass, timing_repeats)
+    task = task_of(algorithm)
+    spec = point.spec
+    return EvalResult(
+        dataset=point.name,
+        algorithm=algorithm.name,
+        task=task,
+        error_type=spec.error_type if spec else None,
+        rate=spec.rate if spec else 0.0,
+        seed=seed,
+        measures=_aggregate(task, per_fold),
+        fold_values=per_fold,
+        flags=tuple(flags),
+        wall_time_log10_ms=wall,
+    )
+
+
+def cross_validate(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
+                   seed: int = 0, timing_repeats: int = 1) -> EvalResult:
+    """K-fold train/test on the point's table, aggregate fold means.
 
     The reported F-measure is recomputed from the aggregated precision and
     recall so the harmonic-mean identity holds on every emitted result.
@@ -355,9 +360,8 @@ def cross_validate(
     task = task_of(algorithm)
     if task == CLUSTERING:
         raise ConfigurationError("clustering runs fold-free; use evaluate_clustering")
-    name = dataset_name or dataset.source
-    params = with_run_defaults(algorithm, dataset, seed).params
-    work = (point or PreparedPoint(dataset, spec)).table()
+    params = with_run_defaults(algorithm, point.dataset, seed).params
+    work = point.table()
     parts = fold_partition(work.n_rows, folds, np.random.default_rng(derive_seed(seed, "folds")))
 
     def run_pass():
@@ -389,20 +393,7 @@ def cross_validate(
                     flags.append(f"fold{f}:ridge-fallback")
         return per_fold, flags
 
-    (per_fold, flags), wall = _timed(run_pass, timing_repeats)
-    measures = _aggregate(task, per_fold)
-    return EvalResult(
-        dataset=name,
-        algorithm=algorithm.name,
-        task=task,
-        error_type=spec.error_type if spec else None,
-        rate=spec.rate if spec else 0.0,
-        seed=seed,
-        measures=measures,
-        fold_values=per_fold,
-        flags=tuple(flags),
-        wall_time_log10_ms=wall,
-    )
+    return _result(point, algorithm, seed, run_pass, timing_repeats)
 
 
 def _aggregate(task: str, per_fold: dict[str, list[float | None]]) -> dict[str, float | None]:
@@ -416,61 +407,27 @@ def _aggregate(task: str, per_fold: dict[str, list[float | None]]) -> dict[str, 
     return out
 
 
-def evaluate_clustering(
-    dataset: Dataset,
-    algorithm: Algorithm,
-    spec: CorruptionSpec | None = None,
-    seed: int = 0,
-    timing_repeats: int = 1,
-    dataset_name: str | None = None,
-    point: PreparedPoint | None = None,
-) -> EvalResult:
-    """Fold-free protocol: cluster the whole corrupted dataset, match
-    clusters against the clean labels, report P/R/F.  ``point``, when
-    given, is the prepared (dataset, spec) point to read."""
-    name = dataset_name or dataset.source
-    work = (point or PreparedPoint(dataset, spec)).table()
+def evaluate_clustering(point: PreparedPoint, algorithm: Algorithm, seed: int = 0,
+                        timing_repeats: int = 1) -> EvalResult:
+    """Fold-free protocol: cluster the point's whole table, match clusters
+    against the clean labels, report P/R/F as the means of a single fold."""
+    work = point.table()
     if work.truth is None:
         raise ConfigurationError("clustering evaluation needs ground-truth labels")
     truth = work.truth
-    params = with_run_defaults(algorithm, dataset, seed).params
+    params = with_run_defaults(algorithm, point.dataset, seed).params
 
     def run_pass():
         clustering = getattr(cluster_mod, algorithm.name)(work, **params)
-        pred = match_clusters(clustering, truth)
-        return macro_precision_recall_f(pred, truth)
+        P, R, F = macro_precision_recall_f(match_clusters(clustering, truth), truth)
+        return {"precision": [P], "recall": [R], "f_measure": [F]}, ()
 
-    (P, R, F), wall = _timed(run_pass, timing_repeats)
-    per_fold = {"precision": [P], "recall": [R], "f_measure": [F]}
-    return EvalResult(
-        dataset=name,
-        algorithm=algorithm.name,
-        task=CLUSTERING,
-        error_type=spec.error_type if spec else None,
-        rate=spec.rate if spec else 0.0,
-        seed=seed,
-        measures={"precision": P, "recall": R, "f_measure": F},
-        fold_values=per_fold,
-        flags=(),
-        wall_time_log10_ms=wall,
-    )
+    return _result(point, algorithm, seed, run_pass, timing_repeats)
 
 
-def evaluate_algorithm(
-    dataset: Dataset,
-    algorithm: Algorithm,
-    spec: CorruptionSpec | None = None,
-    folds: int = 10,
-    seed: int = 0,
-    timing_repeats: int = 1,
-    dataset_name: str | None = None,
-    point: PreparedPoint | None = None,
-) -> EvalResult:
-    """Dispatch to the protocol matching the algorithm's task.  ``point``,
-    when given, is the prepared (dataset, spec) point to read."""
-    task = task_of(algorithm)
-    if task == CLUSTERING:
-        return evaluate_clustering(dataset, algorithm, spec, seed, timing_repeats, dataset_name,
-                                   point)
-    return cross_validate(dataset, algorithm, spec, folds, seed, timing_repeats, dataset_name,
-                          point)
+def evaluate_algorithm(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
+                       seed: int = 0, timing_repeats: int = 1) -> EvalResult:
+    """Dispatch to the protocol matching the algorithm's task."""
+    if task_of(algorithm) == CLUSTERING:
+        return evaluate_clustering(point, algorithm, seed, timing_repeats)
+    return cross_validate(point, algorithm, folds, seed, timing_repeats)

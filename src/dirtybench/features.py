@@ -219,13 +219,6 @@ class FeatureEncoder:
             out[seen, offset + codes[seen, b]] = CAT_SCALE
         return out
 
-    def inverse_numeric(self, points: np.ndarray) -> np.ndarray:
-        """Map encoded points back to raw units; numeric-only schemas."""
-        if self.encoding.categorical_cols:
-            raise SchemaError("inverse transform defined only for all-numeric features")
-        span, lo = self.encoding.span, self.encoding.lo
-        return np.where(span > 0, points * span + lo, lo)
-
 
 class Discretizer:
     """Equal-width binning of numeric features plus categorical code maps.

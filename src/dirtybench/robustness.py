@@ -20,6 +20,7 @@ them, as it reads a run configuration.
 from __future__ import annotations
 
 import inspect
+import math
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -366,15 +367,18 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     signature, and each classifier is constructed once, so a misspelled
     parameter or one its constructor rejects (``n_bins: 0``) fails here
     rather than at every point.  So does a binary-only classifier paired with
-    a dataset whose clean target does not hold exactly two labels, and a
+    a dataset whose clean target does not hold exactly two labels, a
     classification or regression dataset with fewer clean rows than folds,
-    and an error type a dataset cannot take: ``inconsistent`` without FD
-    rules, ``conflicting`` without an entity key."""
+    a knn ``k`` above the smallest training fold or a clusterer's set ``k``
+    above the clean rows, and an error type a dataset cannot take:
+    ``inconsistent`` without FD rules, ``conflicting`` without an entity
+    key."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
             raise ConfigurationError(f"no {kind} selected")
     check_names(datasets, algorithms, error_types)
+    classifiers = {}
     for algorithm in algorithms:
         learner = (CLASSIFIER_TYPES.get(algorithm.name)
                    or REGRESSOR_FITTERS.get(algorithm.name)
@@ -382,7 +386,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         try:
             inspect.signature(learner).bind_partial(**algorithm.params)
             if algorithm.name in CLASSIFIER_TYPES:
-                learner(**algorithm.params)
+                classifiers[algorithm.name] = learner(**algorithm.params)
         except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:
@@ -397,10 +401,18 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
                 raise ConfigurationError(
                     f"algorithm {algorithm.name!r} needs a binary target, "
                     f"dataset {ds.name!r} has {len(labels)} classes")
-        if ds.task != CLUSTERING and folds > ds.dataset.n_rows:
+        n = ds.dataset.n_rows
+        if ds.task != CLUSTERING and folds > n:
             raise ConfigurationError(
-                f"{folds} folds need at least {folds} rows, "
-                f"dataset {ds.name!r} has {ds.dataset.n_rows}")
+                f"{folds} folds need at least {folds} rows, dataset {ds.name!r} has {n}")
+        # corruption never removes rows, so a k above these rows fails every point
+        if algorithm.name == "knn":
+            k, rows, of = classifiers["knn"].k, n - math.ceil(n / folds), "smallest training fold"
+        else:
+            k, rows, of = algorithm.params.get("k"), n, "clean table"
+        if isinstance(k, int) and k > rows:
+            raise ConfigurationError(f"algorithm {algorithm.name!r} has k={k}, dataset "
+                                     f"{ds.name!r} has {rows} rows in its {of}")
     for ds in {ds.name: ds for ds, _ in pairs}.values():
         for et, needs, held in ((INCONSISTENT, "FD rules", ds.rules),
                                 (CONFLICTING, "an entity key", ds.entity_key)):
@@ -439,26 +451,22 @@ def _serve(plan: _Plan) -> None:
     _served = plan
 
 
-def _run_point(key: tuple[int, str, float], plan: _Plan | None = None) -> dict:
+def _run_point(key: tuple[int, str | None, float], plan: _Plan | None = None) -> dict:
     """Each algorithm's (result, error message) at the point ``key`` =
-    (dataset index, error type, rate), by algorithm name.  The point is
-    prepared once, on first use, for all of them; a pool worker reads the
-    plan it was served."""
+    (dataset index, error type, rate), by algorithm name; the clean point is
+    (dataset index, None, 0.0).  The point is prepared once, on first use,
+    for all of them; a pool worker reads the plan it was served."""
     plan = plan or _served
     d, error_type, rate = key
     ds = plan.datasets[d]
-    spec = corruption_spec(ds, error_type, rate, plan.seed) if rate else None
-    point = PreparedPoint(ds.dataset, spec)
+    point = PreparedPoint(
+        ds.dataset, corruption_spec(ds, error_type, rate, plan.seed) if rate else None, ds.name)
     outcomes = {}
     for algorithm in plan.algorithms[d]:
         try:
             outcomes[algorithm.name] = evaluate_algorithm(
-                ds.dataset, algorithm, spec,
-                folds=plan.folds,
-                seed=derive_seed(plan.seed, ds.name),
+                point, algorithm, folds=plan.folds, seed=derive_seed(plan.seed, ds.name),
                 timing_repeats=plan.timing_repeats,
-                dataset_name=ds.name,
-                point=point,
             ), None
         except Exception as exc:  # a failed combination must not kill the sweep
             outcomes[algorithm.name] = None, f"{type(exc).__name__}: {exc}"
@@ -480,7 +488,9 @@ def run_sweep(
     """Evaluate every combination, then reduce to series, metrics, averages,
     and sensibility rankings.  Points are evaluated one (dataset, error type,
     rate) point at a time, all of that dataset's algorithms on one prepared
-    table, and reduced in plan order: pairs x error types x rates.
+    table, and reduced in plan order: pairs x error types x rates.  A
+    dataset's clean point is evaluated once; each error type's series reads
+    it at rate 0.
     Deterministic for a fixed seed regardless of worker count; a failing
     combination is recorded and skipped."""
     check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression,
@@ -501,8 +511,9 @@ def run_sweep(
         algorithms=tuple(tuple(a for d, a in pairs if d is ds) for ds in datasets),
         seed=seed, folds=folds, timing_repeats=timing_repeats,
     )
-    keys = [(d, et, rate) for d, algos in enumerate(plan.algorithms) if algos
-            for et in error_types for rate in rates]
+    keys = list(dict.fromkeys((d, et if rate else None, rate)
+                              for d, algos in enumerate(plan.algorithms) if algos
+                              for et in error_types for rate in rates))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_serve,
                                  initargs=(plan,)) as pool:
@@ -518,7 +529,8 @@ def run_sweep(
     for ds, algorithm in pairs:
         k = k_regression if ds.task == REGRESSION else k_classification
         for et in error_types:
-            chunk = [outcomes[index[ds.name], et, rate][algorithm.name] for rate in rates]
+            chunk = [outcomes[index[ds.name], et if rate else None, rate][algorithm.name]
+                     for rate in rates]
             point_results = [result for result, _ in chunk]
             report.results.extend(r for r in point_results if r is not None)
             report.errors.extend(

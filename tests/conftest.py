@@ -50,21 +50,22 @@ class ScriptedEvaluator:
     anything: each algorithm's measures come from a preset table
     ``{algorithm name: {measure: {rate: value}}}`` (absent entries give None),
     and the calls whose 0-based position is in ``fail_calls`` raise.  With
-    ``jobs=1`` the sweep calls it once per planned point, one (dataset, error
-    type, rate) point at a time and a point's algorithms in plan order.  It
-    never reads the prepared ``point``, so no table is corrupted."""
+    ``jobs=1`` the sweep calls it once per point, one (dataset, error type,
+    rate) point at a time, a dataset's shared clean point first, and a
+    point's algorithms in plan order.  It reads only the point's spec and
+    name, so no table is corrupted."""
 
     def __init__(self, values, fail_calls=()):
         self.values = values
         self.fail_calls = set(fail_calls)
         self.calls = 0
 
-    def __call__(self, dataset, algorithm, spec=None, folds=10, seed=0,
-                 timing_repeats=1, dataset_name=None, point=None):
+    def __call__(self, point, algorithm, folds=10, seed=0, timing_repeats=1):
         call, self.calls = self.calls, self.calls + 1
         if call in self.fail_calls:
             raise ParameterError(f"scripted failure at call {call}")
         task = task_of(algorithm)
+        spec = point.spec
         rate = spec.rate if spec else 0.0
         table = self.values.get(algorithm.name, {})
         measures = {
@@ -73,7 +74,7 @@ class ScriptedEvaluator:
             for m in measures_of(task)
         }
         return EvalResult(
-            dataset=dataset_name or dataset.source, algorithm=algorithm.name, task=task,
+            dataset=point.name, algorithm=algorithm.name, task=task,
             error_type=spec.error_type if spec else None, rate=rate, seed=seed,
             measures=measures, fold_values={m: [v] for m, v in measures.items()},
             flags=(), wall_time_log10_ms=0.0,

@@ -179,7 +179,7 @@ class TestCriterion4OracleEquivalence:
         for values in cases:
             d = dataset_from_rows(cols, [[float(v)] for v in values])
             result = kmeans(d, 2, seed=int(rng.integers(1000)))
-            X, _ = encode_for_clustering(d)
+            X = encode_for_clustering(d)
             got = kmeans_sse(X, result.assignments, 2)
             best = min(
                 kmeans_sse(X, np.array(bits), 2)

@@ -117,6 +117,9 @@ REJECTED = [
                  id="binary-learner-on-three-classes"),
     pytest.param({"folds": 151}, [], "151 folds need at least 151 rows, dataset 'flowers' has 150",
                  id="more-folds-than-rows"),
+    pytest.param({"folds": 10, "algorithms": [{"name": "knn", "params": {"k": 140}}]}, [],
+                 "algorithm 'knn' has k=140, dataset 'flowers' has 135 rows in its smallest "
+                 "training fold", id="knn-k-above-training-fold"),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
                  "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
                  id="inconsistent-without-rules"),

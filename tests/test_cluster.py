@@ -56,7 +56,7 @@ class TestKMeans:
     def test_two_groups_match_bruteforce_sse(self):
         d = points_1d([0, 1, 9, 10])
         result = kmeans(d, 2, seed=0)
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         best = None
         for bits in itertools.product([0, 1], repeat=4):
             assign = np.array(bits)
@@ -66,14 +66,15 @@ class TestKMeans:
             if best is None or sse < best[0]:
                 best = (sse, assign)
         assert same_partition(result.assignments, best[1])
-        cents = sorted(result.meta["centroids_original"].ravel())
-        assert cents == pytest.approx([0.5, 9.5])
+        # in min-max units: the points 0, 1, 9, 10 sit at 0, 0.1, 0.9, 1
+        cents = sorted(result.meta["centroids"].ravel())
+        assert cents == pytest.approx([0.05, 0.95])
 
     def test_k_equals_n(self):
         d = points_1d([0, 3, 7, 11])
         result = kmeans(d, 4, seed=1)
         assert sorted(result.assignments) == [0, 1, 2, 3]
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         assert kmeans_sse(X, result.assignments, 4) == pytest.approx(0.0)
 
     def test_seed_determinism(self):
@@ -119,7 +120,7 @@ class TestLVQ:
         d = self.labeled_blobs()
         result = lvq(d, q=2, learning_rate=0.2, iters=500, seed=1)
         # oracle: nearest true class centroid
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         truth = np.array([i % 2 for i in range(30)])
         cents = np.array([X[truth == c].mean(axis=0) for c in (0, 1)])
         oracle = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -145,7 +146,7 @@ class TestCLARANS:
 
     def test_four_point_exhaustive_best(self):
         d = points_2d([(0, 0), (0, 1), (10, 10), (10, 11)])
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
         best = min(
             dist[:, list(pair)].min(axis=1).sum()
@@ -251,7 +252,7 @@ class TestCURE:
     def test_full_shrink_equals_centroid_assignment(self):
         d, _ = two_blobs(n_per=10, gap=60.0, seed=8)
         result = cure(d, k=2, n_rep=4, shrink=1.0, sample_frac=1.0, seed=2)
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         groups = _min_linkage_merge(X, 2)
         cents = np.array([X[g].mean(axis=0) for g in groups])
         oracle = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -260,7 +261,7 @@ class TestCURE:
     def test_single_rep_full_shrink_is_centroid_rule(self):
         d = points_2d([(0, 0), (1, 0), (0, 1), (20, 20), (21, 20), (20, 21)])
         result = cure(d, k=2, n_rep=1, shrink=1.0, sample_frac=1.0, seed=0)
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         groups = _min_linkage_merge(X, 2)
         cents = np.array([X[g].mean(axis=0) for g in groups])
         oracle = ((X[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
@@ -414,7 +415,7 @@ class TestChunkedKernelsMatchDense:
     @given(point_sets(), st.integers(1, 25))
     def test_sq_dists(self, case, m):
         data, budget, rng = case
-        X, _ = encode_for_clustering(data)
+        X = encode_for_clustering(data)
         C = np.round(rng.normal(size=(m, X.shape[1])), 1)
         with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
             assert np.array_equal(_sq_dists(X, C), dense_sq_dists(X, C))
@@ -423,7 +424,7 @@ class TestChunkedKernelsMatchDense:
     @given(point_sets(), st.integers(1, 6), st.floats(0.0, 1.0))
     def test_dbscan(self, case, min_pts, q):
         data, budget, _ = case
-        X, _ = encode_for_clustering(data)
+        X = encode_for_clustering(data)
         # eps is one of the pairwise distances, so points sit exactly on it
         dists = np.sqrt(dense_sq_dists(X, X)).ravel()
         eps = float(np.quantile(dists, q, method="nearest")) or 0.25
@@ -438,7 +439,7 @@ class TestChunkedKernelsMatchDense:
     def test_dbscan_border_between_two_clusters_and_noise(self):
         # cluster B comes first in row order, so it is cluster 0
         d = points_1d([9.7, 9.8, 9.9, 10.0, 5.0, 0.0, 0.1, 0.2, 0.3, 20.0])
-        X, _ = encode_for_clustering(d)
+        X = encode_for_clustering(d)
         eps, min_pts = 4.75 / 20.0, 4
         assign, n_clusters, core_idx = union_find_dbscan(X, eps, min_pts)
         assert n_clusters == 2 and assign[4] == 0 and 4 not in core_idx
@@ -451,7 +452,7 @@ class TestChunkedKernelsMatchDense:
     @given(point_sets(), st.integers(1, 6), st.floats(1.0, 100.0))
     def test_default_eps(self, case, min_pts, percentile):
         data, budget, _ = case
-        X, _ = encode_for_clustering(data)
+        X = encode_for_clustering(data)
         with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
             eps = dbscan_default_eps(data, min_pts=min_pts, percentile=percentile)
         assert eps == sorted_eps(X, min_pts, percentile)
@@ -460,7 +461,7 @@ class TestChunkedKernelsMatchDense:
            st.integers(0, 1000))
     def test_clarans(self, case, k, num_local, max_neighbor, seed):
         data, budget, _ = case
-        X, _ = encode_for_clustering(data)
+        X = encode_for_clustering(data)
         k = min(k, len(X))
         assign, medoids, cost, traces = dense_clarans(X, k, num_local, max_neighbor, seed)
         with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
@@ -577,7 +578,7 @@ class TestKeptStateMatchesRebuild:
     @given(point_sets(), st.integers(1, 6))
     def test_min_linkage_merge(self, case, k):
         data, _, _ = case
-        X, _ = encode_for_clustering(data)
+        X = encode_for_clustering(data)
         k = min(k, len(X))
         assert _min_linkage_merge(X, k) == loop_min_linkage_merge(X, k)
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dirtybench.evaluate import (
     Algorithm,
     EvalResult,
     NOISE_LABEL,
+    PreparedPoint,
     cross_validate,
     evaluate_algorithm,
     evaluate_clustering,
@@ -156,7 +158,7 @@ class TestCrossValidate:
     def test_rate_zero_equals_manual_folds(self):
         d = make_blobs(24, n_classes=2, seed=1)
         algo = Algorithm("knn", {"k": 1})
-        result = cross_validate(d, algo, folds=2, seed=5, timing_repeats=1)
+        result = cross_validate(PreparedPoint(d), algo, folds=2, seed=5, timing_repeats=1)
         parts = fold_partition(24, 2, np.random.default_rng(derive_seed(5, "folds")))
         t = d.schema.target_index
         vals = {"precision": [], "recall": []}
@@ -175,29 +177,29 @@ class TestCrossValidate:
         d = make_blobs(30, n_classes=2, seed=2)
         spec = CorruptionSpec(error_type="missing", rate=0.2, seed=9)
         algo = Algorithm("decision_tree")
-        a = cross_validate(d, algo, spec, folds=3, seed=4, timing_repeats=1)
-        b = cross_validate(d, algo, spec, folds=3, seed=4, timing_repeats=1)
+        a = cross_validate(PreparedPoint(d, spec), algo, folds=3, seed=4, timing_repeats=1)
+        b = cross_validate(PreparedPoint(d, spec), algo, folds=3, seed=4, timing_repeats=1)
         assert a.measures == b.measures
         assert a.fold_values == b.fold_values
 
     def test_two_fold_partition_sizes_on_four_rows(self):
         cols = [Column("x", NUMERIC), Column("label", CATEGORICAL, "target")]
         d = dataset_from_rows(cols, [[0.0, "a"], [1.0, "a"], [10.0, "b"], [11.0, "b"]])
-        result = cross_validate(d, Algorithm("knn", {"k": 1}), folds=2, seed=0,
-                                timing_repeats=1)
+        result = cross_validate(PreparedPoint(d), Algorithm("knn", {"k": 1}), folds=2,
+                                seed=0, timing_repeats=1)
         assert all(len(v) == 2 for v in result.fold_values.values())
 
     def test_f_is_harmonic_mean_of_aggregates(self):
         d = make_blobs(40, n_classes=3, seed=3)
         spec = CorruptionSpec(error_type="missing", rate=0.3, seed=1)
-        result = cross_validate(d, Algorithm("naive_bayes"), spec, folds=4, seed=2,
-                                timing_repeats=1)
+        result = cross_validate(PreparedPoint(d, spec), Algorithm("naive_bayes"), folds=4,
+                                seed=2, timing_repeats=1)
         P, R, F = (result.measures[m] for m in ("precision", "recall", "f_measure"))
         assert F == pytest.approx(f_measure(P, R), abs=1e-12)
 
     def test_regression_path(self):
         d = make_linear(40, seed=4)
-        result = cross_validate(d, Algorithm("least_squares"), folds=4, seed=1,
+        result = cross_validate(PreparedPoint(d), Algorithm("least_squares"), folds=4, seed=1,
                                 timing_repeats=1)
         assert result.measures["rmsd"] is not None
         assert result.measures["rmsd"] < 1.0
@@ -215,22 +217,38 @@ class TestCrossValidate:
         d = make_blobs(30, n_classes=2, seed=2)
         spec = CorruptionSpec(error_type="missing", rate=0.2, seed=9)
         algo = Algorithm("decision_tree")
-        once = cross_validate(d, algo, spec, folds=3, seed=4)
+        once = cross_validate(PreparedPoint(d, spec), algo, folds=3, seed=4)
         assert len(calls) == 3
-        thrice = cross_validate(d, algo, spec, folds=3, seed=4, timing_repeats=3)
+        thrice = cross_validate(PreparedPoint(d, spec), algo, folds=3, seed=4,
+                                timing_repeats=3)
         assert len(calls) == 3 + 3 * 3
         assert thrice.measures == once.measures
         assert thrice.fold_values == once.fold_values and thrice.flags == once.flags
 
+    def test_result_is_labelled_by_the_point_it_measured(self):
+        """Name, error type and rate come from the point whose table was
+        measured, and a spec at rate 0 is the clean point."""
+        d = make_blobs(60, seed=0)
+        spec = CorruptionSpec(error_type="missing", rate=0.5, seed=3)
+        knn = Algorithm("knn")
+        dirty = cross_validate(PreparedPoint(d, spec, "blobs"), knn, folds=5)
+        assert (dirty.dataset, dirty.error_type, dirty.rate) == ("blobs", "missing", 0.5)
+        zero = PreparedPoint(d, replace(spec, rate=0.0))
+        assert zero.spec is None
+        clean = cross_validate(zero, knn, folds=5)
+        assert (clean.dataset, clean.error_type, clean.rate) == (d.source, None, 0.0)
+        assert clean.measures == cross_validate(PreparedPoint(d), knn, folds=5).measures
+        assert clean.measures != dirty.measures
+
     def test_clustering_rejected(self):
         d = make_blobs(20, seed=0)
         with pytest.raises(ConfigurationError):
-            cross_validate(d, Algorithm("kmeans"))
+            cross_validate(PreparedPoint(d), Algorithm("kmeans"))
 
     def test_ledger_row_shape(self):
         d = make_blobs(20, n_classes=2, seed=1)
-        result = evaluate_algorithm(d, Algorithm("knn", {"k": 3}), folds=2, seed=0,
-                                    timing_repeats=1)
+        result = evaluate_algorithm(PreparedPoint(d), Algorithm("knn", {"k": 3}), folds=2,
+                                    seed=0, timing_repeats=1)
         row = result.ledger_row()
         assert row["dataset"] == d.source
         assert row["algorithm"] == "knn"
@@ -240,14 +258,16 @@ class TestCrossValidate:
 class TestEvaluateClustering:
     def test_clean_blobs_score_high(self):
         d = make_blobs(60, n_classes=3, seed=6, spread=0.3)
-        result = evaluate_clustering(d, Algorithm("kmeans"), seed=1, timing_repeats=1)
+        result = evaluate_clustering(PreparedPoint(d), Algorithm("kmeans"), seed=1,
+                                     timing_repeats=1)
         assert result.measures["precision"] > 0.9
         assert result.task == "clustering"
 
     def test_dbscan_eps_frozen_from_clean_data(self):
         d = make_blobs(50, n_classes=2, seed=7, spread=0.3)
         spec = CorruptionSpec(error_type="missing", rate=0.3, seed=3)
-        result = evaluate_clustering(d, Algorithm("dbscan"), spec, seed=0, timing_repeats=1)
+        result = evaluate_clustering(PreparedPoint(d, spec), Algorithm("dbscan"), seed=0,
+                                     timing_repeats=1)
         assert set(result.measures) == {"precision", "recall", "f_measure"}
 
     def test_one_pass_per_point_unless_more_repeats(self, monkeypatch):
@@ -260,14 +280,15 @@ class TestEvaluateClustering:
 
         monkeypatch.setattr(cluster, "kmeans", counted_kmeans)
         d = make_blobs(40, n_classes=2, seed=8)
-        once = evaluate_clustering(d, Algorithm("kmeans"), seed=3)
+        once = evaluate_clustering(PreparedPoint(d), Algorithm("kmeans"), seed=3)
         assert len(calls) == 1
-        thrice = evaluate_clustering(d, Algorithm("kmeans"), seed=3, timing_repeats=3)
+        thrice = evaluate_clustering(PreparedPoint(d), Algorithm("kmeans"), seed=3,
+                                     timing_repeats=3)
         assert len(calls) == 1 + 3
         assert thrice.measures == once.measures and thrice.fold_values == once.fold_values
 
     def test_determinism(self):
         d = make_blobs(40, n_classes=2, seed=8)
-        a = evaluate_clustering(d, Algorithm("cure"), seed=3, timing_repeats=1)
-        b = evaluate_clustering(d, Algorithm("cure"), seed=3, timing_repeats=1)
+        a = evaluate_clustering(PreparedPoint(d), Algorithm("cure"), seed=3, timing_repeats=1)
+        b = evaluate_clustering(PreparedPoint(d), Algorithm("cure"), seed=3, timing_repeats=1)
         assert a.measures == b.measures

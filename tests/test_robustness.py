@@ -10,12 +10,21 @@ from dirtybench import cluster, evaluate, robustness
 from dirtybench.cluster import dbscan_default_eps
 from dirtybench.config import DatasetConfig, RunConfig
 from dirtybench.corrupt import ERROR_TYPES, derive_seed, inject
-from dirtybench.data import CATEGORICAL, KEY, Column, FDRule, dataset_from_rows
+from dirtybench.data import (
+    CATEGORICAL,
+    KEY,
+    Column,
+    FDRule,
+    dataset_from_rows,
+    detect_error_rates,
+    load_dataset,
+)
 from dirtybench.evaluate import (
     ALL_ALGORITHMS,
     Algorithm,
     CLASSIFIER_TYPES,
     PRF_MEASURES,
+    PreparedPoint,
     REGRESSION_MEASURES,
     evaluate_algorithm,
     task_of,
@@ -254,7 +263,7 @@ class TestRunSweep:
         # each point evaluated alone recomputes the same radius
         for rate, result in zip(grid.rates(), report.results):
             spec = robustness.corruption_spec(ds, "missing", rate, 4) if rate else None
-            alone = evaluate_algorithm(ds.dataset, Algorithm("dbscan"), spec,
+            alone = evaluate_algorithm(PreparedPoint(ds.dataset, spec), Algorithm("dbscan"),
                                        seed=derive_seed(4, "blobs"), timing_repeats=1)
             assert alone.measures == result.measures
         assert len(calls) == 1 + len(grid.rates())
@@ -291,8 +300,8 @@ class TestRunSweep:
         assert len(report.results) == len(grid.rates())
         for rate, result in zip(grid.rates(), report.results):
             spec = robustness.corruption_spec(ds, "missing", rate, 4) if rate else None
-            alone = evaluate_algorithm(ds.dataset, Algorithm(name, params), spec, folds=3,
-                                       seed=derive_seed(4, "blobs"))
+            alone = evaluate_algorithm(PreparedPoint(ds.dataset, spec), Algorithm(name, params),
+                                       folds=3, seed=derive_seed(4, "blobs"))
             assert alone.measures == result.measures
         assert in_sweep == seen
         derived_seed = derive_seed(derive_seed(4, "blobs"), "algo", name)
@@ -315,6 +324,25 @@ class TestRunSweep:
             run_sweep([ds], [Algorithm("knn")], ("missing",),
                       RateGrid(start=0.0, step=0.1, count=2), k_classification=0, jobs=1)
         assert evaluator.calls == 0
+
+    @pytest.mark.parametrize("task, name, most", [
+        ("classification", "knn", 18),  # 23 rows in 5 folds: the largest test fold has 5
+        ("clustering", "kmeans", 23), ("clustering", "clarans", 23),
+        ("clustering", "birch", 23), ("clustering", "cure", 23),
+    ])
+    def test_k_above_the_rows_read_rejected(self, task, name, most):
+        """knn reads a training fold, a clusterer the whole clean table, and
+        corruption never removes rows: one k more fails every point."""
+        ds = SweepDataset("blobs", make_blobs(23, seed=0), task)
+
+        def check(k):
+            robustness.check_sweep([ds], [Algorithm(name, {"k": k})], ("missing",),
+                                   RateGrid(), 0.1, 0.1, folds=5)
+
+        check(most)
+        with pytest.raises(ConfigurationError, match=f"algorithm '{name}' has k={most + 1}, "
+                                                     f"dataset 'blobs' has {most} rows"):
+            check(most + 1)
 
     def test_empty_error_types_rejected(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
@@ -431,6 +459,66 @@ def untimed(report_json: dict) -> dict:
                                        for row in report_json["results"]]}
 
 
+@pytest.fixture(scope="module")
+def three_type_sweep(iris_path):
+    """Real classifiers and clusterers swept over all three error types on
+    iris with a generated unique ``id`` key and the FD ``id -> petal_width``,
+    which holds on the clean table; with every evaluator call recorded as
+    (dataset, algorithm, rate)."""
+    iris = keyed(load_dataset(iris_path, target="species"))
+    rules = (FDRule(("id",), "petal_width"),)
+    datasets = [SweepDataset(name, iris, task, rules=rules, entity_key=("id",))
+                for name, task in (("iris", "classification"), ("iris_c", "clustering"))]
+    algorithms = [Algorithm(name) for name in
+                  ("knn", "naive_bayes", "decision_tree", "kmeans", "cure")]
+    grid = RateGrid(start=0.0, step=0.1, count=5)
+    calls = []
+
+    def recorded(point, algorithm, **kwargs):
+        calls.append((point.name, algorithm.name, point.spec.rate if point.spec else 0.0))
+        return evaluate_algorithm(point, algorithm, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustness, "evaluate_algorithm", recorded)
+        report = run_sweep(datasets, algorithms, ERROR_TYPES, grid, seed=0, folds=5, jobs=1)
+    return datasets, algorithms, grid, report, calls
+
+
+class TestAllErrorTypes:
+    def test_every_point_runs_and_lands_on_its_rate(self, three_type_sweep):
+        datasets, algorithms, grid, report, _ = three_type_sweep
+        pairs = robustness.sweep_pairs(datasets, algorithms)
+        assert not report.errors
+        assert [(r.dataset, r.algorithm, r.error_type, r.rate) for r in report.results] == [
+            (ds.name, a.name, et if rate else None, rate)
+            for ds, a in pairs for et in ERROR_TYPES for rate in grid.rates()]
+        assert len(report.results) == 90
+        assert len(report.entries) == len(pairs) * len(ERROR_TYPES) * len(PRF_MEASURES)
+        assert all(e.values is not None and not e.flags for e in report.entries)
+        # each point's corruption lands within one cell or one row of its target
+        for ds in datasets:
+            for et in ERROR_TYPES:
+                for rate in grid.rates()[1:]:
+                    out = inject(ds.dataset, robustness.corruption_spec(ds, et, rate, 0))
+                    achieved = getattr(detect_error_rates(out, ds.rules, ds.entity_key), et)
+                    units = out.n_rows * (len(out.schema.feature_indices) if et == "missing"
+                                          else 1)
+                    assert abs(achieved * units - round(rate * units)) <= 1 + 1e-9, (et, rate)
+
+    def test_clean_point_runs_once_per_pair(self, three_type_sweep):
+        """Every error type's series starts at one evaluation of the clean
+        point, so their rate-0 ledger rows are one row, time included."""
+        datasets, algorithms, grid, report, calls = three_type_sweep
+        pairs = [(ds.name, a.name) for ds, a in robustness.sweep_pairs(datasets, algorithms)]
+        assert [(d, a) for d, a, rate in calls if rate == 0.0] == pairs
+        assert len(calls) == len(pairs) * (1 + len(ERROR_TYPES) * (len(grid.rates()) - 1))
+        for name, algorithm in pairs:
+            rows = [r.ledger_row() for r in report.results
+                    if (r.dataset, r.algorithm, r.rate) == (name, algorithm, 0.0)]
+            assert len(rows) == len(ERROR_TYPES)
+            assert all(row == rows[0] for row in rows)
+
+
 # never fitted: the sweep plan is tested through the scripted evaluator
 PLAN_DATA = make_blobs(12, n_classes=2, seed=0)
 PLAN_RULES = (FDRule(("x0",), "x1"),)
@@ -440,11 +528,12 @@ TASKS = ("classification", "clustering", "regression")
 def draw_sweep(data):
     """A random sweep over PLAN_DATA: its datasets, algorithms, error types
     and grid, which may have a single rate, its (dataset, algorithm) pairs,
-    its planned points in order, the indices of the points that fail, and
-    the evaluator call of each planned point.  The sweep evaluates one
-    (dataset, error type, rate) point at a time, its algorithms in plan
-    order, so the calls run point by point while the plan runs pair by
-    pair."""
+    its planned points in order, the evaluator calls that fail, and the
+    evaluator call of each planned point.  The sweep evaluates one (dataset,
+    error type, rate) point at a time, its algorithms in plan order, and a
+    dataset's clean point once, first, for every error type; so the calls
+    run point by point while the plan runs pair by pair, and the planned
+    clean points of one pair share a call."""
     dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
     datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
                 for i, task in enumerate(dataset_tasks)]
@@ -455,11 +544,15 @@ def draw_sweep(data):
     pairs = [(ds.name, a.name) for ds in datasets for a in algorithms
              if task_of(a) == ds.task]
     plan = [(d, a, et, rate) for d, a in pairs for et in error_types for rate in grid.rates()]
-    failing = data.draw(st.sets(st.integers(0, len(plan) - 1))) if plan else set()
-    names = [ds.name for ds in datasets]
-    by_point = sorted(range(len(plan)), key=lambda i: (
-        names.index(plan[i][0]), error_types.index(plan[i][2]), plan[i][3]))
-    calls = [by_point.index(i) for i in range(len(plan))]
+    names, algorithm_names = [ds.name for ds in datasets], [a.name for a in algorithms]
+
+    def call_order(d, a, et, rate):
+        return (names.index(d), error_types.index(et) if rate else -1, rate,
+                algorithm_names.index(a))
+
+    order = sorted({call_order(*point) for point in plan})
+    calls = [order.index(call_order(*point)) for point in plan]
+    failing = data.draw(st.sets(st.integers(0, len(order) - 1))) if plan else set()
     return datasets, algorithms, error_types, grid, pairs, plan, failing, calls
 
 
@@ -489,8 +582,7 @@ class TestSweepPlan:
                             if line.startswith("combinations:"))
         assert combinations.split()[1] == str(len(pairs))
 
-        sweep = (scripted_evaluator, datasets, algorithms, error_types, grid,
-                 {calls[i] for i in failing})
+        sweep = (scripted_evaluator, datasets, algorithms, error_types, grid, failing)
         if not plan:
             with pytest.raises(ConfigurationError):
                 scripted_sweep(*sweep)
@@ -501,13 +593,13 @@ class TestSweepPlan:
         assert [(e["dataset"], e["algorithm"], e["error_type"], e["rate"], e["message"])
                 for e in report.errors] == [
             (*point, f"ParameterError: scripted failure at call {calls[i]}")
-            for i, point in enumerate(plan) if i in failing
+            for i, point in enumerate(plan) if calls[i] in failing
         ]
         assert [(r.dataset, r.algorithm, r.error_type, r.rate) for r in report.results] == [
             (d, a, et if rate else None, rate)
-            for i, (d, a, et, rate) in enumerate(plan) if i not in failing
+            for i, (d, a, et, rate) in enumerate(plan) if calls[i] not in failing
         ]
-        failed_series = {plan[i][:3] for i in failing}
+        failed_series = {point[:3] for i, point in enumerate(plan) if calls[i] in failing}
         assert {(e.dataset, e.algorithm, e.error_type) for e in report.entries} == {
             point[:3] for point in plan
         }
@@ -520,12 +612,12 @@ class TestSweepPlan:
     def test_random_report_round_trips_through_json(self, scripted_evaluator, data):
         """A report read back from its JSON text equals it field by field,
         results by ledger row, and writes the same text again."""
-        datasets, algorithms, error_types, grid, _, plan, failing, calls = draw_sweep(data)
+        datasets, algorithms, error_types, grid, _, plan, failing, _ = draw_sweep(data)
         assume(plan)
         undefined = data.draw(st.sets(st.sampled_from(PRF_MEASURES + REGRESSION_MEASURES),
                                       max_size=2))
         report = scripted_sweep(scripted_evaluator, datasets, algorithms, error_types,
-                                grid, {calls[i] for i in failing}, undefined)
+                                grid, failing, undefined)
         text = json.dumps(report.to_json_dict(), sort_keys=True)
         back = RobustnessReport.from_json_dict(json.loads(text))
         for f in fields(RobustnessReport):
