@@ -6,9 +6,10 @@ means all) and one batched ``predict_rows(data, rows=None)`` that returns
 the raw label tokens of all the given rows.  Both read the features through
 the shared encoding in :mod:`dirtybench.features`, fitted on the training
 rows only.  Training labels are read from the (possibly corrupted) rows,
-never from the clean shadow.  Ties in argmax votes always break toward the
-lowest label index, where label indices follow first-seen order in the
-training rows.
+never from the clean shadow.  A fitted classifier keeps them as its
+``classes`` tuple, in first-seen order in the training rows, and predicts
+``classes[c]`` for a label code ``c``.  Ties in argmax votes always break
+toward the lowest label code.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .features import (
     Discretizer,
     EncodedTable,
     FeatureEncoder,
-    LabelCodec,
     first_seen,
 )
 
@@ -62,16 +62,16 @@ def _impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:
 
 
 def _labelled_rows(data: Data, rows: Sequence[int] | None,
-                   model: str) -> tuple[EncodedTable, LabelCodec, np.ndarray]:
-    """The table of ``data``, a codec of the training rows' labels and their
-    label codes."""
+                   model: str) -> tuple[EncodedTable, tuple[Cell, ...], np.ndarray]:
+    """The table of ``data``, the training rows' labels in first-seen order
+    and each row's label code."""
     table = EncodedTable.of(data)
     return (table, *table.labels(rows, model))
 
 
-def _argmax_labels(codec: LabelCodec, scores: np.ndarray) -> list[Cell]:
+def _argmax_labels(classes: tuple[Cell, ...], scores: np.ndarray) -> list[Cell]:
     """Each row's highest-scoring label; ties go to the lowest label code."""
-    return [codec.values[c] for c in np.argmax(scores, axis=1)]
+    return [classes[c] for c in np.argmax(scores, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ class RandomForestClassifier:
         self.min_split = max(2, min_split)
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.codec, y = _labelled_rows(data, rows, "a forest")
+        table, self.classes, y = _labelled_rows(data, rows, "a forest")
         n_feat = table.schema.n
         if self.feat_frac is None:
             per_split = max(1, math.ceil(math.sqrt(n_feat)))
@@ -362,18 +362,18 @@ class RandomForestClassifier:
                 for t in range(self.n_trees)]
         samples = [rng.integers(0, len(y), size=len(y)) if self.bootstrap
                    else np.arange(len(y)) for rng in rngs]
-        self.roots = _Lockstep(self.encoding, self.codec.n_classes, y, samples, rngs,
+        self.roots = _Lockstep(self.encoding, len(self.classes), y, samples, rngs,
                                per_split, self.criterion, self.max_depth,
                                self.min_split).grow()
         return self
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
         num, codes = self.encoding.encode(data, rows)
-        votes = np.zeros((len(num), self.codec.n_classes), dtype=np.int64)
+        votes = np.zeros((len(num), len(self.classes)), dtype=np.int64)
         at = np.arange(len(num))
         for root in self.roots:
             votes[at, _route(root, num, codes)] += 1
-        return _argmax_labels(self.codec, votes)
+        return _argmax_labels(self.classes, votes)
 
 
 class DecisionTreeClassifier(RandomForestClassifier):
@@ -404,7 +404,7 @@ class KNNClassifier:
         self.k = k
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.codec, self.y = _labelled_rows(data, rows, "KNN")
+        table, self.classes, self.y = _labelled_rows(data, rows, "KNN")
         if self.k > len(self.y):
             raise ParameterError(f"k={self.k} exceeds training size {len(self.y)}")
         self.encoder = FeatureEncoder(table, rows)
@@ -414,12 +414,12 @@ class KNNClassifier:
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
         Q = self.encoder.transform_rows(data, rows)
         winners = np.empty(len(Q), dtype=np.int64)
-        classes = np.arange(self.codec.n_classes)
+        codes = np.arange(len(self.classes))
         for a, d2 in _sq_dist_blocks(Q, self.X):
             nearest = _k_nearest(d2, self.k)
-            votes = (self.y[nearest][:, :, None] == classes).sum(axis=1)
+            votes = (self.y[nearest][:, :, None] == codes).sum(axis=1)
             winners[a:a + len(d2)] = votes.argmax(axis=1)
-        return [self.codec.values[c] for c in winners]
+        return [self.classes[c] for c in winners]
 
 
 def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -454,11 +454,11 @@ class NaiveBayesClassifier:
         self.n_bins = n_bins
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.codec, y = _labelled_rows(data, rows, "naive Bayes")
+        table, self.classes, y = _labelled_rows(data, rows, "naive Bayes")
         self.disc = Discretizer(table, rows, n_bins=self.n_bins)
         codes = self.disc.code(self.disc.encoding.num, self.disc.encoding.codes)
         m = len(y)
-        n_c = self.codec.n_classes
+        n_c = len(self.classes)
         s = self.smoothing
         class_counts = np.bincount(y, minlength=n_c).astype(float)
         self.log_prior = np.log((class_counts + s) / (m + s * n_c))
@@ -478,7 +478,7 @@ class NaiveBayesClassifier:
         return log_joint
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
-        return _argmax_labels(self.codec, self.predict_log_joint(data, rows))
+        return _argmax_labels(self.classes, self.predict_log_joint(data, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +528,11 @@ class BayesianNetworkClassifier:
         self.smoothing = smoothing
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.codec, y = _labelled_rows(data, rows, "a Bayesian network")
+        table, self.classes, y = _labelled_rows(data, rows, "a Bayesian network")
         self.disc = Discretizer(table, rows, n_bins=self.n_bins)
         codes = np.column_stack([self.disc.code(self.disc.encoding.num,
                                                 self.disc.encoding.codes), y])
-        cards = list(self.disc.cardinalities) + [self.codec.n_classes]
+        cards = list(self.disc.cardinalities) + [len(self.classes)]
         self.n_vars = codes.shape[1]
         self.class_var = self.n_vars - 1
         self.cards = cards
@@ -615,7 +615,7 @@ class BayesianNetworkClassifier:
         return out
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
-        return _argmax_labels(self.codec, self.predict_log_joint(data, rows))
+        return _argmax_labels(self.classes, self.predict_log_joint(data, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +650,10 @@ class LogisticRegressionClassifier:
         self.iters = iters
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.codec, y = _labelled_rows(data, rows, "logistic regression")
-        if self.codec.n_classes != 2:
+        table, self.classes, y = _labelled_rows(data, rows, "logistic regression")
+        if len(self.classes) != 2:
             raise UnsupportedTaskError(
-                f"logistic regression needs a binary target, got {self.codec.n_classes} classes"
+                f"logistic regression needs a binary target, got {len(self.classes)} classes"
             )
         self.encoder = FeatureEncoder(table, rows)
         X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
@@ -678,4 +678,4 @@ class LogisticRegressionClassifier:
         # differently in the last bit
         X = self.encoder.transform_rows(data, rows)
         scores = np.array([x @ self.w for x in X]) + self.b
-        return [self.codec.values[c] for c in (sigmoid(scores) >= 0.5).astype(int).tolist()]
+        return [self.classes[c] for c in (sigmoid(scores) >= 0.5).astype(int).tolist()]

@@ -187,8 +187,8 @@ def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
     X = encode_for_clustering(table)
     if table.schema.target_index is None:
         raise ParameterError("LVQ needs a labeled dataset")
-    codec, y = table.labels(None, "LVQ")
-    n_c = codec.n_classes
+    classes, y = table.labels(None, "LVQ")
+    n_c = len(classes)
     if q is None:
         q = n_c
     if q < n_c:

@@ -100,6 +100,8 @@ class RunConfig:
         check_names(self.datasets, self.algorithms, self.error_types)
         if self.folds < 2:
             raise ConfigurationError("folds must be at least 2")
+        if self.timing_repeats < 1:
+            raise ConfigurationError("timing_repeats must be at least 1")
         if self.jobs < 0:
             raise ConfigurationError("jobs must be 0 (auto) or positive")
 

@@ -210,15 +210,17 @@ K_IS_CLASS_COUNT = ("kmeans", "clarans", "birch", "cure")
 def with_run_defaults(algorithm: Algorithm, clean: Dataset, seed: int) -> Algorithm:
     """The algorithm with every parameter a run derives filled in where its
     params leave it out: the seed from the run's seed, k from the class
-    count, and DBSCAN's radius from the clean table, so that a sweep varies
-    only the corruption."""
+    count, and DBSCAN's radius from the clean table at the run's ``min_pts``,
+    so that a sweep varies only the corruption."""
     params = dict(algorithm.params)
     if algorithm.name in SEEDED:
         params.setdefault("seed", derive_seed(seed, "algo", algorithm.name))
     if algorithm.name in K_IS_CLASS_COUNT:
         params.setdefault("k", clean.n_c)
     if algorithm.name == "dbscan" and "eps" not in params:
-        params["eps"] = cluster_mod.dbscan_default_eps(clean)
+        # the k-dist heuristic reads the min_pts-th neighbour (Ester et al., 1996)
+        min_pts = {"min_pts": params["min_pts"]} if "min_pts" in params else {}
+        params["eps"] = cluster_mod.dbscan_default_eps(clean, **min_pts)
     return Algorithm(algorithm.name, params)
 
 
@@ -387,9 +389,7 @@ def cross_validate(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
                 per_fold["cv_rmsd"].append(rm.cv_rmsd)
                 for flag in rm.flags:
                     flags.append(f"fold{f}:{flag}")
-                if getattr(model, "ridge_fallback", False) or (
-                    hasattr(model, "inner") and model.inner.ridge_fallback
-                ):
+                if model.ridge_fallback:
                     flags.append(f"fold{f}:ridge-fallback")
         return per_fold, flags
 

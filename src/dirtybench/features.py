@@ -131,9 +131,10 @@ class EncodedTable:
             raise _missing(self.schema, self.categorical_cols[int(np.argmax(holes))])
         return block
 
-    def labels(self, rows: Sequence[int] | None, model: str) -> tuple["LabelCodec", np.ndarray]:
-        """A first-seen codec of the stored labels at ``rows``, which train
-        ``model``, and their codes."""
+    def labels(self, rows: Sequence[int] | None,
+               model: str) -> tuple[tuple[Cell, ...], np.ndarray]:
+        """The distinct stored labels at ``rows``, which train ``model``, in
+        first-seen order, and each row's index into them."""
         idx = np.arange(self.n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
         if not len(idx):
             raise EmptyInputError(f"cannot fit {model} on zero rows")
@@ -145,7 +146,7 @@ class EncodedTable:
         order = first_seen(codes)
         local = np.zeros(len(self.target_values), dtype=np.int64)
         local[order] = np.arange(len(order))
-        return LabelCodec([self.target_values[c] for c in order]), local[codes]
+        return tuple(self.target_values[c] for c in order), local[codes]
 
 
 Data = Dataset | EncodedTable  # what every reader takes
@@ -252,37 +253,3 @@ class Discretizer:
         out[:, numeric] = bins
         out[:, ~numeric] = np.where(codes >= 0, codes, self.unseen)
         return out
-
-
-class LabelCodec:
-    """First-seen mapping between raw target tokens and integer codes."""
-
-    def __init__(self, values: Sequence[Cell]):
-        self.values: list[Cell] = []
-        index: dict[Cell, int] = {}
-        for v in values:
-            if v is None:
-                raise SchemaError("missing target label; labels cannot be imputed here")
-            if v not in index:
-                index[v] = len(index)
-                self.values.append(v)
-        self.index = index
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.values)
-
-    def encode(self, values: Sequence[Cell]) -> np.ndarray:
-        return np.array([self.index[v] for v in values], dtype=np.int64)
-
-    def decode(self, code: int) -> Cell:
-        return self.values[int(code)]
-
-
-def train_labels(dataset: Dataset, rows: Sequence[int] | None = None) -> list[Cell]:
-    """Raw target tokens of the given rows, as stored (possibly corrupted)."""
-    t = dataset.schema.target_index
-    if t is None:
-        raise SchemaError("dataset has no target column")
-    idx = range(dataset.n_rows) if rows is None else rows
-    return [dataset.rows[i][t] for i in idx]

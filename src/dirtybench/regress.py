@@ -58,17 +58,7 @@ class PolynomialModel:
         return total
 
 
-@dataclass
-class StepwiseModel:
-    selected: tuple[int, ...]    # positions into feature_cols
-    inner: LinearModel
-    feature_cols: tuple[int, ...]
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return self.inner.evaluate(x[list(self.selected)])
-
-
-RegressionModel = LinearModel | PolynomialModel | StepwiseModel
+RegressionModel = LinearModel | PolynomialModel
 
 
 def _numeric_setup(data: Data, rows: Sequence[int] | None):
@@ -221,9 +211,11 @@ def f1_tail(x: float, dof: int) -> float:
 
 
 def fit_stepwise(data: Data, alpha_in: float = 0.05, alpha_out: float = 0.10,
-                 rows: Sequence[int] | None = None) -> StepwiseModel:
+                 rows: Sequence[int] | None = None) -> LinearModel:
     """Forward/backward selection by partial F-tests: add the most significant
-    candidate with p < alpha_in, drop selected columns with p > alpha_out."""
+    candidate with p < alpha_in, drop selected columns with p > alpha_out.
+    The model is the least-squares fit on the selected columns, or the
+    target's mean with ``feature_cols=()`` when none is selected."""
     if not 0 < alpha_in <= alpha_out < 1:
         raise ParameterError("need 0 < alpha_in <= alpha_out < 1")
     X, y, cols = _numeric_setup(data, rows)
@@ -283,15 +275,11 @@ def fit_stepwise(data: Data, alpha_in: float = 0.05, alpha_out: float = 0.10,
             break
 
     selected = sorted(selected)
-    if selected:
-        beta, ridged = solve_normal_equations(_design(X[:, selected]), y)
-        inner = LinearModel(weights=beta[:-1], intercept=float(beta[-1]),
-                            feature_cols=tuple(cols[j] for j in selected),
-                            ridge_fallback=ridged)
-    else:
-        inner = LinearModel(weights=np.zeros(0), intercept=float(y.mean()),
-                            feature_cols=())
-    return StepwiseModel(selected=tuple(selected), inner=inner, feature_cols=cols)
+    if not selected:
+        return LinearModel(weights=np.zeros(0), intercept=float(y.mean()), feature_cols=())
+    beta, ridged = solve_normal_equations(_design(X[:, selected]), y)
+    return LinearModel(weights=beta[:-1], intercept=float(beta[-1]),
+                       feature_cols=tuple(cols[j] for j in selected), ridge_fallback=ridged)
 
 
 def predict_rows(model: RegressionModel, data: Data,

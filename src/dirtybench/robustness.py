@@ -33,7 +33,6 @@ from . import cluster as cluster_mod
 from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
 from .data import Dataset, FDRule
 from .errors import ConfigurationError, ParameterError
-from .features import train_labels
 from .evaluate import (
     Algorithm,
     CLASSIFICATION,
@@ -369,10 +368,11 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     rather than at every point.  So does a binary-only classifier paired with
     a dataset whose clean target does not hold exactly two labels, a
     classification or regression dataset with fewer clean rows than folds,
-    a knn ``k`` above the smallest training fold or a clusterer's set ``k``
-    above the clean rows, and an error type a dataset cannot take:
-    ``inconsistent`` without FD rules, ``conflicting`` without an entity
-    key."""
+    a knn ``k`` above the smallest training fold, a clusterer's set ``k``
+    above the clean rows or a ``cure`` ``k`` above its sample of
+    ``round(sample_frac * n)`` clean rows, and an error type a dataset
+    cannot take: ``inconsistent`` without FD rules, ``conflicting`` without
+    an entity key."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -395,12 +395,10 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
     for ds, algorithm in pairs:
-        if getattr(CLASSIFIER_TYPES.get(algorithm.name), "binary_only", False):
-            labels = {v for v in train_labels(ds.dataset) if v is not None}
-            if len(labels) != 2:
-                raise ConfigurationError(
-                    f"algorithm {algorithm.name!r} needs a binary target, "
-                    f"dataset {ds.name!r} has {len(labels)} classes")
+        binary_only = getattr(CLASSIFIER_TYPES.get(algorithm.name), "binary_only", False)
+        if binary_only and ds.dataset.n_c != 2:
+            raise ConfigurationError(f"algorithm {algorithm.name!r} needs a binary target, "
+                                     f"dataset {ds.name!r} has {ds.dataset.n_c} classes")
         n = ds.dataset.n_rows
         if ds.task != CLUSTERING and folds > n:
             raise ConfigurationError(
@@ -408,6 +406,10 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         # corruption never removes rows, so a k above these rows fails every point
         if algorithm.name == "knn":
             k, rows, of = classifiers["knn"].k, n - math.ceil(n / folds), "smallest training fold"
+        elif algorithm.name == "cure":  # cure links a sample of the rows
+            frac = algorithm.params.get("sample_frac", 0.25)
+            k, of = algorithm.params.get("k"), "cure sample"
+            rows = round(frac * n) if isinstance(frac, (int, float)) else n
         else:
             k, rows, of = algorithm.params.get("k"), n, "clean table"
         if isinstance(k, int) and k > rows:

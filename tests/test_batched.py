@@ -32,8 +32,6 @@ from dirtybench.features import (
     Discretizer,
     EncodedTable,
     FeatureEncoder,
-    LabelCodec,
-    train_labels,
 )
 from oracles import impurity_rows
 
@@ -125,7 +123,22 @@ class RefEncoder:
         return np.array(out, dtype=np.int64)
 
 
-def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
+def stored_labels(d, idx):
+    """The stored labels of rows ``idx``."""
+    return [d.rows[i][d.schema.target_index] for i in idx]
+
+
+def ref_classes(d, idx):
+    """The distinct stored labels of rows ``idx`` in first-seen order."""
+    return tuple(dict.fromkeys(stored_labels(d, idx)))
+
+
+def ref_label_codes(d, idx, classes):
+    """Each row's index into ``classes``."""
+    return np.array([classes.index(v) for v in stored_labels(d, idx)], dtype=np.int64)
+
+
+def ref_tree(d, idx, classes, criterion="gini", per_split=None, rng=None,
              max_depth=25, min_split=2):
     """Grow a tree on rows ``idx`` (repeats allowed) with per-fit
     first-seen vocabularies, one column and its numeric argsort at a time.
@@ -143,8 +156,8 @@ def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
             raw = [vocab[v] for v in raw]
         values.append(np.array(raw, dtype=float if is_num else np.int64))
         vocabs.append(vocab)
-    y = codec.encode(train_labels(d, idx))
-    n_c = codec.n_classes
+    y = ref_label_codes(d, idx, classes)
+    n_c = len(classes)
 
     def impurity(counts):
         return impurity_rows(np.atleast_2d(counts), criterion)
@@ -198,7 +211,7 @@ def ref_tree(d, idx, codec, criterion="gini", per_split=None, rng=None,
         if depth < max_depth and len(local) >= max(2, min_split) and (counts > 0).sum() > 1:
             split = best_split(local, counts)
         if split is None:
-            return codec.decode(int(np.argmax(counts)))
+            return classes[int(np.argmax(counts))]
         pos, mask, at = split
         if not numeric[pos]:
             at = next(v for v, code in vocabs[pos].items() if code == at)
@@ -220,7 +233,7 @@ def ref_predict(tree, d, cells):
 
 def ref_forest(d, idx, n_trees, feat_frac, seed, **tree_params):
     """The trees of a forest, each grown by ``ref_tree``."""
-    codec = LabelCodec(train_labels(d, idx))
+    classes = ref_classes(d, idx)
     n_feat = d.schema.n
     per_split = math.ceil(math.sqrt(n_feat)) if feat_frac is None else math.ceil(feat_frac * n_feat)
     per_split = min(max(1, per_split), n_feat)
@@ -228,15 +241,15 @@ def ref_forest(d, idx, n_trees, feat_frac, seed, **tree_params):
     for t in range(n_trees):
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
         sample = [idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
-        trees.append(ref_tree(d, sample, codec, per_split=per_split, rng=rng, **tree_params))
+        trees.append(ref_tree(d, sample, classes, per_split=per_split, rng=rng, **tree_params))
     return trees
 
 
-def ref_vote(trees, codec, d, cells):
-    votes = np.zeros(codec.n_classes, dtype=int)
+def ref_vote(trees, classes, d, cells):
+    votes = np.zeros(len(classes), dtype=int)
     for tree in trees:
-        votes[codec.index[ref_predict(tree, d, cells)]] += 1
-    return codec.decode(int(np.argmax(votes)))
+        votes[classes.index(ref_predict(tree, d, cells))] += 1
+    return classes[int(np.argmax(votes))]
 
 
 def grown(forest):
@@ -246,7 +259,7 @@ def grown(forest):
 
     def walk(node):
         if node.label is not None:
-            return forest.codec.decode(node.label)
+            return forest.classes[node.label]
         if node.is_numeric:
             j, at = enc.numeric_cols[node.col], node.threshold
         else:
@@ -257,15 +270,15 @@ def grown(forest):
     return [walk(root) for root in forest.roots]
 
 
-def ref_knn(d, idx, k, codec):
+def ref_knn(d, idx, k, classes):
     enc = RefEncoder(d, idx)
     X = np.array([enc.transform_cells(d.rows[i]) for i in idx])
-    y = codec.encode(train_labels(d, idx))
+    y = ref_label_codes(d, idx, classes)
 
     def predict_cells(cells):
         d2 = ((X - enc.transform_cells(cells)) ** 2).sum(axis=1)
         nearest = np.argsort(d2, kind="stable")[:k]
-        return codec.decode(int(np.argmax(np.bincount(y[nearest], minlength=codec.n_classes))))
+        return classes[int(np.argmax(np.bincount(y[nearest], minlength=len(classes))))]
 
     return predict_cells
 
@@ -330,20 +343,20 @@ def test_one_shared_table_reads_as_the_dataset(case):
 @given(split_tables(), st.sampled_from(("gini", "gain", "error")))
 def test_classifiers_equal_per_record_reference(case, criterion):
     d, train, test = case
-    codec = LabelCodec(train_labels(d, train))
+    classes = ref_classes(d, train)
     cells = [d.rows[i] for i in test]
 
     tree = DecisionTreeClassifier(criterion=criterion).fit(d, train)
-    ref = ref_tree(d, train, codec, criterion)
+    ref = ref_tree(d, train, classes, criterion)
     assert tree.predict_rows(d, test) == [ref_predict(ref, d, c) for c in cells]
 
     forest = RandomForestClassifier(n_trees=4, feat_frac=0.5, seed=3).fit(d, train)
     refs = ref_forest(d, train, 4, 0.5, 3)
-    assert forest.predict_rows(d, test) == [ref_vote(refs, codec, d, c) for c in cells]
+    assert forest.predict_rows(d, test) == [ref_vote(refs, classes, d, c) for c in cells]
 
     k = min(3, len(train))
     knn = KNNClassifier(k=k).fit(d, train)
-    want = list(map(ref_knn(d, train, k, codec), cells))
+    want = list(map(ref_knn(d, train, k, classes), cells))
     assert knn.predict_rows(d, test) == want
     with mock.patch.object(cluster, "_CHUNK_BYTES", 1):  # one query row per block
         assert knn.predict_rows(d, test) == want
@@ -357,18 +370,18 @@ def test_classifiers_equal_per_record_reference(case, criterion):
             lj += nb.log_cond[f][code]
         want.append(lj)
     assert np.array_equal(nb.predict_log_joint(d, test), np.array(want))
-    assert nb.predict_rows(d, test) == [codec.decode(int(np.argmax(lj))) for lj in want]
+    assert nb.predict_rows(d, test) == [classes[int(np.argmax(lj))] for lj in want]
 
     bn = BayesianNetworkClassifier(max_parents=2, n_bins=4).fit(d, train)
     want = [ref_bn_log_joint(bn, ref.codes_cells(c, 4)) for c in cells]
     assert np.array_equal(bn.predict_log_joint(d, test), np.array(want))
-    assert bn.predict_rows(d, test) == [codec.decode(int(np.argmax(lj))) for lj in want]
+    assert bn.predict_rows(d, test) == [classes[int(np.argmax(lj))] for lj in want]
 
-    if codec.n_classes == 2:
+    if len(classes) == 2:
         logistic = LogisticRegressionClassifier(iters=50).fit(d, train)
         assert logistic.predict_rows(d, test) == [
-            codec.decode(1 if float(sigmoid(ref.transform_cells(c) @ logistic.w + logistic.b))
-                         >= 0.5 else 0)
+            classes[1 if float(sigmoid(ref.transform_cells(c) @ logistic.w + logistic.b))
+                    >= 0.5 else 0]
             for c in cells
         ]
 
@@ -380,11 +393,11 @@ def test_trees_grow_as_reference(case, criterion, feat_frac, max_depth, min_spli
     """Every node's column and threshold or category equals the reference's:
     a tree, and a forest's trees drawing their candidate columns."""
     d, train, _ = case
-    codec = LabelCodec(train_labels(d, train))
+    classes = ref_classes(d, train)
     limits = dict(criterion=criterion, max_depth=max_depth, min_split=min_split)
 
     tree = DecisionTreeClassifier(**limits).fit(d, train)
-    assert grown(tree) == [ref_tree(d, train, codec, **limits)]
+    assert grown(tree) == [ref_tree(d, train, classes, **limits)]
 
     forest = RandomForestClassifier(n_trees=3, feat_frac=feat_frac, seed=seed,
                                     **limits).fit(d, train)
@@ -396,11 +409,11 @@ def test_trees_grow_alike_in_histogram_chunks(case, seed, budget):
     """Rounds scored in chunks of a few nodes, or one node at a time (a
     budget below one node's histogram), grow the same trees."""
     d, train, _ = case
-    codec = LabelCodec(train_labels(d, train))
+    classes = ref_classes(d, train)
     with mock.patch.object(classify, "_HIST_BYTES", budget):
         tree = DecisionTreeClassifier().fit(d, train)
         forest = RandomForestClassifier(n_trees=3, feat_frac=0.5, seed=seed).fit(d, train)
-    assert grown(tree) == [ref_tree(d, train, codec)]
+    assert grown(tree) == [ref_tree(d, train, classes)]
     assert grown(forest) == ref_forest(d, train, 3, 0.5, seed)
 
 

@@ -25,7 +25,6 @@ from dirtybench.errors import (
     ParameterError,
     UnsupportedTaskError,
 )
-from dirtybench.features import train_labels
 from dirtybench.synth import make_blobs
 from oracles import (
     UndefinedNodeError,
@@ -196,7 +195,8 @@ class TestKNN:
                 votes[y[i]] = votes.get(y[i], 0) + 1
             top = max(votes.values())
             winners = [c for c in sorted(votes) if votes[c] == top]
-            codes = [model.codec.index[f"c{c}"] for c in winners]
+            first_seen = list(dict.fromkeys(y.tolist()))  # label codes follow it
+            codes = [first_seen.index(c) for c in winners]
             expect = f"c{winners[int(np.argmin(codes))]}"
             assert got == expect
 
@@ -247,7 +247,7 @@ class TestNaiveBayes:
         p_plus = 0.5 * (4 / 7)
         p_minus = 0.5 * (2 / 7)
         proba = posterior(model, d, ["a", None])
-        assert proba[model.codec.index["+"]] == pytest.approx(p_plus / (p_plus + p_minus))
+        assert proba[model.classes.index("+")] == pytest.approx(p_plus / (p_plus + p_minus))
         assert predict_one(model, d, ["a", None]) == "+"
 
     def test_posterior_sums_to_one(self):
@@ -351,9 +351,11 @@ class TestBayesianNetwork:
         d = make_blobs(n, n_features=n_feat, n_classes=n_c, spread=1.5, seed=seed)
         with mock.patch.object(classify, "_node_cost", wraps=classify._node_cost) as spy:
             model = BayesianNetworkClassifier(max_parents=max_parents, n_bins=n_bins).fit(d)
+        labels = [row[d.schema.target_index] for row in d.rows]
+        first_seen = list(dict.fromkeys(labels))
         codes = np.column_stack([model.disc.code(model.disc.encoding.num,
                                                  model.disc.encoding.codes),
-                                 model.codec.encode(train_labels(d))])
+                                 [first_seen.index(v) for v in labels]])
         parents, cost, calls = rescoring_search(codes, model.cards, max_parents, 1.0)
         assert model.parents == parents
         assert model.cost == cost
@@ -438,16 +440,17 @@ class TestRandomForest:
     def test_prediction_is_tree_majority(self):
         d = self.binary_blobs(n=30, seed=4)
         forest = RandomForestClassifier(n_trees=9, seed=1).fit(d)
+        first_seen = list(dict.fromkeys(row[d.schema.target_index] for row in d.rows))
         for i in range(0, 30, 5):
             cells = d.rows[i]
             num, codes = forest.encoding.encode(dataset_from_rows(d.schema, [cells]))
             votes = {}
             for root in forest.roots:
-                p = forest.codec.decode(_route(root, num, codes)[0])
+                p = forest.classes[_route(root, num, codes)[0]]
                 votes[p] = votes.get(p, 0) + 1
             top = max(votes.values())
             winners = [lbl for lbl in votes if votes[lbl] == top]
-            expect = min(winners, key=forest.codec.index.get)
+            expect = min(winners, key=first_seen.index)
             assert predict_one(forest, d, cells) == expect
 
     def test_n_trees_validation(self):

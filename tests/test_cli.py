@@ -120,6 +120,13 @@ REJECTED = [
     pytest.param({"folds": 10, "algorithms": [{"name": "knn", "params": {"k": 140}}]}, [],
                  "algorithm 'knn' has k=140, dataset 'flowers' has 135 rows in its smallest "
                  "training fold", id="knn-k-above-training-fold"),
+    pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "clustering",
+                                "target": "species"}],
+                  "algorithms": [{"name": "cure", "params": {"k": 140}}]}, [],
+                 "algorithm 'cure' has k=140, dataset 'flowers' has 38 rows in its cure sample",
+                 id="cure-k-above-sample"),
+    pytest.param({"timing_repeats": 0}, [], "timing_repeats must be at least 1",
+                 id="zero-timing-repeats"),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
                  "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
                  id="inconsistent-without-rules"),

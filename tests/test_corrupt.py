@@ -16,10 +16,12 @@ from dirtybench.data import (
     CATEGORICAL,
     Column,
     EntityIndex,
+    FEATURE,
     FDIndex,
     FDRule,
     KEY,
     NUMERIC,
+    TARGET,
     conflicting_row_rate,
     conflicting_rows,
     dataset_from_rows,
@@ -34,6 +36,29 @@ from dirtybench.errors import (
 )
 from dirtybench.synth import make_blobs, make_keyed_records
 from oracles import content_hash
+
+
+@st.composite
+def masked_missing_cases(draw):
+    """A clean table over a random schema (numeric and categorical features,
+    maybe a target and a key, in any order), and a missing spec with a
+    random rate, column mask and ``corrupt_target_in_train``."""
+    kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=1, max_size=4))
+    cols = [Column(f"x{j}", kind) for j, kind in enumerate(kinds)]
+    if draw(st.booleans()):
+        cols.append(Column("y", CATEGORICAL, TARGET))
+    if draw(st.booleans()):
+        cols.append(Column("id", CATEGORICAL, KEY))
+    cols = draw(st.permutations(cols))
+    n_rows = draw(st.integers(1, 25))
+    rows = [[float(i + j) if c.kind == NUMERIC else f"v{(i * j) % 3}"
+             for j, c in enumerate(cols)] for i in range(n_rows)]
+    mask = draw(st.none() | st.lists(st.sampled_from([c.name for c in cols]),
+                                     unique=True).map(tuple))
+    spec = CorruptionSpec(error_type="missing", rate=draw(st.floats(0.0, 1.0)),
+                          seed=draw(st.integers(0, 2 ** 32)), column_mask=mask,
+                          corrupt_target_in_train=draw(st.booleans()))
+    return dataset_from_rows(cols, rows), spec
 
 
 def grid_dataset(n_rows=10, n_cols=4):
@@ -79,6 +104,31 @@ class TestMissing:
             assert all(row[j] is not None for j in (1, 2, 3, 4))
         holes = sum(1 for row in out.rows if row[0] is None)
         assert holes == 75
+
+    @given(masked_missing_cases())
+    def test_deletes_exactly_the_rate_of_eligible_cells_and_no_other(self, case):
+        """A feature column, or the target when it may be corrupted, is
+        eligible unless the mask leaves it out; exactly round(rate x
+        eligible cells) of those cells become missing, and nothing else
+        changes."""
+        d, spec = case
+        before = [list(row) for row in d.rows]
+        eligible = [j for j, c in enumerate(d.schema.columns)
+                    if (c.role == FEATURE or (c.role == TARGET and spec.corrupt_target_in_train))
+                    and (spec.column_mask is None or c.name in spec.column_mask)]
+        total = len(eligible) * d.n_rows
+        if not total and spec.rate > 0:
+            with pytest.raises(ConfigurationError):
+                inject_missing(d, spec)
+            return
+        out = inject_missing(d, spec)
+        assert d.rows == before
+        holes = [(i, j) for i, row in enumerate(out.rows) for j, c in enumerate(row)
+                 if c is None]
+        assert len(holes) == round(spec.rate * total)
+        assert all(j in eligible for _, j in holes)
+        assert all(out.rows[i][j] in (None, before[i][j])
+                   for i in range(d.n_rows) for j in range(d.schema.arity))
 
     def test_rate_without_eligible_cells(self):
         d = grid_dataset(4, 2)

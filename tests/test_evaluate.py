@@ -23,6 +23,7 @@ from dirtybench.evaluate import (
     macro_precision_recall_f,
     match_clusters,
     regression_measures,
+    with_run_defaults,
 )
 from dirtybench.synth import make_blobs, make_linear
 
@@ -269,6 +270,16 @@ class TestEvaluateClustering:
         result = evaluate_clustering(PreparedPoint(d, spec), Algorithm("dbscan"), seed=0,
                                      timing_repeats=1)
         assert set(result.measures) == {"precision", "recall", "f_measure"}
+
+    def test_dbscan_radius_reads_the_run_min_pts(self, iris):
+        """The k-dist heuristic takes the min_pts-th neighbour (Ester et al.,
+        KDD 1996): 12 neighbours on iris give a wider radius than the 4 of
+        the default."""
+        eps = with_run_defaults(Algorithm("dbscan", {"min_pts": 12}), iris, 0).params["eps"]
+        assert eps == cluster.dbscan_default_eps(iris, min_pts=12)
+        assert eps == pytest.approx(0.2731, abs=1e-4)
+        default = with_run_defaults(Algorithm("dbscan"), iris, 0).params["eps"]
+        assert default == pytest.approx(0.1816, abs=1e-4)
 
     def test_one_pass_per_point_unless_more_repeats(self, monkeypatch):
         kmeans = cluster.kmeans

@@ -174,7 +174,7 @@ class TestStepwise:
         y = 3.0 * X[:, 1]
         d = xy_dataset(X, y)
         model = fit_stepwise(d)
-        assert model.selected == (1,)
+        assert model.feature_cols == (1,)
         # oracle: no other single column explains the target this well
         for j in (0, 2):
             other = xy_dataset(X[:, [j]], y)
@@ -188,7 +188,7 @@ class TestStepwise:
             X = rng.standard_normal((30, 3))
             y = rng.standard_normal(30)
             model = fit_stepwise(xy_dataset(X, y), alpha_in=0.05)
-            if model.selected == ():
+            if model.feature_cols == ():
                 hits += 1
         assert hits / trials >= 0.80  # ~5% false-entry rate per column
 
@@ -197,8 +197,8 @@ class TestStepwise:
         d = xy_dataset(xs, 2.0 * xs + 1.0)
         step = fit_stepwise(d)
         ls = fit_least_squares(d)
-        assert step.selected == (0,)
-        assert np.allclose(step.inner.weights, ls.weights, atol=1e-9)
+        assert step.feature_cols == (0,)
+        assert np.allclose(step.weights, ls.weights, atol=1e-9)
 
     def test_subset_sse_at_least_full(self):
         rng = np.random.default_rng(12)
@@ -246,7 +246,7 @@ class TestPredict:
         y = rng.standard_normal(30)
         d = xy_dataset(X, y)
         model = fit_stepwise(d)
-        if model.selected == ():
+        if model.feature_cols == ():
             assert predict_one(model, d, [1.0, 2.0, None]) == pytest.approx(float(y.mean()))
 
     def test_missing_feature_raises(self):

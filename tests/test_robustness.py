@@ -65,6 +65,16 @@ def pct_series(values):
     return MetricSeries(PCT_RATES, tuple(values), direction="higher")
 
 
+@st.composite
+def curves(draw, values=st.floats(-100.0, 100.0)):
+    """A measure curve along a random rate grid, in either direction."""
+    count = draw(st.integers(1, 10))
+    rates = RateGrid(step=draw(st.sampled_from((0.02, 0.05, 0.1))), count=count).rates()
+    return MetricSeries(rates, tuple(draw(st.lists(values, min_size=count + 1,
+                                                   max_size=count + 1))),
+                        direction=draw(st.sampled_from(("higher", "lower"))))
+
+
 class TestSensibility:
     @pytest.mark.parametrize("name", sorted(TRACES))
     def test_golden_traces(self, name):
@@ -82,6 +92,12 @@ class TestSensibility:
     def test_needs_two_points(self):
         with pytest.raises(ParameterError):
             sensibility(MetricSeries((0.0,), (1.0,)))
+
+    @given(curves(), st.floats(-100.0, 100.0))
+    def test_non_negative_and_zero_on_a_constant_curve(self, series, level):
+        assert sensibility(series) >= 0.0
+        flat = MetricSeries(series.rates, (level,) * len(series.rates), series.direction)
+        assert sensibility(flat) == 0.0
 
     def test_lower_bounded_by_endpoint_gap(self):
         rng = np.random.default_rng(0)
@@ -125,6 +141,21 @@ class TestKeepingPoint:
             kp = keeping_point(series, k=float(rng.uniform(0.5, 40)))
             assert kp in PCT_RATES
         assert keeping_point(series, k=1e9) == 50.0
+
+    @given(curves(), st.floats(1e-6, 100.0), st.floats(0.0, 100.0))
+    def test_a_grid_rate_that_does_not_fall_as_k_grows(self, series, k, more):
+        kp = keeping_point(series, k)
+        assert kp in series.rates
+        assert keeping_point(series, k + more) >= kp
+
+    @given(curves(values=st.floats(0.0, 100.0)), st.floats(1e-6, 100.0))
+    def test_last_rate_when_the_curve_never_degrades(self, series, k):
+        """Every value at least as good as the baseline: the curve never
+        moves away from it in the degrading direction."""
+        sign = 1.0 if series.direction == "higher" else -1.0
+        values = (0.0,) + tuple(sign * v for v in series.values[1:])
+        steady = MetricSeries(series.rates, values, series.direction)
+        assert keeping_point(steady, k) == series.rates[-1]
 
     def test_lower_better_direction(self):
         series = MetricSeries(PCT_RATES, (1.0, 1.05, 1.08, 1.3, 1.5, 2.0), direction="lower")
@@ -328,11 +359,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("task, name, most", [
         ("classification", "knn", 18),  # 23 rows in 5 folds: the largest test fold has 5
         ("clustering", "kmeans", 23), ("clustering", "clarans", 23),
-        ("clustering", "birch", 23), ("clustering", "cure", 23),
+        ("clustering", "birch", 23),
+        ("clustering", "cure", 6),  # its sample: round(0.25 * 23) rows
     ])
     def test_k_above_the_rows_read_rejected(self, task, name, most):
-        """knn reads a training fold, a clusterer the whole clean table, and
-        corruption never removes rows: one k more fails every point."""
+        """knn reads a training fold, cure a sample of the clean table, any
+        other clusterer the whole clean table, and corruption never removes
+        rows: one k more fails every point."""
         ds = SweepDataset("blobs", make_blobs(23, seed=0), task)
 
         def check(k):
