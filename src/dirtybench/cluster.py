@@ -536,13 +536,19 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
     return [members[key] for key in sorted(members)]
 
 
-def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
-    """Single-pass CF-tree summarization, MIN-linkage merge of the leaf-entry
-    centroids down to k seeds, then a nearest-seed rescan of all rows."""
+def check_cf_tree(branching: int, threshold: float) -> None:
+    """BIRCH's rules on its CF tree, which a sweep also checks before its
+    first point."""
     if threshold <= 0:
         raise ParameterError("threshold must be positive")
     if branching < 2:
         raise ParameterError("branching must be at least 2")
+
+
+def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
+    """Single-pass CF-tree summarization, MIN-linkage merge of the leaf-entry
+    centroids down to k seeds, then a nearest-seed rescan of all rows."""
+    check_cf_tree(branching, threshold)
     X = encode_for_clustering(d)
     root = _CFNode(is_leaf=True)
     for x in X:
@@ -572,15 +578,21 @@ def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clus
 # CURE
 # ---------------------------------------------------------------------------
 
+def check_representatives(n_rep: int, shrink: float) -> None:
+    """CURE's rules on its representatives, which a sweep also checks before
+    its first point."""
+    if not 0.0 < shrink <= 1.0:
+        raise ParameterError("shrink must be in (0, 1]")
+    if n_rep < 1:
+        raise ParameterError("n_rep must be at least 1")
+
+
 def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
          sample_frac: float = 0.25, seed: int = 0) -> Clustering:
     """Representative-point clustering: MIN-linkage on a seeded sample,
     farthest-first representatives shrunk toward each centroid, then
     nearest-representative assignment of every row."""
-    if not 0.0 < shrink <= 1.0:
-        raise ParameterError("shrink must be in (0, 1]")
-    if n_rep < 1:
-        raise ParameterError("n_rep must be at least 1")
+    check_representatives(n_rep, shrink)
     X = encode_for_clustering(d)
     n = len(X)
     size = int(round(sample_frac * n))

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cluster as cluster_mod
+from . import regress
 from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
 from .data import Dataset, FDRule
 from .errors import ConfigurationError, ParameterError
@@ -358,6 +359,17 @@ def check_names(datasets, algorithms, error_types) -> None:
             raise ConfigurationError(f"unknown error type {et!r}")
 
 
+# the data-free rules of the learners that are functions, each applied by its
+# learner too: a value one rejects would fail every point.  A rule reads its
+# parameters from the learner's params, the learner's defaults filled in.
+PARAM_RULES = {
+    "polynomial": (regress.fit_polynomial, regress.check_degree),
+    "stepwise": (regress.fit_stepwise, regress.check_alphas),
+    "birch": (cluster_mod.birch, cluster_mod.check_cf_tree),
+    "cure": (cluster_mod.cure, cluster_mod.check_representatives),
+}
+
+
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float, folds: int) -> None:
     """The sweep's rules, checked on the loaded datasets before any point is
@@ -365,14 +377,15 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     apply exactly these.  Each algorithm's params must bind to its learner's
     signature, and each classifier is constructed once, so a misspelled
     parameter or one its constructor rejects (``n_bins: 0``) fails here
-    rather than at every point.  So does a binary-only classifier paired with
-    a dataset whose clean target does not hold exactly two labels, a
-    classification or regression dataset with fewer clean rows than folds,
-    a knn ``k`` above the smallest training fold, a clusterer's set ``k``
-    above the clean rows or a ``cure`` ``k`` above its sample of
-    ``round(sample_frac * n)`` clean rows, and an error type a dataset
-    cannot take: ``inconsistent`` without FD rules, ``conflicting`` without
-    an entity key."""
+    rather than at every point, and so does a value that its learner's rule
+    in ``PARAM_RULES`` rejects (``degree: 0``).  So does a binary-only
+    classifier paired with a dataset whose clean target does not hold
+    exactly two labels, a classification or regression dataset with fewer
+    clean rows than folds, a knn ``k`` above the smallest training fold, a
+    clusterer's set ``k`` above the clean rows or a ``cure`` ``k`` (set, or
+    the class count) above its sample of ``round(sample_frac * n)`` clean
+    rows, and an error type a dataset cannot take: ``inconsistent`` without
+    FD rules, ``conflicting`` without an entity key."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -387,6 +400,11 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             inspect.signature(learner).bind_partial(**algorithm.params)
             if algorithm.name in CLASSIFIER_TYPES:
                 classifiers[algorithm.name] = learner(**algorithm.params)
+            elif algorithm.name in PARAM_RULES:
+                defined, rule = PARAM_RULES[algorithm.name]
+                args = inspect.signature(defined).bind_partial(**algorithm.params)
+                args.apply_defaults()
+                rule(**{p: args.arguments[p] for p in inspect.signature(rule).parameters})
         except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:
@@ -408,7 +426,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             k, rows, of = classifiers["knn"].k, n - math.ceil(n / folds), "smallest training fold"
         elif algorithm.name == "cure":  # cure links a sample of the rows
             frac = algorithm.params.get("sample_frac", 0.25)
-            k, of = algorithm.params.get("k"), "cure sample"
+            k, of = algorithm.params.get("k", ds.dataset.n_c), "cure sample"
             rows = round(frac * n) if isinstance(frac, (int, float)) else n
         else:
             k, rows, of = algorithm.params.get("k"), n, "clean table"

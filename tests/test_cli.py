@@ -71,6 +71,15 @@ def iris_copy(tmp_path, iris_path):
     return dest
 
 
+# iris.csv next to the config, as the dataset of the other two tasks
+FLOWERS_AS = {
+    "clustering": [{"name": "flowers", "path": "iris.csv", "task": "clustering",
+                    "target": "species"}],
+    "regression": [{"name": "flowers", "path": "iris.csv", "task": "regression",
+                    "target": "petal_width"}],
+}
+
+
 # Each config is rejected by validation, a dry run and a sweep alike; the
 # flags are command-line overrides and the message is part of the error.
 REJECTED = [
@@ -127,6 +136,29 @@ REJECTED = [
                  id="cure-k-above-sample"),
     pytest.param({"timing_repeats": 0}, [], "timing_repeats must be at least 1",
                  id="zero-timing-repeats"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "cure", "params": {"sample_frac": 0.01}}]}, [],
+                 "algorithm 'cure' has k=3, dataset 'flowers' has 2 rows in its cure sample",
+                 id="cure-class-count-above-sample"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "cure", "params": {"shrink": 0.0}}]}, [],
+                 "'cure': shrink must be in (0, 1]", id="cure-zero-shrink"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "birch", "params": {"threshold": -1}}]}, [],
+                 "'birch': threshold must be positive", id="birch-negative-threshold"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "birch", "params": {"branching": 1}}]}, [],
+                 "'birch': branching must be at least 2", id="birch-one-branch"),
+    pytest.param({"datasets": FLOWERS_AS["regression"],
+                  "algorithms": [{"name": "polynomial", "params": {"degree": 0}}]}, [],
+                 "'polynomial': degree must be at least 1", id="polynomial-degree-zero"),
+    pytest.param({"datasets": FLOWERS_AS["regression"],
+                  "algorithms": [{"name": "stepwise",
+                                  "params": {"alpha_in": 0.2, "alpha_out": 0.1}}]}, [],
+                 "'stepwise': need 0 < alpha_in <= alpha_out < 1", id="stepwise-alpha-in-above-out"),
+    pytest.param({"datasets": FLOWERS_AS["regression"],
+                  "algorithms": [{"name": "stepwise", "params": {"alpha_out": 1.0}}]}, [],
+                 "'stepwise': need 0 < alpha_in <= alpha_out < 1", id="stepwise-alpha-out-one"),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
                  "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
                  id="inconsistent-without-rules"),
@@ -513,12 +545,13 @@ class TestRecommend:
 
 
 def test_import_loads_no_unused_scipy_module():
-    # these modules were over half of every CLI start's time and memory
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.sparse")
+    # scipy was over half of every CLI start's time and memory; only the
+    # Hungarian assignment for more than 8 classes imports it, on first use
     src = Path(__file__).parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, dirtybench.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+         "import sys, dirtybench.cli; "
+         "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
+from dirtybench import regress
 from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import ParameterError, SchemaError
 from dirtybench.regress import (
@@ -25,6 +26,35 @@ def xy_dataset(X, y):
     cols.append(Column("y", NUMERIC, "target"))
     rows = [[*map(float, X[i]), float(y[i])] for i in range(len(y))]
     return dataset_from_rows(cols, rows)
+
+
+@st.composite
+def regression_tables(draw, repeat_columns=True):
+    """(X, y) of small integers, 4-12 rows.  With ``repeat_columns``, X's
+    columns are drawn from a few distinct ones, so equal columns, and ties
+    in F, are common."""
+    m = draw(st.integers(4, 12))
+    column = st.lists(st.integers(-9, 9), min_size=m, max_size=m)
+    distinct = draw(st.lists(column, min_size=1, max_size=4))
+    picks = range(len(distinct))
+    if repeat_columns:
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
+    X = np.array([distinct[i] for i in picks], dtype=float).T
+    return X, np.array(draw(column), dtype=float)
+
+
+def partial_f(sse_without, sse_with, dof, sst):
+    """A column's partial F from least-squares sums of squares, an exact fit
+    read as fit_stepwise reads it."""
+    tol = 1e-12 * max(sst, 1.0)
+    num, denom = max(sse_without - sse_with, 0.0), sse_with / dof
+    return num / denom if denom > tol else np.inf if num > tol else 0.0
+
+
+def lstsq_sse(X, y):
+    A = np.column_stack([X, np.ones(len(y))])
+    r = y - A @ np.linalg.lstsq(A, y, rcond=None)[0]
+    return float(r @ r)
 
 
 def predict_one(model, d, cells):
@@ -214,8 +244,8 @@ class TestStepwise:
         with pytest.raises(ParameterError):
             fit_stepwise(d, alpha_in=0.2, alpha_out=0.1)
 
-    # the entering column is the smallest p-value, so near-ties keep the same
-    # choice only if every p-value keeps its bits
+    # steps rank by F, so a p-value only meets alpha_in or alpha_out: it
+    # needs its digits, not scipy's last bits
     @settings(max_examples=400)
     @given(st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e308)), st.integers(1, 5000))
     @example(0.0, 1)
@@ -223,9 +253,81 @@ class TestStepwise:
     @example(1e3, 5000)  # a tail near 1e-200
     @example(1e300, 5000)  # underflows to 0
     @example(1e308, 1)
-    def test_p_value_bits_equal_scipy_stats(self, x, dof):
-        ours, theirs = f1_tail(x, dof), stats.f.sf(x, 1, dof)
-        assert np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+    def test_p_value_matches_scipy_stats(self, x, dof):
+        ours, theirs = f1_tail(x, dof), float(stats.f.sf(x, 1, dof))
+        if theirs >= 2.3e-308:  # a normal float
+            assert abs(ours - theirs) <= 1e-10 * theirs
+        else:
+            assert ours <= 1e-300 and theirs <= 1e-300
+        for alpha in (0.05, 0.10):
+            assert (ours < alpha) == (theirs < alpha)
+
+    @given(regression_tables())
+    def test_same_fit_with_scipy_tail(self, table):
+        ours = fit_stepwise(xy_dataset(*table))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regress, "f1_tail", lambda x, dof: float(stats.f.sf(x, 1, dof)))
+            theirs = fit_stepwise(xy_dataset(*table))
+        assert ours.feature_cols == theirs.feature_cols
+        assert ours.weights.tobytes() == theirs.weights.tobytes()
+        assert np.float64(ours.intercept).tobytes() == np.float64(theirs.intercept).tobytes()
+
+    @given(regression_tables())
+    def test_first_column_with_largest_f_enters(self, table):
+        X, y = table
+        m = len(y)
+        tails = []
+
+        def enter_first_then_hold(x, dof):
+            # p = 0 lets the first candidate in; 0.07 then neither enters
+            # (alpha_in 0.05) nor leaves (alpha_out 0.10)
+            tails.append(x)
+            return 0.0 if len(tails) == 1 else 0.07
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regress, "f1_tail", enter_first_then_hold)
+            (chosen,) = fit_stepwise(xy_dataset(X, y)).feature_cols
+        # oracle: each column's partial F against the intercept-only model
+        sst = float(((y - y.mean()) ** 2).sum())
+        f = [partial_f(sst, lstsq_sse(X[:, [j]], y), m - 2, sst) for j in range(X.shape[1])]
+        largest = max(f)
+        if largest == np.inf:
+            assert f[chosen] == np.inf and tails[0] == np.inf
+        else:
+            assert f[chosen] >= largest - 1e-9 * max(largest, 1.0)
+            assert tails[0] == pytest.approx(f[chosen], rel=1e-9, abs=1e-9)
+        # a column equal to an earlier one has the same F, and loses the tie
+        assert not any(np.array_equal(X[:, i], X[:, chosen]) for i in range(chosen))
+
+    @given(regression_tables(repeat_columns=False))
+    def test_column_with_smallest_f_leaves(self, table):
+        X, y = table
+        m, n = X.shape
+        assume(m > n + 1 and np.linalg.cond(np.column_stack([X, np.ones(m)])) < 1e6)
+        tails = []
+
+        def all_enter_then_one_leaves(x, dof):
+            # forward and backward steps alternate: p = 0 lets each column
+            # in and 0.07 keeps it, until the n-th backward step sees 0.5
+            tails.append(x)
+            if len(tails) == 2 * n:
+                return 0.5
+            return 0.0 if len(tails) < 2 * n and len(tails) % 2 else 0.07
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regress, "f1_tail", all_enter_then_one_leaves)
+            kept = fit_stepwise(xy_dataset(X, y)).feature_cols
+        (left,) = set(range(n)) - set(kept)
+        # oracle: each column's partial F against the model of all columns
+        sst, full = float(((y - y.mean()) ** 2).sum()), lstsq_sse(X, y)
+        f = [partial_f(lstsq_sse(np.delete(X, j, axis=1), y), full, m - n - 1, sst)
+             for j in range(n)]
+        smallest = min(f)
+        if smallest == np.inf:
+            assert f[left] == np.inf
+        else:
+            assert f[left] <= smallest + 1e-9 * max(smallest, 1.0)
+            assert tails[2 * n - 1] == pytest.approx(f[left], rel=1e-9, abs=1e-9)
 
 
 class TestPredict:
