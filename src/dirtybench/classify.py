@@ -13,6 +13,7 @@ toward the lowest label code.
 """
 from __future__ import annotations
 
+import copy
 import math
 from typing import Sequence
 
@@ -78,10 +79,11 @@ def _argmax_labels(classes: tuple[Cell, ...], scores: np.ndarray) -> list[Cell]:
 # decision trees and random forests
 # ---------------------------------------------------------------------------
 
-# Byte budget of one split search's class histogram, which holds at most one
-# int64 count per (row, candidate column, class): a round of nodes with more
-# rows is scored in chunks of nodes, at least one node per chunk.
-_HIST_BYTES = 2 << 20
+# Byte budget of one split search, whose temporaries peak at about 11 int64
+# values and 12 int64 class counts per class for each (row, candidate column)
+# entry (tracemalloc, 2 to 8 classes): a round of nodes with more entries is
+# scored in chunks of nodes, at least one node per chunk.
+_HIST_BYTES = 1 << 20
 
 
 class _Node:
@@ -117,8 +119,9 @@ def _route(root: _Node, num: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class _Lockstep:
-    """Grows trees that share one encoding, criterion and limits together,
-    each on its own sample of the fit's rows and with its own rng.
+    """Grows the trees of fits that share one table's columns, class count,
+    criterion and limits together, each tree on its own sample of its fit's
+    rows and with its own rng.
 
     Every feature is read as integer levels fixed once per fit: a numeric
     value's rank among the fit's distinct values (the presorted attribute
@@ -127,54 +130,63 @@ class _Lockstep:
     takes the next node to split from every tree and draws its candidate
     columns from that tree's rng, so each tree's RNG stream and node order
     do not depend on the other trees (a tree that draws nothing gives every
-    pending node).  It scores all the round's nodes with
+    pending node).  It scores the round's nodes, chunk by chunk, with
     one class histogram over the (node, candidate, level) triples present:
     a numeric cut's left counts are the histogram summed up to its level, a
     category's are its own row, and either child's counts are that row and
-    the parent's counts minus it.
+    the parent's counts minus it.  A node reads only its own rows, and a
+    numeric cut its own fit's levels.
     """
 
-    def __init__(self, encoding: ColumnFit, n_classes: int, y: np.ndarray,
-                 samples: list[np.ndarray], rngs: list[np.random.Generator],
-                 per_split: int, criterion: str, max_depth: int, min_split: int):
-        """``y`` holds the label codes of the rows ``encoding`` was fitted
-        on; tree t grows on the row positions ``samples[t]``, repeats
+    def __init__(self, fits: list[tuple], n_classes: int, per_split: int,
+                 criterion: str, max_depth: int, min_split: int):
+        """Each fit is (encoding, y, samples, rngs): ``y`` holds the label
+        codes, below ``n_classes``, of the rows ``encoding`` was fitted on;
+        its tree t grows on the row positions ``samples[t]``, repeats
         allowed, and draws ``per_split`` candidate columns per split from
         ``rngs[t]`` unless that is every column."""
-        self.y, self.samples, self.rngs = y, samples, rngs
         self.criterion, self.max_depth, self.min_split = criterion, max_depth, min_split
         self.n_c = n_classes
-        self.numeric = np.array(encoding.is_numeric, dtype=bool)
-        self.block_col = encoding.block_col
+        self.numeric = np.array(fits[0][0].is_numeric, dtype=bool)
+        self.block_col = fits[0][0].block_col
         n_feat = len(self.numeric)
-        self.values = np.empty((len(y), n_feat), dtype=np.int64)
-        distinct = []
-        for p, b in enumerate(encoding.block_col):
-            if self.numeric[p]:
-                found, self.values[:, p] = np.unique(encoding.num[:, b], return_inverse=True)
-            else:
-                found, self.values[:, p] = (), encoding.codes[:, b]
-            distinct.append(found)
+        # the fits' rows stacked, each tree's sample shifted to its fit's rows
+        self.y = np.concatenate([fit[1] for fit in fits])
+        starts = np.cumsum([0] + [len(fit[1]) for fit in fits]).tolist()
+        self.values = np.empty((starts[-1], n_feat), dtype=np.int64)
+        self.fit_of = np.repeat(np.arange(len(fits)), [len(fit[2]) for fit in fits])
+        distinct, self.samples, self.rngs = [], [], []
+        for f, (encoding, y, samples, rngs) in enumerate(fits):
+            at = slice(starts[f], starts[f + 1])
+            for p, b in enumerate(self.block_col):
+                if self.numeric[p]:
+                    found, self.values[at, p] = np.unique(encoding.num[:, b],
+                                                          return_inverse=True)
+                    distinct.append((f, p, found))
+                else:
+                    self.values[at, p] = encoding.codes[:, b]
+            self.samples += [s + starts[f] for s in samples]
+            self.rngs += rngs
         self.width = int(self.values.max(initial=0)) + 1
-        self.levels = np.zeros((n_feat, self.width))  # numeric values by rank
-        for p, found in enumerate(distinct):
-            self.levels[p, :len(found)] = found
+        self.levels = np.zeros((len(fits), n_feat, self.width))  # numeric values by rank
+        for f, p, found in distinct:
+            self.levels[f, p, :len(found)] = found
         self.draw = per_split < n_feat
         self.n_cand = per_split if self.draw else n_feat
         # categories are tried in first-seen order within the tree's sample,
         # as ties between equally good splits go to the first one tried
         self.order = [{p: first_seen(self.values[sample, p])
                        for p in np.flatnonzero(~self.numeric).tolist()}
-                      for sample in samples]
+                      for sample in self.samples]
 
     def grow(self) -> list[_Node]:
-        """Every tree's root."""
+        """Every tree's root, fit by fit."""
         self.stacks = [[] for _ in self.samples]
         roots = [_Node() for _ in self.samples]
         self._settle([(t, root, self.samples[t], 0) for t, root in enumerate(roots)],
                      np.array([np.bincount(self.y[s], minlength=self.n_c)
                                for s in self.samples]))
-        row_bytes = 8 * self.n_cand * self.n_c  # histogram bytes per row, at most
+        row_bytes = 8 * self.n_cand * (11 + 12 * self.n_c)  # as counted for _HIST_BYTES
         while True:
             slots = []
             for t, stack in enumerate(self.stacks):
@@ -291,7 +303,9 @@ class _Lockstep:
         cols, us = cand[ss, js], pair_level[es]
         # a numeric cut falls midway to the next level in its block
         following = pair_level.take(es + 1, mode="clip")  # unused for a category
-        thresholds = ((self.levels[cols, us] + self.levels[cols, following]) / 2.0).tolist()
+        fit = self.fit_of[np.array(trees)[ss]]
+        thresholds = ((self.levels[fit, cols, us] + self.levels[fit, cols, following])
+                      / 2.0).tolist()
         # route each split node's rows by their level in its column, every
         # row of an unsplit node to the right
         cut = np.full(n_s, -1)
@@ -351,21 +365,43 @@ class RandomForestClassifier:
         self.min_split = max(2, min_split)
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
+        """Fit on ``rows``.  In a batch that ``fit_each`` made, the last fit
+        grows the trees of every forest in it."""
         table, self.classes, y = _labelled_rows(data, rows, "a forest")
-        n_feat = table.schema.n
-        if self.feat_frac is None:
-            per_split = max(1, math.ceil(math.sqrt(n_feat)))
-        else:
-            per_split = max(1, math.ceil(self.feat_frac * n_feat))
         self.encoding = ColumnFit(table, rows)
         rngs = [np.random.default_rng(derive_seed(self.seed, "tree", t))
                 for t in range(self.n_trees)]
         samples = [rng.integers(0, len(y), size=len(y)) if self.bootstrap
                    else np.arange(len(y)) for rng in rngs]
-        self.roots = _Lockstep(self.encoding, len(self.classes), y, samples, rngs,
-                               per_split, self.criterion, self.max_depth,
-                               self.min_split).grow()
+        self._drawn = (self.encoding, y, samples, rngs)
+        batch = self.__dict__.pop("_batch", [self])
+        if batch[-1] is self:
+            self._grow(batch)
         return self
+
+    def fit_each(self, data: Data, row_sets: Sequence[Sequence[int] | None]) -> list:
+        """A copy of this forest fitted on each of ``row_sets`` in turn, each
+        the same as ``fit`` on its set alone, with the trees of all of them
+        grown in one lockstep.  The first set whose fit fails raises."""
+        batch = [copy.copy(self) for _ in row_sets]
+        for forest, rows in zip(batch, row_sets):
+            forest._batch = batch
+            forest.fit(data, rows)
+        return batch
+
+    def _grow(self, batch: list) -> None:
+        n_feat = len(self.encoding.is_numeric)
+        if self.feat_frac is None:
+            per_split = max(1, math.ceil(math.sqrt(n_feat)))
+        else:
+            per_split = max(1, math.ceil(self.feat_frac * n_feat))
+        # one lockstep per class count: padded zero counts reorder _impurity_rows' sums
+        for n_c in {len(forest.classes) for forest in batch}:
+            group = [forest for forest in batch if len(forest.classes) == n_c]
+            grown = _Lockstep([forest.__dict__.pop("_drawn") for forest in group], n_c,
+                              per_split, self.criterion, self.max_depth, self.min_split).grow()
+            for i, forest in enumerate(group):
+                forest.roots = grown[i * self.n_trees:(i + 1) * self.n_trees]
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
         num, codes = self.encoding.encode(data, rows)
@@ -426,11 +462,17 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Per row of ``d2``, the column indices of its k smallest entries, ties
     going to the lower index: the set of the first k of a stable argsort, in
     ascending index order.  A selection, not a sort: every entry below the
-    k-th smallest value, then the lowest-index entries equal to it."""
+    k-th smallest value, then the lowest-index entries equal to it.  Only
+    the rows with more than k entries at or below that value need the tie
+    rule."""
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    below = d2 < kth
-    tied = d2 == kth
-    take = below | (tied & (np.cumsum(tied, axis=1) <= k - below.sum(axis=1, keepdims=True)))
+    take = d2 <= kth
+    over = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
+    if len(over):
+        sub, at = d2[over], kth[over]
+        below, tied = sub < at, sub == at
+        take[over] = below | (tied & (np.cumsum(tied, axis=1)
+                                      <= k - below.sum(axis=1, keepdims=True)))
     return np.nonzero(take)[1].reshape(len(d2), k)
 
 

@@ -9,6 +9,7 @@ trace for CLARANS.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -139,13 +140,20 @@ def _maximin_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return X[chosen].copy()
 
 
+def check_k(k: int | None) -> None:
+    """The rule on the k of k-means, CLARANS, BIRCH and CURE, which a sweep
+    also checks before its first point; None stands for a k the run derives
+    (the class count)."""
+    if k is not None and k < 1:
+        raise ParameterError("k must be at least 1")
+
+
 def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
     """Lloyd iterations from k maximin-seeded data points; empty clusters are
     re-seeded with the point farthest from its current centroid."""
+    check_k(k)
     X = encode_for_clustering(d)
     n = len(X)
-    if k < 1:
-        raise ParameterError("k must be at least 1")
     if k > n:
         raise ParameterError(f"k={k} exceeds row count {n}")
     rng = np.random.default_rng(seed)
@@ -222,9 +230,10 @@ def clarans(d: Data, k: int, num_local: int = 5, max_neighbor: int = 100,
             seed: int = 0) -> Clustering:
     """Randomized medoid search: accept any cost-decreasing single-medoid
     swap, give up a restart after max_neighbor consecutive failures."""
+    check_k(k)
     X = encode_for_clustering(d)
     n = len(X)
-    if k < 1 or k > n:
+    if k > n:
         raise ParameterError(f"k={k} out of range for {n} rows")
     rng = np.random.default_rng(seed)
     XT = X.T.copy()
@@ -298,13 +307,20 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
-    """Density clustering: clusters are eps-connected components of core
-    points; border points join the lowest-indexed adjacent cluster."""
-    if eps <= 0:
+def check_density(eps: float | None, min_pts: int) -> None:
+    """DBSCAN's rules on its radius and core size, which a sweep also checks
+    before its first point; None stands for a radius the run derives from
+    the clean data."""
+    if eps is not None and eps <= 0:
         raise ParameterError("eps must be positive")
     if min_pts < 1:
         raise ParameterError("min_pts must be at least 1")
+
+
+def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
+    """Density clustering: clusters are eps-connected components of core
+    points; border points join the lowest-indexed adjacent cluster."""
+    check_density(eps, min_pts)
     X = encode_for_clustering(d)
     n = len(X)
     # eps-neighbour edges (self loops included), one block of rows at a
@@ -347,7 +363,19 @@ def dbscan_default_eps(d: Data, min_pts: int = 4, percentile: float = 90.0) -> f
     kth = np.concatenate([
         np.sqrt(np.partition(block, kk, axis=1)[:, kk]) for _, block in _sq_dist_blocks(X, X)
     ])
-    return float(np.percentile(kth, percentile))
+    return _percentile(kth, percentile)
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """``np.percentile(values, q)`` by its default linear method, bit for
+    bit, without the ``numpy.ma`` import its ``np.unique`` call costs."""
+    at = (len(values) - 1) * (q / 100)
+    lo = min(math.floor(at), len(values) - 1)
+    hi = min(lo + 1, len(values) - 1)
+    part = np.partition(values, [lo, hi])
+    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    # numpy's _lerp: from the upper end when the weight reaches one half
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +576,7 @@ def check_cf_tree(branching: int, threshold: float) -> None:
 def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
     """Single-pass CF-tree summarization, MIN-linkage merge of the leaf-entry
     centroids down to k seeds, then a nearest-seed rescan of all rows."""
+    check_k(k)
     check_cf_tree(branching, threshold)
     X = encode_for_clustering(d)
     root = _CFNode(is_leaf=True)
@@ -592,6 +621,7 @@ def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
     """Representative-point clustering: MIN-linkage on a seeded sample,
     farthest-first representatives shrunk toward each centroid, then
     nearest-representative assignment of every row."""
+    check_k(k)
     check_representatives(n_rep, shrink)
     X = encode_for_clustering(d)
     n = len(X)

@@ -369,11 +369,15 @@ def cross_validate(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
     def run_pass():
         per_fold: dict[str, list[float | None]] = {m: [] for m in measures_of(task)}
         flags: list[str] = []
+        trains = [np.concatenate([p for g, p in enumerate(parts) if g != f])
+                  for f in range(len(parts))]
+        # a tree learner grows the trees of every fold in one lockstep
+        make = CLASSIFIER_TYPES.get(algorithm.name)
+        fitted = make(**params).fit_each(work, trains) if hasattr(make, "fit_each") else None
         for f, test_rows in enumerate(parts):
-            train_rows = np.concatenate([p for g, p in enumerate(parts) if g != f])
             truth = [work.truth[i] for i in test_rows]
             if task == CLASSIFICATION:
-                model = CLASSIFIER_TYPES[algorithm.name](**params).fit(work, train_rows)
+                model = fitted[f] if fitted else make(**params).fit(work, trains[f])
                 pred = model.predict_rows(work, test_rows)
                 P, R, F = macro_precision_recall_f(pred, truth)
                 per_fold["precision"].append(P)
@@ -381,7 +385,7 @@ def cross_validate(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
                 per_fold["f_measure"].append(F)
             else:
                 fitter = REGRESSOR_FITTERS[algorithm.name]
-                model = fitter(work, rows=train_rows, **params)
+                model = fitter(work, rows=trains[f], **params)
                 pred = regress.predict_rows(model, work, test_rows)
                 rm = regression_measures(pred, [float(v) for v in truth])
                 per_fold["rmsd"].append(rm.rmsd)

@@ -361,12 +361,16 @@ def check_names(datasets, algorithms, error_types) -> None:
 
 # the data-free rules of the learners that are functions, each applied by its
 # learner too: a value one rejects would fail every point.  A rule reads its
-# parameters from the learner's params, the learner's defaults filled in.
+# parameters from the learner's params, the learner's defaults filled in,
+# and a parameter the run derives (a clusterer's k, DBSCAN's eps) as None.
 PARAM_RULES = {
     "polynomial": (regress.fit_polynomial, regress.check_degree),
     "stepwise": (regress.fit_stepwise, regress.check_alphas),
-    "birch": (cluster_mod.birch, cluster_mod.check_cf_tree),
-    "cure": (cluster_mod.cure, cluster_mod.check_representatives),
+    "kmeans": (cluster_mod.kmeans, cluster_mod.check_k),
+    "clarans": (cluster_mod.clarans, cluster_mod.check_k),
+    "dbscan": (cluster_mod.dbscan, cluster_mod.check_density),
+    "birch": (cluster_mod.birch, cluster_mod.check_k, cluster_mod.check_cf_tree),
+    "cure": (cluster_mod.cure, cluster_mod.check_k, cluster_mod.check_representatives),
 }
 
 
@@ -401,10 +405,12 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             if algorithm.name in CLASSIFIER_TYPES:
                 classifiers[algorithm.name] = learner(**algorithm.params)
             elif algorithm.name in PARAM_RULES:
-                defined, rule = PARAM_RULES[algorithm.name]
+                defined, *rules = PARAM_RULES[algorithm.name]
                 args = inspect.signature(defined).bind_partial(**algorithm.params)
                 args.apply_defaults()
-                rule(**{p: args.arguments[p] for p in inspect.signature(rule).parameters})
+                for rule in rules:
+                    rule(**{p: args.arguments.get(p)
+                            for p in inspect.signature(rule).parameters})
         except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:

@@ -12,6 +12,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from dirtybench import classify, cluster, regress
@@ -26,7 +27,7 @@ from dirtybench.classify import (
 )
 from dirtybench.corrupt import derive_seed
 from dirtybench.data import CATEGORICAL, NUMERIC, Column, dataset_from_rows
-from dirtybench.errors import DirtyBenchError
+from dirtybench.errors import DirtyBenchError, EmptyInputError, SchemaError
 from dirtybench.features import (
     CAT_SCALE,
     Discretizer,
@@ -47,17 +48,19 @@ TEST_WORDS = ("a", "b", "c", "d", "e")
 DEEP_NUMBERS = tuple(v / 4 for v in range(-6, 18))
 DEEP_WORDS = ("a", "b", "c", "d", "e", "f")
 DEEP_LABELS = ("p", "q", "r", "s")
+# from 8 labels on, a class histogram's row sums are pairwise
+MANY_LABELS = tuple("abcdefghi")
 
 
 @st.composite
-def split_tables(draw, target_kind=CATEGORICAL, deep=False):
+def split_tables(draw, target_kind=CATEGORICAL, deep=False, labels=None):
     """(dataset, training rows, test rows) over a random mixed schema."""
     kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=1, max_size=4))
     if target_kind == NUMERIC and NUMERIC not in kinds:
         kinds.append(NUMERIC)
     n_train = draw(st.integers(20, 80) if deep else st.integers(4, 16))
     n_test = draw(st.integers(1, 8))
-    labels = DEEP_LABELS if deep else ("p", "q", "r")
+    labels = labels or (DEEP_LABELS if deep else ("p", "q", "r"))
 
     def row(numbers, words):
         cells = [draw(st.sampled_from(numbers if k == NUMERIC else words)) for k in kinds]
@@ -231,7 +234,7 @@ def ref_predict(tree, d, cells):
     return tree
 
 
-def ref_forest(d, idx, n_trees, feat_frac, seed, **tree_params):
+def ref_forest(d, idx, n_trees, feat_frac, seed, bootstrap=True, **tree_params):
     """The trees of a forest, each grown by ``ref_tree``."""
     classes = ref_classes(d, idx)
     n_feat = d.schema.n
@@ -240,7 +243,8 @@ def ref_forest(d, idx, n_trees, feat_frac, seed, **tree_params):
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(derive_seed(seed, "tree", t))
-        sample = [idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
+        sample = ([idx[int(i)] for i in rng.integers(0, len(idx), size=len(idx))]
+                  if bootstrap else list(idx))
         trees.append(ref_tree(d, sample, classes, per_split=per_split, rng=rng, **tree_params))
     return trees
 
@@ -415,6 +419,52 @@ def test_trees_grow_alike_in_histogram_chunks(case, seed, budget):
         forest = RandomForestClassifier(n_trees=3, feat_frac=0.5, seed=seed).fit(d, train)
     assert grown(tree) == [ref_tree(d, train, classes)]
     assert grown(forest) == ref_forest(d, train, 3, 0.5, seed)
+
+
+@given(st.sampled_from((DEEP_LABELS, MANY_LABELS)).flatmap(
+           lambda labels: split_tables(deep=True, labels=labels)),
+       st.data(), st.sampled_from(("gini", "gain", "error")),
+       st.sampled_from((None, 0.5, 1.0)), st.booleans(),
+       st.sampled_from((1, 1500, classify._HIST_BYTES)),
+       st.integers(0, 50))
+def test_trees_of_each_row_set_grow_as_that_set_alone(case, data, criterion, feat_frac,
+                                                     bootstrap, budget, seed):
+    """``fit_each`` over several row sets grows, for each set, the trees and
+    predictions of the reference grown on that set alone, node by node: sets
+    with different class counts, one without the first row's class, chunks
+    down to one node each."""
+    d, train, test = case
+    labels = stored_labels(d, train)
+    masks = st.lists(st.booleans(), min_size=len(train), max_size=len(train))
+    sets = [[i for i, keep in zip(train, mask) if keep] or train
+            for mask in data.draw(st.lists(masks, min_size=1, max_size=3))]
+    without_first = [i for i, label in zip(train, labels) if label != labels[0]]
+    if without_first:
+        sets.insert(data.draw(st.integers(0, len(sets))), without_first)
+    with mock.patch.object(classify, "_HIST_BYTES", budget):
+        trees = DecisionTreeClassifier(criterion=criterion).fit_each(d, sets)
+        forests = RandomForestClassifier(n_trees=3, feat_frac=feat_frac, seed=seed,
+                                         bootstrap=bootstrap,
+                                         criterion=criterion).fit_each(d, sets)
+    cells = [d.rows[i] for i in test]
+    for rows, tree, forest in zip(sets, trees, forests):
+        classes = ref_classes(d, rows)
+        ref = ref_tree(d, rows, classes, criterion)
+        assert grown(tree) == [ref]
+        assert tree.predict_rows(d, test) == [ref_predict(ref, d, c) for c in cells]
+        refs = ref_forest(d, rows, 3, feat_frac, seed, bootstrap, criterion=criterion)
+        assert grown(forest) == refs
+        assert forest.predict_rows(d, test) == [ref_vote(refs, classes, d, c) for c in cells]
+
+
+def test_first_failing_row_set_raises():
+    d = dataset_from_rows([Column("x", NUMERIC), Column("y", CATEGORICAL, "target")],
+                          [[0.0, "p"], [1.0, None], [2.0, "q"]])
+    forest = RandomForestClassifier(n_trees=2)
+    for sets, error in (([[0, 2], [], [0, 1]], EmptyInputError),
+                        ([[0, 2], [0, 1], []], SchemaError)):
+        with pytest.raises(error):
+            forest.fit_each(d, sets)
 
 
 @given(split_tables(target_kind=NUMERIC))

@@ -216,6 +216,20 @@ class TestKNN:
             expect = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
             assert np.array_equal(_k_nearest(d2, k), expect)
 
+    @given(st.integers(2, 12), st.integers(2, 30), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_selection_mixes_tied_and_tie_free_rows(self, m, n, levels, seed):
+        # distinct distances first, so no row needs the tie rule; then every
+        # other row rounded onto a few levels, so one block mixes rows that
+        # need it with rows that do not
+        rng = np.random.default_rng(seed)
+        d2 = rng.permutation(m * n).reshape(m, n) / (m * n)
+        for rounded in (False, True):
+            if rounded:
+                d2[::2] = np.round(d2[::2] * levels) / levels
+            for k in sorted({1, 2, (n + 1) // 2, n}):
+                expect = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+                assert np.array_equal(_k_nearest(d2, k), expect)
+
     def test_k_validation(self):
         d = labeled([[0.0, "a"], [1.0, "b"]], [NUMERIC])
         with pytest.raises(ParameterError):

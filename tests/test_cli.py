@@ -149,6 +149,16 @@ REJECTED = [
     pytest.param({"datasets": FLOWERS_AS["clustering"],
                   "algorithms": [{"name": "birch", "params": {"branching": 1}}]}, [],
                  "'birch': branching must be at least 2", id="birch-one-branch"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "dbscan", "params": {"eps": -1}}]}, [],
+                 "'dbscan': eps must be positive", id="dbscan-negative-eps"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "dbscan", "params": {"min_pts": 0}}]}, [],
+                 "'dbscan': min_pts must be at least 1", id="dbscan-zero-min-pts"),
+    *(pytest.param({"datasets": FLOWERS_AS["clustering"],
+                    "algorithms": [{"name": name, "params": {"k": 0}}]}, [],
+                   f"'{name}': k must be at least 1", id=f"{name}-zero-k")
+      for name in ("kmeans", "clarans", "birch", "cure")),
     pytest.param({"datasets": FLOWERS_AS["regression"],
                   "algorithms": [{"name": "polynomial", "params": {"degree": 0}}]}, [],
                  "'polynomial': degree must be at least 1", id="polynomial-degree-zero"),
@@ -555,3 +565,21 @@ def test_import_loads_no_unused_scipy_module():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_sweep_with_a_frozen_dbscan_radius_loads_no_masked_arrays(tmp_path, iris_copy):
+    # np.percentile's np.unique call imports numpy.ma (12-14 ms); the radius
+    # heuristic computes its percentile without it
+    config = tree_config(tmp_path, iris_copy, grid={"start": 0.0, "step": 0.5, "count": 1})
+    config.write_text(json.dumps({**json.loads(config.read_text()),
+                                  "datasets": FLOWERS_AS["clustering"],
+                                  "algorithms": ["dbscan"]}))
+    src = Path(__file__).parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from dirtybench.cli import main; "
+         f"code = main(['sweep', {str(config)!r}]); print(code, 'numpy.ma' in sys.modules)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == [str(cli.EXIT_OK), "False"]

@@ -208,6 +208,14 @@ class TestDBSCAN:
         assert dbscan_default_eps(d) > 0
         assert dbscan_default_eps(d) == dbscan_default_eps(d)
 
+    @given(st.lists(st.one_of(st.floats(0, 1e6), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+                    min_size=1, max_size=60),
+           st.one_of(st.floats(0, 100), st.sampled_from((0.0, 50.0, 90.0, 100.0))))
+    def test_percentile_has_the_bits_of_numpy(self, values, q):
+        values = np.array(values)
+        want = np.percentile(values, q)
+        assert np.float64(cluster._percentile(values, q)).tobytes() == want.tobytes()
+
 
 class TestBIRCH:
     def test_cf_additivity(self):
