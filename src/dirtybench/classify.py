@@ -565,6 +565,8 @@ class BayesianNetworkClassifier:
             raise ParameterError("max_parents must be >= 0")
         if n_bins < 1:
             raise ParameterError("n_bins must be at least 1")
+        if smoothing <= 0:  # at 0 a CPT divides 0 by 0, below it no edge is ever added
+            raise ParameterError("smoothing must be positive")
         self.max_parents = max_parents
         self.n_bins = n_bins
         self.smoothing = smoothing

@@ -63,7 +63,7 @@ def _check_sweep(config: RunConfig, datasets) -> None:
     accept exactly the configs a sweep runs."""
     check_sweep(datasets, config.algorithms, config.error_types,
                 config.rate_grid, config.k_classification, config.k_regression,
-                config.folds)
+                config.folds, config.seed)
 
 
 def cmd_validate_config(args) -> int:

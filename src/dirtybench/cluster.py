@@ -140,18 +140,24 @@ def _maximin_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return X[chosen].copy()
 
 
-def check_k(k: int | None) -> None:
+def check_k(k: int) -> None:
     """The rule on the k of k-means, CLARANS, BIRCH and CURE, which a sweep
-    also checks before its first point; None stands for a k the run derives
-    (the class count)."""
-    if k is not None and k < 1:
+    also checks before its first point."""
+    if k < 1:
         raise ParameterError("k must be at least 1")
+
+
+def check_max_iters(max_iters: int) -> None:
+    """k-means' rule on its iterations: with none, no row is assigned."""
+    if max_iters < 1:
+        raise ParameterError("max_iters must be at least 1")
 
 
 def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
     """Lloyd iterations from k maximin-seeded data points; empty clusters are
     re-seeded with the point farthest from its current centroid."""
     check_k(k)
+    check_max_iters(max_iters)
     X = encode_for_clustering(d)
     n = len(X)
     if k > n:
@@ -183,6 +189,15 @@ def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
 # learning vector quantization
 # ---------------------------------------------------------------------------
 
+def check_prototypes(q: int, n_labels: int, n_rows: int) -> None:
+    """LVQ's rule on its prototype count, which a sweep also checks on the
+    clean table: at least one prototype per label, at most one per row."""
+    if q < n_labels:
+        raise ParameterError(f"q={q} is below the label count {n_labels}")
+    if q > n_rows:
+        raise ParameterError(f"q={q} exceeds row count {n_rows}")
+
+
 def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
         iters: int = 1000, seed: int = 0) -> Clustering:
     """Label-guided prototypes: pull the nearest prototype toward a sample
@@ -199,14 +214,13 @@ def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
     n_c = len(classes)
     if q is None:
         q = n_c
-    if q < n_c:
-        raise ParameterError(f"q={q} is below the label count {n_c}")
+    check_prototypes(q, n_c, len(X))
     rng = np.random.default_rng(seed)
     proto_idx: list[int] = []
     for c in range(n_c):  # every label gets at least one prototype
         members = np.flatnonzero(y == c)
         proto_idx.append(int(rng.choice(members)))
-    remaining = [i for i in range(len(X)) if i not in set(proto_idx)]
+    remaining = sorted(set(range(len(X))) - set(proto_idx))
     extra = q - n_c
     if extra:
         proto_idx.extend(int(i) for i in rng.choice(remaining, size=extra, replace=False))
@@ -226,11 +240,18 @@ def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
 # CLARANS
 # ---------------------------------------------------------------------------
 
+def check_num_local(num_local: int) -> None:
+    """CLARANS' rule on its restarts: with none, no medoids are found."""
+    if num_local < 1:
+        raise ParameterError("num_local must be at least 1")
+
+
 def clarans(d: Data, k: int, num_local: int = 5, max_neighbor: int = 100,
             seed: int = 0) -> Clustering:
     """Randomized medoid search: accept any cost-decreasing single-medoid
     swap, give up a restart after max_neighbor consecutive failures."""
     check_k(k)
+    check_num_local(num_local)
     X = encode_for_clustering(d)
     n = len(X)
     if k > n:
@@ -307,14 +328,14 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
-def check_density(eps: float | None, min_pts: int) -> None:
-    """DBSCAN's rules on its radius and core size, which a sweep also checks
-    before its first point; None stands for a radius the run derives from
-    the clean data."""
-    if eps is not None and eps <= 0:
-        raise ParameterError("eps must be positive")
+def check_density(eps: float, min_pts: int) -> None:
+    """DBSCAN's rules on its core size and radius, which a sweep also checks
+    before its first point, on the radius it froze from the clean data too
+    (0 on identical rows, and at ``min_pts`` 0, so that rule comes first)."""
     if min_pts < 1:
         raise ParameterError("min_pts must be at least 1")
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
 
 
 def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
@@ -607,13 +628,15 @@ def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clus
 # CURE
 # ---------------------------------------------------------------------------
 
-def check_representatives(n_rep: int, shrink: float) -> None:
-    """CURE's rules on its representatives, which a sweep also checks before
-    its first point."""
+def check_representatives(n_rep: int, shrink: float, sample_frac: float) -> None:
+    """CURE's rules on its representatives and the sample they come from,
+    which a sweep also checks before its first point."""
     if not 0.0 < shrink <= 1.0:
         raise ParameterError("shrink must be in (0, 1]")
     if n_rep < 1:
         raise ParameterError("n_rep must be at least 1")
+    if not 0.0 < sample_frac <= 1.0:
+        raise ParameterError("sample_frac must be in (0, 1]")
 
 
 def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
@@ -622,7 +645,7 @@ def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
     farthest-first representatives shrunk toward each centroid, then
     nearest-representative assignment of every row."""
     check_k(k)
-    check_representatives(n_rep, shrink)
+    check_representatives(n_rep, shrink, sample_frac)
     X = encode_for_clustering(d)
     n = len(X)
     size = int(round(sample_frac * n))

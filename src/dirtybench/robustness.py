@@ -32,8 +32,8 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import regress
 from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
-from .data import Dataset, FDRule
-from .errors import ConfigurationError, ParameterError
+from .data import NUMERIC, Dataset, FDRule
+from .errors import ConfigurationError, DirtyBenchError, ParameterError
 from .evaluate import (
     Algorithm,
     CLASSIFICATION,
@@ -47,7 +47,6 @@ from .evaluate import (
     PreparedPoint,
     REGRESSION,
     REGRESSION_MEASURES,
-    REGRESSOR_FITTERS,
     evaluate_algorithm,
     measures_of,
     task_of,
@@ -359,15 +358,18 @@ def check_names(datasets, algorithms, error_types) -> None:
             raise ConfigurationError(f"unknown error type {et!r}")
 
 
-# the data-free rules of the learners that are functions, each applied by its
-# learner too: a value one rejects would fail every point.  A rule reads its
-# parameters from the learner's params, the learner's defaults filled in,
-# and a parameter the run derives (a clusterer's k, DBSCAN's eps) as None.
+# every function learner and the rules on its parameters, each applied by
+# the learner too: a value one rejects would fail every point.  A sweep binds
+# each pair's params, the run-derived ones filled in, to the function held
+# here, with its defaults, and passes each rule the values it names.
 PARAM_RULES = {
+    "least_squares": (regress.fit_least_squares,),
+    "maximum_likelihood": (regress.fit_maximum_likelihood,),
     "polynomial": (regress.fit_polynomial, regress.check_degree),
     "stepwise": (regress.fit_stepwise, regress.check_alphas),
-    "kmeans": (cluster_mod.kmeans, cluster_mod.check_k),
-    "clarans": (cluster_mod.clarans, cluster_mod.check_k),
+    "kmeans": (cluster_mod.kmeans, cluster_mod.check_k, cluster_mod.check_max_iters),
+    "lvq": (cluster_mod.lvq,),
+    "clarans": (cluster_mod.clarans, cluster_mod.check_k, cluster_mod.check_num_local),
     "dbscan": (cluster_mod.dbscan, cluster_mod.check_density),
     "birch": (cluster_mod.birch, cluster_mod.check_k, cluster_mod.check_cf_tree),
     "cure": (cluster_mod.cure, cluster_mod.check_k, cluster_mod.check_representatives),
@@ -375,78 +377,86 @@ PARAM_RULES = {
 
 
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
-                k_classification: float, k_regression: float, folds: int) -> None:
+                k_classification: float, k_regression: float, folds: int,
+                seed: int = 0) -> list:
     """The sweep's rules, checked on the loaded datasets before any point is
-    evaluated; ``run_sweep``, ``validate-config`` and ``sweep --dry-run``
-    apply exactly these.  Each algorithm's params must bind to its learner's
-    signature, and each classifier is constructed once, so a misspelled
-    parameter or one its constructor rejects (``n_bins: 0``) fails here
-    rather than at every point, and so does a value that its learner's rule
-    in ``PARAM_RULES`` rejects (``degree: 0``).  So does a binary-only
-    classifier paired with a dataset whose clean target does not hold
-    exactly two labels, a classification or regression dataset with fewer
-    clean rows than folds, a knn ``k`` above the smallest training fold, a
-    clusterer's set ``k`` above the clean rows or a ``cure`` ``k`` (set, or
-    the class count) above its sample of ``round(sample_frac * n)`` clean
-    rows, and an error type a dataset cannot take: ``inconsistent`` without
-    FD rules, ``conflicting`` without an entity key."""
+    evaluated, and the (dataset, algorithm) pairs that a sweep of ``seed``
+    evaluates, each algorithm's run-derived parameters filled in once;
+    ``run_sweep``, ``validate-config`` and ``sweep --dry-run`` apply exactly
+    these.  Each algorithm's params must bind to its learner's signature and
+    each classifier's constructor accept them (not ``n_bins: 0``).  Each
+    dataset needs a target, numeric for regression, and the FD rules or
+    entity key of ``inconsistent`` or ``conflicting``.  Each pair's resolved
+    values, defaults included, must pass its learner's rules in
+    ``PARAM_RULES`` (not ``degree: 0``, nor a DBSCAN radius of 0 frozen from
+    identical rows); a binary-only classifier needs two clean labels; and no
+    count may exceed the clean rows it reads: the folds, a knn ``k`` (the
+    smallest training fold), a ``cure`` ``k`` (its sample of
+    ``round(sample_frac * n)`` rows), any other ``k`` or LVQ's ``q``."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
             raise ConfigurationError(f"no {kind} selected")
     check_names(datasets, algorithms, error_types)
-    classifiers = {}
     for algorithm in algorithms:
-        learner = (CLASSIFIER_TYPES.get(algorithm.name)
-                   or REGRESSOR_FITTERS.get(algorithm.name)
-                   or getattr(cluster_mod, algorithm.name))
+        learner, *_ = PARAM_RULES.get(algorithm.name) or (CLASSIFIER_TYPES[algorithm.name],)
         try:
             inspect.signature(learner).bind_partial(**algorithm.params)
             if algorithm.name in CLASSIFIER_TYPES:
-                classifiers[algorithm.name] = learner(**algorithm.params)
-            elif algorithm.name in PARAM_RULES:
-                defined, *rules = PARAM_RULES[algorithm.name]
-                args = inspect.signature(defined).bind_partial(**algorithm.params)
-                args.apply_defaults()
-                for rule in rules:
-                    rule(**{p: args.arguments.get(p)
-                            for p in inspect.signature(rule).parameters})
+                learner(**algorithm.params)
         except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
     if grid.start != 0.0:
         raise ConfigurationError("rate grid must start at the clean baseline 0")
+    if not (k_classification > 0 and k_regression > 0):
+        raise ConfigurationError("k_classification and k_regression must be positive")
     pairs = sweep_pairs(datasets, algorithms)
     if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
-    for ds, algorithm in pairs:
-        binary_only = getattr(CLASSIFIER_TYPES.get(algorithm.name), "binary_only", False)
-        if binary_only and ds.dataset.n_c != 2:
-            raise ConfigurationError(f"algorithm {algorithm.name!r} needs a binary target, "
-                                     f"dataset {ds.name!r} has {ds.dataset.n_c} classes")
-        n = ds.dataset.n_rows
-        if ds.task != CLUSTERING and folds > n:
-            raise ConfigurationError(
-                f"{folds} folds need at least {folds} rows, dataset {ds.name!r} has {n}")
-        # corruption never removes rows, so a k above these rows fails every point
-        if algorithm.name == "knn":
-            k, rows, of = classifiers["knn"].k, n - math.ceil(n / folds), "smallest training fold"
-        elif algorithm.name == "cure":  # cure links a sample of the rows
-            frac = algorithm.params.get("sample_frac", 0.25)
-            k, of = algorithm.params.get("k", ds.dataset.n_c), "cure sample"
-            rows = round(frac * n) if isinstance(frac, (int, float)) else n
-        else:
-            k, rows, of = algorithm.params.get("k"), n, "clean table"
-        if isinstance(k, int) and k > rows:
-            raise ConfigurationError(f"algorithm {algorithm.name!r} has k={k}, dataset "
-                                     f"{ds.name!r} has {rows} rows in its {of}")
     for ds in {ds.name: ds for ds, _ in pairs}.values():
+        target = ds.dataset.schema.target_index
+        if target is None:
+            raise ConfigurationError(f"{ds.task} dataset {ds.name!r} has no target column")
+        if ds.task == REGRESSION and ds.dataset.schema.columns[target].kind != NUMERIC:
+            raise ConfigurationError(f"regression dataset {ds.name!r} has a categorical "
+                                     f"target {ds.dataset.schema.columns[target].name!r}")
         for et, needs, held in ((INCONSISTENT, "FD rules", ds.rules),
                                 (CONFLICTING, "an entity key", ds.entity_key)):
             if et in error_types and not held:
                 raise ConfigurationError(
                     f"error type {et!r} needs {needs}, dataset {ds.name!r} has none")
-    if not (k_classification > 0 and k_regression > 0):
-        raise ConfigurationError("k_classification and k_regression must be positive")
+    resolved = []
+    for ds, algorithm in pairs:
+        name, n = algorithm.name, ds.dataset.n_rows
+        if getattr(CLASSIFIER_TYPES.get(name), "binary_only", False) and ds.dataset.n_c != 2:
+            raise ConfigurationError(f"algorithm {name!r} needs a binary target, "
+                                     f"dataset {ds.name!r} has {ds.dataset.n_c} classes")
+        if ds.task != CLUSTERING and folds > n:
+            raise ConfigurationError(
+                f"{folds} folds need at least {folds} rows, dataset {ds.name!r} has {n}")
+        learner, *rules = PARAM_RULES.get(name) or (CLASSIFIER_TYPES[name],)
+        try:
+            algorithm = with_run_defaults(algorithm, ds.dataset, derive_seed(seed, ds.name))
+            bound = inspect.signature(learner).bind_partial(**algorithm.params)
+            bound.apply_defaults()
+            values = bound.arguments
+            for rule in rules:
+                rule(**{p: values[p] for p in inspect.signature(rule).parameters})
+            if name == "lvq" and values["q"] is not None:  # None: one per label
+                cluster_mod.check_prototypes(values["q"], ds.dataset.n_c, n)
+        except (TypeError, ValueError, DirtyBenchError) as exc:
+            raise ConfigurationError(f"algorithm {name!r}: {exc} (dataset {ds.name!r})") from None
+        # corruption never removes rows, so a k above these rows fails every point
+        rows, of = n, "clean table"
+        if name == "knn":
+            rows, of = n - math.ceil(n / folds), "smallest training fold"
+        elif name == "cure":  # cure links a sample of the rows
+            rows, of = round(values["sample_frac"] * n), "cure sample"
+        if values.get("k", 0) > rows:
+            raise ConfigurationError(f"algorithm {name!r} has k={values['k']}, dataset "
+                                     f"{ds.name!r} has {rows} rows in its {of}")
+        resolved.append((ds, algorithm))
+    return resolved
 
 
 def sweep_pairs(datasets, algorithms) -> list:
@@ -519,18 +529,8 @@ def run_sweep(
     it at rate 0.
     Deterministic for a fixed seed regardless of worker count; a failing
     combination is recorded and skipped."""
-    check_sweep(datasets, algorithms, error_types, grid, k_classification, k_regression,
-                folds)
-    pairs = []
-    for ds, algorithm in sweep_pairs(datasets, algorithms):
-        # the pair's run-derived parameters, computed once for every rate;
-        # where they cannot be, each point recomputes them and records why
-        try:
-            algorithm = with_run_defaults(algorithm, ds.dataset, derive_seed(seed, ds.name))
-        except Exception:
-            pass
-        pairs.append((ds, algorithm))
-
+    pairs = check_sweep(datasets, algorithms, error_types, grid, k_classification,
+                        k_regression, folds, seed)
     rates = grid.rates()
     plan = _Plan(
         datasets=tuple(datasets),

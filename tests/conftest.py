@@ -49,7 +49,8 @@ class ScriptedEvaluator:
     """Stands in for ``robustness.evaluate_algorithm`` without fitting
     anything: each algorithm's measures come from a preset table
     ``{algorithm name: {measure: {rate: value}}}`` (absent entries give None),
-    and the calls whose 0-based position is in ``fail_calls`` raise.  With
+    and the calls whose 0-based position is in ``fail_calls`` raise.  The
+    algorithm of each call, params included, is kept in ``algorithms``.  With
     ``jobs=1`` the sweep calls it once per point, one (dataset, error type,
     rate) point at a time, a dataset's shared clean point first, and a
     point's algorithms in plan order.  It reads only the point's spec and
@@ -59,9 +60,11 @@ class ScriptedEvaluator:
         self.values = values
         self.fail_calls = set(fail_calls)
         self.calls = 0
+        self.algorithms = []
 
     def __call__(self, point, algorithm, folds=10, seed=0, timing_repeats=1):
         call, self.calls = self.calls, self.calls + 1
+        self.algorithms.append(algorithm)
         if call in self.fail_calls:
             raise ParameterError(f"scripted failure at call {call}")
         task = task_of(algorithm)

@@ -385,6 +385,9 @@ class TestBayesianNetwork:
             BayesianNetworkClassifier(max_parents=-1)
         with pytest.raises(ParameterError, match="n_bins"):
             BayesianNetworkClassifier(n_bins=0)
+        for smoothing in (0.0, -1.0):  # as for naive Bayes
+            with pytest.raises(ParameterError, match="smoothing must be positive"):
+                BayesianNetworkClassifier(smoothing=smoothing)
 
 
 class TestLogistic:

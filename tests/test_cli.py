@@ -169,6 +169,42 @@ REJECTED = [
     pytest.param({"datasets": FLOWERS_AS["regression"],
                   "algorithms": [{"name": "stepwise", "params": {"alpha_out": 1.0}}]}, [],
                  "'stepwise': need 0 < alpha_in <= alpha_out < 1", id="stepwise-alpha-out-one"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "kmeans", "params": {"max_iters": 0}}]}, [],
+                 "'kmeans': max_iters must be at least 1", id="kmeans-zero-iterations"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "clarans", "params": {"num_local": 0}}]}, [],
+                 "'clarans': num_local must be at least 1", id="clarans-no-restarts"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "cure", "params": {"sample_frac": 2.0}}]}, [],
+                 "'cure': sample_frac must be in (0, 1]", id="cure-sample-above-rows"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "lvq", "params": {"q": 2}}]}, [],
+                 "'lvq': q=2 is below the label count 3 (dataset 'flowers')",
+                 id="lvq-q-below-labels"),
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "lvq", "params": {"q": 200}}]}, [],
+                 "'lvq': q=200 exceeds row count 150 (dataset 'flowers')",
+                 id="lvq-q-above-rows"),
+    pytest.param({"datasets": [{"name": "flat", "path": "flat.csv", "task": "clustering",
+                                "target": "label"}],
+                  "algorithms": ["kmeans", "dbscan"]}, [],
+                 "'dbscan': eps must be positive (dataset 'flat')",
+                 id="dbscan-frozen-radius-zero"),
+    *(pytest.param({"algorithms": [{"name": "bayesian_network",
+                                    "params": {"smoothing": smoothing}}]}, [],
+                   "'bayesian_network': smoothing must be positive",
+                   id=f"bayesian-network-smoothing-{smoothing}")
+      for smoothing in (0, -1)),
+    pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "clustering"}],
+                  "algorithms": ["kmeans"]}, [],
+                 "clustering dataset 'flowers' has no target column",
+                 id="clustering-without-target"),
+    pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "regression",
+                                "target": "species"}],
+                  "algorithms": ["least_squares"]}, [],
+                 "regression dataset 'flowers' has a categorical target 'species'",
+                 id="regression-on-categorical-target"),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
                  "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
                  id="inconsistent-without-rules"),
@@ -184,6 +220,8 @@ class TestValidateConfig:
                                        scripted_evaluator, changes, flags, message):
         config = tree_config(tmp_path, iris_copy)
         config.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
+        # identical rows, so DBSCAN's frozen radius (every neighbour distance) is 0
+        (tmp_path / "flat.csv").write_text("x,y,label\n" + "1.0,2.0,a\n1.0,2.0,b\n" * 6)
         evaluator = scripted_evaluator({})
         monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
         for argv in (["validate-config"], ["sweep", "--dry-run"], ["sweep"]):
@@ -418,33 +456,6 @@ class TestSweep:
         config = tree_config(tmp_path, iris_copy, grid={"start": 0.0, "step": 0.5, "count": 1})
         assert cli.main(["sweep", str(config)]) == cli.EXIT_PARTIAL
         assert "failed combinations" in capsys.readouterr().err
-
-    def test_unusable_dbscan_eps_fails_only_dbscan_points(self, tmp_path, capsys):
-        # identical rows: every nearest-neighbour distance, hence eps, is 0
-        data = tmp_path / "flat.csv"
-        rows = [f"1.0,2.0,c{i % 2}" for i in range(12)]
-        data.write_text("x,y,label\n" + "\n".join(rows) + "\n")
-        config = {
-            "output_dir": str(tmp_path / "out"),
-            "rate_grid": {"start": 0.0, "step": 0.25, "count": 2},
-            "error_types": ["missing"],
-            "timing_repeats": 1,
-            "datasets": [{"name": "flat", "path": str(data), "task": "clustering",
-                          "target": "label"}],
-            "algorithms": ["kmeans", "dbscan", "clarans"],
-        }
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(config))
-        assert cli.main(["sweep", str(cfg)]) == cli.EXIT_PARTIAL
-        assert "failed combinations" in capsys.readouterr().err
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert [(e["algorithm"], e["rate"], e["message"]) for e in report["errors"]] == [
-            ("dbscan", rate, "ParameterError: eps must be positive")
-            for rate in (0.0, 0.25, 0.5)
-        ]
-        done = sorted((r["algorithm"], r["rate"]) for r in report["results"])
-        assert done == sorted((a, rate) for a in ("kmeans", "clarans")
-                              for rate in (0.0, 0.25, 0.5))
 
     def test_dry_run_produces_no_output(self, tmp_path, iris_copy, capsys):
         config = tree_config(tmp_path, iris_copy)

@@ -303,6 +303,18 @@ class TestCoverage:
             )
             assert valid.all()
 
+    @pytest.mark.parametrize("run, message", [
+        (lambda d: kmeans(d, 3, max_iters=0), "max_iters must be at least 1"),
+        (lambda d: lvq(d, q=41), "q=41 exceeds row count 40"),
+        (lambda d: clarans(d, 3, num_local=0), "num_local must be at least 1"),
+        (lambda d: cure(d, k=3, sample_frac=2.0), r"sample_frac must be in \(0, 1\]"),
+    ])
+    def test_learner_raises_its_own_rule(self, run, message):
+        """A value that would fail inside numpy, or assign no row, is the
+        learner's ParameterError."""
+        with pytest.raises(ParameterError, match=message):
+            run(make_blobs(40, seed=0))
+
     def test_export_rows(self):
         d = points_1d([0, 1, 9])
         result = kmeans(d, 2, seed=0)

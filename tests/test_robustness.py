@@ -341,6 +341,42 @@ class TestRunSweep:
         if name not in ("lvq", "random_forest"):
             assert {kwargs["k"] for kwargs in seen} == {3}
 
+    def test_points_run_the_pairs_the_preflight_resolved(self, monkeypatch,
+                                                           scripted_evaluator):
+        """Every point evaluates a pair's algorithm exactly as ``check_sweep``
+        returned it, and each DBSCAN pair's radius is frozen once a sweep."""
+        frozen = []
+
+        def counting_eps(d, **kwargs):
+            frozen.append(d)
+            return dbscan_default_eps(d, **kwargs)
+
+        monkeypatch.setattr(cluster, "dbscan_default_eps", counting_eps)
+        evaluator = scripted_evaluator({})
+        monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
+        datasets = [SweepDataset(name, make_blobs(30, n_classes=3, seed=s), "clustering")
+                    for s, name in enumerate(("a", "b"))]
+        algorithms = [Algorithm("kmeans"), Algorithm("dbscan", {"min_pts": 3}),
+                      Algorithm("cure", {"sample_frac": 0.5}), Algorithm("lvq")]
+        grid = RateGrid(start=0.0, step=0.25, count=2)
+        pairs = robustness.check_sweep(datasets, algorithms, ("missing",), grid,
+                                       0.1, 0.1, folds=10, seed=7)
+        assert frozen == [ds.dataset for ds in datasets]
+        assert all(a.params["eps"] > 0 for _, a in pairs if a.name == "dbscan")
+        frozen.clear()
+        run_sweep(datasets, algorithms, ("missing",), grid, seed=7)
+        assert frozen == [ds.dataset for ds in datasets]
+        assert evaluator.algorithms == [a for ds in datasets for _ in grid.rates()
+                                        for d, a in pairs if d is ds]
+
+    def test_every_algorithm_binds_to_its_learner(self):
+        """A classifier binds to its class, any other algorithm to the
+        function that PARAM_RULES holds, which is the one its points run."""
+        assert set(robustness.PARAM_RULES).isdisjoint(CLASSIFIER_TYPES)
+        assert set(robustness.PARAM_RULES) | set(CLASSIFIER_TYPES) == set(ALL_ALGORITHMS)
+        for name, (learner, *_) in robustness.PARAM_RULES.items():
+            assert learner is (evaluate.REGRESSOR_FITTERS.get(name) or getattr(cluster, name))
+
     def test_grid_must_start_at_zero(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
         with pytest.raises(ConfigurationError):
@@ -552,8 +588,10 @@ class TestAllErrorTypes:
             assert all(row == rows[0] for row in rows)
 
 
-# never fitted: the sweep plan is tested through the scripted evaluator
+# never fitted: the sweep plan is tested through the scripted evaluator; a
+# regression dataset gets a numeric target, as the pre-flight requires
 PLAN_DATA = make_blobs(12, n_classes=2, seed=0)
+PLAN_NUMERIC = make_linear(12, seed=0)
 PLAN_RULES = (FDRule(("x0",), "x1"),)
 TASKS = ("classification", "clustering", "regression")
 
@@ -568,7 +606,8 @@ def draw_sweep(data):
     run point by point while the plan runs pair by pair, and the planned
     clean points of one pair share a call."""
     dataset_tasks = data.draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=3))
-    datasets = [SweepDataset(f"d{i}", PLAN_DATA, task, rules=PLAN_RULES, entity_key=("x0",))
+    datasets = [SweepDataset(f"d{i}", PLAN_NUMERIC if task == "regression" else PLAN_DATA,
+                             task, rules=PLAN_RULES, entity_key=("x0",))
                 for i, task in enumerate(dataset_tasks)]
     algorithms = [Algorithm(name) for name in data.draw(
         st.lists(st.sampled_from(ALL_ALGORITHMS), min_size=1, max_size=5, unique=True))]
