@@ -451,21 +451,28 @@ class KNNClassifier:
         Q = self.encoder.transform_rows(data, rows)
         winners = np.empty(len(Q), dtype=np.int64)
         codes = np.arange(len(self.classes))
+        work = np.empty(0)
         for a, d2 in _sq_dist_blocks(Q, self.X):
-            nearest = _k_nearest(d2, self.k)
+            if work.size < d2.size:
+                work = np.empty(d2.size)
+            nearest = _k_nearest(d2, self.k, work[:d2.size].reshape(d2.shape))
             votes = (self.y[nearest][:, :, None] == codes).sum(axis=1)
             winners[a:a + len(d2)] = votes.argmax(axis=1)
         return [self.classes[c] for c in winners]
 
 
-def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+def _k_nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """Per row of ``d2``, the column indices of its k smallest entries, ties
     going to the lower index: the set of the first k of a stable argsort, in
     ascending index order.  A selection, not a sort: every entry below the
     k-th smallest value, then the lowest-index entries equal to it.  Only
     the rows with more than k entries at or below that value need the tie
-    rule."""
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rule.  ``work``, an array of d2's shape, holds the selection's copy of
+    ``d2`` instead of a fresh one."""
+    work = np.empty_like(d2) if work is None else work
+    np.copyto(work, d2)
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1:k]
     take = d2 <= kth
     over = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if len(over):

@@ -48,8 +48,10 @@ def encode_for_clustering(d: Data) -> np.ndarray:
     return enc.embed(enc.encoding.num, enc.encoding.codes)
 
 
-# Byte budget of the (rows x len(C) x d) temporary behind one distance block;
-# the kernel keeps at most that many bytes of per-feature terms alive.
+# Byte budget of the one (d x rows x len(C)) buffer that holds a distance
+# block's per-feature terms.  Each kernel call allocates it once and writes
+# every block's terms into it, so no block allocates, frees or faults in
+# memory of its own.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -61,8 +63,8 @@ def _pairwise_sum(terms: Iterator[np.ndarray], n: int) -> np.ndarray:
     rest one by one; above 128, the sum of two halves, the first a multiple
     of 8.  Summing the columns of a matrix this way gives the bits of its
     ``.sum(axis=-1)`` without numpy's per-row reduction; a test pins the
-    order against numpy.  The arrays must be fresh, as the sums are kept in
-    them."""
+    order against numpy.  The sums are kept in the arrays, which are
+    overwritten."""
     if n < 8:
         out = next(terms)
         for _ in range(n - 1):
@@ -83,28 +85,38 @@ def _pairwise_sum(terms: Iterator[np.ndarray], n: int) -> np.ndarray:
     return r[0]
 
 
-def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
+def _sq_dist_blocks(X: np.ndarray, C: np.ndarray, upper: bool = False):
     """Yield (first row, block) pairs covering the squared Euclidean distances
     from the rows of X to the rows of C, a fixed byte budget per block.
 
     Each block is the per-feature squares ``(x_j - c_j) ** 2`` summed in
     numpy's order, so it has the bits of
     ``((X[a:b, None] - C[None]) ** 2).sum(axis=2)`` whatever the block size.
-    Distances between two point sets go through here; per-sample loops that
-    measure one point against a small set use the 2-D form
+    With ``upper`` (C is X), the block of rows a:b holds only the columns
+    a: onwards, the upper triangle with its diagonal squares; that covers
+    every pair, since ``(x - c) ** 2`` has the bits of ``(c - x) ** 2``.
+
+    The terms are written into one buffer that the call allocates once, and
+    a block is a view into it: it is valid only until the next block is
+    drawn, so a caller consumes it at once (and may overwrite it) or copies
+    it.  Distances between two point sets go through here; per-sample loops
+    that measure one point against a small set use the 2-D form
     ``((P - x) ** 2).sum(axis=1)``, which gives the same bits without this
     generator's per-call cost, and against a large set ``_sq_dists_to``.
     """
+    n, d = X.shape
     step = max(1, _CHUNK_BYTES // (8 * max(1, C.size)))
     XT, CT = X.T.copy(), C.T.copy()  # feature-major
+    buf = np.empty(d * min(step, n) * len(C))
 
-    def terms(a):
-        for x, c in zip(XT[:, a:a + step], CT):
-            t = np.subtract.outer(x, c)
-            yield np.multiply(t, t, out=t)
+    def terms(x, c):
+        t = buf[:x.size * c.shape[1]].reshape(d, x.shape[1], c.shape[1])
+        for tj, xj, cj in zip(t, x, c):
+            np.subtract.outer(xj, cj, out=tj)
+            yield np.multiply(tj, tj, out=tj)
 
-    for a in range(0, len(X), step):
-        yield a, _pairwise_sum(terms(a), X.shape[1])
+    for a in range(0, n, step):
+        yield a, _pairwise_sum(terms(XT[:, a:a + step], CT[:, a:] if upper else CT), d)
 
 
 def _sq_dists_to(XT: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -328,14 +340,34 @@ def _component_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             root = jumped
 
 
+def check_min_pts(min_pts: int) -> None:
+    """DBSCAN's rule on its core size, which its radius heuristic applies
+    too, before it reads the ``min_pts``-th neighbour."""
+    if min_pts < 1:
+        raise ParameterError("min_pts must be at least 1")
+
+
 def check_density(eps: float, min_pts: int) -> None:
     """DBSCAN's rules on its core size and radius, which a sweep also checks
     before its first point, on the radius it froze from the clean data too
     (0 on identical rows, and at ``min_pts`` 0, so that rule comes first)."""
-    if min_pts < 1:
-        raise ParameterError("min_pts must be at least 1")
+    check_min_pts(min_pts)
     if eps <= 0:
         raise ParameterError("eps must be positive")
+
+
+def _sq_radius(eps: float) -> float:
+    """The largest double whose square root is at most ``eps``.  sqrt is
+    correctly rounded and monotone, so a squared distance x has
+    ``x <= _sq_radius(eps)`` exactly when ``sqrt(x) <= eps``; the bound is
+    found by stepping one double at a time from ``eps * eps``."""
+    eps = float(eps)
+    lim = eps * eps
+    while lim > 0 and math.sqrt(lim) > eps:
+        lim = math.nextafter(lim, 0)
+    while lim < math.inf and math.sqrt(math.nextafter(lim, math.inf)) <= eps:
+        lim = math.nextafter(lim, math.inf)
+    return lim
 
 
 def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
@@ -344,31 +376,35 @@ def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
     check_density(eps, min_pts)
     X = encode_for_clustering(d)
     n = len(X)
-    # eps-neighbour edges (self loops included), one block of rows at a
-    # time; np.nonzero lists each block's edges in row order
-    indices, degree = [], []
-    for _, block in _sq_dist_blocks(X, X):
-        within = np.sqrt(block) <= eps
-        degree.append(within.sum(axis=1))
-        indices.append(np.nonzero(within)[1])
-    degree = np.concatenate(degree)
-    indices = np.concatenate(indices)
-    rows = np.repeat(np.arange(n), degree)
+    lim = _sq_radius(eps)
+    # eps-neighbour pairs u <= v from the upper triangle, one block of rows
+    # at a time; below the diagonal a block's diagonal square repeats pairs
+    us, vs = [], []
+    for a, block in _sq_dist_blocks(X, X, upper=True):
+        i, j = np.nonzero(block <= lim)
+        keep = i <= j
+        us.append(a + i[keep])
+        vs.append(a + j[keep])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    pair = u < v  # the rest are self loops
+    degree = np.bincount(u, minlength=n) + np.bincount(v[pair], minlength=n)
+    u, v = u[pair], v[pair]
     core = degree >= min_pts
     core_idx = np.flatnonzero(core)
 
     # components are numbered by their lowest core index
-    linked = core[rows] & core[indices] & (rows < indices)
-    root = _component_roots(n, rows[linked], indices[linked])
+    linked = core[u] & core[v]
+    root = _component_roots(n, u[linked], v[linked])
     roots, labels = np.unique(root[core_idx], return_inverse=True)
     n_clusters = len(roots)
     assign = np.full(n, NOISE)
     assign[core_idx] = labels
 
     # a border point joins the lowest-numbered cluster among its core neighbours
-    edge = ~core[rows] & core[indices]
     best = np.full(n, n_clusters)
-    np.minimum.at(best, rows[edge], assign[indices[edge]])
+    for p, q in ((u, v), (v, u)):
+        edge = ~core[p] & core[q]
+        np.minimum.at(best, p[edge], assign[q[edge]])
     border = best < n_clusters
     assign[border] = best[border]
     return Clustering(assign, n_clusters, {"core_points": core_idx, "n_core": int(core.sum())})
@@ -377,13 +413,17 @@ def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
 def dbscan_default_eps(d: Data, min_pts: int = 4, percentile: float = 90.0) -> float:
     """Radius heuristic frozen on the clean data: percentile of the
     min_pts-th nearest-neighbor distances."""
+    check_min_pts(min_pts)
     X = encode_for_clustering(d)
     kk = min(min_pts, len(X) - 1)
-    # sqrt is monotone, so the k-th smallest root is the root of the k-th
-    # smallest square
-    kth = np.concatenate([
-        np.sqrt(np.partition(block, kk, axis=1)[:, kk]) for _, block in _sq_dist_blocks(X, X)
-    ])
+
+    def kth_root(block):
+        # sqrt is monotone, so the k-th smallest root is the root of the
+        # k-th smallest square; the block is the kernel's, free to reorder
+        block.partition(kk, axis=1)
+        return np.sqrt(block[:, kk])
+
+    kth = np.concatenate([kth_root(block) for _, block in _sq_dist_blocks(X, X)])
     return _percentile(kth, percentile)
 
 

@@ -155,6 +155,10 @@ REJECTED = [
     pytest.param({"datasets": FLOWERS_AS["clustering"],
                   "algorithms": [{"name": "dbscan", "params": {"min_pts": 0}}]}, [],
                  "'dbscan': min_pts must be at least 1", id="dbscan-zero-min-pts"),
+    # the radius heuristic reads the min_pts-th neighbour, so the rule runs first
+    pytest.param({"datasets": FLOWERS_AS["clustering"],
+                  "algorithms": [{"name": "dbscan", "params": {"min_pts": -1000}}]}, [],
+                 "'dbscan': min_pts must be at least 1", id="dbscan-min-pts-far-below-zero"),
     *(pytest.param({"datasets": FLOWERS_AS["clustering"],
                     "algorithms": [{"name": name, "params": {"k": 0}}]}, [],
                    f"'{name}': k must be at least 1", id=f"{name}-zero-k")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -491,6 +492,23 @@ class TestChunkedKernelsMatchDense:
         assert np.array_equal(result.meta["medoids"], medoids)
         assert result.meta["cost"] == cost
         assert result.meta["accepted_costs"] == traces
+
+
+@given(st.floats(1.0, 10.0), st.one_of(st.integers(-323, 149), st.integers(-170, -155)))
+def test_squared_radius_compares_as_its_root(mantissa, exponent):
+    # eps from subnormal to 1e150, often with a subnormal square, which
+    # eps * eps can round above the largest one whose root is eps; x within
+    # 8 doubles of eps * eps, and 0
+    eps = mantissa * 10.0 ** exponent
+    lim = cluster._sq_radius(eps)
+    xs = [0.0]
+    for toward in (0.0, math.inf):
+        x = eps * eps
+        for _ in range(9):
+            xs.append(x)
+            x = math.nextafter(x, toward)
+    for x in xs:
+        assert (x <= lim) == (np.sqrt(x) <= eps)
 
 
 def test_distance_kernels_memory_is_bounded_at_10k_rows():
