@@ -155,7 +155,7 @@ class _Lockstep:
         starts = np.cumsum([0] + [len(fit[1]) for fit in fits]).tolist()
         self.values = np.empty((starts[-1], n_feat), dtype=np.int64)
         self.fit_of = np.repeat(np.arange(len(fits)), [len(fit[2]) for fit in fits])
-        distinct, self.samples, self.rngs = [], [], []
+        distinct, self.samples, tree_rngs = [], [], []
         for f, (encoding, y, samples, rngs) in enumerate(fits):
             at = slice(starts[f], starts[f + 1])
             for p, b in enumerate(self.block_col):
@@ -166,13 +166,20 @@ class _Lockstep:
                 else:
                     self.values[at, p] = encoding.codes[:, b]
             self.samples += [s + starts[f] for s in samples]
-            self.rngs += rngs
+            tree_rngs += rngs
         self.width = int(self.values.max(initial=0)) + 1
         self.levels = np.zeros((len(fits), n_feat, self.width))  # numeric values by rank
         for f, p, found in distinct:
             self.levels[f, p, :len(found)] = found
         self.draw = per_split < n_feat
         self.n_cand = per_split if self.draw else n_feat
+        # tree t of every fold has one seed, and folds of one size leave its
+        # rng in one state after the bootstrap draw: such trees read one
+        # stream of candidate draws, drawn once from the first one's rng
+        streams: dict[str, tuple] = {}
+        self.streams = [streams.setdefault(repr(rng.bit_generator.state), (rng, []))
+                        for rng in tree_rngs]
+        self.n_drawn = [0] * len(tree_rngs)
         # categories are tried in first-seen order within the tree's sample,
         # as ties between equally good splits go to the first one tried
         self.order = [{p: first_seen(self.values[sample, p])
@@ -209,7 +216,11 @@ class _Lockstep:
         n_feat = len(self.numeric)
         if not self.draw:
             return list(range(n_feat))
-        return sorted(self.rngs[t].choice(n_feat, size=self.n_cand, replace=False).tolist())
+        (rng, drawn), k = self.streams[t], self.n_drawn[t]
+        if k == len(drawn):
+            drawn.append(sorted(rng.choice(n_feat, size=self.n_cand, replace=False).tolist()))
+        self.n_drawn[t] = k + 1
+        return drawn[k]
 
     def _settle(self, new: list[tuple], counts: np.ndarray) -> None:
         """Make each new (tree, node, rows, depth) a leaf if it cannot split,

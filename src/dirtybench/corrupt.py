@@ -86,6 +86,17 @@ def _column_domain(d: Dataset, j: int) -> list[Cell]:
     return sorted(seen)
 
 
+def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec) -> None:
+    """Raise InjectionImpossibleError when the table's own ``flagged`` of
+    ``n`` rows are already more than one row above the spec's rate: an
+    injector adds errors and never removes one."""
+    if flagged > round(spec.rate * n) + 1:
+        raise InjectionImpossibleError(
+            f"the table is already {spec.error_type} at {flagged / n:.6g} ({flagged}/{n} rows), "
+            f"above rate {spec.rate}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # missing
 # ---------------------------------------------------------------------------
@@ -119,7 +130,7 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     out = d.copy()
     n = out.n_rows
     target = int(round(spec.rate * n))
-    if target == 0:
+    if spec.rate == 0:
         return out
 
     allowed = set(_eligible_feature_columns(d, spec)) | set(d.schema.key_indices)
@@ -147,6 +158,7 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
 
     rng = np.random.default_rng(spec.seed)
     index = FDIndex(out.rows, bindings)
+    _refuse_dirtier(index.flagged, n, spec)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
         guard += 1
@@ -259,14 +271,15 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     domains = {j: _column_domain(d, j) for j in mutate_cols}
     positions = {j: {v: p for p, v in enumerate(dom)} for j, dom in domains.items()}
     usable_cols = [j for j in mutate_cols if len(domains[j]) >= 2]
-    if not usable_cols and spec.rate > 0:
-        raise InjectionImpossibleError("no non-key column has two distinct values")
-
-    if int(round(spec.rate * out.n_rows)) == 0:
+    if spec.rate == 0:
         return out
+    if not usable_cols:
+        raise InjectionImpossibleError("no non-key column has two distinct values")
 
     rng = np.random.default_rng(spec.seed)
     index = EntityIndex(out.rows, out.row_origin, key_idx, compare_idx)
+    # rows are only appended flagged, so a table above the rate stays above it
+    _refuse_dirtier(index.flag_count, out.n_rows, spec)
     # the bound is fixed by the input's row count: were it to grow with the
     # appended duplicates, a rate of 1.0 could chase its target forever
     for _ in range(20 * out.n_rows + 100):

@@ -16,7 +16,7 @@ there slices: pass the same point to each call.
 """
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -85,43 +85,76 @@ def f_measure(precision: float, recall: float) -> float:
 def match_clusters(clustering: Clustering, truth: Sequence[Cell]) -> list[Cell]:
     """Relabel cluster indices as class tokens so P/R/F apply.
 
-    One-to-one optimal matching when the cluster count equals the class
-    count (exhaustive up to 8 classes, Hungarian beyond); majority mapping
-    otherwise.  Noise rows get a label that matches no class.
+    When the cluster count equals the class count, clusters and classes are
+    matched one to one so that the most rows agree (:func:`_best_assignment`);
+    otherwise each cluster takes its majority class, the first on ties.
+    Classes are numbered in first-seen order.  Noise rows get a label that
+    matches no class.
     """
     if len(truth) != len(clustering.assignments):
         raise ParameterError("truth must cover every row")
     classes = list(dict.fromkeys(truth))
-    n_c = len(classes)
-    k = clustering.n_clusters
+    n_c, k = len(classes), clustering.n_clusters
     class_idx = {c: i for i, c in enumerate(classes)}
-    contingency = np.zeros((max(k, 1), n_c), dtype=int)
-    for a, t in zip(clustering.assignments, truth):
-        if a != cluster_mod.NOISE:
-            contingency[int(a), class_idx[t]] += 1
+    code = np.fromiter((class_idx[t] for t in truth), dtype=np.int64, count=len(truth))
+    assign = clustering.assignments
+    kept = assign != cluster_mod.NOISE
+    contingency = np.bincount(assign[kept] * n_c + code[kept],
+                              minlength=k * n_c).reshape(k, n_c)
+    order = (_best_assignment(contingency.tolist()) if k == n_c
+             else contingency.argmax(axis=1).tolist())
+    label = [classes[c] for c in order]
+    return [NOISE_LABEL if a == cluster_mod.NOISE else label[a] for a in assign.tolist()]
 
-    mapping: dict[int, Cell] = {}
-    if k == n_c:
-        if n_c <= 8:
-            best = None
-            for perm in itertools.permutations(range(n_c)):
-                score = sum(contingency[c, perm[c]] for c in range(n_c))
-                if best is None or score > best[0]:
-                    best = (score, perm)
-            mapping = {c: classes[best[1][c]] for c in range(n_c)}
-        else:
-            # scipy.optimize is slow to import and only this branch needs it
-            from scipy.optimize import linear_sum_assignment
-            rows, cols = linear_sum_assignment(-contingency)
-            mapping = {int(rc): classes[int(cc)] for rc, cc in zip(rows, cols)}
-    else:
-        for c in range(k):
-            mapping[c] = classes[int(np.argmax(contingency[c]))]
 
-    out: list[Cell] = []
-    for a in clustering.assignments:
-        out.append(NOISE_LABEL if a == cluster_mod.NOISE else mapping[int(a)])
-    return out
+def _best_assignment(table: list[list[int]]) -> list[int]:
+    """The column of each row in the one-to-one assignment of the square
+    ``table``'s rows to its columns with the largest total; among equal
+    totals the lexicographically first, which is the permutation an in-order
+    scan of all n! keeps when it replaces its best only on a higher total.
+
+    Kuhn-Munkres with potentials (Kuhn, 1955; Munkres, 1957), in its
+    shortest-augmenting-path form, O(n^3) on exact integers.  The tie-break
+    is folded into the cost: the columns of rows 0..n-1 read as the digits
+    of a base-n number stay below n**n, so a table scaled by n**n orders
+    assignments by total first and by that number second.
+    """
+    n = len(table)
+    scale = n ** n
+    cost = [[c * n ** (n - 1 - r) - w * scale for c, w in enumerate(row)]
+            for r, row in enumerate(table)]
+    # 1-based rows and columns; column 0 holds the row being placed
+    u, v = [0] * (n + 1), [0] * (n + 1)
+    row_at, way = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_at[0], j0 = i, 0
+        reach, used = [math.inf] * (n + 1), [False] * (n + 1)
+        while row_at[j0]:
+            used[j0] = True
+            i0, delta, j1 = row_at[j0], math.inf, 0
+            row_cost, ui = cost[i0 - 1], u[i0]
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row_cost[j - 1] - ui - v[j]
+                    if cur < reach[j]:
+                        reach[j], way[j] = cur, j0
+                    if reach[j] < delta:
+                        delta, j1 = reach[j], j
+            # every unused column was reached above, so no inf is shifted
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_at[j]] += delta
+                    v[j] -= delta
+                else:
+                    reach[j] -= delta
+            j0 = j1
+        while j0:
+            row_at[j0] = row_at[way[j0]]
+            j0 = way[j0]
+    col_of = [0] * n
+    for j in range(1, n + 1):
+        col_of[row_at[j] - 1] = j - 1
+    return col_of
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ text, in the plainest form, so a faster form in the program has something
 to equal.
 """
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from dirtybench.classify import _node_cost
 from dirtybench.data import format_cell
+from dirtybench.evaluate import NOISE_LABEL
 
 
 class UndefinedNodeError(ValueError):
@@ -114,3 +116,26 @@ def write_clustering(clustering, path, delimiter: str = ",") -> None:
     lines = [f"row{delimiter}cluster"]
     lines += [f"{i}{delimiter}{c}" for i, c in export_rows(clustering)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def match_clusters_by_scan(assignments, n_clusters: int, truth) -> list:
+    """Cluster-to-class relabelling by counting row by row: with as many
+    clusters as classes, the first permutation in ``itertools`` order whose
+    agreement no later one beats; otherwise each cluster's majority class,
+    the first on ties.  Noise rows (-1) get ``NOISE_LABEL``."""
+    classes = list(dict.fromkeys(truth))
+    n_c = len(classes)
+    contingency = [[0] * n_c for _ in range(n_clusters)]
+    for a, t in zip(assignments, truth):
+        if a != -1:
+            contingency[int(a)][classes.index(t)] += 1
+    if n_clusters == n_c:
+        best = None
+        for perm in itertools.permutations(range(n_c)):
+            score = sum(contingency[c][perm[c]] for c in range(n_c))
+            if best is None or score > best[0]:
+                best = (score, perm)
+        label = [classes[j] for j in best[1]]
+    else:
+        label = [classes[row.index(max(row))] for row in contingency]
+    return [NOISE_LABEL if a == -1 else label[int(a)] for a in assignments]

@@ -570,12 +570,15 @@ class TestRecommend:
 
 
 def test_import_loads_no_unused_scipy_module():
-    # scipy was over half of every CLI start's time and memory; only the
-    # Hungarian assignment for more than 8 classes imports it, on first use
+    # numpy is the only runtime dependency: neither the CLI nor a cluster
+    # matching of any class count loads scipy
     src = Path(__file__).parent.parent / "src"
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dirtybench.cli; "
+         "import sys, numpy as np, dirtybench, dirtybench.cli, dirtybench.evaluate as ev\n"
+         "for n in (8, 12):\n"
+         "    truth = [f'c{i % n}' for i in range(4 * n)]\n"
+         "    ev.match_clusters(ev.Clustering(np.arange(4 * n) % n, n), truth)\n"
          "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

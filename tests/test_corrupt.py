@@ -285,7 +285,7 @@ def keyed_tables(draw):
     rows = draw(st.lists(
         st.tuples(st.sampled_from([None, "e0", "e1", "e2", "e3", "e4"]),
                   *[cells] * len(attrs)).map(list),
-        min_size=1, max_size=24))
+        min_size=1, max_size=30))
     rules = []
     for _ in range(draw(st.integers(1, 2))):
         rhs = draw(st.sampled_from(attrs))
@@ -329,8 +329,8 @@ class TestViolationIndex:
             if any(len({d.rows[m][j] for m in members} - {None}) > 1 for j in compare)
         }
 
-    # the injectors add dirt and never clean it, so the rate is drawn at or
-    # above what the table already holds
+    # the injectors add dirt and never clean it, so a table already more
+    # than one row above the rate is refused
     @given(st.data())
     def test_injected_rows_land_within_one_row(self, data):
         d = data.draw(keyed_tables())
@@ -339,13 +339,29 @@ class TestViolationIndex:
             ("inconsistent", inconsistent_rows, "rules", d.rules),
             ("conflicting", conflicting_rows, "entity_key", ("entity",)),
         ):
-            rate = data.draw(st.floats(len(detect(d, context)) / d.n_rows, 1.0))
+            rate = data.draw(st.floats(0.0, 1.0, exclude_min=True))
             spec = CorruptionSpec(error_type=error_type, rate=rate, seed=seed, **{field: context})
+            if len(detect(d, context)) > round(rate * d.n_rows) + 1:
+                with pytest.raises(InjectionImpossibleError):
+                    inject(d, spec)
+                continue
             try:
                 out = inject(d, spec)
             except InjectionImpossibleError:
                 continue
             assert abs(len(detect(out, context)) - round(rate * len(out.rows))) <= 1
+
+    @pytest.mark.parametrize("error_type, field", [("inconsistent", "rules"),
+                                                   ("conflicting", "entity_key")])
+    def test_refusal_names_the_tables_own_rate(self, error_type, field):
+        d = make_keyed_records(20, seed=0)
+        context = {field: d.rules if field == "rules" else ("entity",)}
+        dirty = inject(d, CorruptionSpec(error_type=error_type, rate=0.3, seed=0, **context))
+        # a target of no row and one of two rows
+        for rate in (0.02, 0.1):
+            with pytest.raises(InjectionImpossibleError,
+                               match=rf"already {error_type} at 0\.3 \(6/20 rows\)"):
+                inject(dirty, CorruptionSpec(error_type=error_type, rate=rate, seed=0, **context))
 
 
 class TestImpute:

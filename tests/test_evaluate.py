@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dirtybench import cluster
 from dirtybench.classify import DecisionTreeClassifier, KNNClassifier
@@ -26,6 +27,7 @@ from dirtybench.evaluate import (
     with_run_defaults,
 )
 from dirtybench.synth import make_blobs, make_linear
+from oracles import match_clusters_by_scan
 
 
 class TestMacroPRF:
@@ -66,28 +68,26 @@ class TestMatchClusters:
         P, R, F = macro_precision_recall_f(pred, truth)
         assert R == pytest.approx(0.5)
 
-    def test_matches_bruteforce_permutation_score(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            truth = [f"c{v}" for v in rng.integers(0, 3, size=12)]
-            assign = rng.integers(0, 3, size=12)
-            classes = sorted(set(truth))
-            if len(classes) != 3:
-                continue
-            pred = match_clusters(Clustering(assign.copy(), 3), truth)
-            got = sum(p == t for p, t in zip(pred, truth))
-            best = max(
-                sum(
-                    1
-                    for a, t in zip(assign, truth)
-                    if classes[perm[int(a)]] == t
-                )
-                for perm in itertools.permutations(range(3))
-            )
-            assert got == best
+    @given(st.data())
+    def test_matches_bruteforce_permutation_score(self, data):
+        # small counts make equal-scoring matchings common, so the tie-break
+        # is checked too; a class no cluster holds comes as a noise row
+        n_c = data.draw(st.integers(1, 8))
+        k = n_c if data.draw(st.booleans()) else data.draw(st.integers(0, 9))
+        table = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=n_c, max_size=n_c),
+                                   min_size=k, max_size=k))
+        rows = [(r, c) for r in range(k) for c in range(n_c) for _ in range(table[r][c])]
+        held = {c for _, c in rows}
+        rows += [(cluster.NOISE, c) for c in range(n_c) if c not in held]
+        rows += [(cluster.NOISE, c) for c in data.draw(st.lists(st.integers(0, n_c - 1),
+                                                                max_size=3))]
+        assign, truth = zip(*data.draw(st.permutations(rows)))
+        truth = [f"c{c}" for c in truth]
+        pred = match_clusters(Clustering(np.array(assign), k), truth)
+        assert pred == match_clusters_by_scan(assign, k, truth)
 
     def test_permuted_ten_classes_reach_full_accuracy(self):
-        # above 8 classes the matching is the Hungarian assignment
+        # a unique best matching maps every cluster back, whatever the class count
         truth = [f"c{c}" for c in range(10) for _ in range(3)]
         perm = np.random.default_rng(5).permutation(10)
         assign = np.array([perm[c] for c in range(10) for _ in range(3)])
