@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import RunConfig, read_json
 from .corrupt import MISSING, _eligible_feature_columns, inject
-from .data import dataset_to_text, detect_error_rates
+from .data import count_missing, dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS
 from .robustness import (
@@ -95,6 +95,8 @@ def cmd_inject(args) -> int:
     summary_rows = []
     for ds in datasets:
         entry = next(d for d in config.datasets if d.name == ds.name)
+        # most rows of an output equal their clean row; those take its line
+        clean_lines = format_rows(ds.dataset.clean_shadow, entry.delimiter)
         for error_type in config.error_types:
             for rate in config.rate_grid.rates():
                 spec = corruption_spec(ds, error_type, rate, config.seed)
@@ -102,14 +104,15 @@ def cmd_inject(args) -> int:
                 name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
                 target = out_dir / name
                 target.write_text(
-                    dataset_to_text(corrupted, delimiter=entry.delimiter),
+                    dataset_to_text(corrupted, delimiter=entry.delimiter,
+                                    clean_lines=clean_lines),
                     encoding="utf-8",
                 )
                 if error_type == MISSING:
                     # over the cells the injector was allowed to delete
                     cols = _eligible_feature_columns(ds.dataset, spec)
                     cells = len(cols) * len(corrupted.rows)
-                    changed = sum(1 for row in corrupted.rows for j in cols if row[j] is None)
+                    changed = count_missing(corrupted.rows, cols)
                     achieved = changed / cells if cells else 0.0
                     unit = "cells"
                 else:
@@ -124,6 +127,7 @@ def cmd_inject(args) -> int:
                     ds.name, error_type, rate, round(achieved, 6),
                     changed, unit, len(corrupted.rows), name,
                 ])
+                del corrupted  # freed before the next copy is made
     _write_csv(
         Path(config.output_dir) / "injection_summary.csv",
         ["dataset", "error_type", "target_rate", "achieved_rate",

@@ -10,11 +10,12 @@ the requested rate on data with workable group structure.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cell, Dataset, EntityIndex, FDIndex, FDRule, NUMERIC
+from .data import Cell, Dataset, EntityIndex, FDIndex, FDRule, NUMERIC, count_missing
 from .errors import (
     ConfigurationError,
     ImputationImpossibleError,
@@ -78,21 +79,18 @@ def _eligible_feature_columns(d: Dataset, spec: CorruptionSpec) -> list[int]:
 
 
 def _column_domain(d: Dataset, j: int) -> list[Cell]:
-    seen: dict[Cell, None] = {}
-    for row in d.rows:
-        v = row[j]
-        if v is not None and v not in seen:
-            seen[v] = None
-    return sorted(seen)
+    values = {row[j] for row in d.rows}
+    values.discard(None)
+    return sorted(values)
 
 
-def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec) -> None:
+def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec, unit: str = "rows") -> None:
     """Raise InjectionImpossibleError when the table's own ``flagged`` of
-    ``n`` rows are already more than one row above the spec's rate: an
-    injector adds errors and never removes one."""
+    ``n`` rows (or cells) are already more than one above the spec's rate:
+    an injector adds errors and never removes one."""
     if flagged > round(spec.rate * n) + 1:
         raise InjectionImpossibleError(
-            f"the table is already {spec.error_type} at {flagged / n:.6g} ({flagged}/{n} rows), "
+            f"the table is already {spec.error_type} at {flagged / n:.6g} ({flagged}/{n} {unit}), "
             f"above rate {spec.rate}"
         )
 
@@ -102,20 +100,32 @@ def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec) -> None:
 # ---------------------------------------------------------------------------
 
 def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Delete exactly round(rate * eligible_cells) cells, chosen uniformly."""
+    """Make exactly round(rate * eligible_cells) eligible cells missing by
+    deleting present ones, chosen uniformly; a table already within one cell
+    above that is returned as it is, and one further above is refused."""
     out = d.copy()
     cols = _eligible_feature_columns(d, spec)
     total = len(cols) * out.n_rows
-    n_delete = int(round(spec.rate * total))
-    if n_delete == 0:
-        if spec.rate > 0 and total == 0:
-            raise ConfigurationError("no eligible cells to delete")
+    if spec.rate > 0 and total == 0:
+        raise ConfigurationError("no eligible cells to delete")
+    if spec.rate == 0:
+        return out
+    already = count_missing(out.rows, cols)
+    _refuse_dirtier(already, total, spec, "cells")
+    n_delete = int(round(spec.rate * total)) - already
+    if n_delete <= 0:
         return out
     rng = np.random.default_rng(spec.seed)
-    chosen = rng.choice(total, size=n_delete, replace=False)
-    for flat in chosen:
-        i, jpos = divmod(int(flat), len(cols))
-        out.rows[i][cols[jpos]] = None
+    chosen = rng.choice(total - already, size=n_delete, replace=False)
+    if already:
+        # the k-th cell drawn is the k-th eligible cell still present
+        present = [row[j] is not None for row in out.rows for j in cols]
+        chosen = np.flatnonzero(present)[chosen]
+    # flat cell k is eligible column k % len(cols) of row k // len(cols)
+    at_col = chosen % len(cols)
+    for jpos, j in enumerate(cols):
+        for i in (chosen[at_col == jpos] // len(cols)).tolist():
+            out.rows[i][j] = None
     return out
 
 
@@ -267,12 +277,11 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     compare_idx = [j for j in range(out.schema.arity) if j not in key_idx]
     if not compare_idx:
         raise ConfigurationError("all columns are key columns; nothing can conflict")
-
-    domains = {j: _column_domain(d, j) for j in mutate_cols}
-    positions = {j: {v: p for p, v in enumerate(dom)} for j, dom in domains.items()}
-    usable_cols = [j for j in mutate_cols if len(domains[j]) >= 2]
     if spec.rate == 0:
         return out
+
+    domains = {j: _column_domain(d, j) for j in mutate_cols}
+    usable_cols = [j for j in mutate_cols if len(domains[j]) >= 2]
     if not usable_cols:
         raise InjectionImpossibleError("no non-key column has two distinct values")
 
@@ -305,7 +314,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
             members = index.groups[key]
             if len(members) < 2 or len(members) > need:
                 continue
-            if _disagree_group(index, members, usable_cols, domains, positions, rng):
+            if _disagree_group(index, members, usable_cols, domains, rng):
                 index.refresh(key)
                 mutated = True
                 break
@@ -325,7 +334,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
             break
         i, key = dup
         copy_i = index.append_duplicate(i)
-        if _disagree_group(index, [i, copy_i], usable_cols, domains, positions, rng):
+        if _disagree_group(index, [i, copy_i], usable_cols, domains, rng):
             index.refresh(key)
 
     final_target = int(round(spec.rate * len(out.rows)))
@@ -338,8 +347,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
 
 
 def _disagree_group(index: EntityIndex, members: list[int], usable_cols: list[int],
-                    domains: dict[int, list[Cell]], positions: dict[int, dict[Cell, int]],
-                    rng: np.random.Generator) -> bool:
+                    domains: dict[int, list[Cell]], rng: np.random.Generator) -> bool:
     """Make one attribute differ inside a currently-agreeing group."""
     if not usable_cols:
         return False
@@ -354,17 +362,16 @@ def _disagree_group(index: EntityIndex, members: list[int], usable_cols: list[in
     # member holds a value, another member) with a different value
     target = holders[0] if len(holders) >= 2 else next(i for i in members if i != holders[0])
     current = index.rows[holders[0]][col]
-    index.rows[target][col] = _other_value(dom, positions[col], current, rng)
+    index.rows[target][col] = _other_value(dom, current, rng)
     return True
 
 
-def _other_value(dom: list[Cell], position: dict[Cell, int], current: Cell,
-                 rng: np.random.Generator) -> Cell:
+def _other_value(dom: list[Cell], current: Cell, rng: np.random.Generator) -> Cell:
     """A uniform draw from ``[v for v in dom if v != current]`` without
-    building it: the domain is distinct, so dropping ``current`` at position
-    ``pos`` shifts every later option one place."""
-    pos = position.get(current)
-    if pos is None:
+    building it: the domain is sorted and distinct, so dropping ``current``
+    at position ``pos`` shifts every later option one place."""
+    pos = bisect_left(dom, current)
+    if pos == len(dom) or dom[pos] != current:
         return dom[int(rng.integers(len(dom)))]
     r = int(rng.integers(len(dom) - 1))
     return dom[r + (r >= pos)]

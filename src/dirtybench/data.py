@@ -137,11 +137,10 @@ class Dataset:
     def __post_init__(self):
         if not self.row_origin:
             self.row_origin = list(range(len(self.rows)))
+        arity = self.schema.arity
         for i, row in enumerate(self.rows):
-            if len(row) != self.schema.arity:
-                raise SchemaError(
-                    f"row {i} has {len(row)} cells, schema expects {self.schema.arity}"
-                )
+            if len(row) != arity:
+                raise SchemaError(f"row {i} has {len(row)} cells, schema expects {arity}")
 
     @property
     def n_rows(self) -> int:
@@ -181,7 +180,7 @@ class Dataset:
         )
 
     def copy(self) -> "Dataset":
-        return self.with_rows([list(r) for r in self.rows])
+        return self.with_rows(list(map(list, self.rows)))
 
     def attach_rules(self, rules: Iterable[FDRule]) -> "Dataset":
         bound = tuple(rules)
@@ -292,12 +291,33 @@ def load_dataset(
                    source=str(path))
 
 
-def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True) -> str:
-    lines = []
-    if header:
-        lines.append(delimiter.join(d.schema.names))
-    for row in d.rows:
-        lines.append(delimiter.join(format_cell(c) for c in row))
+def format_rows(rows: Iterable[Sequence[Cell]], delimiter: str = ",") -> list[str]:
+    """Each row as one line of text, without its line ending."""
+    return [delimiter.join(map(format_cell, row)) for row in rows]
+
+
+def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True,
+                    clean_lines: Sequence[str] | None = None) -> str:
+    """The rows as delimited text, each line ended by a newline.
+
+    ``clean_lines``, when given, is ``format_rows(d.clean_shadow, delimiter)``:
+    a row whose cells equal those of its ``row_origin`` clean row takes that
+    row's line, so the outputs derived from one table format its unchanged
+    rows once.  Equal cells format alike (floats that compare equal differ
+    at most in the sign of zero, and both zeros format as "0"), so the text
+    is the same with or without them.
+    """
+    lines = [delimiter.join(d.schema.names)] if header else []
+    if clean_lines is None:
+        lines += format_rows(d.rows, delimiter)
+    else:
+        if len(clean_lines) != len(d.clean_shadow):
+            raise ValueError(f"{len(clean_lines)} clean lines for "
+                             f"{len(d.clean_shadow)} clean rows")
+        shadow = d.clean_shadow
+        for row, o in zip(d.rows, d.row_origin):
+            lines.append(clean_lines[o] if tuple(row) == shadow[o]
+                         else delimiter.join(map(format_cell, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -372,14 +392,18 @@ class ErrorRates:
         }
 
 
+def count_missing(rows: Sequence[Sequence[Cell]], cols: Iterable[int]) -> int:
+    """Missing cells of ``rows`` in the columns ``cols``."""
+    return sum([row[j] for row in rows].count(None) for j in cols)
+
+
 def missing_cell_rate(d: Dataset) -> float:
     """Missing feature cells divided by total feature cells."""
     cols = d.schema.feature_indices
     total = len(cols) * d.n_rows
     if total == 0:
         return 0.0
-    miss = sum(1 for row in d.rows for j in cols if row[j] is None)
-    return miss / total
+    return count_missing(d.rows, cols) / total
 
 
 class FDIndex:
@@ -399,9 +423,12 @@ class FDIndex:
         self.groups: list[dict[tuple, list[int]]] = []
         self.violated: list[dict[tuple, None]] = []
         self.flag_count: dict[int, int] = {}
-        for r in range(len(bindings)):
-            groups, violated = _group(len(rows), partial(self.key, r),
-                                      partial(self._violated_at, r))
+        for r, (lhs_idx, rhs_idx) in enumerate(bindings):
+            # ``key(r, i)`` of every row, read column by column
+            lhs = zip(*[[row[j] for row in rows] for j in lhs_idx])
+            rhs = [row[rhs_idx] for row in rows]
+            keys = (None if v is None or None in k else k for k, v in zip(lhs, rhs))
+            groups, violated = _group(keys, partial(self._violated_at, r))
             self.groups.append(groups)
             self.violated.append(violated)
             for key in violated:
@@ -417,16 +444,19 @@ class FDIndex:
 
     def key(self, r: int, i: int) -> tuple | None:
         lhs_idx, rhs_idx = self.bindings[r]
-        vals = tuple(self.rows[i][j] for j in lhs_idx)
-        if any(v is None for v in vals) or self.rows[i][rhs_idx] is None:
-            return None
-        return vals
+        row = self.rows[i]
+        vals = tuple([row[j] for j in lhs_idx])
+        return None if row[rhs_idx] is None or None in vals else vals
 
     def _violated_at(self, r: int, members: list[int]) -> int | None:
         """The first member whose rhs differs from an earlier member's."""
         rhs_idx = self.bindings[r][1]
-        first = self.rows[members[0]][rhs_idx]
-        return next((m for m in members if self.rows[m][rhs_idx] != first), None)
+        rows = self.rows
+        first = rows[members[0]][rhs_idx]
+        for m in members:
+            if rows[m][rhs_idx] != first:
+                return m
+        return None
 
     def _flag(self, i: int):
         self.flag_count[i] = self.flag_count.get(i, 0) + 1
@@ -468,7 +498,7 @@ class FDIndex:
         affected = [
             r
             for r, (lhs_idx, rhs_idx) in enumerate(self.bindings)
-            if any(j in updates for j in lhs_idx) or rhs_idx in updates
+            if rhs_idx in updates or not updates.keys().isdisjoint(lhs_idx)
         ]
         for r in affected:
             self._remove(r, i)
@@ -490,22 +520,26 @@ class EntityIndex:
         self.origin = origin
         self.key_idx = key_idx
         self.compare_idx = compare_idx
-        self.groups, self.violated = _group(len(rows), self.key, self._violated_at)
+        # ``key(i)`` of every row, read column by column
+        keys = (None if None in k else k
+                for k in zip(*[[row[j] for row in rows] for j in key_idx]))
+        self.groups, self.violated = _group(keys, self._violated_at)
         self.flag_count = sum(len(self.groups[key]) for key in self.violated)
 
     def key(self, i: int) -> tuple | None:
-        vals = tuple(self.rows[i][j] for j in self.key_idx)
-        if any(v is None for v in vals):
-            return None
-        return vals
+        row = self.rows[i]
+        vals = tuple([row[j] for j in self.key_idx])
+        return None if None in vals else vals
 
     def _violated_at(self, members: list[int]) -> int | None:
         """The first member holding a value that differs from an earlier
         member's present value in the same column."""
+        rows = self.rows
         seen: dict[int, Cell] = {}
         for m in members:
+            row = rows[m]
             for j in self.compare_idx:
-                v = self.rows[m][j]
+                v = row[j]
                 if v is not None and seen.setdefault(j, v) != v:
                     return m
         return None
@@ -541,15 +575,14 @@ class EntityIndex:
         return i
 
 
-def _group(n_rows: int, key, violated_at) -> tuple[dict[tuple, list[int]], dict[tuple, None]]:
-    """Rows grouped by ``key(i)`` in one pass (a None key leaves the row out),
-    and the keys of the violated groups.  ``violated_at(members)`` names the
-    member that made a group violated, or None.  Both dicts have the order a
-    row-by-row build through ``_add`` gives: groups by their first row,
-    violated groups by the row that made them violated."""
+def _group(keys: Iterable[tuple | None], violated_at) -> tuple[dict[tuple, list[int]], dict[tuple, None]]:
+    """Rows grouped by their keys, in row order, in one pass (a None key
+    leaves the row out), and the keys of the violated groups.  ``violated_at(members)``
+    names the member that made a group violated, or None.  Both dicts have
+    the order a row-by-row build through ``_add`` gives: groups by their
+    first row, violated groups by the row that made them violated."""
     groups: dict[tuple, list[int]] = {}
-    for i in range(n_rows):
-        k = key(i)
+    for i, k in enumerate(keys):
         if k is not None:
             groups.setdefault(k, []).append(i)
     at = {k: violated_at(members) for k, members in groups.items() if len(members) > 1}

@@ -2,9 +2,9 @@
 
 The harness never calls these: they restate a measure the learners
 optimise (node purity, a network's description length, the logistic
-log-likelihood, the k-means objective), export a result or hash a table's
-text, in the plainest form, so a faster form in the program has something
-to equal.
+log-likelihood, the k-means objective), export a result, hash a table's
+text or build a violation index row by row, in the plainest form, so a
+faster form in the program has something to equal.
 """
 import hashlib
 import itertools
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from dirtybench.classify import _node_cost
-from dirtybench.data import format_cell
+from dirtybench.data import EntityIndex, FDIndex, format_cell
 from dirtybench.evaluate import NOISE_LABEL
 
 
@@ -36,6 +36,26 @@ def content_hash(schema, rows, delimiter: str = ",") -> str:
     canonical = delimiter.join(schema.names) + "\n"
     canonical += "\n".join(delimiter.join(format_cell(c) for c in row) for row in rows)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def fd_index_by_rows(rows, bindings) -> FDIndex:
+    """An FD index grown one row at a time through ``_add``, rule by rule:
+    the order of groups and violated keys a one-pass build must give."""
+    index = FDIndex([], bindings)
+    index.rows = rows
+    for r in range(len(bindings)):
+        for i in range(len(rows)):
+            index._add(r, i)
+    return index
+
+
+def entity_index_by_rows(rows, origin, key_idx, compare_idx) -> EntityIndex:
+    """An entity index grown one row at a time through ``_add``."""
+    index = EntityIndex([], [], key_idx, compare_idx)
+    index.rows, index.origin = rows, origin
+    for i in range(len(rows)):
+        index._add(i)
+    return index
 
 
 def impurity_rows(counts: np.ndarray, criterion: str) -> np.ndarray:

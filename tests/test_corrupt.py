@@ -35,14 +35,15 @@ from dirtybench.errors import (
     InjectionImpossibleError,
 )
 from dirtybench.synth import make_blobs, make_keyed_records
-from oracles import content_hash
+from oracles import content_hash, entity_index_by_rows, fd_index_by_rows
 
 
 @st.composite
-def masked_missing_cases(draw):
-    """A clean table over a random schema (numeric and categorical features,
-    maybe a target and a key, in any order), and a missing spec with a
-    random rate, column mask and ``corrupt_target_in_train``."""
+def masked_missing_cases(draw, holes=False):
+    """A table over a random schema (numeric and categorical features, maybe
+    a target and a key, in any order), clean or, with ``holes``, with some
+    cells of any column missing, and a missing spec with a random rate,
+    column mask and ``corrupt_target_in_train``."""
     kinds = draw(st.lists(st.sampled_from((NUMERIC, CATEGORICAL)), min_size=1, max_size=4))
     cols = [Column(f"x{j}", kind) for j, kind in enumerate(kinds)]
     if draw(st.booleans()):
@@ -53,6 +54,10 @@ def masked_missing_cases(draw):
     n_rows = draw(st.integers(1, 25))
     rows = [[float(i + j) if c.kind == NUMERIC else f"v{(i * j) % 3}"
              for j, c in enumerate(cols)] for i in range(n_rows)]
+    if holes:
+        for i, j in draw(st.sets(st.tuples(st.integers(0, n_rows - 1),
+                                           st.integers(0, len(cols) - 1)))):
+            rows[i][j] = None
     mask = draw(st.none() | st.lists(st.sampled_from([c.name for c in cols]),
                                      unique=True).map(tuple))
     spec = CorruptionSpec(error_type="missing", rate=draw(st.floats(0.0, 1.0)),
@@ -129,6 +134,44 @@ class TestMissing:
         assert all(j in eligible for _, j in holes)
         assert all(out.rows[i][j] in (None, before[i][j])
                    for i in range(d.n_rows) for j in range(d.schema.arity))
+
+    @given(masked_missing_cases(holes=True))
+    def test_tops_up_the_eligible_cells_already_missing(self, case):
+        """On a table that already has missing cells, the eligible ones that
+        are missing count toward the rate: present eligible cells are
+        deleted until round(rate x eligible cells) are missing.  A table
+        already within one cell above that comes back as it is, and one
+        further above is refused."""
+        d, spec = case
+        before = [list(row) for row in d.rows]
+        eligible = [j for j, c in enumerate(d.schema.columns)
+                    if (c.role == FEATURE or (c.role == TARGET and spec.corrupt_target_in_train))
+                    and (spec.column_mask is None or c.name in spec.column_mask)]
+        total = len(eligible) * d.n_rows
+        already = sum(row[j] is None for row in before for j in eligible)
+        target = round(spec.rate * total)
+        if spec.rate > 0 and (not total or already > target + 1):
+            with pytest.raises(ConfigurationError if not total else InjectionImpossibleError):
+                inject_missing(d, spec)
+            return
+        out = inject_missing(d, spec)
+        assert d.rows == before
+        holes = sum(row[j] is None for row in out.rows for j in eligible)
+        assert holes == (already if spec.rate == 0 else max(already, target))
+        assert all(out.rows[i][j] in (None, before[i][j])
+                   for i in range(d.n_rows) for j in range(d.schema.arity))
+        assert all(out.rows[i][j] == before[i][j]
+                   for i in range(d.n_rows) for j in range(d.schema.arity) if j not in eligible)
+
+    def test_a_holed_table_lands_on_the_rate(self):
+        d = make_keyed_records(100, seed=0)
+        holed = inject_missing(d, CorruptionSpec(error_type="missing", rate=0.3, seed=0))
+        for rate in (0.3, 0.5):
+            out = inject_missing(holed, CorruptionSpec(error_type="missing", rate=rate, seed=2))
+            assert detect_error_rates(out).missing == rate
+        with pytest.raises(InjectionImpossibleError,
+                           match=r"already missing at 0\.3 \(180/600 cells\)"):
+            inject_missing(holed, CorruptionSpec(error_type="missing", rate=0.1, seed=2))
 
     def test_rate_without_eligible_cells(self):
         d = grid_dataset(4, 2)
@@ -234,7 +277,7 @@ class TestConflicting:
         assert a.rows == b.rows and a.row_origin == b.row_origin
 
     @staticmethod
-    def listed_disagree_group(index, members, usable_cols, domains, positions, rng):
+    def listed_disagree_group(index, members, usable_cols, domains, rng):
         """The disagreeing draw as a list of the other values, one per call."""
         col = usable_cols[int(rng.integers(len(usable_cols)))]
         holders = [i for i in members if index.rows[i][col] is not None]
@@ -266,20 +309,19 @@ class TestConflicting:
                         expect = inject_conflicting(d, spec)
                     assert got.rows == expect.rows and got.row_origin == expect.row_origin
         dom = ["a", "b", "c", "d"]
-        position = {v: p for p, v in enumerate(dom)}
-        for current in dom + ["z"]:
+        for current in dom + ["0", "bb", "z"]:
             options = [v for v in dom if v != current]
             got, expect = np.random.default_rng(4), np.random.default_rng(4)
             for _ in range(20):
-                drawn = corrupt._other_value(dom, position, current, got)
+                drawn = corrupt._other_value(dom, current, got)
                 assert drawn == options[int(expect.integers(len(options)))]
 
 
 @st.composite
-def keyed_tables(draw):
+def keyed_tables(draw, max_rules=2):
     """An entity-keyed table of small-domain categorical columns, with
     missing cells and whatever FD violations and conflicts the draw brings,
-    plus one or two FD rules over its attribute columns."""
+    plus one to ``max_rules`` FD rules over its attribute columns."""
     attrs = [f"a{j}" for j in range(draw(st.integers(2, 4)))]
     cells = st.sampled_from([None, "v0", "v1", "v2", "v3"])
     rows = draw(st.lists(
@@ -287,7 +329,7 @@ def keyed_tables(draw):
                   *[cells] * len(attrs)).map(list),
         min_size=1, max_size=30))
     rules = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_rules))):
         rhs = draw(st.sampled_from(attrs))
         lhs = draw(st.lists(st.sampled_from([a for a in attrs if a != rhs]),
                             min_size=1, max_size=2, unique=True))
@@ -296,31 +338,44 @@ def keyed_tables(draw):
     return dataset_from_rows(columns, rows, rules=rules)
 
 
+@st.composite
+def indexed_tables(draw):
+    """A keyed table with up to three FD rules, and copies of some of its
+    rows appended after it, as conflicting injection appends them."""
+    d = draw(keyed_tables(max_rules=3))
+    dups = draw(st.lists(st.integers(0, d.n_rows - 1), max_size=6))
+    rows = [list(row) for row in d.rows] + [list(d.rows[i]) for i in dups]
+    return d.with_rows(rows, d.row_origin + [d.row_origin[i] for i in dups])
+
+
 class TestViolationIndex:
-    @given(keyed_tables())
-    def test_one_pass_build_equals_row_by_row(self, d):
+    @given(indexed_tables(), st.data())
+    def test_one_pass_build_equals_row_by_row(self, d, data):
         bindings = [rule.bind(d.schema) for rule in d.rules]
         built = FDIndex(d.rows, bindings)
-        ref = FDIndex([], bindings)
-        ref.rows = d.rows
-        for r in range(len(bindings)):
-            for i in range(d.n_rows):
-                ref._add(r, i)
+        ref = fd_index_by_rows(d.rows, bindings)
         assert [list(g.items()) for g in built.groups] == [list(g.items()) for g in ref.groups]
         assert [list(v) for v in built.violated] == [list(v) for v in ref.violated]
         assert built.flag_count == ref.flag_count
-        for (_, rhs), groups, violated in zip(bindings, built.groups, built.violated):
+        for (lhs, rhs), groups, violated in zip(bindings, built.groups, built.violated):
+            # a row joins the group of its lhs values when its lhs and rhs
+            # cells are all present
+            present = [i for i, row in enumerate(d.rows)
+                       if all(row[j] is not None for j in (*lhs, rhs))]
+            assert sorted(i for members in groups.values() for i in members) == present
+            assert all(tuple(d.rows[i][j] for j in lhs) == key
+                       for key, members in groups.items() for i in members)
             assert set(violated) == {
                 key for key, members in groups.items()
                 if len({d.rows[m][rhs] for m in members}) > 1
             }
 
-        compare = list(range(1, d.schema.arity))
-        built = EntityIndex(d.rows, d.row_origin, (0,), compare)
-        ref = EntityIndex([], [], (0,), compare)
-        ref.rows = d.rows
-        for i in range(d.n_rows):
-            ref._add(i)
+        key_idx = data.draw(st.sampled_from([(0,), (0, 1)]))
+        compare = data.draw(st.lists(
+            st.sampled_from([j for j in range(d.schema.arity) if j not in key_idx]),
+            min_size=1, unique=True))
+        built = EntityIndex(d.rows, d.row_origin, key_idx, compare)
+        ref = entity_index_by_rows(d.rows, d.row_origin, key_idx, compare)
         assert list(built.groups.items()) == list(ref.groups.items())
         assert list(built.violated) == list(ref.violated)
         assert built.flag_count == ref.flag_count

@@ -1,15 +1,21 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirtybench import data
-from dirtybench.corrupt import CorruptionSpec, inject_missing
+from dirtybench.corrupt import ERROR_TYPES, CorruptionSpec, inject, inject_missing
 from dirtybench.data import (
     CATEGORICAL,
     Column,
     FDRule,
+    KEY,
     NUMERIC,
     Schema,
     dataset_from_rows,
+    dataset_to_text,
     detect_error_rates,
+    format_rows,
     load_dataset,
     parse_fd_rules,
     save_dataset,
@@ -17,10 +23,12 @@ from dirtybench.data import (
 from dirtybench.errors import (
     ConfigurationError,
     EmptyInputError,
+    InjectionImpossibleError,
     ParseError,
     RuleError,
     SchemaError,
 )
+from oracles import content_hash
 
 
 class TestLoad:
@@ -68,6 +76,70 @@ class TestLoad:
         back = load_dataset(out, target="species")
         assert back.rows == iris.rows
         assert back.schema == iris.schema
+
+
+@st.composite
+def text_tables(draw):
+    """A keyed table whose cells format in every way there is: both zeros,
+    integral floats below, at and above 1e15, missing cells, and categorical
+    tokens that read as numbers or hold a delimiter."""
+    numbers = st.sampled_from([None, 0.0, -0.0, 3.0, 2.5, 0.1, 999999999999999.0,
+                               1e15, -1e15, 1e16, 2.0 ** 60])
+    tokens = st.sampled_from([None, "1", "1.0", "-0", "a", "b", "a,b", "x;y", "ab"])
+    entities = st.sampled_from([None, "e0", "e1", "e2", "e3", "e4", "e5"])
+    rows = draw(st.lists(st.tuples(entities, tokens, tokens, numbers, numbers).map(list),
+                         min_size=1, max_size=20))
+    columns = [Column("entity", CATEGORICAL, KEY), Column("c0", CATEGORICAL),
+               Column("c1", CATEGORICAL), Column("x0", NUMERIC), Column("x1", NUMERIC)]
+    return dataset_from_rows(columns, rows, rules=[FDRule(("c0",), "c1")])
+
+
+class TestText:
+    @settings(max_examples=200)
+    @given(text_tables(), st.sampled_from(ERROR_TYPES), st.floats(0.0, 1.0),
+           st.integers(0, 2 ** 16), st.sampled_from([",", ";", "ab"]))
+    def test_clean_lines_give_the_same_text(self, d, error_type, rate, seed, delimiter):
+        """An injected copy written with its table's clean lines is the text
+        written without them, byte for byte, and the canonical text."""
+        spec = CorruptionSpec(
+            error_type=error_type, rate=rate, seed=seed,
+            rules=d.rules if error_type == "inconsistent" else (),
+            entity_key=("entity",) if error_type == "conflicting" else (),
+        )
+        try:
+            out = inject(d, spec)
+        except InjectionImpossibleError:
+            out = d
+        clean_lines = format_rows(d.clean_shadow, delimiter)
+        text = dataset_to_text(out, delimiter, clean_lines=clean_lines)
+        assert text == dataset_to_text(out, delimiter)
+        canonical = hashlib.sha256(text[:-1].encode("utf-8")).hexdigest()
+        assert canonical == content_hash(out.schema, out.rows, delimiter)
+
+    def test_a_changed_row_whose_text_holds_the_delimiter(self):
+        d = dataset_from_rows([Column("a", CATEGORICAL), Column("b", NUMERIC)],
+                              [["x,y", 1.0], ["z;w", 2.0], ["v", 0.0]])
+        out = d.copy()
+        out.rows[0][1], out.rows[1][1], out.rows[2][1] = None, 1e15, -0.0
+        for delimiter in (",", ";", "ab"):
+            clean_lines = format_rows(d.clean_shadow, delimiter)
+            assert dataset_to_text(out, delimiter, clean_lines=clean_lines) == \
+                dataset_to_text(out, delimiter)
+
+    def test_rows_appended_by_conflicting_take_their_source_line(self):
+        cols = [Column("id", CATEGORICAL, KEY), Column("v", CATEGORICAL), Column("x", NUMERIC)]
+        d = dataset_from_rows(cols, [[f"e{i}", f"v{i % 3}", -0.0 if i % 2 else 1e15]
+                                     for i in range(10)])
+        out = inject(d, CorruptionSpec(error_type="conflicting", rate=0.4, seed=1,
+                                       entity_key=("id",)))
+        assert out.n_rows > d.n_rows
+        assert dataset_to_text(out, clean_lines=format_rows(d.clean_shadow)) == \
+            dataset_to_text(out)
+
+    def test_clean_lines_of_another_table_are_refused(self):
+        d = dataset_from_rows([Column("a", NUMERIC)], [[1.0], [2.0]])
+        with pytest.raises(ValueError, match="1 clean lines for 2 clean rows"):
+            dataset_to_text(d, clean_lines=["1"])
 
 
 class TestRules:
