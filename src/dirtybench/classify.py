@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import _pairwise_sum, _sq_dist_blocks
+from .cluster import _gram_blocks, _k_candidates, _kept_sq_dists, _pairwise_sum
 from .corrupt import derive_seed
 from .data import Cell
 from .errors import (
@@ -35,6 +35,7 @@ from .features import (
     FeatureEncoder,
     first_seen,
 )
+from .regress import row_dots
 
 # ---------------------------------------------------------------------------
 # node purity measures
@@ -462,28 +463,36 @@ class KNNClassifier:
         Q = self.encoder.transform_rows(data, rows)
         winners = np.empty(len(Q), dtype=np.int64)
         codes = np.arange(len(self.classes))
-        work = np.empty(0)
-        for a, d2 in _sq_dist_blocks(Q, self.X):
-            if work.size < d2.size:
-                work = np.empty(d2.size)
-            nearest = _k_nearest(d2, self.k, work[:d2.size].reshape(d2.shape))
+        for a, nearest in _nearest(Q, self.X, self.k):
             votes = (self.y[nearest][:, :, None] == codes).sum(axis=1)
-            winners[a:a + len(d2)] = votes.argmax(axis=1)
+            winners[a:a + len(nearest)] = votes.argmax(axis=1)
         return [self.classes[c] for c in winners]
 
 
-def _k_nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
+def _nearest(Q: np.ndarray, X: np.ndarray, k: int):
+    """Yield (first row, nearest) pairs covering the rows of Q: row i of
+    ``nearest`` holds the k rows of X nearest to row a + i, as ``_k_nearest``
+    picks them from the kernel's squared distances.  Only the columns that
+    ``_k_candidates`` keeps can be among them; a row that keeps more than k
+    is decided on the exact distances of what it kept."""
+    for a, g, eps in _gram_blocks(Q, X):
+        keep = _k_candidates(g, eps, k)
+        over = np.flatnonzero(np.count_nonzero(keep, axis=1) > k)
+        if len(over):
+            d2, cols = _kept_sq_dists(Q[a + over], X, keep[over])
+            keep[over] = False
+            keep[over[:, None], np.take_along_axis(cols, _k_nearest(d2, k), axis=1)] = True
+        yield a, (np.flatnonzero(keep) % len(X)).reshape(len(keep), k)
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Per row of ``d2``, the column indices of its k smallest entries, ties
     going to the lower index: the set of the first k of a stable argsort, in
     ascending index order.  A selection, not a sort: every entry below the
     k-th smallest value, then the lowest-index entries equal to it.  Only
     the rows with more than k entries at or below that value need the tie
-    rule.  ``work``, an array of d2's shape, holds the selection's copy of
-    ``d2`` instead of a fresh one."""
-    work = np.empty_like(d2) if work is None else work
-    np.copyto(work, d2)
-    work.partition(k - 1, axis=1)
-    kth = work[:, k - 1:k]
+    rule.  NaN entries, which the partition orders last, are never taken."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     take = d2 <= kth
     over = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if len(over):
@@ -736,8 +745,5 @@ class LogisticRegressionClassifier:
         return self
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
-        # one dot product per row: a matrix product may round the scores
-        # differently in the last bit
-        X = self.encoder.transform_rows(data, rows)
-        scores = np.array([x @ self.w for x in X]) + self.b
+        scores = row_dots(self.encoder.transform_rows(data, rows), self.w) + self.b
         return [self.classes[c] for c in (sigmoid(scores) >= 0.5).astype(int).tolist()]

@@ -85,16 +85,13 @@ def _pairwise_sum(terms: Iterator[np.ndarray], n: int) -> np.ndarray:
     return r[0]
 
 
-def _sq_dist_blocks(X: np.ndarray, C: np.ndarray, upper: bool = False):
+def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
     """Yield (first row, block) pairs covering the squared Euclidean distances
     from the rows of X to the rows of C, a fixed byte budget per block.
 
     Each block is the per-feature squares ``(x_j - c_j) ** 2`` summed in
     numpy's order, so it has the bits of
     ``((X[a:b, None] - C[None]) ** 2).sum(axis=2)`` whatever the block size.
-    With ``upper`` (C is X), the block of rows a:b holds only the columns
-    a: onwards, the upper triangle with its diagonal squares; that covers
-    every pair, since ``(x - c) ** 2`` has the bits of ``(c - x) ** 2``.
 
     The terms are written into one buffer that the call allocates once, and
     a block is a view into it: it is valid only until the next block is
@@ -103,6 +100,9 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray, upper: bool = False):
     that measure one point against a small set use the 2-D form
     ``((P - x) ** 2).sum(axis=1)``, which gives the same bits without this
     generator's per-call cost, and against a large set ``_sq_dists_to``.
+    Searches that need only the nearest few or those within a radius filter
+    through ``_gram_blocks`` and recompute what passes with
+    ``_pair_sq_dists``.
     """
     n, d = X.shape
     step = max(1, _CHUNK_BYTES // (8 * max(1, C.size)))
@@ -116,7 +116,95 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray, upper: bool = False):
             yield np.multiply(tj, tj, out=tj)
 
     for a in range(0, n, step):
-        yield a, _pairwise_sum(terms(XT[:, a:a + step], CT[:, a:] if upper else CT), d)
+        yield a, _pairwise_sum(terms(XT[:, a:a + step], CT), d)
+
+
+def _pair_sq_dists(X: np.ndarray, C: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The squared distances between the rows ``X[i]`` and ``C[j]`` of each
+    pair, with the bits of ``_sq_dists(X, C)[i, j]``."""
+    terms = np.take(X, i, axis=0)
+    terms -= np.take(C, j, axis=0)
+    terms = terms.T.copy()  # feature-major
+    terms *= terms
+    return _pairwise_sum(iter(terms), len(terms))
+
+
+# Multiply-adds per product of ``_gram_blocks``.  OpenBLAS (0.3.31, two
+# cores) runs a product of at most 2**19 multiply-adds on one thread and
+# splits a larger one with its second thread: 40 x 1600 x 8 stayed on one,
+# 41 x 1600 x 8 did not.  When the other core is busy, as it is with a pool
+# worker on each, a split product waits for that thread: 400 x 1600 x 10
+# next to a busy loop took a median 3.4 ms and up to 26 ms, against 0.5 ms
+# in 16-row blocks.  Half the threshold leaves room for a build that splits
+# sooner.
+_GRAM_MADDS = 1 << 18
+
+# Unit roundoff of float64, and the smallest subnormal: the absolute error a
+# product that underflows may add.
+_U, _TINY = 2.0 ** -53, 2.0 ** -1074
+
+
+def _gram_blocks(X: np.ndarray, C: np.ndarray):
+    """Yield (first row, G, eps) triples covering the rows of X.  ``G`` is
+    the Gram approximation ``|x|^2 + |c|^2 - 2 x.c`` of the squared distances
+    from the rows a:a+len(G) of X to the rows of C, and ``eps[i]`` bounds
+    ``|G[i, j] - K[i, j]|`` for every j where ``G[i, j]`` is not NaN, K being
+    the bits of ``_sq_dists(X, C)``.
+
+    G is one product of ``[x, |x|^2, 1]`` and ``[-2c, 1, |c|^2]``.  The bound
+    follows Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 3.1; u = 2**-53, gamma_n = nu / (1 - nu)).  With S =
+    ``|x|^2 + |c|^2`` and T the true squared distance: the norms are within
+    gamma_d S and the product within gamma_{d+2} of the sum of its terms'
+    magnitudes, at most (2 + gamma_d) S, so ``|G - T| <= (gamma_d + (2 +
+    gamma_d) gamma_{d+2}) S`` in whatever order, with or without FMA and on
+    however many threads BLAS sums; the kernel's d squares and d - 1
+    additions give ``|K - T| <= gamma_{d+2} T <= 2 gamma_{d+2} S``.  Their
+    sum is about (5d + 8) u S, and ``eps = 8 (d+4) u (|x|^2 + max |c|^2)`` is
+    over 1.6 times that, plus as many smallest subnormals for products that
+    underflow.  An overflow makes G, or eps, inf or NaN, so a caller that
+    keeps every entry not above its threshold, ``~(G > t)``, keeps it and
+    lets the exact distance decide.
+
+    This is the filter of a filter-and-refine search (Seidl and Kriegel,
+    SIGMOD 1998): a caller keeps the entries that can pass and recomputes
+    them with ``_pair_sq_dists``.  Blocks hold ``_GRAM_MADDS`` multiply-adds,
+    so BLAS forms each on one thread."""
+    n, d = X.shape
+    xx = np.einsum("ij,ij->i", X, X)
+    cc = np.einsum("ij,ij->i", C, C)
+    eps = 8 * (d + 4) * (_U * (xx + cc.max()) + _TINY)
+    XA = np.column_stack([X, xx, np.ones(n)])
+    CA = np.vstack([-2 * C.T, np.ones(len(C)), cc])
+    step = max(1, _GRAM_MADDS // max(1, CA.size))
+    for a in range(0, n, step):
+        yield a, XA[a:a + step] @ CA, eps[a:a + step]
+
+
+def _k_candidates(g: np.ndarray, eps: np.ndarray, k: int) -> np.ndarray:
+    """Where a block of ``_gram_blocks`` may hold one of each row's k
+    smallest exact distances: not above the row's k-th smallest G plus
+    twice the bound, since the k-th smallest exact distance is at most the
+    k-th smallest G plus the bound, and each exact distance at least its G
+    minus it."""
+    t = np.partition(g, k - 1, axis=1)[:, k - 1] + 2 * eps
+    return ~(g > t[:, None])
+
+
+def _kept_sq_dists(X: np.ndarray, C: np.ndarray,
+                   keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared distances from each row of X to the rows of C that its
+    row of ``keep`` marks, left-aligned in column order and padded with NaN,
+    which a partition orders last, and the column of each (-1 in the
+    padding)."""
+    i, j = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    count = np.count_nonzero(keep, axis=1)
+    at = np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+    d2 = np.full((len(keep), count.max(initial=0)), np.nan)
+    cols = np.full(d2.shape, -1)
+    d2[i, at] = _pair_sq_dists(X, C, i, j)
+    cols[i, at] = j
+    return d2, cols
 
 
 def _sq_dists_to(XT: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -370,30 +458,34 @@ def _sq_radius(eps: float) -> float:
     return lim
 
 
+def _radius_pairs(X: np.ndarray, lim: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u, v) of rows of X, both ways round and self pairs
+    included, in row-major order, whose squared distance in the kernel's
+    bits is at most ``lim``.  A pair is tested exactly when its Gram
+    approximation is not above ``lim`` plus the bound."""
+    us, vs = [], []
+    for a, g, eps in _gram_blocks(X, X):
+        u, v = np.divmod(np.flatnonzero(~(g > (lim + eps)[:, None])), len(X))
+        u += a
+        near = _pair_sq_dists(X, X, u, v) <= lim
+        us.append(u[near])
+        vs.append(v[near])
+    return np.concatenate(us), np.concatenate(vs)
+
+
 def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
     """Density clustering: clusters are eps-connected components of core
     points; border points join the lowest-indexed adjacent cluster."""
     check_density(eps, min_pts)
     X = encode_for_clustering(d)
     n = len(X)
-    lim = _sq_radius(eps)
-    # eps-neighbour pairs u <= v from the upper triangle, one block of rows
-    # at a time; below the diagonal a block's diagonal square repeats pairs
-    us, vs = [], []
-    for a, block in _sq_dist_blocks(X, X, upper=True):
-        i, j = np.nonzero(block <= lim)
-        keep = i <= j
-        us.append(a + i[keep])
-        vs.append(a + j[keep])
-    u, v = np.concatenate(us), np.concatenate(vs)
-    pair = u < v  # the rest are self loops
-    degree = np.bincount(u, minlength=n) + np.bincount(v[pair], minlength=n)
-    u, v = u[pair], v[pair]
+    u, v = _radius_pairs(X, _sq_radius(eps))
+    degree = np.bincount(u, minlength=n)
     core = degree >= min_pts
     core_idx = np.flatnonzero(core)
 
     # components are numbered by their lowest core index
-    linked = core[u] & core[v]
+    linked = (u < v) & core[u] & core[v]
     root = _component_roots(n, u[linked], v[linked])
     roots, labels = np.unique(root[core_idx], return_inverse=True)
     n_clusters = len(roots)
@@ -402,9 +494,8 @@ def dbscan(d: Data, eps: float, min_pts: int = 4) -> Clustering:
 
     # a border point joins the lowest-numbered cluster among its core neighbours
     best = np.full(n, n_clusters)
-    for p, q in ((u, v), (v, u)):
-        edge = ~core[p] & core[q]
-        np.minimum.at(best, p[edge], assign[q[edge]])
+    edge = ~core[u] & core[v]
+    np.minimum.at(best, u[edge], assign[v[edge]])
     border = best < n_clusters
     assign[border] = best[border]
     return Clustering(assign, n_clusters, {"core_points": core_idx, "n_core": int(core.sum())})
@@ -416,15 +507,20 @@ def dbscan_default_eps(d: Data, min_pts: int = 4, percentile: float = 90.0) -> f
     check_min_pts(min_pts)
     X = encode_for_clustering(d)
     kk = min(min_pts, len(X) - 1)
+    # sqrt is monotone: the k-th smallest root is the root of the k-th square
+    return _percentile(np.sqrt(_kth_sq_dists(X, kk)), percentile)
 
-    def kth_root(block):
-        # sqrt is monotone, so the k-th smallest root is the root of the
-        # k-th smallest square; the block is the kernel's, free to reorder
-        block.partition(kk, axis=1)
-        return np.sqrt(block[:, kk])
 
-    kth = np.concatenate([kth_root(block) for _, block in _sq_dist_blocks(X, X)])
-    return _percentile(kth, percentile)
+def _kth_sq_dists(X: np.ndarray, kk: int) -> np.ndarray:
+    """The kk-th smallest, counting from 0, of each row's squared distances
+    to the rows of X (itself included), in the kernel's bits.  Only the
+    columns that ``_k_candidates`` keeps are measured exactly."""
+    kth = []
+    for a, g, eps in _gram_blocks(X, X):
+        d2, _ = _kept_sq_dists(X[a:a + len(g)], X, _k_candidates(g, eps, kk + 1))
+        d2.partition(kk, axis=1)
+        kth.append(d2[:, kk])
+    return np.concatenate(kth)
 
 
 def _percentile(values: np.ndarray, q: float) -> float:

@@ -39,8 +39,9 @@ class LinearModel:
     ridge_fallback: bool = False
     ll_trace: list[float] | None = None
 
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(x @ self.weights + self.intercept)
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """The model at each row of X, or at the one row X."""
+        return row_dots(X, self.weights) + self.intercept
 
 
 @dataclass
@@ -51,14 +52,23 @@ class PolynomialModel:
     feature_cols: tuple[int, ...]
     ridge_fallback: bool = False
 
-    def evaluate(self, x: np.ndarray) -> float:
+    def evaluate(self, X: np.ndarray) -> np.ndarray:
+        """The model at each row of X, or at the one row X: the intercept,
+        then each power's dot product added in turn."""
         total = self.intercept
         for p in range(1, self.degree + 1):
-            total += float(self.coefficients[p - 1] @ (x ** p))
+            total = total + row_dots(X ** p, self.coefficients[p - 1])
         return total
 
 
 RegressionModel = LinearModel | PolynomialModel
+
+
+def row_dots(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for each row x of X (or the one row X), bit for bit: numpy
+    forms a stack of (1, d) @ (d, 1) products with the vector dot product
+    that ``x @ w`` uses, where ``X @ w`` may round differently."""
+    return np.matmul(X[..., None, :], w[:, None])[..., 0, 0]
 
 
 def _numeric_setup(data: Data, rows: Sequence[int] | None):
@@ -332,6 +342,4 @@ def fit_stepwise(data: Data, alpha_in: float = 0.05, alpha_out: float = 0.10,
 def predict_rows(model: RegressionModel, data: Data,
                  rows: Sequence[int] | None = None) -> np.ndarray:
     """Evaluate a fitted model on the given rows (None means all)."""
-    X = EncodedTable.of(data).numeric(rows, model.feature_cols)
-    # row by row: a matrix product may round differently in the last bit
-    return np.array([model.evaluate(x) for x in X])
+    return model.evaluate(EncodedTable.of(data).numeric(rows, model.feature_cols))

@@ -386,7 +386,9 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     these.  Each algorithm's params must bind to its learner's signature and
     each classifier's constructor accept them (not ``n_bins: 0``).  Each
     dataset needs a target, numeric for regression, and the FD rules or
-    entity key of ``inconsistent`` or ``conflicting``.  Each pair's resolved
+    entity key of ``inconsistent`` or ``conflicting``; a classification or
+    clustering dataset needs numeric features whose max - min is finite
+    (``check_spans``).  Each pair's resolved
     values, defaults included, must pass its learner's rules in
     ``PARAM_RULES`` (not ``degree: 0``, nor a DBSCAN radius of 0 frozen from
     identical rows); a binary-only classifier needs two clean labels; and no
@@ -425,6 +427,8 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             if et in error_types and not held:
                 raise ConfigurationError(
                     f"error type {et!r} needs {needs}, dataset {ds.name!r} has none")
+        if ds.task != REGRESSION:
+            check_spans(ds.name, ds.dataset)
     resolved = []
     for ds, algorithm in pairs:
         name, n = algorithm.name, ds.dataset.n_rows
@@ -457,6 +461,22 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
                                      f"{ds.name!r} has {rows} rows in its {of}")
         resolved.append((ds, algorithm))
     return resolved
+
+
+def check_spans(name: str, dataset: Dataset) -> None:
+    """The rule on the numeric feature columns that classifiers and
+    clusterers min-max scale: a column whose max - min overflows scales to
+    NaN, which no learner can read, so every point would fail or score 0."""
+    columns = dataset.schema.columns
+    for j in dataset.schema.feature_indices:
+        if columns[j].kind != NUMERIC:
+            continue
+        values = [row[j] for row in dataset.rows if row[j] is not None]
+        if values and math.isinf(max(values) - min(values)):
+            raise ConfigurationError(
+                f"numeric column {columns[j].name!r} of dataset {name!r} spans "
+                f"{min(values)!r} to {max(values)!r}, a range beyond the largest "
+                f"double, which min-max scaling cannot map")
 
 
 def sweep_pairs(datasets, algorithms) -> list:

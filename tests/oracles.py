@@ -16,6 +16,7 @@ import numpy as np
 from dirtybench.classify import _node_cost
 from dirtybench.data import EntityIndex, FDIndex, format_cell
 from dirtybench.evaluate import NOISE_LABEL
+from dirtybench.regress import LinearModel
 
 
 class UndefinedNodeError(ValueError):
@@ -159,3 +160,14 @@ def match_clusters_by_scan(assignments, n_clusters: int, truth) -> list:
     else:
         label = [classes[row.index(max(row))] for row in contingency]
     return [NOISE_LABEL if a == -1 else label[int(a)] for a in assignments]
+
+
+def evaluate_row(model, x) -> float:
+    """A regression model at one row x, one dot product per power: the
+    per-row loop that batched prediction must equal bit for bit."""
+    if isinstance(model, LinearModel):
+        return float(x @ model.weights + model.intercept)
+    total = model.intercept
+    for p in range(1, model.degree + 1):
+        total += float(model.coefficients[p - 1] @ (x ** p))
+    return total

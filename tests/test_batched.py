@@ -34,7 +34,7 @@ from dirtybench.features import (
     EncodedTable,
     FeatureEncoder,
 )
-from oracles import impurity_rows
+from oracles import evaluate_row, impurity_rows
 
 # training values come from few levels so constant columns are common; test
 # values reach past both ends and take categories training never saw
@@ -305,7 +305,7 @@ def ref_bn_log_joint(model, codes):
 
 
 def ref_regress_predict(model, cells):
-    return model.evaluate(np.array([float(cells[j]) for j in model.feature_cols]))
+    return evaluate_row(model, np.array([float(cells[j]) for j in model.feature_cols]))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +362,7 @@ def test_classifiers_equal_per_record_reference(case, criterion):
     knn = KNNClassifier(k=k).fit(d, train)
     want = list(map(ref_knn(d, train, k, classes), cells))
     assert knn.predict_rows(d, test) == want
-    with mock.patch.object(cluster, "_CHUNK_BYTES", 1):  # one query row per block
+    with mock.patch.object(cluster, "_GRAM_MADDS", 1):  # one query row per block
         assert knn.predict_rows(d, test) == want
 
     ref = RefEncoder(d, train)

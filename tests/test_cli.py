@@ -209,6 +209,14 @@ REJECTED = [
                   "algorithms": ["least_squares"]}, [],
                  "regression dataset 'flowers' has a categorical target 'species'",
                  id="regression-on-categorical-target"),
+    # max - min overflows, so min-max scaling gives NaN: knn and naive Bayes
+    # failed every point with numpy errors, DBSCAN scored F = 0
+    *(pytest.param({"datasets": [{"name": "wide", "path": "wide.csv", "task": task,
+                                  "target": "label"}],
+                    "algorithms": [algorithm]}, [],
+                   "numeric column 'x' of dataset 'wide' spans -1.5e+308 to 1.5e+308",
+                   id=f"{task}-span-overflows")
+      for task, algorithm in (("classification", "knn"), ("clustering", "dbscan"))),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
                  "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
                  id="inconsistent-without-rules"),
@@ -226,6 +234,7 @@ class TestValidateConfig:
         config.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
         # identical rows, so DBSCAN's frozen radius (every neighbour distance) is 0
         (tmp_path / "flat.csv").write_text("x,y,label\n" + "1.0,2.0,a\n1.0,2.0,b\n" * 6)
+        (tmp_path / "wide.csv").write_text("x,y,label\n" + "-1.5e308,1.0,a\n1.5e308,2.0,b\n" * 6)
         evaluator = scripted_evaluator({})
         monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
         for argv in (["validate-config"], ["sweep", "--dry-run"], ["sweep"]):

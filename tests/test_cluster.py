@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dirtybench import cluster
+from dirtybench import classify, cluster
+from dirtybench.classify import _nearest
 from dirtybench.cluster import (
     _CF,
     _min_linkage_merge,
@@ -420,7 +421,8 @@ def dense_clarans(X, k, num_local, max_neighbor, seed):
 @st.composite
 def point_sets(draw):
     """Coarsely quantized points, so equal distances and duplicates occur,
-    and a chunk budget small enough that blocks split the rows."""
+    and a block budget (bytes of the kernel, multiply-adds of the Gram
+    filter) small enough that blocks split the rows."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 10))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -450,7 +452,7 @@ class TestChunkedKernelsMatchDense:
         dists = np.sqrt(dense_sq_dists(X, X)).ravel()
         eps = float(np.quantile(dists, q, method="nearest")) or 0.25
         assign, n_clusters, core_idx = union_find_dbscan(X, eps, min_pts)
-        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
             result = dbscan(data, eps=eps, min_pts=min_pts)
         assert np.array_equal(result.assignments, assign)
         assert result.n_clusters == n_clusters
@@ -465,7 +467,7 @@ class TestChunkedKernelsMatchDense:
         assign, n_clusters, core_idx = union_find_dbscan(X, eps, min_pts)
         assert n_clusters == 2 and assign[4] == 0 and 4 not in core_idx
         assert assign[9] == -1
-        with mock.patch.object(cluster, "_CHUNK_BYTES", 8 * 10 * 3):  # 3 rows a block
+        with mock.patch.object(cluster, "_GRAM_MADDS", 3 * 10 * 3):  # 3 rows a block
             result = dbscan(d, eps=eps, min_pts=min_pts)
         assert np.array_equal(result.assignments, assign)
         assert np.array_equal(result.meta["core_points"], core_idx)
@@ -474,7 +476,7 @@ class TestChunkedKernelsMatchDense:
     def test_default_eps(self, case, min_pts, percentile):
         data, budget, _ = case
         X = encode_for_clustering(data)
-        with mock.patch.object(cluster, "_CHUNK_BYTES", budget):
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
             eps = dbscan_default_eps(data, min_pts=min_pts, percentile=percentile)
         assert eps == sorted_eps(X, min_pts, percentile)
 
@@ -565,6 +567,143 @@ class TestNumpySummationOrder:
                 assert np.array_equal(block, want[a:a + len(block)])
         for p in C:
             assert np.array_equal(cluster._sq_dists_to(X.T.copy(), p), ((X - p) ** 2).sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# the Gram filter keeps every pair that the exact searches need
+# ---------------------------------------------------------------------------
+
+@st.composite
+def filter_cases(draw):
+    """Query rows Q and data rows X of one of four kinds, and a block budget
+    (1 gives one-row blocks):
+
+    * grid: integers 0-2, so distances tie exactly and rows repeat;
+    * far: near-duplicates of one point 1e2-1e3 from the origin, so the
+      expansion cancels and its error shows;
+    * spread: coordinates from 1e-3 to 1e3 in magnitude;
+    * huge: grid rows scaled by 1e200, whose squared norms overflow, so the
+      expansion is NaN on the diagonal square of duplicates and inf elsewhere.
+    """
+    kind = draw(st.sampled_from(("grid", "far", "spread", "huge")))
+    d = draw(st.one_of(st.sampled_from((1, 8, 131)), st.integers(1, 12)))
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    budget = draw(st.one_of(st.just(1), st.integers(1, 4 * (n + m) * (d + 2))))
+
+    def points(rows):
+        if kind in ("grid", "huge"):
+            return rng.integers(0, 3, (rows, d)) * (1e200 if kind == "huge" else 1.0)
+        if kind == "far":
+            centre = rng.choice([-1.0, 1.0], d) * 10.0 ** rng.uniform(2, 3, d)
+            return centre + rng.integers(-2, 3, (rows, d)) * 10.0 ** rng.uniform(-9, -6)
+        return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+
+    X = points(n)
+    Q = np.vstack([X[rng.integers(0, n, m // 2)], points(m - m // 2)])  # duplicates of X too
+    return Q, X, budget
+
+
+def first_k(d2, k):
+    """The k columns of each row that a stable argsort puts first, ascending."""
+    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def nearest_of(Q, X, k):
+    return np.concatenate([nearest for _, nearest in _nearest(Q, X, k)])
+
+
+def adversarial_gram(winners):
+    """A stand-in for ``_gram_blocks`` that moves each entry nine tenths of
+    the bound the wrong way: up where ``winners(K, a)`` marks the exact
+    distances K of rows a: onwards as needed, down elsewhere; and makes
+    every third row NaN, as an overflow would."""
+    real = cluster._gram_blocks
+
+    def blocks(X, C):
+        for a, g, eps in real(X, C):
+            K = dense_sq_dists(X[a:a + len(g)], C)
+            g = np.where(winners(K, a), K + 0.9 * eps[:, None], K - 0.9 * eps[:, None])
+            g[(a + np.arange(len(g))) % 3 == 0] = np.nan
+            yield a, g, eps
+    return blocks
+
+
+def rank_winners(k):
+    """The entries a selection of the k smallest takes."""
+    def winners(K, a):
+        marked = np.zeros(K.shape, dtype=bool)
+        np.put_along_axis(marked, first_k(K, k), True, axis=1)
+        return marked
+    return winners
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+class TestGramFilter:
+    @given(filter_cases())
+    def test_expansion_within_its_bound(self, case):
+        Q, X, budget = case
+        K = dense_sq_dists(Q, X)
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
+            for a, g, eps in cluster._gram_blocks(Q, X):
+                k, e = K[a:a + len(g)], eps[:, None]
+                held = (k <= g + e) & (g <= k + e)
+                assert (held | np.isnan(g)).all()
+
+    @given(filter_cases(), st.data())
+    def test_knn_takes_the_dense_winners(self, case, data):
+        Q, X, budget = case
+        want = dense_sq_dists(Q, X)
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
+            for k in sorted({1, data.draw(st.integers(1, len(X))), len(X)}):
+                assert np.array_equal(nearest_of(Q, X, k), first_k(want, k))
+
+    @given(filter_cases(), st.floats(0.0, 1.0))
+    def test_radius_pairs_are_the_dense_edges(self, case, q):
+        _, X, budget = case
+        want = dense_sq_dists(X, X)
+        # a radius that is one of the squared distances, so pairs sit on it
+        lim = float(np.quantile(want[np.isfinite(want)], q, method="nearest"))
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
+            u, v = cluster._radius_pairs(X, lim)
+        assert np.array_equal(np.stack([u, v]), np.stack(np.nonzero(want <= lim)))
+
+    @given(filter_cases(), st.data())
+    def test_kth_distance_is_the_dense_one(self, case, data):
+        _, X, budget = case
+        want = dense_sq_dists(X, X)
+        kk = data.draw(st.integers(0, len(X) - 1))
+        with mock.patch.object(cluster, "_GRAM_MADDS", budget):
+            got = cluster._kth_sq_dists(X, kk)
+        assert np.array_equal(got, np.partition(want, kk, axis=1)[:, kk], equal_nan=True)
+
+    @given(filter_cases(), st.data())
+    def test_searches_hold_at_the_bound(self, case, data):
+        """Every search stays exact when the expansion is as far off as its
+        bound allows, the wrong way, and when it is NaN."""
+        Q, X, _ = case
+        want = dense_sq_dists(X, X)
+        for k in sorted({1, data.draw(st.integers(1, len(X))), len(X)}):
+            with mock.patch.object(cluster, "_gram_blocks", adversarial_gram(rank_winners(k))), \
+                    mock.patch.object(classify, "_gram_blocks", cluster._gram_blocks):
+                assert np.array_equal(nearest_of(Q, X, k), first_k(dense_sq_dists(Q, X), k))
+                got = cluster._kth_sq_dists(X, k - 1)
+            assert np.array_equal(got, np.partition(want, k - 1, axis=1)[:, k - 1],
+                                  equal_nan=True)
+        finite = want[np.isfinite(want)]
+        lim = float(np.quantile(finite, data.draw(st.floats(0.0, 1.0)), method="nearest"))
+        with mock.patch.object(cluster, "_gram_blocks", adversarial_gram(lambda K, a: K <= lim)):
+            u, v = cluster._radius_pairs(X, lim)
+        assert np.array_equal(np.stack([u, v]), np.stack(np.nonzero(want <= lim)))
+
+    def test_far_query_keeps_every_column(self):
+        # the query's squared norm overflows: the expansion is inf or NaN and
+        # every exact distance inf, so the lowest columns win
+        X = np.random.default_rng(0).uniform(0, 1, (6, 2))
+        Q = np.array([[1e200, 1e200], [-1e200, 0.5], [0.5, 0.5]])
+        want = dense_sq_dists(Q, X)
+        for k in (1, 3, 6):
+            assert np.array_equal(nearest_of(Q, X, k), first_k(want, k))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from dirtybench.data import CATEGORICAL, Column, NUMERIC, dataset_from_rows
 from dirtybench.errors import ParameterError, SchemaError
 from dirtybench.regress import (
     LinearModel,
+    PolynomialModel,
     f1_tail,
     fit_least_squares,
     fit_maximum_likelihood,
@@ -16,6 +17,7 @@ from dirtybench.regress import (
     predict_rows,
 )
 from dirtybench.synth import make_linear
+from oracles import evaluate_row
 
 
 def xy_dataset(X, y):
@@ -350,6 +352,24 @@ class TestPredict:
         model = fit_stepwise(d)
         if model.feature_cols == ():
             assert predict_one(model, d, [1.0, 2.0, None]) == pytest.approx(float(y.mean()))
+
+    @given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_batch_equals_row_by_row(self, d, m, degree, seed):
+        """One stacked matrix product has the bits of one dot product per
+        row, on coordinates and weights from 1e-3 to 1e3 in magnitude, where
+        a change in the order of the additions shows in the last bits."""
+        rng = np.random.default_rng(seed)
+
+        def spread(*shape):
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+        X = spread(m, d)
+        data = xy_dataset(X, np.zeros(m))
+        cols = tuple(range(d))
+        for model in (LinearModel(spread(d), float(spread(1)[0]), cols),
+                      PolynomialModel(degree, spread(degree, d), float(spread(1)[0]), cols)):
+            want = np.array([evaluate_row(model, x) for x in X])
+            assert np.array_equal(predict_rows(model, data), want)
 
     def test_missing_feature_raises(self):
         d = xy_dataset(np.arange(4.0), np.arange(4.0))
