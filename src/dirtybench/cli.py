@@ -14,10 +14,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, read_json
-from .corrupt import MISSING, _eligible_feature_columns, inject
+from .corrupt import ERROR_TYPES, MISSING, _eligible_feature_columns, inject
 from .data import count_missing, dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
-from .evaluate import LEDGER_COLUMNS
+from .evaluate import LEDGER_COLUMNS, TASKS
 from .robustness import (
     RobustnessReport, check_sweep, corruption_spec, recommend, run_sweep,
 )
@@ -160,17 +160,11 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(config.config_hash, config.seed)
 
-    ledger_rows = []
-    for result in report.results:
-        row = result.ledger_row()
-        ledger_rows.append([row[c] for c in LEDGER_COLUMNS])
-    _write_csv(out_dir / "results.csv", LEDGER_COLUMNS, ledger_rows, stamp)
+    ledger = (result.ledger_row() for result in report.results)
+    _write_csv(out_dir / "results.csv", LEDGER_COLUMNS,
+               [[row[c] for c in LEDGER_COLUMNS] for row in ledger], stamp)
 
-    tasks_present = []
-    for ds in datasets:
-        if ds.task not in tasks_present:
-            tasks_present.append(ds.task)
-    for task in tasks_present:
+    for task in dict.fromkeys(ds.task for ds in datasets):
         for metric in ("sensibility", "keeping_point"):
             header, rows = report.metric_table(task, metric)
             _write_csv(out_dir / f"{metric}_{task}.csv", header, rows, stamp)
@@ -211,14 +205,8 @@ def cmd_recommend(args) -> int:
     stamp = {key: data.pop(key) for key in ("config_hash", "root_seed")
              if isinstance(data, dict) and key in data}
     report = RobustnessReport.from_json_dict(data)
-    detected = {}
-    for et, value in (
-        ("missing", args.missing_rate),
-        ("inconsistent", args.inconsistent_rate),
-        ("conflicting", args.conflicting_rate),
-    ):
-        if value is not None:
-            detected[et] = value
+    detected = {et: getattr(args, f"{et}_rate") for et in ERROR_TYPES
+                if getattr(args, f"{et}_rate") is not None}
     guide = recommend(
         report,
         task=args.task,
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "from a sweep report")
     rec.add_argument("--report", required=True, help="report.json from a sweep")
     rec.add_argument("--task", required=True,
-                     choices=["classification", "clustering", "regression"])
+                     choices=TASKS)
     rec.add_argument("--data-size", type=int, required=True,
                      help="row count of the data the guidance is for")
     rec.add_argument("--missing-rate", type=float)

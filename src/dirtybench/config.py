@@ -16,12 +16,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import evaluate
 from .data import load_dataset, parse_fd_rules
 from .errors import ConfigurationError
 from .evaluate import Algorithm
 from .robustness import RateGrid, SweepDataset, _build, check_names, sweep_pairs
-
-TASKS = ("classification", "clustering", "regression")
 
 
 def read_json(path: Path):
@@ -49,7 +48,7 @@ class DatasetConfig:
     corrupt_target_in_train: bool = False
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        if self.task not in evaluate.TASKS:
             raise ConfigurationError(f"dataset {self.name!r}: unknown task {self.task!r}")
         for name in ("keys", "fd_rules_inline", "entity_key", "column_mask"):
             if getattr(self, name) is not None:

@@ -10,6 +10,7 @@ the requested rate on data with workable group structure.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -133,20 +134,14 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
 # inconsistent (FD violations)
 # ---------------------------------------------------------------------------
 
-def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Mutate rhs cells (fabricating lhs partners when needed) until the
-    fraction of rows in FD-violating groups reaches round(rate * rows);
-    raises InjectionImpossibleError unless it lands within one row above."""
-    out = d.copy()
-    n = out.n_rows
-    target = int(round(spec.rate * n))
-    if spec.rate == 0:
-        return out
-
+def usable_fd_rules(d: Dataset, spec: CorruptionSpec) -> tuple[list, list]:
+    """The (lhs indices, rhs index) of each of the spec's FD rules that
+    inconsistent injection may violate under its column restrictions, and
+    each one's sorted rhs values.  Raises ConfigurationError when no rule is
+    usable, and InjectionImpossibleError for one whose rhs has a single value."""
     allowed = set(_eligible_feature_columns(d, spec)) | set(d.schema.key_indices)
     if spec.column_mask is not None:
         allowed &= {d.schema.index_of(nm) for nm in spec.column_mask}
-
     bindings = []
     domains = []
     for rule in spec.rules:
@@ -165,7 +160,20 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
         domains.append(domain)
     if not bindings:
         raise ConfigurationError("no usable FD rule after applying column restrictions")
+    return bindings, domains
 
+
+def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
+    """Mutate rhs cells (fabricating lhs partners when needed) until the
+    fraction of rows in FD-violating groups reaches round(rate * rows);
+    raises InjectionImpossibleError unless it lands within one row above."""
+    out = d.copy()
+    n = out.n_rows
+    target = int(round(spec.rate * n))
+    if spec.rate == 0:
+        return out
+
+    bindings, domains = usable_fd_rules(d, spec)
     rng = np.random.default_rng(spec.seed)
     index = FDIndex(out.rows, bindings)
     _refuse_dirtier(index.flagged, n, spec)
@@ -399,6 +407,8 @@ def impute(d: Dataset) -> Dataset:
             raise ImputationImpossibleError(f"column {col.name!r} is entirely missing")
         if col.kind == NUMERIC:
             fill: Cell = float(sum(present)) / len(present)
+            if not math.isfinite(fill):  # the sum passed the largest double: divide first
+                fill = min(max(sum(v / len(present) for v in present), min(present)), max(present))
         else:
             counts: dict[Cell, int] = {}
             for v in present:

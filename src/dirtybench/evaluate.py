@@ -16,6 +16,7 @@ there slices: pass the same point to each call.
 """
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -199,6 +200,9 @@ class Algorithm:
     params: dict = field(default_factory=dict)
 
 
+# the classifiers and regression fitters by name (a clusterer is a function of
+# the cluster module); ``learner_of`` reads an entry at call time, so a patched
+# one, as in the traced benchmark, is the one that runs
 CLASSIFIER_TYPES: dict[str, Callable] = {
     "decision_tree": classify.DecisionTreeClassifier,
     "knn": classify.KNNClassifier,
@@ -208,8 +212,6 @@ CLASSIFIER_TYPES: dict[str, Callable] = {
     "random_forest": classify.RandomForestClassifier,
 }
 
-CLUSTERER_NAMES = ("kmeans", "lvq", "clarans", "dbscan", "birch", "cure")
-
 REGRESSOR_FITTERS: dict[str, Callable] = {
     "least_squares": regress.fit_least_squares,
     "maximum_likelihood": regress.fit_maximum_likelihood,
@@ -217,40 +219,65 @@ REGRESSOR_FITTERS: dict[str, Callable] = {
     "stepwise": regress.fit_stepwise,
 }
 
-ALL_ALGORITHMS = tuple(CLASSIFIER_TYPES) + CLUSTERER_NAMES + tuple(REGRESSOR_FITTERS)
+TASKS = (CLASSIFICATION, CLUSTERING, REGRESSION)
+_HOMES = {CLASSIFICATION: CLASSIFIER_TYPES, CLUSTERING: vars(cluster_mod),
+          REGRESSION: REGRESSOR_FITTERS}
+
+# every learner: its task, then the rules on its parameters, each of which the
+# learner applies too, so a value one rejects would fail every point;
+# ``check_sweep`` passes each rule the bound values it names.  A classifier's
+# constructor applies its own rules.
+LEARNERS: dict[str, tuple] = {
+    "decision_tree": (CLASSIFICATION,),
+    "knn": (CLASSIFICATION,),
+    "naive_bayes": (CLASSIFICATION,),
+    "bayesian_network": (CLASSIFICATION,),
+    "logistic_regression": (CLASSIFICATION,),
+    "random_forest": (CLASSIFICATION,),
+    "kmeans": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_max_iters),
+    "lvq": (CLUSTERING,),
+    "clarans": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_num_local),
+    "dbscan": (CLUSTERING, cluster_mod.check_density),
+    "birch": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_cf_tree),
+    "cure": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_representatives),
+    "least_squares": (REGRESSION,),
+    "maximum_likelihood": (REGRESSION,),
+    "polynomial": (REGRESSION, regress.check_degree),
+    "stepwise": (REGRESSION, regress.check_alphas),
+}
 
 
 def task_of(algorithm: Algorithm) -> str:
-    if algorithm.name in CLASSIFIER_TYPES:
-        return CLASSIFICATION
-    if algorithm.name in CLUSTERER_NAMES:
-        return CLUSTERING
-    if algorithm.name in REGRESSOR_FITTERS:
-        return REGRESSION
-    raise ConfigurationError(f"unknown algorithm {algorithm.name!r}")
+    try:
+        return LEARNERS[algorithm.name][0]
+    except KeyError:
+        raise ConfigurationError(f"unknown algorithm {algorithm.name!r}") from None
+
+
+def learner_of(name: str) -> Callable:
+    """The classifier class, clusterer or regression fitter called ``name``,
+    read from its home when called."""
+    return _HOMES[LEARNERS[name][0]][name]
 
 
 def measures_of(task: str) -> tuple[str, ...]:
     return REGRESSION_MEASURES if task == REGRESSION else PRF_MEASURES
 
 
-# the learners whose seed a run derives from its own, and the clusterers
-# whose k is the clean table's class count
-SEEDED = ("random_forest", "kmeans", "lvq", "clarans", "cure")
-K_IS_CLASS_COUNT = ("kmeans", "clarans", "birch", "cure")
-
-
 def with_run_defaults(algorithm: Algorithm, clean: Dataset, seed: int) -> Algorithm:
     """The algorithm with every parameter a run derives filled in where its
-    params leave it out: the seed from the run's seed, k from the class
-    count, and DBSCAN's radius from the clean table at the run's ``min_pts``,
+    params leave it out, read from its learner's signature: a ``seed`` from
+    the run's seed, a required ``k`` from the class count, and a required
+    ``eps`` as DBSCAN's radius from the clean table at the run's ``min_pts``,
     so that a sweep varies only the corruption."""
     params = dict(algorithm.params)
-    if algorithm.name in SEEDED:
+    parameters = inspect.signature(learner_of(algorithm.name)).parameters
+    required = {p.name for p in parameters.values() if p.default is p.empty}
+    if "seed" in parameters:
         params.setdefault("seed", derive_seed(seed, "algo", algorithm.name))
-    if algorithm.name in K_IS_CLASS_COUNT:
+    if "k" in required:
         params.setdefault("k", clean.n_c)
-    if algorithm.name == "dbscan" and "eps" not in params:
+    if "eps" in required and "eps" not in params:
         # the k-dist heuristic reads the min_pts-th neighbour (Ester et al., 1996)
         min_pts = {"min_pts": params["min_pts"]} if "min_pts" in params else {}
         params["eps"] = cluster_mod.dbscan_default_eps(clean, **min_pts)
@@ -405,20 +432,19 @@ def cross_validate(point: PreparedPoint, algorithm: Algorithm, folds: int = 10,
         trains = [np.concatenate([p for g, p in enumerate(parts) if g != f])
                   for f in range(len(parts))]
         # a tree learner grows the trees of every fold in one lockstep
-        make = CLASSIFIER_TYPES.get(algorithm.name)
-        fitted = make(**params).fit_each(work, trains) if hasattr(make, "fit_each") else None
+        learner = learner_of(algorithm.name)
+        fitted = learner(**params).fit_each(work, trains) if hasattr(learner, "fit_each") else None
         for f, test_rows in enumerate(parts):
             truth = [work.truth[i] for i in test_rows]
             if task == CLASSIFICATION:
-                model = fitted[f] if fitted else make(**params).fit(work, trains[f])
+                model = fitted[f] if fitted else learner(**params).fit(work, trains[f])
                 pred = model.predict_rows(work, test_rows)
                 P, R, F = macro_precision_recall_f(pred, truth)
                 per_fold["precision"].append(P)
                 per_fold["recall"].append(R)
                 per_fold["f_measure"].append(F)
             else:
-                fitter = REGRESSOR_FITTERS[algorithm.name]
-                model = fitter(work, rows=trains[f], **params)
+                model = learner(work, rows=trains[f], **params)
                 pred = regress.predict_rows(model, work, test_rows)
                 rm = regression_measures(pred, [float(v) for v in truth])
                 per_fold["rmsd"].append(rm.rmsd)
@@ -455,7 +481,7 @@ def evaluate_clustering(point: PreparedPoint, algorithm: Algorithm, seed: int = 
     params = with_run_defaults(algorithm, point.dataset, seed).params
 
     def run_pass():
-        clustering = getattr(cluster_mod, algorithm.name)(work, **params)
+        clustering = learner_of(algorithm.name)(work, **params)
         P, R, F = macro_precision_recall_f(match_clusters(clustering, truth), truth)
         return {"precision": [P], "recall": [R], "f_measure": [F]}, ()
 

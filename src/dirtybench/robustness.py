@@ -30,16 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from . import cluster as cluster_mod
-from . import regress
-from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed
+from .corrupt import (
+    CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed, usable_fd_rules,
+)
 from .data import NUMERIC, Dataset, FDRule
 from .errors import ConfigurationError, DirtyBenchError, ParameterError
 from .evaluate import (
     Algorithm,
     CLASSIFICATION,
-    CLASSIFIER_TYPES,
     CLUSTERING,
     EvalResult,
+    LEARNERS,
     LEDGER_COLUMNS,
     LEDGER_TYPES,
     LOWER_IS_BETTER,
@@ -47,7 +48,9 @@ from .evaluate import (
     PreparedPoint,
     REGRESSION,
     REGRESSION_MEASURES,
+    TASKS,
     evaluate_algorithm,
+    learner_of,
     measures_of,
     task_of,
     with_run_defaults,
@@ -187,7 +190,7 @@ class SweepDataset:
     corrupt_target_in_train: bool = False
 
     def __post_init__(self):
-        if self.task not in (CLASSIFICATION, CLUSTERING, REGRESSION):
+        if self.task not in TASKS:
             raise ConfigurationError(f"unknown task {self.task!r}")
         if not self.rules:
             self.rules = self.dataset.rules
@@ -273,7 +276,7 @@ class RobustnessReport:
         mean keeping point, shaped like the published summary tables."""
         if metric not in ("sensibility", "keeping_point"):
             raise ParameterError("metric must be 'sensibility' or 'keeping_point'")
-        measures = measures_of(REGRESSION if task == REGRESSION else CLASSIFICATION)
+        measures = measures_of(task)
         error_types = sorted({s.error_type for s in self.summaries}, key=ERROR_TYPES.index)
         header = ["algorithm"] + [f"{et}_{m}" for et in error_types for m in measures]
         algorithms = dict.fromkeys(s.algorithm for s in self.summaries if s.task == task)
@@ -358,24 +361,6 @@ def check_names(datasets, algorithms, error_types) -> None:
             raise ConfigurationError(f"unknown error type {et!r}")
 
 
-# every function learner and the rules on its parameters, each applied by
-# the learner too: a value one rejects would fail every point.  A sweep binds
-# each pair's params, the run-derived ones filled in, to the function held
-# here, with its defaults, and passes each rule the values it names.
-PARAM_RULES = {
-    "least_squares": (regress.fit_least_squares,),
-    "maximum_likelihood": (regress.fit_maximum_likelihood,),
-    "polynomial": (regress.fit_polynomial, regress.check_degree),
-    "stepwise": (regress.fit_stepwise, regress.check_alphas),
-    "kmeans": (cluster_mod.kmeans, cluster_mod.check_k, cluster_mod.check_max_iters),
-    "lvq": (cluster_mod.lvq,),
-    "clarans": (cluster_mod.clarans, cluster_mod.check_k, cluster_mod.check_num_local),
-    "dbscan": (cluster_mod.dbscan, cluster_mod.check_density),
-    "birch": (cluster_mod.birch, cluster_mod.check_k, cluster_mod.check_cf_tree),
-    "cure": (cluster_mod.cure, cluster_mod.check_k, cluster_mod.check_representatives),
-}
-
-
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float, folds: int,
                 seed: int = 0) -> list:
@@ -385,12 +370,13 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     ``run_sweep``, ``validate-config`` and ``sweep --dry-run`` apply exactly
     these.  Each algorithm's params must bind to its learner's signature and
     each classifier's constructor accept them (not ``n_bins: 0``).  Each
-    dataset needs a target, numeric for regression, and the FD rules or
-    entity key of ``inconsistent`` or ``conflicting``; a classification or
+    dataset needs a target, numeric for regression, the entity key of
+    ``conflicting`` and the FD rules of ``inconsistent``, one of them at least
+    usable by the injector (``usable_fd_rules``); a classification or
     clustering dataset needs numeric features whose max - min is finite
     (``check_spans``).  Each pair's resolved
     values, defaults included, must pass its learner's rules in
-    ``PARAM_RULES`` (not ``degree: 0``, nor a DBSCAN radius of 0 frozen from
+    ``LEARNERS`` (not ``degree: 0``, nor a DBSCAN radius of 0 frozen from
     identical rows); a binary-only classifier needs two clean labels; and no
     count may exceed the clean rows it reads: the folds, a knn ``k`` (the
     smallest training fold), a ``cure`` ``k`` (its sample of
@@ -401,10 +387,10 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             raise ConfigurationError(f"no {kind} selected")
     check_names(datasets, algorithms, error_types)
     for algorithm in algorithms:
-        learner, *_ = PARAM_RULES.get(algorithm.name) or (CLASSIFIER_TYPES[algorithm.name],)
+        learner = learner_of(algorithm.name)
         try:
             inspect.signature(learner).bind_partial(**algorithm.params)
-            if algorithm.name in CLASSIFIER_TYPES:
+            if task_of(algorithm) == CLASSIFICATION:
                 learner(**algorithm.params)
         except (TypeError, ParameterError) as exc:
             raise ConfigurationError(f"algorithm {algorithm.name!r}: {exc}") from None
@@ -427,18 +413,23 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             if et in error_types and not held:
                 raise ConfigurationError(
                     f"error type {et!r} needs {needs}, dataset {ds.name!r} has none")
+        if INCONSISTENT in error_types:
+            try:  # the injector binds the same rules at every nonzero rate
+                usable_fd_rules(ds.dataset, corruption_spec(ds, INCONSISTENT, 0.0, seed))
+            except DirtyBenchError as exc:
+                raise ConfigurationError(f"{exc} (dataset {ds.name!r})") from None
         if ds.task != REGRESSION:
             check_spans(ds.name, ds.dataset)
     resolved = []
     for ds, algorithm in pairs:
         name, n = algorithm.name, ds.dataset.n_rows
-        if getattr(CLASSIFIER_TYPES.get(name), "binary_only", False) and ds.dataset.n_c != 2:
+        learner, rules = learner_of(name), LEARNERS[name][1:]
+        if getattr(learner, "binary_only", False) and ds.dataset.n_c != 2:
             raise ConfigurationError(f"algorithm {name!r} needs a binary target, "
                                      f"dataset {ds.name!r} has {ds.dataset.n_c} classes")
         if ds.task != CLUSTERING and folds > n:
             raise ConfigurationError(
                 f"{folds} folds need at least {folds} rows, dataset {ds.name!r} has {n}")
-        learner, *rules = PARAM_RULES.get(name) or (CLASSIFIER_TYPES[name],)
         try:
             algorithm = with_run_defaults(algorithm, ds.dataset, derive_seed(seed, ds.name))
             bound = inspect.signature(learner).bind_partial(**algorithm.params)
@@ -595,29 +586,20 @@ def run_sweep(
 def _series_entry(ds, algo_name, error_type, measure, rates, point_results, k) -> SeriesEntry:
     """One measure's series over the rates; ``point_results`` holds one result
     per rate, None where that point failed."""
-    flags = []
     values = [None if r is None else r.measures.get(measure) for r in point_results]
-    direction = LOWER if measure in LOWER_IS_BETTER else HIGHER
+    curve, metrics, flags = (None, None, None), (None, None), ()
     if any(v is None for v in values):
-        had_failures = any(r is None for r in point_results)
-        flags.append("incomplete-series" if had_failures else "undefined-points")
-        series = None
-        sens = kp = None
+        failed = any(r is None for r in point_results)
+        flags = ("incomplete-series" if failed else "undefined-points",)
     else:
-        series = MetricSeries(tuple(rates), tuple(float(v) for v in values), direction)
-        if len(rates) >= 2:
-            sens = sensibility(series)
-            kp = keeping_point(series, k)
+        series = MetricSeries(tuple(rates), tuple(float(v) for v in values),
+                              LOWER if measure in LOWER_IS_BETTER else HIGHER)
+        curve = series.rates, series.values, series.direction
+        if len(rates) < 2:
+            flags = ("degenerate-grid",)
         else:
-            flags.append("degenerate-grid")
-            sens = kp = None
-    return SeriesEntry(
-        dataset=ds.name, algorithm=algo_name, task=ds.task, error_type=error_type,
-        measure=measure, rates=series.rates if series else None,
-        values=series.values if series else None,
-        direction=series.direction if series else None,
-        sensibility=sens, keeping_point=kp, flags=tuple(flags),
-    )
+            metrics = sensibility(series), keeping_point(series, k)
+    return SeriesEntry(ds.name, algo_name, ds.task, error_type, measure, *curve, *metrics, flags)
 
 
 def _summarize(report: RobustnessReport, pairs, error_types):
@@ -745,7 +727,7 @@ def recommend(
     """Stepwise selection: threshold candidates on clean accuracy, apply the
     data-size preference, pick the least sensitive candidate for the dominant
     error type, then derive per-error-type cleaning targets."""
-    if task not in (CLASSIFICATION, CLUSTERING, REGRESSION):
+    if task not in TASKS:
         raise ConfigurationError(f"unknown task {task!r}")
     if priority_measure is None:
         priority_measure = "rmsd" if task == REGRESSION else "f_measure"
@@ -757,20 +739,13 @@ def recommend(
         raise ConfigurationError(f"report contains no {task} algorithms")
 
     direction, threshold = CANDIDATE_THRESHOLDS[priority_measure]
-    clean_values = {}
-    for algo in algorithms:
-        value = report.clean_value(task, algo, priority_measure)
-        if value is not None:
-            clean_values[algo] = value
-    candidates = [
-        (a, v) for a, v in clean_values.items()
-        if (v > threshold if direction == HIGHER else v < threshold)
-    ]
-    candidates.sort(key=lambda p: (-p[1] if direction == HIGHER else p[1], p[0]))
-    misses = sorted(
-        ((a, v) for a, v in clean_values.items() if (a, v) not in candidates),
-        key=lambda p: (-p[1] if direction == HIGHER else p[1], p[0]),
-    )[:3]
+    clean_values = {a: v for a in algorithms
+                    if (v := report.clean_value(task, a, priority_measure)) is not None}
+    best_first = sorted(clean_values.items(),
+                        key=lambda p: (-p[1] if direction == HIGHER else p[1], p[0]))
+    candidates = [(a, v) for a, v in best_first
+                  if (v > threshold if direction == HIGHER else v < threshold)]
+    misses = [(a, v) for a, v in best_first if (a, v) not in candidates][:3]
 
     notes: list[str] = []
     dominant = max(

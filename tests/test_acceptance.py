@@ -31,9 +31,7 @@ from dirtybench.data import (
 from dirtybench.errors import ConfigurationError
 from dirtybench.evaluate import (
     Algorithm,
-    CLASSIFIER_TYPES,
-    CLUSTERER_NAMES,
-    REGRESSOR_FITTERS,
+    LEARNERS,
     f_measure,
     macro_precision_recall_f,
     match_clusters,
@@ -324,10 +322,7 @@ class TestCriterion7EndToEndDeskScale:
             SweepDataset("iris-clu", iris, "clustering"),
             SweepDataset("synth-reg", reg, "regression"),
         ]
-        algorithms = [
-            Algorithm(n)
-            for n in (*CLASSIFIER_TYPES, *CLUSTERER_NAMES, *REGRESSOR_FITTERS)
-        ]
+        algorithms = [Algorithm(n) for n in LEARNERS]
         assert len(algorithms) == 16
         grid = RateGrid(start=0.0, step=0.10, count=5)
         # logistic regression is binary-only: the sweep refuses it on the
@@ -360,7 +355,7 @@ class TestCriterion7EndToEndDeskScale:
         for algo, pairs in endpoints.items():
             clean = float(np.mean([p[0] for p in pairs]))
             worst = float(np.mean([p[1] for p in pairs]))
-            lower_better = algo in REGRESSOR_FITTERS
+            lower_better = LEARNERS[algo][0] == "regression"
             if (worst > clean) if lower_better else (worst < clean):
                 degraded += 1
         elapsed = time.perf_counter() - start

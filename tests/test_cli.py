@@ -223,6 +223,18 @@ REJECTED = [
     pytest.param({"error_types": ["missing", "conflicting"]}, [],
                  "error type 'conflicting' needs an entity key, dataset 'flowers' has none",
                  id="conflicting-without-key"),
+    # the injector refused these at every nonzero rate, so each such point failed
+    pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "classification",
+                                "target": "species",
+                                "fd_rules_inline": ["sepal_length -> species"]}],
+                  "error_types": ["missing", "inconsistent"]}, [],
+                 "no usable FD rule after applying column restrictions (dataset 'flowers')",
+                 id="inconsistent-rule-on-target"),
+    pytest.param({"datasets": [{"name": "flat", "path": "flat.csv", "task": "classification",
+                                "target": "label", "fd_rules_inline": ["x -> y"]}],
+                  "error_types": ["inconsistent"]}, [],
+                 "rule x -> y: rhs column has a single value (dataset 'flat')",
+                 id="inconsistent-rule-single-valued-rhs"),
 ]
 
 

@@ -3,10 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from dirtybench.config import TASKS, RunConfig
+from dirtybench.config import RunConfig
 from dirtybench.corrupt import ERROR_TYPES
 from dirtybench.errors import ConfigurationError
-from dirtybench.evaluate import ALL_ALGORITHMS
+from dirtybench.evaluate import LEARNERS, TASKS
 
 # the example config of the README's "Config file" section
 README_CONFIG = {
@@ -95,7 +95,7 @@ datasets = st.fixed_dictionaries(
 )
 params = st.dictionaries(names, st.integers(-5, 50) | st.floats(0.01, 2.0), max_size=2)
 algorithms = st.lists(
-    st.sampled_from(ALL_ALGORITHMS).flatmap(lambda name: st.just(name) | st.fixed_dictionaries(
+    st.sampled_from(tuple(LEARNERS)).flatmap(lambda name: st.just(name) | st.fixed_dictionaries(
         {"name": st.just(name)}, optional={"params": params})),
     min_size=1, max_size=4, unique_by=lambda a: a if isinstance(a, str) else a["name"],
 )

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dirtybench import corrupt
 from dirtybench.corrupt import (
@@ -440,6 +442,29 @@ class TestImpute:
         d = dataset_from_rows(cols, [[None, 1.0], [None, 2.0]])
         with pytest.raises(ImputationImpossibleError, match="'a'"):
             impute(d)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.floats(1e307, 1.7976931348623157e308), min_size=1, max_size=30),
+           st.integers(1, 3))
+    @example([1.2e308 - i * 1e300 for i in range(45)], 15)
+    @example([1.7976931348623157e308] * 3, 1)
+    def test_numeric_fill_is_a_finite_mean(self, present, holes):
+        """A numeric fill is finite and within the present values' range.
+        Where their sum is finite it is float(sum) / count bit for bit, which
+        rounding may leave the range by up to count units in the last place
+        of the largest magnitude; where the sum passes the largest double the
+        values are divided by the count first."""
+        d = dataset_from_rows([Column("a", NUMERIC)], [[v] for v in present] + [[None]] * holes)
+        (fill,) = {row[0] for row in impute(d).rows[len(present):]}
+        lo, hi = min(present), max(present)
+        total = float(sum(present))
+        assert math.isfinite(fill)
+        if math.isfinite(total):
+            assert fill.hex() == (total / len(present)).hex()
+            slack = len(present) * 2.0 ** -52 * max(abs(lo), abs(hi))
+            assert lo - slack <= fill <= hi + slack
+        else:
+            assert lo <= fill <= hi
 
 
 class TestSeedsAndComposition:

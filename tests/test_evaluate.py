@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -285,6 +286,7 @@ class TestEvaluateClustering:
         kmeans = cluster.kmeans
         calls = []
 
+        @functools.wraps(kmeans)  # the run reads its defaults from the signature
         def counted_kmeans(*args, **kwargs):
             calls.append(1)
             return kmeans(*args, **kwargs)

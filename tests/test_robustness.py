@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import pickle
 from dataclasses import fields
@@ -13,6 +15,8 @@ from dirtybench.corrupt import ERROR_TYPES, derive_seed, inject
 from dirtybench.data import (
     CATEGORICAL,
     KEY,
+    NUMERIC,
+    TARGET,
     Column,
     FDRule,
     dataset_from_rows,
@@ -20,14 +24,18 @@ from dirtybench.data import (
     load_dataset,
 )
 from dirtybench.evaluate import (
-    ALL_ALGORITHMS,
     Algorithm,
     CLASSIFIER_TYPES,
+    LEARNERS,
     PRF_MEASURES,
     PreparedPoint,
     REGRESSION_MEASURES,
+    REGRESSOR_FITTERS,
+    TASKS,
     evaluate_algorithm,
+    learner_of,
     task_of,
+    with_run_defaults,
 )
 from dirtybench.errors import ConfigurationError, ParameterError
 from dirtybench.robustness import (
@@ -316,6 +324,7 @@ class TestRunSweep:
         else:
             learner = getattr(cluster, name)
 
+            @functools.wraps(learner)  # the run reads its defaults from the signature
             def recorded(*args, **kwargs):
                 seen.append(kwargs)
                 return learner(*args, **kwargs)
@@ -369,13 +378,45 @@ class TestRunSweep:
         assert evaluator.algorithms == [a for ds in datasets for _ in grid.rates()
                                         for d, a in pairs if d is ds]
 
-    def test_every_algorithm_binds_to_its_learner(self):
-        """A classifier binds to its class, any other algorithm to the
-        function that PARAM_RULES holds, which is the one its points run."""
-        assert set(robustness.PARAM_RULES).isdisjoint(CLASSIFIER_TYPES)
-        assert set(robustness.PARAM_RULES) | set(CLASSIFIER_TYPES) == set(ALL_ALGORITHMS)
-        for name, (learner, *_) in robustness.PARAM_RULES.items():
-            assert learner is (evaluate.REGRESSOR_FITTERS.get(name) or getattr(cluster, name))
+    def test_learner_table(self):
+        """Each learner's task is the home ``learner_of`` reads it from, each
+        rule names only parameters of its learner (``check_sweep`` passes it
+        their bound values), and the run derives a seed, a class-count ``k``
+        and DBSCAN's radius for exactly these learners."""
+        for task, home in (("classification", CLASSIFIER_TYPES),
+                           ("regression", REGRESSOR_FITTERS)):
+            assert {n for n, (t, *_) in LEARNERS.items() if t == task} == set(home)
+        for name, (task, *rules) in LEARNERS.items():
+            assert task in TASKS
+            learner = learner_of(name)
+            assert learner is (CLASSIFIER_TYPES.get(name) or REGRESSOR_FITTERS.get(name)
+                               or getattr(cluster, name))
+            parameters = inspect.signature(learner).parameters
+            for rule in rules:
+                assert set(inspect.signature(rule).parameters) <= set(parameters), name
+        clean = make_blobs(30, n_classes=3, seed=0)
+        derived = {name: set(with_run_defaults(Algorithm(name), clean, 0).params)
+                   for name in LEARNERS}
+        assert {n for n, ps in derived.items() if "seed" in ps} == {
+            "random_forest", "kmeans", "lvq", "clarans", "cure"}
+        assert {n for n, ps in derived.items() if "k" in ps} == {
+            "kmeans", "clarans", "birch", "cure"}
+        assert {n for n, ps in derived.items() if "eps" in ps} == {"dbscan"}
+        assert set().union(*derived.values()) == {"seed", "k", "eps"}
+
+    def test_missing_sweep_of_values_summing_past_the_largest_double(self):
+        """The column's mean is imputed without overflowing to inf, which
+        failed every corrupted point of these learners."""
+        cols = [Column("x", NUMERIC), Column("y", NUMERIC), Column("label", CATEGORICAL, TARGET)]
+        table = dataset_from_rows(
+            cols, [[1.2e308 - i * 1e300, float(i % 7), "ab"[i % 2]] for i in range(60)])
+        datasets = [SweepDataset("big", table, "classification"),
+                    SweepDataset("big_groups", table, "clustering")]
+        algorithms = [Algorithm(name) for name in ("knn", "naive_bayes", "dbscan", "kmeans")]
+        report = run_sweep(datasets, algorithms, ("missing",),
+                           RateGrid(start=0.0, step=0.25, count=1), folds=3, jobs=1)
+        assert not report.errors
+        assert len(report.results) == 2 * 4
 
     def test_grid_must_start_at_zero(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
@@ -593,7 +634,6 @@ class TestAllErrorTypes:
 PLAN_DATA = make_blobs(12, n_classes=2, seed=0)
 PLAN_NUMERIC = make_linear(12, seed=0)
 PLAN_RULES = (FDRule(("x0",), "x1"),)
-TASKS = ("classification", "clustering", "regression")
 
 
 def draw_sweep(data):
@@ -610,7 +650,7 @@ def draw_sweep(data):
                              task, rules=PLAN_RULES, entity_key=("x0",))
                 for i, task in enumerate(dataset_tasks)]
     algorithms = [Algorithm(name) for name in data.draw(
-        st.lists(st.sampled_from(ALL_ALGORITHMS), min_size=1, max_size=5, unique=True))]
+        st.lists(st.sampled_from(tuple(LEARNERS)), min_size=1, max_size=5, unique=True))]
     error_types = data.draw(st.lists(st.sampled_from(ERROR_TYPES), min_size=1, unique=True))
     grid = RateGrid(start=0.0, step=0.1, count=data.draw(st.integers(0, 3)))
     pairs = [(ds.name, a.name) for ds in datasets for a in algorithms
