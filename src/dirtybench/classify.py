@@ -712,7 +712,9 @@ class LogisticRegressionClassifier:
     log-likelihood; predicts the positive class when the squashed score
     reaches 0.5."""
 
-    binary_only = True  # ``check_sweep`` pairs it only with two-label targets
+    # ``check_sweep`` rejects a whole config that pairs it with a target of
+    # other than two labels
+    binary_only = True
 
     def __init__(self, lr: float = 0.1, iters: int = 500):
         if lr <= 0 or iters < 0:

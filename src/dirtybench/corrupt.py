@@ -3,9 +3,10 @@
 All injectors are pure: they return a new Dataset and leave the input (and its
 clean shadow) untouched.  Rate denominators: cells for missing data, rows for
 inconsistent and conflicting data.  Inconsistent/conflicting injection keeps
-the detectors' index current (``data.FDIndex``/``data.EntityIndex``, where the
-violation rules live), so the achieved row fraction lands within one row of
-the requested rate on data with workable group structure.
+the detectors' index current (``data.ViolationIndex``, over the FD rules or
+the entity key, where the violation rule lives), so the achieved row
+fraction lands within one row of the requested rate on data with workable
+group structure.
 """
 from __future__ import annotations
 
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Cell, Dataset, EntityIndex, FDIndex, FDRule, NUMERIC, count_missing
+from .data import (
+    Cell, Dataset, FDRule, NUMERIC, ViolationIndex, count_missing, entity_grouping,
+)
 from .errors import (
     ConfigurationError,
     ImputationImpossibleError,
@@ -135,32 +138,32 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def usable_fd_rules(d: Dataset, spec: CorruptionSpec) -> tuple[list, list]:
-    """The (lhs indices, rhs index) of each of the spec's FD rules that
+    """The ``ViolationIndex`` grouping of each of the spec's FD rules that
     inconsistent injection may violate under its column restrictions, and
     each one's sorted rhs values.  Raises ConfigurationError when no rule is
     usable, and InjectionImpossibleError for one whose rhs has a single value."""
     allowed = set(_eligible_feature_columns(d, spec)) | set(d.schema.key_indices)
     if spec.column_mask is not None:
         allowed &= {d.schema.index_of(nm) for nm in spec.column_mask}
-    bindings = []
+    groupings = []
     domains = []
     for rule in spec.rules:
-        lhs_idx, rhs_idx = rule.bind(d.schema)
-        cols = set(lhs_idx) | {rhs_idx}
+        grouping = rule.grouping(d.schema)
+        _, (rhs_idx,), cols = grouping
         if d.schema.target_index in cols and not spec.corrupt_target_in_train:
             continue
-        if spec.column_mask is not None and not cols <= allowed:
+        if spec.column_mask is not None and not allowed.issuperset(cols):
             continue
         domain = _column_domain(d, rhs_idx)
         if len(domain) < 2:
             raise InjectionImpossibleError(
                 f"rule {','.join(rule.lhs)} -> {rule.rhs}: rhs column has a single value"
             )
-        bindings.append((lhs_idx, rhs_idx))
+        groupings.append(grouping)
         domains.append(domain)
-    if not bindings:
+    if not groupings:
         raise ConfigurationError("no usable FD rule after applying column restrictions")
-    return bindings, domains
+    return groupings, domains
 
 
 def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
@@ -173,16 +176,16 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     if spec.rate == 0:
         return out
 
-    bindings, domains = usable_fd_rules(d, spec)
+    groupings, domains = usable_fd_rules(d, spec)
     rng = np.random.default_rng(spec.seed)
-    index = FDIndex(out.rows, bindings)
+    index = ViolationIndex(out.rows, groupings)
     _refuse_dirtier(index.flagged, n, spec)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
         guard += 1
         need = target - index.flagged
-        r = int(rng.integers(len(bindings)))
-        lhs_idx, rhs_idx = bindings[r]
+        r = int(rng.integers(len(groupings)))
+        lhs_idx, (rhs_idx,), _ = groupings[r]
         domain = domains[r]
 
         if need == 1:
@@ -250,13 +253,13 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     return out
 
 
-def _join_violated_fd(index: FDIndex, rng: np.random.Generator) -> bool:
+def _join_violated_fd(index: ViolationIndex, rng: np.random.Generator) -> bool:
     """Attach one unflagged row to an already-violated group (+1 exactly)."""
     for r, viol in enumerate(index.violated):
         if not viol:
             continue
         key = next(iter(viol))
-        lhs_idx, rhs_idx = index.bindings[r]
+        lhs_idx, (rhs_idx,), _ = index.groupings[r]
         members = index.groups[r][key]
         n = len(index.rows)
         for i in rng.permutation(n):
@@ -280,11 +283,8 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     singleton entities first) until the conflicting-row fraction meets the
     rate against the final row count."""
     out = d.copy()
-    key_idx = tuple(out.schema.index_of(nm) for nm in spec.entity_key)
-    mutate_cols = [j for j in _eligible_feature_columns(d, spec) if j not in key_idx]
-    compare_idx = [j for j in range(out.schema.arity) if j not in key_idx]
-    if not compare_idx:
-        raise ConfigurationError("all columns are key columns; nothing can conflict")
+    grouping = entity_grouping(out.schema, spec.entity_key)
+    mutate_cols = [j for j in _eligible_feature_columns(d, spec) if j not in grouping[0]]
     if spec.rate == 0:
         return out
 
@@ -294,21 +294,23 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
         raise InjectionImpossibleError("no non-key column has two distinct values")
 
     rng = np.random.default_rng(spec.seed)
-    index = EntityIndex(out.rows, out.row_origin, key_idx, compare_idx)
+    index = ViolationIndex(out.rows, [grouping])
+    groups, violated = index.groups[0], index.violated[0]
     # rows are only appended flagged, so a table above the rate stays above it
-    _refuse_dirtier(index.flag_count, out.n_rows, spec)
+    _refuse_dirtier(index.flagged, out.n_rows, spec)
     # the bound is fixed by the input's row count: were it to grow with the
     # appended duplicates, a rate of 1.0 could chase its target forever
     for _ in range(20 * out.n_rows + 100):
         n = len(out.rows)
         target = int(round(spec.rate * n))
-        if index.flag_count >= target:
+        if index.flagged >= target:
             break
-        need = target - index.flag_count
+        need = target - index.flagged
 
-        if need == 1 and index.violated:
-            key = next(iter(index.violated))
-            index.append_duplicate(index.groups[key][0])
+        if need == 1 and violated:
+            src = groups[next(iter(violated))][0]
+            index.append_duplicate(src)
+            out.row_origin.append(out.row_origin[src])
             continue
 
         perm = rng.permutation(n)
@@ -316,14 +318,14 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
         # conflict an existing multi-row entity group
         for i in perm:
             i = int(i)
-            key = index.key(i)
-            if key is None or key in index.violated:
+            key = index.key(0, i)
+            if key is None or key in violated:
                 continue
-            members = index.groups[key]
+            members = groups[key]
             if len(members) < 2 or len(members) > need:
                 continue
             if _disagree_group(index, members, usable_cols, domains, rng):
-                index.refresh(key)
+                index.refresh(0, key)
                 mutated = True
                 break
         if mutated:
@@ -332,29 +334,30 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
         dup = None
         for i in perm:
             i = int(i)
-            key = index.key(i)
-            if key is None or key in index.violated:
+            key = index.key(0, i)
+            if key is None or key in violated:
                 continue
-            if len(index.groups[key]) == 1:
+            if len(groups[key]) == 1:
                 dup = (i, key)
                 break
         if dup is None:
             break
         i, key = dup
         copy_i = index.append_duplicate(i)
+        out.row_origin.append(out.row_origin[i])
         if _disagree_group(index, [i, copy_i], usable_cols, domains, rng):
-            index.refresh(key)
+            index.refresh(0, key)
 
     final_target = int(round(spec.rate * len(out.rows)))
-    if index.flag_count < final_target:
+    if index.flagged < final_target:
         raise InjectionImpossibleError(
             f"could not reach conflicting rate {spec.rate} "
-            f"(reached {index.flag_count}/{len(out.rows)} rows)"
+            f"(reached {index.flagged}/{len(out.rows)} rows)"
         )
     return out
 
 
-def _disagree_group(index: EntityIndex, members: list[int], usable_cols: list[int],
+def _disagree_group(index: ViolationIndex, members: list[int], usable_cols: list[int],
                     domains: dict[int, list[Cell]], rng: np.random.Generator) -> bool:
     """Make one attribute differ inside a currently-agreeing group."""
     if not usable_cols:
@@ -408,7 +411,9 @@ def impute(d: Dataset) -> Dataset:
         if col.kind == NUMERIC:
             fill: Cell = float(sum(present)) / len(present)
             if not math.isfinite(fill):  # the sum passed the largest double: divide first
-                fill = min(max(sum(v / len(present) for v in present), min(present)), max(present))
+                fill = sum(v / len(present) for v in present)
+            # rounding can leave the range by a few units in the last place
+            fill = min(max(fill, min(present)), max(present))
         else:
             counts: dict[Cell, int] = {}
             for v in present:

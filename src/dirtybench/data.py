@@ -5,9 +5,11 @@ categorical ones, and ``None`` as the dedicated missing marker (serialized as
 an empty field).  A loaded dataset keeps an immutable ``clean_shadow`` copy of
 its rows so that later corruption can always be measured against ground truth.
 
-What makes a row dirty is defined once, here: ``FDIndex`` holds the rule for
-an FD-violating group and ``EntityIndex`` the one for a conflicting entity
-group.  The detectors read them and the injectors in ``corrupt`` keep them.
+What makes a row dirty is defined once, here, in ``ViolationIndex``: rows
+that share key values are violated when they hold different present values
+in a column those keys determine.  An FD rule groups by its lhs and compares
+its rhs; an entity key is an FD onto every other column.  The detectors
+read the index and the injectors in ``corrupt`` keep it current.
 """
 from __future__ import annotations
 
@@ -116,6 +118,12 @@ class FDRule:
         except SchemaError as exc:
             raise RuleError(f"cannot bind rule {self}: {exc}") from exc
         return lhs_idx, rhs_idx
+
+    def grouping(self, schema: Schema) -> Grouping:
+        """The rule as a ``ViolationIndex`` grouping: rows with lhs and rhs
+        present, grouped by lhs, compared on rhs."""
+        lhs_idx, rhs_idx = self.bind(schema)
+        return lhs_idx, (rhs_idx,), lhs_idx + (rhs_idx,)
 
 
 @dataclass
@@ -406,34 +414,43 @@ def missing_cell_rate(d: Dataset) -> float:
     return count_missing(d.rows, cols) / total
 
 
-class FDIndex:
-    """Rows grouped by the lhs values of each bound FD rule, with the groups
-    that violate it and how many rules flag each row.
+Grouping = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    A row joins rule ``r``'s grouping when its lhs and rhs cells are all
-    present; a group is violated when its members disagree on the rhs.  The
-    injectors keep the index current through ``set_cells``.  ``groups`` and
-    ``violated`` are ordered as ``_group`` says, so iteration is the same
-    across process restarts.
+
+class ViolationIndex:
+    """Rows grouped by their key values under each of a list of groupings,
+    with the violated groups and, in ``flag_count``, how many of them flag
+    each row.
+
+    A grouping is (key columns, compared columns, columns that must be
+    present): a row joins the group of its key values when its
+    must-be-present cells are all present, and a group is violated when two
+    members hold different present values in one compared column.  An FD
+    ``lhs -> rhs`` is ``(lhs, (rhs,), lhs + (rhs,))`` and an entity key
+    ``(key, every other column, key)``.  The injectors keep the index
+    current through ``set_cells``, ``refresh`` and ``append_duplicate``.
+    ``groups`` and ``violated`` are ordered as ``_group`` says, so iteration
+    is the same across process restarts.
     """
 
-    def __init__(self, rows: list[list[Cell]], bindings: list[tuple[tuple[int, ...], int]]):
+    def __init__(self, rows: list[list[Cell]], groupings: Sequence[Grouping]):
         self.rows = rows
-        self.bindings = bindings
+        self.groupings = list(groupings)
         self.groups: list[dict[tuple, list[int]]] = []
         self.violated: list[dict[tuple, None]] = []
         self.flag_count: dict[int, int] = {}
-        for r, (lhs_idx, rhs_idx) in enumerate(bindings):
-            # ``key(r, i)`` of every row, read column by column
-            lhs = zip(*[[row[j] for row in rows] for j in lhs_idx])
-            rhs = [row[rhs_idx] for row in rows]
-            keys = (None if v is None or None in k else k for k, v in zip(lhs, rhs))
-            groups, violated = _group(keys, partial(self._violated_at, r))
+        for g, (key_idx, _, present_idx) in enumerate(self.groupings):
+            # ``key(g, i)`` of every row, read column by column: the key
+            # cells, then the other cells that must be present
+            width = len(key_idx)
+            cells = zip(*[[row[j] for row in rows]
+                          for j in key_idx + tuple(j for j in present_idx if j not in key_idx)])
+            keys = (None if None in k else k[:width] for k in cells)
+            groups, violated = _group(keys, partial(self._violated_at, g))
             self.groups.append(groups)
             self.violated.append(violated)
             for key in violated:
-                for m in groups[key]:
-                    self._flag(m)
+                self._flag(groups[key])
 
     @property
     def flagged(self) -> int:
@@ -442,137 +459,107 @@ class FDIndex:
     def is_flagged(self, i: int) -> bool:
         return i in self.flag_count
 
-    def key(self, r: int, i: int) -> tuple | None:
-        lhs_idx, rhs_idx = self.bindings[r]
+    def key(self, g: int, i: int) -> tuple | None:
+        key_idx, _, present_idx = self.groupings[g]
         row = self.rows[i]
-        vals = tuple([row[j] for j in lhs_idx])
-        return None if row[rhs_idx] is None or None in vals else vals
+        for j in present_idx:
+            if row[j] is None:
+                return None
+        return tuple([row[j] for j in key_idx])
 
-    def _violated_at(self, r: int, members: list[int]) -> int | None:
-        """The first member whose rhs differs from an earlier member's."""
-        rhs_idx = self.bindings[r][1]
-        rows = self.rows
-        first = rows[members[0]][rhs_idx]
-        for m in members:
-            if rows[m][rhs_idx] != first:
-                return m
-        return None
-
-    def _flag(self, i: int):
-        self.flag_count[i] = self.flag_count.get(i, 0) + 1
-
-    def _unflag(self, i: int):
-        self.flag_count[i] -= 1
-        if self.flag_count[i] == 0:
-            del self.flag_count[i]
-
-    def _add(self, r: int, i: int):
-        key = self.key(r, i)
-        if key is None:
-            return
-        members = self.groups[r].setdefault(key, [])
-        members.append(i)
-        if key in self.violated[r]:
-            self._flag(i)
-        elif self._violated_at(r, members) is not None:
-            self.violated[r][key] = None
-            for m in members:
-                self._flag(m)
-
-    def _remove(self, r: int, i: int):
-        key = self.key(r, i)
-        if key is None:
-            return
-        members = self.groups[r][key]
-        members.remove(i)
-        if not members:
-            del self.groups[r][key]
-        if key in self.violated[r]:
-            self._unflag(i)
-            if not members or self._violated_at(r, members) is None:
-                del self.violated[r][key]
-                for m in members:
-                    self._unflag(m)
-
-    def set_cells(self, i: int, updates: dict[int, Cell]):
-        affected = [
-            r
-            for r, (lhs_idx, rhs_idx) in enumerate(self.bindings)
-            if rhs_idx in updates or not updates.keys().isdisjoint(lhs_idx)
-        ]
-        for r in affected:
-            self._remove(r, i)
-        for j, v in updates.items():
-            self.rows[i][j] = v
-        for r in affected:
-            self._add(r, i)
-
-
-class EntityIndex:
-    """Rows grouped by their entity-key values, with the groups whose
-    members disagree on some compared column's present values, ordered as
-    ``_group`` says.  ``flag_count`` is the number of rows in violated groups.
-    """
-
-    def __init__(self, rows: list[list[Cell]], origin: list[int],
-                 key_idx: tuple[int, ...], compare_idx: list[int]):
-        self.rows = rows
-        self.origin = origin
-        self.key_idx = key_idx
-        self.compare_idx = compare_idx
-        # ``key(i)`` of every row, read column by column
-        keys = (None if None in k else k
-                for k in zip(*[[row[j] for row in rows] for j in key_idx]))
-        self.groups, self.violated = _group(keys, self._violated_at)
-        self.flag_count = sum(len(self.groups[key]) for key in self.violated)
-
-    def key(self, i: int) -> tuple | None:
-        row = self.rows[i]
-        vals = tuple([row[j] for j in self.key_idx])
-        return None if None in vals else vals
-
-    def _violated_at(self, members: list[int]) -> int | None:
+    def _violated_at(self, g: int, members: list[int]) -> int | None:
         """The first member holding a value that differs from an earlier
-        member's present value in the same column."""
+        member's present value in the same compared column."""
         rows = self.rows
+        compare_idx = self.groupings[g][1]
         seen: dict[int, Cell] = {}
         for m in members:
             row = rows[m]
-            for j in self.compare_idx:
+            for j in compare_idx:
                 v = row[j]
                 if v is not None and seen.setdefault(j, v) != v:
                     return m
         return None
 
-    def _add(self, i: int):
-        key = self.key(i)
+    def _flag(self, members: Iterable[int]):
+        counts = self.flag_count
+        for i in members:
+            counts[i] = counts.get(i, 0) + 1
+
+    def _unflag(self, members: Iterable[int]):
+        counts = self.flag_count
+        for i in members:
+            counts[i] -= 1
+            if counts[i] == 0:
+                del counts[i]
+
+    def _add(self, g: int, i: int):
+        key = self.key(g, i)
         if key is None:
             return
-        members = self.groups.setdefault(key, [])
+        members = self.groups[g].setdefault(key, [])
         members.append(i)
-        if key in self.violated:
-            self.flag_count += 1
-        elif self._violated_at(members) is not None:
-            self.violated[key] = None
-            self.flag_count += len(members)
+        if key in self.violated[g]:
+            self._flag((i,))
+        elif self._violated_at(g, members) is not None:
+            self.violated[g][key] = None
+            self._flag(members)
 
-    def refresh(self, key: tuple):
-        """Re-evaluate one group after in-place cell mutation."""
-        was = key in self.violated
-        now = self._violated_at(self.groups[key]) is not None
+    def _remove(self, g: int, i: int):
+        key = self.key(g, i)
+        if key is None:
+            return
+        members = self.groups[g][key]
+        members.remove(i)
+        if not members:
+            del self.groups[g][key]
+        if key in self.violated[g]:
+            self._unflag((i,))
+            if not members or self._violated_at(g, members) is None:
+                del self.violated[g][key]
+                self._unflag(members)
+
+    def set_cells(self, i: int, updates: dict[int, Cell]):
+        """Write cells of row ``i``, moving it between groups as it goes."""
+        affected = [g for g, (key_idx, compare_idx, present_idx) in enumerate(self.groupings)
+                    if not updates.keys().isdisjoint(key_idx + compare_idx + present_idx)]
+        for g in affected:
+            self._remove(g, i)
+        for j, v in updates.items():
+            self.rows[i][j] = v
+        for g in affected:
+            self._add(g, i)
+
+    def refresh(self, g: int, key: tuple):
+        """Re-evaluate one group after its members' compared cells were
+        written in place."""
+        members = self.groups[g][key]
+        was = key in self.violated[g]
+        now = self._violated_at(g, members) is not None
         if now and not was:
-            self.violated[key] = None
-            self.flag_count += len(self.groups[key])
+            self.violated[g][key] = None
+            self._flag(members)
         elif was and not now:
-            del self.violated[key]
-            self.flag_count -= len(self.groups[key])
+            del self.violated[g][key]
+            self._unflag(members)
 
     def append_duplicate(self, src: int) -> int:
+        """Append a copy of row ``src`` and index it; its new row index."""
         self.rows.append(list(self.rows[src]))
-        self.origin.append(self.origin[src])
         i = len(self.rows) - 1
-        self._add(i)
+        for g in range(len(self.groupings)):
+            self._add(g, i)
         return i
+
+
+def entity_grouping(schema: Schema, entity_key: Sequence[str]) -> Grouping:
+    """The entity key as a grouping: rows with every key cell present,
+    grouped by them and compared on every other column."""
+    key_idx = tuple(schema.index_of(n) for n in entity_key)
+    other_idx = tuple(j for j in range(schema.arity) if j not in key_idx)
+    if not other_idx:
+        raise ConfigurationError("all columns are key columns; nothing can conflict")
+    return key_idx, other_idx, key_idx
 
 
 def _group(keys: Iterable[tuple | None], violated_at) -> tuple[dict[tuple, list[int]], dict[tuple, None]]:
@@ -593,7 +580,7 @@ def inconsistent_rows(d: Dataset, rules: Sequence[FDRule]) -> set[int]:
     """Indices of rows that share FD lhs values with differing rhs values."""
     if not rules:
         raise ConfigurationError("inconsistent detection requires at least one FD rule")
-    return set(FDIndex(d.rows, [rule.bind(d.schema) for rule in rules]).flag_count)
+    return set(ViolationIndex(d.rows, [rule.grouping(d.schema) for rule in rules]).flag_count)
 
 
 def inconsistent_row_rate(d: Dataset, rules: Sequence[FDRule]) -> float:
@@ -606,12 +593,7 @@ def conflicting_rows(d: Dataset, entity_key: Sequence[str]) -> set[int]:
     """Indices of rows whose entity group disagrees on some non-key attribute."""
     if not entity_key:
         raise ConfigurationError("conflicting detection requires an entity key")
-    key_idx = tuple(d.schema.index_of(n) for n in entity_key)
-    other_idx = [j for j in range(d.schema.arity) if j not in key_idx]
-    if not other_idx:
-        raise ConfigurationError("all columns are key columns; nothing can conflict")
-    index = EntityIndex(d.rows, d.row_origin, key_idx, other_idx)
-    return {i for key in index.violated for i in index.groups[key]}
+    return set(ViolationIndex(d.rows, [entity_grouping(d.schema, entity_key)]).flag_count)
 
 
 def conflicting_row_rate(d: Dataset, entity_key: Sequence[str]) -> float:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from dirtybench.classify import _node_cost
-from dirtybench.data import EntityIndex, FDIndex, format_cell
+from dirtybench.data import ViolationIndex, format_cell
 from dirtybench.evaluate import NOISE_LABEL
 from dirtybench.regress import LinearModel
 
@@ -39,23 +39,15 @@ def content_hash(schema, rows, delimiter: str = ",") -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def fd_index_by_rows(rows, bindings) -> FDIndex:
-    """An FD index grown one row at a time through ``_add``, rule by rule:
-    the order of groups and violated keys a one-pass build must give."""
-    index = FDIndex([], bindings)
+def violation_index_by_rows(rows, groupings) -> ViolationIndex:
+    """A violation index grown one row at a time through ``_add``, grouping
+    by grouping: the order of groups and violated keys a one-pass build
+    must give."""
+    index = ViolationIndex([], groupings)
     index.rows = rows
-    for r in range(len(bindings)):
+    for g in range(len(groupings)):
         for i in range(len(rows)):
-            index._add(r, i)
-    return index
-
-
-def entity_index_by_rows(rows, origin, key_idx, compare_idx) -> EntityIndex:
-    """An entity index grown one row at a time through ``_add``."""
-    index = EntityIndex([], [], key_idx, compare_idx)
-    index.rows, index.origin = rows, origin
-    for i in range(len(rows)):
-        index._add(i)
+            index._add(g, i)
     return index
 
 
