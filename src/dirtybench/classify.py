@@ -442,6 +442,13 @@ class DecisionTreeClassifier(RandomForestClassifier):
 # k-nearest neighbors
 # ---------------------------------------------------------------------------
 
+def check_neighbours(k: int, train_rows: int) -> None:
+    """KNN's rule on its neighbours, which a sweep also checks on the clean
+    table's smallest training fold: at most the rows it votes among."""
+    if k > train_rows:
+        raise ParameterError(f"k={k} exceeds training size {train_rows}")
+
+
 class KNNClassifier:
     """Majority vote over the k nearest training rows (Euclidean distance on
     the shared min-max / overlap encoding)."""
@@ -453,8 +460,7 @@ class KNNClassifier:
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
         table, self.classes, self.y = _labelled_rows(data, rows, "KNN")
-        if self.k > len(self.y):
-            raise ParameterError(f"k={self.k} exceeds training size {len(self.y)}")
+        check_neighbours(self.k, len(self.y))
         self.encoder = FeatureEncoder(table, rows)
         self.X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         return self
@@ -707,14 +713,16 @@ def logistic_gradient(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray):
     return X.T @ residual, float(residual.sum())
 
 
+def check_binary(n_labels: int) -> None:
+    """Logistic regression's rule on its labels, which a sweep checks too."""
+    if n_labels != 2:
+        raise UnsupportedTaskError(f"needs a binary target, got {n_labels} classes")
+
+
 class LogisticRegressionClassifier:
     """Binary classifier trained by batch gradient ascent on the
     log-likelihood; predicts the positive class when the squashed score
     reaches 0.5."""
-
-    # ``check_sweep`` rejects a whole config that pairs it with a target of
-    # other than two labels
-    binary_only = True
 
     def __init__(self, lr: float = 0.1, iters: int = 500):
         if lr <= 0 or iters < 0:
@@ -724,10 +732,7 @@ class LogisticRegressionClassifier:
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
         table, self.classes, y = _labelled_rows(data, rows, "logistic regression")
-        if len(self.classes) != 2:
-            raise UnsupportedTaskError(
-                f"logistic regression needs a binary target, got {len(self.classes)} classes"
-            )
+        check_binary(len(self.classes))
         self.encoder = FeatureEncoder(table, rows)
         X = self.encoder.embed(self.encoder.encoding.num, self.encoder.encoding.codes)
         y = y.astype(float)

@@ -14,8 +14,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, read_json
-from .corrupt import ERROR_TYPES, MISSING, _eligible_feature_columns, inject
-from .data import count_missing, dataset_to_text, detect_error_rates, format_rows
+from .corrupt import ERROR_TYPES, MISSING, inject, setup_missing
+from .data import dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS, TASKS
 from .robustness import (
@@ -109,10 +109,9 @@ def cmd_inject(args) -> int:
                     encoding="utf-8",
                 )
                 if error_type == MISSING:
-                    # over the cells the injector was allowed to delete
-                    cols = _eligible_feature_columns(ds.dataset, spec)
-                    cells = len(cols) * len(corrupted.rows)
-                    changed = count_missing(corrupted.rows, cols)
+                    # over the cells the injector was allowed to delete, as
+                    # its set-up counts them on the output, which it accepts
+                    _, cells, changed = setup_missing(corrupted, spec)
                     achieved = changed / cells if cells else 0.0
                     unit = "cells"
                 else:

@@ -240,11 +240,13 @@ def _maximin_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return X[chosen].copy()
 
 
-def check_k(k: int) -> None:
+def check_k(k: int, n_rows: int) -> None:
     """The rule on the k of k-means, CLARANS, BIRCH and CURE, which a sweep
-    also checks before its first point."""
+    also checks on the clean table: from one cluster to one per row."""
     if k < 1:
         raise ParameterError("k must be at least 1")
+    if k > n_rows:
+        raise ParameterError(f"k={k} exceeds row count {n_rows}")
 
 
 def check_max_iters(max_iters: int) -> None:
@@ -256,12 +258,10 @@ def check_max_iters(max_iters: int) -> None:
 def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
     """Lloyd iterations from k maximin-seeded data points; empty clusters are
     re-seeded with the point farthest from its current centroid."""
-    check_k(k)
+    check_k(k, d.n_rows)
     check_max_iters(max_iters)
     X = encode_for_clustering(d)
     n = len(X)
-    if k > n:
-        raise ParameterError(f"k={k} exceeds row count {n}")
     rng = np.random.default_rng(seed)
     centroids = _maximin_init(X, k, rng)
     assign = np.full(n, -1)
@@ -289,9 +289,11 @@ def kmeans(d: Data, k: int, seed: int = 0, max_iters: int = 100) -> Clustering:
 # learning vector quantization
 # ---------------------------------------------------------------------------
 
-def check_prototypes(q: int, n_labels: int, n_rows: int) -> None:
-    """LVQ's rule on its prototype count, which a sweep also checks on the
-    clean table: at least one prototype per label, at most one per row."""
+def check_prototypes(q: int | None, n_labels: int, n_rows: int) -> None:
+    """LVQ's rule on its prototype count (None: one per label), which a
+    sweep also checks on the clean table: from one per label to one per row."""
+    if q is None:
+        return
     if q < n_labels:
         raise ParameterError(f"q={q} is below the label count {n_labels}")
     if q > n_rows:
@@ -312,9 +314,9 @@ def lvq(d: Data, q: int | None = None, learning_rate: float = 0.1,
         raise ParameterError("LVQ needs a labeled dataset")
     classes, y = table.labels(None, "LVQ")
     n_c = len(classes)
+    check_prototypes(q, n_c, len(X))
     if q is None:
         q = n_c
-    check_prototypes(q, n_c, len(X))
     rng = np.random.default_rng(seed)
     proto_idx: list[int] = []
     for c in range(n_c):  # every label gets at least one prototype
@@ -350,12 +352,10 @@ def clarans(d: Data, k: int, num_local: int = 5, max_neighbor: int = 100,
             seed: int = 0) -> Clustering:
     """Randomized medoid search: accept any cost-decreasing single-medoid
     swap, give up a restart after max_neighbor consecutive failures."""
-    check_k(k)
+    check_k(k, d.n_rows)
     check_num_local(num_local)
     X = encode_for_clustering(d)
     n = len(X)
-    if k > n:
-        raise ParameterError(f"k={k} out of range for {n} rows")
     rng = np.random.default_rng(seed)
     XT = X.T.copy()
 
@@ -683,8 +683,6 @@ def _min_linkage_merge(points: np.ndarray, k: int) -> list[list[int]]:
     instead of scanning the whole matrix.
     """
     n = len(points)
-    if k > n:
-        raise ParameterError(f"cannot form {k} groups from {n} points")
     d = np.sqrt(_sq_dists(points, points))
     d[np.tril_indices(n)] = np.inf
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
@@ -733,7 +731,7 @@ def check_cf_tree(branching: int, threshold: float) -> None:
 def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clustering:
     """Single-pass CF-tree summarization, MIN-linkage merge of the leaf-entry
     centroids down to k seeds, then a nearest-seed rescan of all rows."""
-    check_k(k)
+    check_k(k, d.n_rows)
     check_cf_tree(branching, threshold)
     X = encode_for_clustering(d)
     root = _CFNode(is_leaf=True)
@@ -764,15 +762,19 @@ def birch(d: Data, k: int, branching: int = 50, threshold: float = 0.25) -> Clus
 # CURE
 # ---------------------------------------------------------------------------
 
-def check_representatives(n_rep: int, shrink: float, sample_frac: float) -> None:
-    """CURE's rules on its representatives and the sample they come from,
-    which a sweep also checks before its first point."""
+def check_representatives(k: int, n_rep: int, shrink: float, sample_frac: float,
+                          n_rows: int) -> None:
+    """CURE's rules on its representatives and the sample they come from, at
+    least one row per cluster, which a sweep also checks on the clean table."""
     if not 0.0 < shrink <= 1.0:
         raise ParameterError("shrink must be in (0, 1]")
     if n_rep < 1:
         raise ParameterError("n_rep must be at least 1")
     if not 0.0 < sample_frac <= 1.0:
         raise ParameterError("sample_frac must be in (0, 1]")
+    size = round(sample_frac * n_rows)
+    if size < k:
+        raise ParameterError(f"sample of {size} rows is smaller than k={k}")
 
 
 def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
@@ -780,13 +782,11 @@ def cure(d: Data, k: int, n_rep: int = 5, shrink: float = 0.3,
     """Representative-point clustering: MIN-linkage on a seeded sample,
     farthest-first representatives shrunk toward each centroid, then
     nearest-representative assignment of every row."""
-    check_k(k)
-    check_representatives(n_rep, shrink, sample_frac)
+    check_k(k, d.n_rows)
+    check_representatives(k, n_rep, shrink, sample_frac, d.n_rows)
     X = encode_for_clustering(d)
     n = len(X)
     size = int(round(sample_frac * n))
-    if size < k:
-        raise ParameterError(f"sample of {size} rows is smaller than k={k}")
     rng = np.random.default_rng(seed)
     sample = np.sort(rng.choice(n, size=size, replace=False))
     S = X[sample]

@@ -6,7 +6,8 @@ inconsistent and conflicting data.  Inconsistent/conflicting injection keeps
 the detectors' index current (``data.ViolationIndex``, over the FD rules or
 the entity key, where the violation rule lives), so the achieved row
 fraction lands within one row of the requested rate on data with workable
-group structure.
+group structure.  Each injector's configuration is read and refused in its
+draw-free set-up (``set_up``), which a sweep runs before its first point.
 """
 from __future__ import annotations
 
@@ -65,11 +66,15 @@ class CorruptionSpec:
 
 def inject(d: Dataset, spec: CorruptionSpec) -> Dataset:
     """Dispatch to the injector for spec.error_type."""
-    if spec.error_type == MISSING:
-        return inject_missing(d, spec)
-    if spec.error_type == INCONSISTENT:
-        return inject_inconsistent(d, spec)
-    return inject_conflicting(d, spec)
+    return {MISSING: inject_missing, INCONSISTENT: inject_inconsistent,
+            CONFLICTING: inject_conflicting}[spec.error_type](d, spec)
+
+
+def set_up(d: Dataset, spec: CorruptionSpec) -> tuple:
+    """Dispatch to the draw-free set-up of the injector for spec.error_type,
+    which raises all that injector raises on its configuration."""
+    return {MISSING: setup_missing, INCONSISTENT: setup_inconsistent,
+            CONFLICTING: setup_conflicting}[spec.error_type](d, spec)
 
 
 def _eligible_feature_columns(d: Dataset, spec: CorruptionSpec) -> list[int]:
@@ -103,19 +108,25 @@ def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec, unit: str = "row
 # missing
 # ---------------------------------------------------------------------------
 
+def setup_missing(d: Dataset, spec: CorruptionSpec) -> tuple[list[int], int, int]:
+    """The columns whose cells missing injection may delete, their cell
+    count and how many are missing already.  At a nonzero rate, no such cell
+    is a ConfigurationError and a table already dirtier is refused."""
+    cols = _eligible_feature_columns(d, spec)
+    total, already = len(cols) * d.n_rows, count_missing(d.rows, cols)
+    if spec.rate > 0:
+        if total == 0:
+            raise ConfigurationError("no eligible cells to delete")
+        _refuse_dirtier(already, total, spec, "cells")
+    return cols, total, already
+
+
 def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
     """Make exactly round(rate * eligible_cells) eligible cells missing by
     deleting present ones, chosen uniformly; a table already within one cell
     above that is returned as it is, and one further above is refused."""
     out = d.copy()
-    cols = _eligible_feature_columns(d, spec)
-    total = len(cols) * out.n_rows
-    if spec.rate > 0 and total == 0:
-        raise ConfigurationError("no eligible cells to delete")
-    if spec.rate == 0:
-        return out
-    already = count_missing(out.rows, cols)
-    _refuse_dirtier(already, total, spec, "cells")
+    cols, total, already = setup_missing(out, spec)
     n_delete = int(round(spec.rate * total)) - already
     if n_delete <= 0:
         return out
@@ -137,22 +148,21 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
 # inconsistent (FD violations)
 # ---------------------------------------------------------------------------
 
-def usable_fd_rules(d: Dataset, spec: CorruptionSpec) -> tuple[list, list]:
-    """The ``ViolationIndex`` grouping of each of the spec's FD rules that
-    inconsistent injection may violate under its column restrictions, and
-    each one's sorted rhs values.  Raises ConfigurationError when no rule is
-    usable, and InjectionImpossibleError for one whose rhs has a single value."""
+def setup_inconsistent(d: Dataset, spec: CorruptionSpec) -> tuple[list, list, ViolationIndex]:
+    """The ``ViolationIndex`` grouping of each FD rule that inconsistent
+    injection may violate under the spec's column restrictions, each one's
+    sorted rhs values, and their index over ``d``'s rows.  No usable rule is
+    a ConfigurationError; a single-valued rhs and a table already dirtier
+    than the rate are refused."""
+    # the keys and the corruptible columns: the target only when it may be corrupted
     allowed = set(_eligible_feature_columns(d, spec)) | set(d.schema.key_indices)
     if spec.column_mask is not None:
         allowed &= {d.schema.index_of(nm) for nm in spec.column_mask}
-    groupings = []
-    domains = []
+    groupings, domains = [], []
     for rule in spec.rules:
         grouping = rule.grouping(d.schema)
         _, (rhs_idx,), cols = grouping
-        if d.schema.target_index in cols and not spec.corrupt_target_in_train:
-            continue
-        if spec.column_mask is not None and not allowed.issuperset(cols):
+        if not allowed.issuperset(cols):
             continue
         domain = _column_domain(d, rhs_idx)
         if len(domain) < 2:
@@ -163,7 +173,9 @@ def usable_fd_rules(d: Dataset, spec: CorruptionSpec) -> tuple[list, list]:
         domains.append(domain)
     if not groupings:
         raise ConfigurationError("no usable FD rule after applying column restrictions")
-    return groupings, domains
+    index = ViolationIndex(d.rows, groupings)
+    _refuse_dirtier(index.flagged, d.n_rows, spec)
+    return groupings, domains, index
 
 
 def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
@@ -176,10 +188,8 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     if spec.rate == 0:
         return out
 
-    groupings, domains = usable_fd_rules(d, spec)
+    groupings, domains, index = setup_inconsistent(out, spec)
     rng = np.random.default_rng(spec.seed)
-    index = ViolationIndex(out.rows, groupings)
-    _refuse_dirtier(index.flagged, n, spec)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
         guard += 1
@@ -278,26 +288,32 @@ def _join_violated_fd(index: ViolationIndex, rng: np.random.Generator) -> bool:
 # conflicting (entity disagreements)
 # ---------------------------------------------------------------------------
 
+def setup_conflicting(d: Dataset, spec: CorruptionSpec) -> tuple[list, dict, ViolationIndex]:
+    """The non-key columns conflicting injection may disagree (those of two
+    values or more), each one's sorted values, and the entity key's index
+    over ``d``'s rows; no such column or a dirtier table is refused."""
+    grouping = entity_grouping(d.schema, spec.entity_key)
+    domains = {j: _column_domain(d, j) for j in _eligible_feature_columns(d, spec)
+               if j not in grouping[0]}
+    usable_cols = [j for j, domain in domains.items() if len(domain) >= 2]
+    if not usable_cols:
+        raise InjectionImpossibleError("no non-key column has two distinct values")
+    index = ViolationIndex(d.rows, [grouping])
+    # rows are only appended flagged, so a table above the rate stays above it
+    _refuse_dirtier(index.flagged, d.n_rows, spec)
+    return usable_cols, domains, index
+
+
 def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
     """Disagree one non-key attribute inside entity groups (duplicating
     singleton entities first) until the conflicting-row fraction meets the
     rate against the final row count."""
     out = d.copy()
-    grouping = entity_grouping(out.schema, spec.entity_key)
-    mutate_cols = [j for j in _eligible_feature_columns(d, spec) if j not in grouping[0]]
     if spec.rate == 0:
         return out
-
-    domains = {j: _column_domain(d, j) for j in mutate_cols}
-    usable_cols = [j for j in mutate_cols if len(domains[j]) >= 2]
-    if not usable_cols:
-        raise InjectionImpossibleError("no non-key column has two distinct values")
-
+    usable_cols, domains, index = setup_conflicting(out, spec)
     rng = np.random.default_rng(spec.seed)
-    index = ViolationIndex(out.rows, [grouping])
     groups, violated = index.groups[0], index.violated[0]
-    # rows are only appended flagged, so a table above the rate stays above it
-    _refuse_dirtier(index.flagged, out.n_rows, spec)
     # the bound is fixed by the input's row count: were it to grow with the
     # appended duplicates, a rate of 1.0 could chase its target forever
     for _ in range(20 * out.n_rows + 100):

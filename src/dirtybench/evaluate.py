@@ -223,19 +223,19 @@ TASKS = (CLASSIFICATION, CLUSTERING, REGRESSION)
 _HOMES = {CLASSIFICATION: CLASSIFIER_TYPES, CLUSTERING: vars(cluster_mod),
           REGRESSION: REGRESSOR_FITTERS}
 
-# every learner: its task, then the rules on its parameters, each of which the
-# learner applies too, so a value one rejects would fail every point;
-# ``check_sweep`` passes each rule the bound values it names.  A classifier's
-# constructor applies its own rules.
+# every learner: its task, then its rules on its parameters and the table's
+# ``n_rows``, ``train_rows`` (the smallest training fold) and ``n_labels``,
+# which the learner applies and ``check_sweep`` runs on the clean table
+# first.  A classifier's constructor applies its own rules.
 LEARNERS: dict[str, tuple] = {
     "decision_tree": (CLASSIFICATION,),
-    "knn": (CLASSIFICATION,),
+    "knn": (CLASSIFICATION, classify.check_neighbours),
     "naive_bayes": (CLASSIFICATION,),
     "bayesian_network": (CLASSIFICATION,),
-    "logistic_regression": (CLASSIFICATION,),
+    "logistic_regression": (CLASSIFICATION, classify.check_binary),
     "random_forest": (CLASSIFICATION,),
     "kmeans": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_max_iters),
-    "lvq": (CLUSTERING,),
+    "lvq": (CLUSTERING, cluster_mod.check_prototypes),
     "clarans": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_num_local),
     "dbscan": (CLUSTERING, cluster_mod.check_density),
     "birch": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_cf_tree),
@@ -339,12 +339,17 @@ LEDGER_TYPES = {
 LEDGER_COLUMNS = tuple(LEDGER_TYPES)
 
 
-def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Seeded shuffle then contiguous slices; sizes differ by at most one."""
+def check_folds(folds: int, n_rows: int) -> None:
+    """The rule on the fold count, which a sweep also checks on the clean table."""
     if folds < 2:
         raise ParameterError("need at least 2 folds")
-    if folds > n:
-        raise ParameterError(f"cannot make {folds} folds from {n} rows")
+    if folds > n_rows:
+        raise ParameterError(f"cannot make {folds} folds from {n_rows} rows")
+
+
+def fold_partition(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Seeded shuffle then contiguous slices; sizes differ by at most one."""
+    check_folds(folds, n)
     order = rng.permutation(n)
     return [np.sort(part) for part in np.array_split(order, folds)]
 

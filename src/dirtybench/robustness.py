@@ -29,10 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import cluster as cluster_mod
-from .corrupt import (
-    CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed, usable_fd_rules,
-)
+from .corrupt import CONFLICTING, CorruptionSpec, ERROR_TYPES, INCONSISTENT, derive_seed, set_up
 from .data import NUMERIC, Dataset, FDRule
 from .errors import ConfigurationError, DirtyBenchError, ParameterError
 from .evaluate import (
@@ -49,6 +46,7 @@ from .evaluate import (
     REGRESSION,
     REGRESSION_MEASURES,
     TASKS,
+    check_folds,
     evaluate_algorithm,
     learner_of,
     measures_of,
@@ -364,23 +362,14 @@ def check_names(datasets, algorithms, error_types) -> None:
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float, folds: int,
                 seed: int = 0) -> list:
-    """The sweep's rules, checked on the loaded datasets before any point is
-    evaluated, and the (dataset, algorithm) pairs that a sweep of ``seed``
-    evaluates, each algorithm's run-derived parameters filled in once;
-    ``run_sweep``, ``validate-config`` and ``sweep --dry-run`` apply exactly
-    these.  Each algorithm's params must bind to its learner's signature and
-    each classifier's constructor accept them (not ``n_bins: 0``).  Each
-    dataset needs a target, numeric for regression, the entity key of
-    ``conflicting`` and the FD rules of ``inconsistent``, one of them at least
-    usable by the injector (``usable_fd_rules``); a classification or
-    clustering dataset needs numeric features whose max - min is finite
-    (``check_spans``).  Each pair's resolved
-    values, defaults included, must pass its learner's rules in
-    ``LEARNERS`` (not ``degree: 0``, nor a DBSCAN radius of 0 frozen from
-    identical rows); a binary-only classifier needs two clean labels; and no
-    count may exceed the clean rows it reads: the folds, a knn ``k`` (the
-    smallest training fold), a ``cure`` ``k`` (its sample of
-    ``round(sample_frac * n)`` rows), any other ``k`` or LVQ's ``q``."""
+    """The sweep's rules, checked on the loaded datasets before any point,
+    and the (dataset, algorithm) pairs that a sweep of ``seed`` evaluates,
+    run defaults filled in once; ``run_sweep``, ``validate-config`` and
+    ``sweep --dry-run`` apply exactly these.  Beside the run's settings, a
+    target and ``check_spans``, every rule is one the program applies
+    itself: each learner's signature, constructor and ``LEARNERS`` rules,
+    ``fold_partition``'s fold count, and each swept error type's injector
+    set-up (``corrupt.set_up``) at the grid's lowest nonzero rate."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -401,6 +390,8 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     pairs = sweep_pairs(datasets, algorithms)
     if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
+    lowest = next((rate for rate in grid.rates() if rate), None)  # None: no injection
+    facts = {}
     for ds in {ds.name: ds for ds, _ in pairs}.values():
         target = ds.dataset.schema.target_index
         if target is None:
@@ -408,48 +399,31 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         if ds.task == REGRESSION and ds.dataset.schema.columns[target].kind != NUMERIC:
             raise ConfigurationError(f"regression dataset {ds.name!r} has a categorical "
                                      f"target {ds.dataset.schema.columns[target].name!r}")
-        for et, needs, held in ((INCONSISTENT, "FD rules", ds.rules),
-                                (CONFLICTING, "an entity key", ds.entity_key)):
-            if et in error_types and not held:
-                raise ConfigurationError(
-                    f"error type {et!r} needs {needs}, dataset {ds.name!r} has none")
-        if INCONSISTENT in error_types:
-            try:  # the injector binds the same rules at every nonzero rate
-                usable_fd_rules(ds.dataset, corruption_spec(ds, INCONSISTENT, 0.0, seed))
+        for et in error_types if lowest else ():
+            try:
+                set_up(ds.dataset, corruption_spec(ds, et, lowest, seed))
             except DirtyBenchError as exc:
-                raise ConfigurationError(f"{exc} (dataset {ds.name!r})") from None
+                raise ConfigurationError(
+                    f"error type {et!r}: {exc} (dataset {ds.name!r})") from None
         if ds.task != REGRESSION:
             check_spans(ds.name, ds.dataset)
+        facts[ds.name] = {"n_rows": ds.dataset.n_rows, "n_labels": ds.dataset.n_c}
     resolved = []
     for ds, algorithm in pairs:
         name, n = algorithm.name, ds.dataset.n_rows
         learner, rules = learner_of(name), LEARNERS[name][1:]
-        if getattr(learner, "binary_only", False) and ds.dataset.n_c != 2:
-            raise ConfigurationError(f"algorithm {name!r} needs a binary target, "
-                                     f"dataset {ds.name!r} has {ds.dataset.n_c} classes")
-        if ds.task != CLUSTERING and folds > n:
-            raise ConfigurationError(
-                f"{folds} folds need at least {folds} rows, dataset {ds.name!r} has {n}")
         try:
             algorithm = with_run_defaults(algorithm, ds.dataset, derive_seed(seed, ds.name))
             bound = inspect.signature(learner).bind_partial(**algorithm.params)
             bound.apply_defaults()
-            values = bound.arguments
+            values = {**bound.arguments, **facts[ds.name]}
+            if ds.task != CLUSTERING:
+                check_folds(folds, n)
+                values["train_rows"] = n - math.ceil(n / folds)  # the smallest training set
             for rule in rules:
                 rule(**{p: values[p] for p in inspect.signature(rule).parameters})
-            if name == "lvq" and values["q"] is not None:  # None: one per label
-                cluster_mod.check_prototypes(values["q"], ds.dataset.n_c, n)
         except (TypeError, ValueError, DirtyBenchError) as exc:
             raise ConfigurationError(f"algorithm {name!r}: {exc} (dataset {ds.name!r})") from None
-        # corruption never removes rows, so a k above these rows fails every point
-        rows, of = n, "clean table"
-        if name == "knn":
-            rows, of = n - math.ceil(n / folds), "smallest training fold"
-        elif name == "cure":  # cure links a sample of the rows
-            rows, of = round(values["sample_frac"] * n), "cure sample"
-        if values.get("k", 0) > rows:
-            raise ConfigurationError(f"algorithm {name!r} has k={values['k']}, dataset "
-                                     f"{ds.name!r} has {rows} rows in its {of}")
         resolved.append((ds, algorithm))
     return resolved
 

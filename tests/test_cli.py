@@ -71,7 +71,10 @@ def iris_copy(tmp_path, iris_path):
     return dest
 
 
-# iris.csv next to the config, as the dataset of the other two tasks
+# iris.csv next to the config, as the classification dataset of
+# ``tree_config`` and as the dataset of the other two tasks
+FLOWERS = {"name": "flowers", "path": "iris.csv", "task": "classification", "target": "species"}
+IRIS_COLUMNS = ["sepal_length", "sepal_width", "petal_length", "petal_width", "species"]
 FLOWERS_AS = {
     "clustering": [{"name": "flowers", "path": "iris.csv", "task": "clustering",
                     "target": "species"}],
@@ -122,23 +125,24 @@ REJECTED = [
                  "'decision_tree': got an unexpected keyword argument 'features_per_split'",
                  id="tree-features-per-split"),
     pytest.param({"algorithms": ["logistic_regression"]}, [],
-                 "'logistic_regression' needs a binary target, dataset 'flowers' has 3 classes",
+                 "'logistic_regression': needs a binary target, got 3 classes (dataset 'flowers')",
                  id="binary-learner-on-three-classes"),
-    pytest.param({"folds": 151}, [], "151 folds need at least 151 rows, dataset 'flowers' has 150",
+    pytest.param({"folds": 151}, [],
+                 "'decision_tree': cannot make 151 folds from 150 rows (dataset 'flowers')",
                  id="more-folds-than-rows"),
     pytest.param({"folds": 10, "algorithms": [{"name": "knn", "params": {"k": 140}}]}, [],
-                 "algorithm 'knn' has k=140, dataset 'flowers' has 135 rows in its smallest "
-                 "training fold", id="knn-k-above-training-fold"),
+                 "algorithm 'knn': k=140 exceeds training size 135 (dataset 'flowers')",
+                 id="knn-k-above-training-fold"),
     pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "clustering",
                                 "target": "species"}],
                   "algorithms": [{"name": "cure", "params": {"k": 140}}]}, [],
-                 "algorithm 'cure' has k=140, dataset 'flowers' has 38 rows in its cure sample",
+                 "algorithm 'cure': sample of 38 rows is smaller than k=140 (dataset 'flowers')",
                  id="cure-k-above-sample"),
     pytest.param({"timing_repeats": 0}, [], "timing_repeats must be at least 1",
                  id="zero-timing-repeats"),
     pytest.param({"datasets": FLOWERS_AS["clustering"],
                   "algorithms": [{"name": "cure", "params": {"sample_frac": 0.01}}]}, [],
-                 "algorithm 'cure' has k=3, dataset 'flowers' has 2 rows in its cure sample",
+                 "algorithm 'cure': sample of 2 rows is smaller than k=3 (dataset 'flowers')",
                  id="cure-class-count-above-sample"),
     pytest.param({"datasets": FLOWERS_AS["clustering"],
                   "algorithms": [{"name": "cure", "params": {"shrink": 0.0}}]}, [],
@@ -218,10 +222,12 @@ REJECTED = [
                    id=f"{task}-span-overflows")
       for task, algorithm in (("classification", "knn"), ("clustering", "dbscan"))),
     pytest.param({"error_types": ["missing", "inconsistent"]}, [],
-                 "error type 'inconsistent' needs FD rules, dataset 'flowers' has none",
+                 "error type 'inconsistent': inconsistent injection requires FD rules "
+                 "(dataset 'flowers')",
                  id="inconsistent-without-rules"),
     pytest.param({"error_types": ["missing", "conflicting"]}, [],
-                 "error type 'conflicting' needs an entity key, dataset 'flowers' has none",
+                 "error type 'conflicting': conflicting injection requires an entity key "
+                 "(dataset 'flowers')",
                  id="conflicting-without-key"),
     # the injector refused these at every nonzero rate, so each such point failed
     pytest.param({"datasets": [{"name": "flowers", "path": "iris.csv", "task": "classification",
@@ -235,6 +241,30 @@ REJECTED = [
                   "error_types": ["inconsistent"]}, [],
                  "rule x -> y: rhs column has a single value (dataset 'flat')",
                  id="inconsistent-rule-single-valued-rhs"),
+    pytest.param({"datasets": [{**FLOWERS, "entity_key": ["nope"]}],
+                  "error_types": ["conflicting"]}, [],
+                 "error type 'conflicting': unknown column 'nope' (dataset 'flowers')",
+                 id="conflicting-unknown-key-column"),
+    pytest.param({"datasets": [{**FLOWERS, "entity_key": IRIS_COLUMNS}],
+                  "error_types": ["conflicting"]}, [],
+                 "error type 'conflicting': all columns are key columns; nothing can conflict "
+                 "(dataset 'flowers')", id="conflicting-key-over-every-column"),
+    pytest.param({"datasets": [{**FLOWERS, "column_mask": ["nope"]}]}, [],
+                 "error type 'missing': unknown column 'nope' (dataset 'flowers')",
+                 id="missing-unknown-mask-column"),
+    pytest.param({"datasets": [{**FLOWERS, "column_mask": ["species"]}]}, [],
+                 "error type 'missing': no eligible cells to delete (dataset 'flowers')",
+                 id="missing-mask-on-target-only"),
+    pytest.param({"datasets": [{"name": "flat", "path": "flat.csv", "task": "classification",
+                                "target": "label", "entity_key": ["x"]}],
+                  "error_types": ["conflicting"]}, [],
+                 "error type 'conflicting': no non-key column has two distinct values "
+                 "(dataset 'flat')", id="conflicting-single-valued-columns"),
+    pytest.param({"datasets": [{"name": "twins", "path": "twins.csv", "task": "classification",
+                                "target": "label", "entity_key": ["id"]}],
+                  "error_types": ["conflicting"]}, [],
+                 "error type 'conflicting': the table is already conflicting at 1 (40/40 rows), "
+                 "above rate 0.1 (dataset 'twins')", id="conflicting-clean-table-above-rate"),
 ]
 
 
@@ -247,6 +277,8 @@ class TestValidateConfig:
         # identical rows, so DBSCAN's frozen radius (every neighbour distance) is 0
         (tmp_path / "flat.csv").write_text("x,y,label\n" + "1.0,2.0,a\n1.0,2.0,b\n" * 6)
         (tmp_path / "wide.csv").write_text("x,y,label\n" + "-1.5e308,1.0,a\n1.5e308,2.0,b\n" * 6)
+        # one entity whose rows disagree on x: every row conflicts already
+        (tmp_path / "twins.csv").write_text("id,x,label\n" + "e,1.0,a\ne,2.0,b\n" * 20)
         evaluator = scripted_evaluator({})
         monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
         for argv in (["validate-config"], ["sweep", "--dry-run"], ["sweep"]):

@@ -257,6 +257,13 @@ class TestBIRCH:
         with pytest.raises(ParameterError):
             birch(d, k=5, threshold=1e9)
 
+    def test_k_within_rows_exceeding_leaf_entries(self):
+        """The leaf-entry count needs the CF tree built, so this bound stays
+        the fit's own: a sweep's pre-flight does not check it."""
+        d = points_1d([0, 1, 2, 3])
+        with pytest.raises(ParameterError, match="k=3 exceeds the 1 leaf entries"):
+            birch(d, k=3, threshold=1e9)
+
 
 class TestCURE:
     def test_full_shrink_equals_centroid_assignment(self):

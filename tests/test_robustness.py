@@ -2,13 +2,14 @@ import functools
 import inspect
 import json
 import pickle
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dirtybench import cluster, evaluate, robustness
+from dirtybench import classify, cluster, evaluate, robustness
 from dirtybench.cluster import dbscan_default_eps
 from dirtybench.config import DatasetConfig, RunConfig
 from dirtybench.corrupt import ERROR_TYPES, derive_seed, inject
@@ -33,11 +34,12 @@ from dirtybench.evaluate import (
     REGRESSOR_FITTERS,
     TASKS,
     evaluate_algorithm,
+    fold_partition,
     learner_of,
     task_of,
     with_run_defaults,
 )
-from dirtybench.errors import ConfigurationError, ParameterError
+from dirtybench.errors import ConfigurationError, DirtyBenchError, ParameterError
 from dirtybench.robustness import (
     Guideline,
     MetricSeries,
@@ -380,9 +382,11 @@ class TestRunSweep:
 
     def test_learner_table(self):
         """Each learner's task is the home ``learner_of`` reads it from, each
-        rule names only parameters of its learner (``check_sweep`` passes it
-        their bound values), and the run derives a seed, a class-count ``k``
-        and DBSCAN's radius for exactly these learners."""
+        rule names only parameters of its learner and the clean table's
+        ``n_rows``, ``train_rows`` and ``n_labels`` (``check_sweep`` passes it
+        their bound values and the table's facts), and the run derives a
+        seed, a class-count ``k`` and DBSCAN's radius for exactly these
+        learners."""
         for task, home in (("classification", CLASSIFIER_TYPES),
                            ("regression", REGRESSOR_FITTERS)):
             assert {n for n, (t, *_) in LEARNERS.items() if t == task} == set(home)
@@ -391,9 +395,9 @@ class TestRunSweep:
             learner = learner_of(name)
             assert learner is (CLASSIFIER_TYPES.get(name) or REGRESSOR_FITTERS.get(name)
                                or getattr(cluster, name))
-            parameters = inspect.signature(learner).parameters
+            names = {*inspect.signature(learner).parameters, "n_rows", "train_rows", "n_labels"}
             for rule in rules:
-                assert set(inspect.signature(rule).parameters) <= set(parameters), name
+                assert set(inspect.signature(rule).parameters) <= names, name
         clean = make_blobs(30, n_classes=3, seed=0)
         derived = {name: set(with_run_defaults(Algorithm(name), clean, 0).params)
                    for name in LEARNERS}
@@ -450,9 +454,42 @@ class TestRunSweep:
                                    RateGrid(), 0.1, 0.1, folds=5)
 
         check(most)
-        with pytest.raises(ConfigurationError, match=f"algorithm '{name}' has k={most + 1}, "
-                                                     f"dataset 'blobs' has {most} rows"):
+        rule = {"knn": f"k={most + 1} exceeds training size {most}",
+                "cure": f"sample of {most} rows is smaller than k={most + 1}"}
+        message = rule.get(name, f"k={most + 1} exceeds row count {most}")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"algorithm '{name}': {message} (dataset 'blobs')")):
             check(most + 1)
+
+    @pytest.mark.parametrize("task, name, params, run", [
+        pytest.param("classification", "knn", {"k": 140},  # a 10-fold training fold
+                     lambda d: classify.KNNClassifier(k=140).fit(d, np.concatenate(
+                         fold_partition(150, 10, np.random.default_rng(0))[1:])),
+                     id="knn-k-140"),
+        pytest.param("clustering", "cure", {"k": 140}, lambda d: cluster.cure(d, k=140),
+                     id="cure-k-140"),
+        pytest.param("clustering", "lvq", {"q": 2}, lambda d: cluster.lvq(d, q=2),
+                     id="lvq-q-2"),
+        pytest.param("clustering", "lvq", {"q": 200}, lambda d: cluster.lvq(d, q=200),
+                     id="lvq-q-200"),
+        pytest.param("clustering", "kmeans", {"k": 151}, lambda d: cluster.kmeans(d, k=151),
+                     id="kmeans-k-151"),
+        pytest.param("clustering", "clarans", {"k": 151}, lambda d: cluster.clarans(d, k=151),
+                     id="clarans-k-151"),
+        pytest.param("classification", "logistic_regression", {},
+                     lambda d: classify.LogisticRegressionClassifier().fit(d),
+                     id="logistic-regression-three-labels"),
+    ])
+    def test_table_fact_rule_is_the_learners_own(self, iris, task, name, params, run):
+        """A config that the pre-flight rejects on a fact of the clean table
+        (its rows, its smallest training fold, its labels) carries the text
+        that the learner, run on that table, raises itself."""
+        with pytest.raises(DirtyBenchError) as raised:
+            run(iris)
+        with pytest.raises(ConfigurationError) as rejected:
+            robustness.check_sweep([SweepDataset("iris", iris, task)], [Algorithm(name, params)],
+                                   ("missing",), RateGrid(), 0.1, 0.1, folds=10)
+        assert str(rejected.value) == f"algorithm {name!r}: {raised.value} (dataset 'iris')"
 
     def test_empty_error_types_rejected(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
