@@ -510,53 +510,6 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# naive Bayes
-# ---------------------------------------------------------------------------
-
-class NaiveBayesClassifier:
-    """Class priors times per-feature conditionals with additive smoothing.
-
-    Numeric features are discretized into equal-width bins fitted on the
-    training rows.
-    """
-
-    def __init__(self, smoothing: float = 1.0, n_bins: int = 10):
-        if smoothing <= 0:
-            raise ParameterError("smoothing must be positive")
-        if n_bins < 1:
-            raise ParameterError("n_bins must be at least 1")
-        self.smoothing = smoothing
-        self.n_bins = n_bins
-
-    def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.classes, y = _labelled_rows(data, rows, "naive Bayes")
-        self.disc = Discretizer(table, rows, n_bins=self.n_bins)
-        codes = self.disc.code(self.disc.encoding.num, self.disc.encoding.codes)
-        m = len(y)
-        n_c = len(self.classes)
-        s = self.smoothing
-        class_counts = np.bincount(y, minlength=n_c).astype(float)
-        self.log_prior = np.log((class_counts + s) / (m + s * n_c))
-        self.log_cond: list[np.ndarray] = []
-        for f, card in enumerate(self.disc.cardinalities):
-            tab = np.zeros((card, n_c))
-            np.add.at(tab, (codes[:, f], y), 1.0)
-            self.log_cond.append(np.log((tab + s) / (class_counts[None, :] + s * card)))
-        return self
-
-    def predict_log_joint(self, data: Data, rows: Sequence[int] | None = None) -> np.ndarray:
-        """(rows, classes) log prior plus the per-feature log conditionals."""
-        codes = self.disc.codes_rows(data, rows)
-        log_joint = np.tile(self.log_prior, (len(codes), 1))
-        for f, table in enumerate(self.log_cond):
-            log_joint += table[codes[:, f]]
-        return log_joint
-
-    def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
-        return _argmax_labels(self.classes, self.predict_log_joint(data, rows))
-
-
-# ---------------------------------------------------------------------------
 # Bayesian network
 # ---------------------------------------------------------------------------
 
@@ -591,7 +544,12 @@ def _node_cost(codes: np.ndarray, cards: Sequence[int], v: int,
 
 class BayesianNetworkClassifier:
     """Greedy description-length structure search over add/remove edge moves,
-    smoothed CPTs, and exact posterior enumeration over the class variable."""
+    smoothed CPTs, and exact posterior enumeration over the class variable.
+
+    Numeric features are discretized into equal-width bins fitted on the
+    training rows; the class is the last variable."""
+
+    model_name = "a Bayesian network"
 
     def __init__(self, max_parents: int = 2, n_bins: int = 10, smoothing: float = 1.0):
         if max_parents < 0:
@@ -605,16 +563,25 @@ class BayesianNetworkClassifier:
         self.smoothing = smoothing
 
     def fit(self, data: Data, rows: Sequence[int] | None = None):
-        table, self.classes, y = _labelled_rows(data, rows, "a Bayesian network")
+        table, self.classes, y = _labelled_rows(data, rows, self.model_name)
         self.disc = Discretizer(table, rows, n_bins=self.n_bins)
         codes = np.column_stack([self.disc.code(self.disc.encoding.num,
                                                 self.disc.encoding.codes), y])
-        cards = list(self.disc.cardinalities) + [len(self.classes)]
+        self.cards = list(self.disc.cardinalities) + [len(self.classes)]
         self.n_vars = codes.shape[1]
         self.class_var = self.n_vars - 1
-        self.cards = cards
-        m = len(y)
-        bits = 0.5 * math.log2(max(m, 2))
+        self.parents = self._structure(codes)
+        self.cpts = {
+            v: np.log(_cpt(codes, self.cards, v, self.parents[v], self.smoothing)[0])
+            for v in range(self.n_vars)
+        }
+        return self
+
+    def _structure(self, codes: np.ndarray) -> dict[int, tuple[int, ...]]:
+        """Each variable's parents, from the greedy description-length search
+        over the columns of ``codes``; ``cost`` is the structure's total."""
+        cards = self.cards
+        bits = 0.5 * math.log2(max(len(codes), 2))
 
         # a node's cost depends only on its own parents, so each (node,
         # parents) pair is scored once per fit
@@ -652,14 +619,8 @@ class BayesianNetworkClassifier:
             v, cand = best_move
             parents[v] = cand
             node_costs[v] = cost(v, cand)
-        self.parents = parents
         self.cost = sum(node_costs.values())
-
-        self.cpts = {
-            v: np.log(_cpt(codes, cards, v, parents[v], self.smoothing)[0])
-            for v in range(self.n_vars)
-        }
-        return self
+        return parents
 
     @staticmethod
     def _creates_cycle(parents: dict[int, tuple[int, ...]], u: int, v: int) -> bool:
@@ -693,6 +654,20 @@ class BayesianNetworkClassifier:
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
         return _argmax_labels(self.classes, self.predict_log_joint(data, rows))
+
+
+class NaiveBayesClassifier(BayesianNetworkClassifier):
+    """Class priors times per-feature conditionals with additive smoothing:
+    the Bayesian network whose class is every feature's one parent
+    (Friedman, Geiger & Goldszmidt, Machine Learning 29, 1997)."""
+
+    model_name = "naive Bayes"
+
+    def __init__(self, smoothing: float = 1.0, n_bins: int = 10):
+        super().__init__(max_parents=1, n_bins=n_bins, smoothing=smoothing)
+
+    def _structure(self, codes: np.ndarray) -> dict[int, tuple[int, ...]]:
+        return {**{f: (self.class_var,) for f in range(self.class_var)}, self.class_var: ()}
 
 
 # ---------------------------------------------------------------------------

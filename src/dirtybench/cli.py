@@ -19,7 +19,7 @@ from .data import dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS, TASKS
 from .robustness import (
-    RobustnessReport, check_sweep, corruption_spec, recommend, run_sweep,
+    RobustnessReport, check_set_ups, check_sweep, corruption_spec, recommend, run_sweep,
 )
 
 EXIT_OK = 0
@@ -86,6 +86,8 @@ def _rate_tag(rate: float) -> str:
 
 def cmd_inject(args) -> int:
     config, datasets = _load(args)
+    for ds in datasets:
+        check_set_ups(ds, config.error_types, config.rate_grid, config.seed)
     if args.dry_run:
         print("\n".join(config.plan_lines()))
         return EXIT_OK

@@ -368,8 +368,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     ``sweep --dry-run`` apply exactly these.  Beside the run's settings, a
     target and ``check_spans``, every rule is one the program applies
     itself: each learner's signature, constructor and ``LEARNERS`` rules,
-    ``fold_partition``'s fold count, and each swept error type's injector
-    set-up (``corrupt.set_up``) at the grid's lowest nonzero rate."""
+    ``fold_partition``'s fold count, and ``check_set_ups``."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -390,7 +389,6 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     pairs = sweep_pairs(datasets, algorithms)
     if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
-    lowest = next((rate for rate in grid.rates() if rate), None)  # None: no injection
     facts = {}
     for ds in {ds.name: ds for ds, _ in pairs}.values():
         target = ds.dataset.schema.target_index
@@ -399,12 +397,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         if ds.task == REGRESSION and ds.dataset.schema.columns[target].kind != NUMERIC:
             raise ConfigurationError(f"regression dataset {ds.name!r} has a categorical "
                                      f"target {ds.dataset.schema.columns[target].name!r}")
-        for et in error_types if lowest else ():
-            try:
-                set_up(ds.dataset, corruption_spec(ds, et, lowest, seed))
-            except DirtyBenchError as exc:
-                raise ConfigurationError(
-                    f"error type {et!r}: {exc} (dataset {ds.name!r})") from None
+        check_set_ups(ds, error_types, grid, seed)
         if ds.task != REGRESSION:
             check_spans(ds.name, ds.dataset)
         facts[ds.name] = {"n_rows": ds.dataset.n_rows, "n_labels": ds.dataset.n_c}
@@ -426,6 +419,19 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
             raise ConfigurationError(f"algorithm {name!r}: {exc} (dataset {ds.name!r})") from None
         resolved.append((ds, algorithm))
     return resolved
+
+
+def check_set_ups(ds: SweepDataset, error_types, grid: RateGrid, seed: int) -> None:
+    """Each error type's injector set-up (``corrupt.set_up``) on the clean
+    table at the grid's lowest nonzero rate, which raises all that injector
+    raises on its configuration; a grid of rate 0 alone sets nothing up.
+    ``check_sweep`` and ``inject`` both run it before any output."""
+    lowest = next((rate for rate in grid.rates() if rate), None)
+    for et in error_types if lowest else ():
+        try:
+            set_up(ds.dataset, corruption_spec(ds, et, lowest, seed))
+        except DirtyBenchError as exc:
+            raise ConfigurationError(f"error type {et!r}: {exc} (dataset {ds.name!r})") from None
 
 
 def check_spans(name: str, dataset: Dataset) -> None:

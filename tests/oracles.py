@@ -103,6 +103,30 @@ def bayes_net_cost(codes: np.ndarray, cards, parents: dict, smoothing: float = 1
     )
 
 
+def naive_bayes(codes: np.ndarray, y: np.ndarray, cards, n_classes: int,
+                smoothing: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Naive Bayes estimated on its own: the smoothed log class priors, and
+    per feature a (value, class) table of smoothed log conditionals, each
+    counted with ``np.add.at``."""
+    class_counts = np.bincount(y, minlength=n_classes).astype(float)
+    log_prior = np.log((class_counts + smoothing) / (len(y) + smoothing * n_classes))
+    log_cond = []
+    for f, card in enumerate(cards):
+        tab = np.zeros((card, n_classes))
+        np.add.at(tab, (codes[:, f], y), 1.0)
+        log_cond.append(np.log((tab + smoothing) / (class_counts[None, :] + smoothing * card)))
+    return log_prior, log_cond
+
+
+def naive_bayes_log_joint(log_prior: np.ndarray, log_cond: list[np.ndarray],
+                          codes: np.ndarray) -> np.ndarray:
+    """(rows, classes) log prior, then each feature's log conditional added."""
+    log_joint = np.tile(log_prior, (len(codes), 1))
+    for f, table in enumerate(log_cond):
+        log_joint += table[codes[:, f]]
+    return log_joint
+
+
 def logistic_log_likelihood(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray) -> float:
     z = X @ w + b
     sign = 2.0 * y - 1.0

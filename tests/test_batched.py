@@ -34,7 +34,7 @@ from dirtybench.features import (
     EncodedTable,
     FeatureEncoder,
 )
-from oracles import evaluate_row, impurity_rows
+from oracles import evaluate_row, impurity_rows, naive_bayes, naive_bayes_log_joint
 
 # training values come from few levels so constant columns are common; test
 # values reach past both ends and take categories training never saw
@@ -366,20 +366,11 @@ def test_classifiers_equal_per_record_reference(case, criterion):
         assert knn.predict_rows(d, test) == want
 
     ref = RefEncoder(d, train)
-    nb = NaiveBayesClassifier(n_bins=4).fit(d, train)
-    want = []
-    for c in cells:
-        lj = nb.log_prior.copy()
-        for f, code in enumerate(ref.codes_cells(c, 4)):
-            lj += nb.log_cond[f][code]
-        want.append(lj)
-    assert np.array_equal(nb.predict_log_joint(d, test), np.array(want))
-    assert nb.predict_rows(d, test) == [classes[int(np.argmax(lj))] for lj in want]
-
-    bn = BayesianNetworkClassifier(max_parents=2, n_bins=4).fit(d, train)
-    want = [ref_bn_log_joint(bn, ref.codes_cells(c, 4)) for c in cells]
-    assert np.array_equal(bn.predict_log_joint(d, test), np.array(want))
-    assert bn.predict_rows(d, test) == [classes[int(np.argmax(lj))] for lj in want]
+    for model in (NaiveBayesClassifier(n_bins=4).fit(d, train),
+                  BayesianNetworkClassifier(max_parents=2, n_bins=4).fit(d, train)):
+        want = [ref_bn_log_joint(model, ref.codes_cells(c, 4)) for c in cells]
+        assert np.array_equal(model.predict_log_joint(d, test), np.array(want))
+        assert model.predict_rows(d, test) == [classes[int(np.argmax(lj))] for lj in want]
 
     if len(classes) == 2:
         logistic = LogisticRegressionClassifier(iters=50).fit(d, train)
@@ -388,6 +379,36 @@ def test_classifiers_equal_per_record_reference(case, criterion):
                     >= 0.5 else 0]
             for c in cells
         ]
+
+
+@given(split_tables(deep=True), st.sampled_from((0.25, 1.0, 3.0)), st.integers(1, 6))
+def test_naive_bayes_is_its_own_estimator(case, smoothing, n_bins):
+    """Naive Bayes is the network whose class is every feature's one parent,
+    with each CPT the separate naive Bayes estimate bit for bit.  The
+    network adds the class's term last, so a prediction equals the separate
+    prior-first log joint's wherever its top two classes are told apart."""
+    d, train, test = case
+    classes = ref_classes(d, train)
+    ref = RefEncoder(d, train)
+    nb = NaiveBayesClassifier(smoothing=smoothing, n_bins=n_bins).fit(d, train)
+    c = nb.class_var
+    assert nb.parents == {**{f: (c,) for f in range(c)}, c: ()}
+
+    cards = [len(ref.vocab[j]) + 1 if j in ref.vocab else n_bins for j in ref.cols]
+    codes = np.array([ref.codes_cells(d.rows[i], n_bins) for i in train])
+    log_prior, log_cond = naive_bayes(codes, ref_label_codes(d, train, classes), cards,
+                                      len(classes), smoothing)
+    assert np.array_equal(nb.cpts[c], log_prior[None, :])
+    assert all(np.array_equal(nb.cpts[f], table.T) for f, table in enumerate(log_cond))
+
+    lj = naive_bayes_log_joint(log_prior, log_cond,
+                               np.array([ref.codes_cells(d.rows[i], n_bins) for i in test]))
+    top = np.sort(lj, axis=1)
+    told = (top[:, -1] - top[:, -2] > 1e-9 * np.abs(top[:, -1]) if len(classes) > 1
+            else np.ones(len(test), dtype=bool))
+    got = nb.predict_rows(d, test)
+    assert [got[i] for i in np.flatnonzero(told)] == [
+        classes[int(np.argmax(lj[i]))] for i in np.flatnonzero(told)]
 
 
 @given(split_tables(deep=True), st.sampled_from(("gini", "gain", "error")),

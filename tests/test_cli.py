@@ -268,17 +268,27 @@ REJECTED = [
 ]
 
 
+# the rows that an injector's set-up rejects, which ``inject`` runs too
+INJECTOR_REJECTED = [row for row in REJECTED if row.values[2].startswith("error type '")]
+
+
+def rejected_config(tmp_path, iris_copy, changes):
+    """``tree_config`` with ``changes``, beside the other tables REJECTED names."""
+    config = tree_config(tmp_path, iris_copy)
+    config.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
+    # identical rows, so DBSCAN's frozen radius (every neighbour distance) is 0
+    (tmp_path / "flat.csv").write_text("x,y,label\n" + "1.0,2.0,a\n1.0,2.0,b\n" * 6)
+    (tmp_path / "wide.csv").write_text("x,y,label\n" + "-1.5e308,1.0,a\n1.5e308,2.0,b\n" * 6)
+    # one entity whose rows disagree on x: every row conflicts already
+    (tmp_path / "twins.csv").write_text("id,x,label\n" + "e,1.0,a\ne,2.0,b\n" * 20)
+    return config
+
+
 class TestValidateConfig:
     @pytest.mark.parametrize("changes, flags, message", REJECTED)
     def test_rejected_before_any_point(self, tmp_path, iris_copy, monkeypatch, capsys,
                                        scripted_evaluator, changes, flags, message):
-        config = tree_config(tmp_path, iris_copy)
-        config.write_text(json.dumps({**json.loads(config.read_text()), **changes}))
-        # identical rows, so DBSCAN's frozen radius (every neighbour distance) is 0
-        (tmp_path / "flat.csv").write_text("x,y,label\n" + "1.0,2.0,a\n1.0,2.0,b\n" * 6)
-        (tmp_path / "wide.csv").write_text("x,y,label\n" + "-1.5e308,1.0,a\n1.5e308,2.0,b\n" * 6)
-        # one entity whose rows disagree on x: every row conflicts already
-        (tmp_path / "twins.csv").write_text("id,x,label\n" + "e,1.0,a\ne,2.0,b\n" * 20)
+        config = rejected_config(tmp_path, iris_copy, changes)
         evaluator = scripted_evaluator({})
         monkeypatch.setattr(robustness, "evaluate_algorithm", evaluator)
         for argv in (["validate-config"], ["sweep", "--dry-run"], ["sweep"]):
@@ -286,6 +296,15 @@ class TestValidateConfig:
             out, err = capsys.readouterr()
             assert "config OK" not in out and message in err
         assert evaluator.calls == 0 and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("changes, flags, message", INJECTOR_REJECTED)
+    def test_inject_rejected_before_any_file(self, tmp_path, iris_copy, capsys,
+                                             changes, flags, message):
+        config = rejected_config(tmp_path, iris_copy, changes)
+        for argv in (["inject", "--dry-run"], ["inject"]):
+            assert cli.main([argv[0], str(config), *argv[1:], *flags]) == cli.EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_valid_config_prints_plan(self, tmp_path, iris_copy, capsys):
         config = tree_config(tmp_path, iris_copy)
