@@ -514,10 +514,11 @@ def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _parent_configs(codes: np.ndarray, cards: Sequence[int],
-                    parents: tuple[int, ...]) -> np.ndarray:
-    """Each row's joint parent configuration, one index per row."""
+                    parents: tuple[int, ...]) -> np.ndarray | int:
+    """Each row's joint parent configuration, one index per row; without
+    parents it is 0 for every row, returned once."""
     if not parents:
-        return np.zeros(len(codes), dtype=np.int64)
+        return 0
     dims = [cards[p] for p in parents]
     return np.ravel_multi_index(tuple(codes[:, p] for p in parents), dims)
 
@@ -527,7 +528,7 @@ def _cpt(codes: np.ndarray, cards: Sequence[int], v: int, parents: tuple[int, ..
     """Smoothed (parent configuration, value) table of variable v, and the
     rows' parent configurations."""
     cfg = _parent_configs(codes, cards, parents)
-    shape = (int(np.prod([cards[p] for p in parents])), cards[v])
+    shape = (math.prod(cards[p] for p in parents), cards[v])
     tab = np.bincount(cfg * cards[v] + codes[:, v], minlength=shape[0] * shape[1])
     tab = tab.reshape(shape).astype(float)
     return (tab + smoothing) / (tab.sum(axis=1, keepdims=True) + smoothing * cards[v]), cfg
@@ -579,7 +580,8 @@ class BayesianNetworkClassifier:
 
     def _structure(self, codes: np.ndarray) -> dict[int, tuple[int, ...]]:
         """Each variable's parents, from the greedy description-length search
-        over the columns of ``codes``; ``cost`` is the structure's total."""
+        over the columns of ``codes``.  The search also sets ``cost``, the
+        structure's total description length; a fixed structure sets none."""
         cards = self.cards
         bits = 0.5 * math.log2(max(len(codes), 2))
 
@@ -639,17 +641,24 @@ class BayesianNetworkClassifier:
 
     def predict_log_joint(self, data: Data, rows: Sequence[int] | None = None) -> np.ndarray:
         """(rows, classes) joint log probability of each row's features with
-        each class, the CPT terms added in variable order."""
+        each class, the CPT terms added in variable order.
+
+        Parents are sorted, so the class, the last variable, is the last of
+        any parents it is among; such a variable's CPT, read as (other
+        parents, class, value), gives every class's term in one gather."""
         codes = self.disc.codes_rows(data, rows)
-        out = np.empty((len(codes), self.cards[self.class_var]))
-        assign = np.column_stack([codes, np.zeros(len(codes), dtype=np.int64)])
-        for y in range(out.shape[1]):
-            assign[:, self.class_var] = y
-            total = np.zeros(len(codes))
-            for v in range(self.n_vars):
-                cfg = _parent_configs(assign, self.cards, self.parents[v])
-                total += self.cpts[v][cfg, assign[:, v]]
-            out[:, y] = total
+        n_c = self.cards[self.class_var]
+        out = np.zeros((len(codes), n_c))
+        for v in range(self.n_vars):
+            parents = self.parents[v]
+            if v == self.class_var:
+                out += self.cpts[v][_parent_configs(codes, self.cards, parents)]
+            elif parents[-1:] == (self.class_var,):
+                table = self.cpts[v].reshape(-1, n_c, self.cards[v])
+                out += table[_parent_configs(codes, self.cards, parents[:-1]), :, codes[:, v]]
+            else:
+                cfg = _parent_configs(codes, self.cards, parents)
+                out += self.cpts[v][cfg, codes[:, v]][:, None]
         return out
 
     def predict_rows(self, data: Data, rows: Sequence[int] | None = None) -> list[Cell]:
@@ -664,7 +673,8 @@ class NaiveBayesClassifier(BayesianNetworkClassifier):
     model_name = "naive Bayes"
 
     def __init__(self, smoothing: float = 1.0, n_bins: int = 10):
-        super().__init__(max_parents=1, n_bins=n_bins, smoothing=smoothing)
+        # max_parents is read only by the search, which _structure replaces
+        super().__init__(n_bins=n_bins, smoothing=smoothing)
 
     def _structure(self, codes: np.ndarray) -> dict[int, tuple[int, ...]]:
         return {**{f: (self.class_var,) for f in range(self.class_var)}, self.class_var: ()}
