@@ -50,16 +50,16 @@ clean_rows = [[f"{7000 + i}", f"name{i}", ["NYC", "LA", "SF"][i % 3], "US"]
 clean = dataset_from_rows(cols, clean_rows)
 print("\nclean 20-row table:", detect_error_rates(clean, rules, entity_key))
 
-missing = inject(clean, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
+missing, _ = inject(clean, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
 print("after inject_missing(0.3):  missing =",
       f"{detect_error_rates(missing).missing:.2%}")
 
-inconsistent = inject(clean, CorruptionSpec(
+inconsistent, _ = inject(clean, CorruptionSpec(
     error_type="inconsistent", rate=0.3, seed=2, rules=tuple(rules)))
 print("after inject_inconsistent(0.3): inconsistent =",
       f"{detect_error_rates(inconsistent, rules=rules).inconsistent:.2%}")
 
-conflicting = inject(clean, CorruptionSpec(
+conflicting, _ = inject(clean, CorruptionSpec(
     error_type="conflicting", rate=0.3, seed=3, entity_key=entity_key))
 print("after inject_conflicting(0.3): conflicting =",
       f"{detect_error_rates(conflicting, entity_key=entity_key).conflicting:.2%}")

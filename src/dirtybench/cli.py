@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, read_json
-from .corrupt import ERROR_TYPES, MISSING, inject, setup_missing
+from .corrupt import ERROR_TYPES, MISSING, inject, rate_units, set_up
 from .data import dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS, TASKS
@@ -100,9 +100,14 @@ def cmd_inject(args) -> int:
         # most rows of an output equal their clean row; those take its line
         clean_lines = format_rows(ds.dataset.clean_shadow, entry.delimiter)
         for error_type in config.error_types:
+            # one set-up per error type, made at its first nonzero rate; each
+            # rate's injector works on a copy of it
+            shared = None
             for rate in config.rate_grid.rates():
                 spec = corruption_spec(ds, error_type, rate, config.seed)
-                corrupted = inject(ds.dataset, spec)
+                if rate and shared is None:
+                    shared = set_up(ds.dataset, spec)
+                corrupted, changed = inject(ds.dataset, spec, shared)
                 name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
                 target = out_dir / name
                 target.write_text(
@@ -110,23 +115,18 @@ def cmd_inject(args) -> int:
                                     clean_lines=clean_lines),
                     encoding="utf-8",
                 )
-                if error_type == MISSING:
-                    # over the cells the injector was allowed to delete, as
-                    # its set-up counts them on the output, which it accepts
-                    _, cells, changed = setup_missing(corrupted, spec)
-                    achieved = changed / cells if cells else 0.0
-                    unit = "cells"
-                else:
-                    # the spec holds only its own error type's rules or key,
-                    # so only that rate is measured
+                if changed is None:
+                    # rate 0, where the injector set nothing up: detection
+                    # counts the output, and the spec holds only its own
+                    # error type's rules or key
                     rates = detect_error_rates(corrupted, rules=spec.rules,
                                                entity_key=spec.entity_key)
-                    achieved = getattr(rates, error_type)
-                    changed = int(round(achieved * len(corrupted.rows)))
-                    unit = "rows"
+                    changed = round(getattr(rates, error_type) * len(corrupted.rows))
+                units = rate_units(corrupted, spec)
                 summary_rows.append([
-                    ds.name, error_type, rate, round(achieved, 6),
-                    changed, unit, len(corrupted.rows), name,
+                    ds.name, error_type, rate, round(changed / units if units else 0.0, 6),
+                    changed, "cells" if error_type == MISSING else "rows",
+                    len(corrupted.rows), name,
                 ])
                 del corrupted  # freed before the next copy is made
     _write_csv(

@@ -8,6 +8,10 @@ the entity key, where the violation rule lives), so the achieved row
 fraction lands within one row of the requested rate on data with workable
 group structure.  Each injector's configuration is read and refused in its
 draw-free set-up (``set_up``), which a sweep runs before its first point.
+A set-up depends on the rate only through its refusal, so one made at one
+rate serves every other rate of the same table and error type.  Each
+injector also returns the units it leaves flagged, read from its own
+bookkeeping, which is the count detection would give on its output.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import numpy as np
 
 from .data import (
     Cell, Dataset, FDRule, NUMERIC, ViolationIndex, count_missing, entity_grouping,
+    inconsistent_rows,
 )
 from .errors import (
     ConfigurationError,
@@ -64,10 +69,19 @@ class CorruptionSpec:
             raise ConfigurationError("conflicting injection requires an entity key")
 
 
-def inject(d: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Dispatch to the injector for spec.error_type."""
+def inject(d: Dataset, spec: CorruptionSpec,
+           setup: tuple | None = None) -> tuple[Dataset, int | None]:
+    """Dispatch to the injector for spec.error_type: the corrupted copy of
+    ``d`` and how many units (eligible cells or rows) it leaves missing or
+    in violation, as detection counts them on the copy.  Inconsistent and
+    conflicting injection at rate 0 return before any set-up, and None for
+    the count.
+
+    ``setup`` is ``set_up(d, other)`` for a spec ``other`` of the same error
+    type at another nonzero rate: the injector then works on a copy of it,
+    checks only its own rate's refusal and leaves it unchanged."""
     return {MISSING: inject_missing, INCONSISTENT: inject_inconsistent,
-            CONFLICTING: inject_conflicting}[spec.error_type](d, spec)
+            CONFLICTING: inject_conflicting}[spec.error_type](d, spec, setup)
 
 
 def set_up(d: Dataset, spec: CorruptionSpec) -> tuple:
@@ -91,6 +105,24 @@ def _column_domain(d: Dataset, j: int) -> list[Cell]:
     values = {row[j] for row in d.rows}
     values.discard(None)
     return sorted(values)
+
+
+def rate_units(d: Dataset, spec: CorruptionSpec) -> int:
+    """What spec's rate is a fraction of on ``d``: the cells missing
+    injection may delete, or the rows."""
+    if spec.error_type == MISSING:
+        return len(_eligible_feature_columns(d, spec)) * d.n_rows
+    return d.n_rows
+
+
+def _bind(setup: tuple, out: Dataset, spec: CorruptionSpec) -> tuple:
+    """``setup``, an inconsistent or conflicting set-up of the table that
+    ``out`` copies, for ``out`` at spec's rate: its index, which comes last,
+    copied onto ``out``'s rows and checked against that rate."""
+    *shared, clean = setup
+    index = clean.copy(out.rows)
+    _refuse_dirtier(index.flagged, out.n_rows, spec)
+    return (*shared, index)
 
 
 def _refuse_dirtier(flagged: int, n: int, spec: CorruptionSpec, unit: str = "rows") -> None:
@@ -121,15 +153,20 @@ def setup_missing(d: Dataset, spec: CorruptionSpec) -> tuple[list[int], int, int
     return cols, total, already
 
 
-def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
+def inject_missing(d: Dataset, spec: CorruptionSpec,
+                   setup: tuple | None = None) -> tuple[Dataset, int]:
     """Make exactly round(rate * eligible_cells) eligible cells missing by
     deleting present ones, chosen uniformly; a table already within one cell
     above that is returned as it is, and one further above is refused."""
     out = d.copy()
-    cols, total, already = setup_missing(out, spec)
+    if setup is None:
+        setup = setup_missing(out, spec)
+    elif spec.rate > 0:
+        _refuse_dirtier(setup[2], setup[1], spec, "cells")
+    cols, total, already = setup
     n_delete = int(round(spec.rate * total)) - already
     if n_delete <= 0:
-        return out
+        return out, already
     rng = np.random.default_rng(spec.seed)
     chosen = rng.choice(total - already, size=n_delete, replace=False)
     if already:
@@ -141,28 +178,31 @@ def inject_missing(d: Dataset, spec: CorruptionSpec) -> Dataset:
     for jpos, j in enumerate(cols):
         for i in (chosen[at_col == jpos] // len(cols)).tolist():
             out.rows[i][j] = None
-    return out
+    return out, already + n_delete
 
 
 # ---------------------------------------------------------------------------
 # inconsistent (FD violations)
 # ---------------------------------------------------------------------------
 
-def setup_inconsistent(d: Dataset, spec: CorruptionSpec) -> tuple[list, list, ViolationIndex]:
+def setup_inconsistent(d: Dataset, spec: CorruptionSpec) -> tuple[list, list, list,
+                                                                  ViolationIndex]:
     """The ``ViolationIndex`` grouping of each FD rule that inconsistent
     injection may violate under the spec's column restrictions, each one's
-    sorted rhs values, and their index over ``d``'s rows.  No usable rule is
-    a ConfigurationError; a single-valued rhs and a table already dirtier
-    than the rate are refused."""
+    sorted rhs values, the rules those restrictions drop, and the kept
+    rules' index over ``d``'s rows.  No usable rule is a ConfigurationError;
+    a single-valued rhs and a table already dirtier than the rate are
+    refused."""
     # the keys and the corruptible columns: the target only when it may be corrupted
     allowed = set(_eligible_feature_columns(d, spec)) | set(d.schema.key_indices)
     if spec.column_mask is not None:
         allowed &= {d.schema.index_of(nm) for nm in spec.column_mask}
-    groupings, domains = [], []
+    groupings, domains, dropped = [], [], []
     for rule in spec.rules:
         grouping = rule.grouping(d.schema)
         _, (rhs_idx,), cols = grouping
         if not allowed.issuperset(cols):
+            dropped.append(rule)
             continue
         domain = _column_domain(d, rhs_idx)
         if len(domain) < 2:
@@ -175,10 +215,11 @@ def setup_inconsistent(d: Dataset, spec: CorruptionSpec) -> tuple[list, list, Vi
         raise ConfigurationError("no usable FD rule after applying column restrictions")
     index = ViolationIndex(d.rows, groupings)
     _refuse_dirtier(index.flagged, d.n_rows, spec)
-    return groupings, domains, index
+    return groupings, domains, dropped, index
 
 
-def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
+def inject_inconsistent(d: Dataset, spec: CorruptionSpec,
+                        setup: tuple | None = None) -> tuple[Dataset, int | None]:
     """Mutate rhs cells (fabricating lhs partners when needed) until the
     fraction of rows in FD-violating groups reaches round(rate * rows);
     raises InjectionImpossibleError unless it lands within one row above."""
@@ -186,9 +227,10 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
     n = out.n_rows
     target = int(round(spec.rate * n))
     if spec.rate == 0:
-        return out
+        return out, None
 
-    groupings, domains, index = setup_inconsistent(out, spec)
+    groupings, domains, dropped, index = (setup_inconsistent(out, spec) if setup is None
+                                          else _bind(setup, out, spec))
     rng = np.random.default_rng(spec.seed)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
@@ -260,7 +302,11 @@ def inject_inconsistent(d: Dataset, spec: CorruptionSpec) -> Dataset:
         raise InjectionImpossibleError(
             f"could not reach inconsistent rate {spec.rate} (reached {index.flagged}/{n} rows)"
         )
-    return out
+    if dropped:
+        # rules the column restrictions hide get no violation of their own,
+        # but the rows they flag on the output are inconsistent all the same
+        return out, len(index.flag_count.keys() | inconsistent_rows(out, dropped))
+    return out, index.flagged
 
 
 def _join_violated_fd(index: ViolationIndex, rng: np.random.Generator) -> bool:
@@ -304,14 +350,16 @@ def setup_conflicting(d: Dataset, spec: CorruptionSpec) -> tuple[list, dict, Vio
     return usable_cols, domains, index
 
 
-def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
+def inject_conflicting(d: Dataset, spec: CorruptionSpec,
+                       setup: tuple | None = None) -> tuple[Dataset, int | None]:
     """Disagree one non-key attribute inside entity groups (duplicating
     singleton entities first) until the conflicting-row fraction meets the
     rate against the final row count."""
     out = d.copy()
     if spec.rate == 0:
-        return out
-    usable_cols, domains, index = setup_conflicting(out, spec)
+        return out, None
+    usable_cols, domains, index = (setup_conflicting(out, spec) if setup is None
+                                   else _bind(setup, out, spec))
     rng = np.random.default_rng(spec.seed)
     groups, violated = index.groups[0], index.violated[0]
     # the bound is fixed by the input's row count: were it to grow with the
@@ -370,7 +418,7 @@ def inject_conflicting(d: Dataset, spec: CorruptionSpec) -> Dataset:
             f"could not reach conflicting rate {spec.rate} "
             f"(reached {index.flagged}/{len(out.rows)} rows)"
         )
-    return out
+    return out, index.flagged
 
 
 def _disagree_group(index: ViolationIndex, members: list[int], usable_cols: list[int],

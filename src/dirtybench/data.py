@@ -452,6 +452,18 @@ class ViolationIndex:
             for key in violated:
                 self._flag(groups[key])
 
+    def copy(self, rows: list[list[Cell]]) -> "ViolationIndex":
+        """This index over ``rows``, a copy of the rows it indexes, sharing
+        nothing that the injectors change: the same as building it anew over
+        ``rows``, group and violation order included, without the grouping."""
+        twin = ViolationIndex.__new__(ViolationIndex)
+        twin.rows, twin.groupings = rows, self.groupings
+        twin.groups = [{key: list(members) for key, members in groups.items()}
+                       for groups in self.groups]
+        twin.violated = [dict(violated) for violated in self.violated]
+        twin.flag_count = dict(self.flag_count)
+        return twin
+
     @property
     def flagged(self) -> int:
         return len(self.flag_count)

@@ -224,9 +224,10 @@ _HOMES = {CLASSIFICATION: CLASSIFIER_TYPES, CLUSTERING: vars(cluster_mod),
           REGRESSION: REGRESSOR_FITTERS}
 
 # every learner: its task, then its rules on its parameters and the table's
-# ``n_rows``, ``train_rows`` (the smallest training fold) and ``n_labels``,
-# which the learner applies and ``check_sweep`` runs on the clean table
-# first.  A classifier's constructor applies its own rules.
+# ``n_rows``, ``train_rows`` (the smallest training fold), ``n_labels`` and
+# ``n_numeric`` (its numeric feature columns), which the learner applies and
+# ``check_sweep`` runs on the clean table first.  A classifier's constructor
+# applies its own rules.
 LEARNERS: dict[str, tuple] = {
     "decision_tree": (CLASSIFICATION,),
     "knn": (CLASSIFICATION, classify.check_neighbours),
@@ -240,10 +241,10 @@ LEARNERS: dict[str, tuple] = {
     "dbscan": (CLUSTERING, cluster_mod.check_density),
     "birch": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_cf_tree),
     "cure": (CLUSTERING, cluster_mod.check_k, cluster_mod.check_representatives),
-    "least_squares": (REGRESSION,),
-    "maximum_likelihood": (REGRESSION,),
-    "polynomial": (REGRESSION, regress.check_degree),
-    "stepwise": (REGRESSION, regress.check_alphas),
+    "least_squares": (REGRESSION, regress.check_numeric_features),
+    "maximum_likelihood": (REGRESSION, regress.check_numeric_features),
+    "polynomial": (REGRESSION, regress.check_numeric_features, regress.check_degree),
+    "stepwise": (REGRESSION, regress.check_numeric_features, regress.check_alphas),
 }
 
 
@@ -368,7 +369,7 @@ def _timed(fn: Callable[[], object], repeats: int) -> tuple[object, float]:
 
 
 def _prepare(dataset: Dataset, spec: CorruptionSpec | None) -> EncodedTable:
-    work = dataset if spec is None else inject(dataset, spec)
+    work = dataset if spec is None else inject(dataset, spec)[0]
     return EncodedTable(impute(work) if work.has_missing() else work)
 
 

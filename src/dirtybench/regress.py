@@ -85,13 +85,20 @@ def _numeric_setup(data: Data, rows: Sequence[int] | None):
             f"dropping categorical feature columns for regression: {dropped}",
             stacklevel=3,
         )
-    if not table.numeric_cols:
-        raise SchemaError("regression needs at least one numeric feature column")
+    check_numeric_features(len(table.numeric_cols))
     X = table.numeric(idx)
     y = table.target_num[idx]
     if np.isnan(y).any():
         raise SchemaError("missing target value; impute before fitting")
     return X, y, tuple(table.numeric_cols)
+
+
+def check_numeric_features(n_numeric: int) -> None:
+    """Every fitter's rule on the table: it fits the numeric feature columns
+    only, so there must be one.  A sweep also checks it before its first
+    point."""
+    if n_numeric < 1:
+        raise SchemaError("regression needs at least one numeric feature column")
 
 
 def solve_normal_equations(A: np.ndarray, y: np.ndarray,

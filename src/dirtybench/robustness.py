@@ -400,7 +400,12 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         check_set_ups(ds, error_types, grid, seed)
         if ds.task != REGRESSION:
             check_spans(ds.name, ds.dataset)
-        facts[ds.name] = {"n_rows": ds.dataset.n_rows, "n_labels": ds.dataset.n_c}
+        columns = ds.dataset.schema.columns
+        facts[ds.name] = {
+            "n_rows": ds.dataset.n_rows, "n_labels": ds.dataset.n_c,
+            "n_numeric": sum(columns[j].kind == NUMERIC
+                             for j in ds.dataset.schema.feature_indices),
+        }
     resolved = []
     for ds, algorithm in pairs:
         name, n = algorithm.name, ds.dataset.n_rows

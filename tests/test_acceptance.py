@@ -102,12 +102,12 @@ class TestCriterion3InjectionAccuracy:
         cells = d.schema.n * d.n_rows
         for run in range(100):
             rate = self.RATES[run % 3]
-            missing = inject(d, CorruptionSpec(error_type="missing", rate=rate, seed=run))
+            missing, _ = inject(d, CorruptionSpec(error_type="missing", rate=rate, seed=run))
             assert abs(missing_cell_rate(missing) - rate) <= 1.0 / cells
-            incons = inject(d, CorruptionSpec(
+            incons, _ = inject(d, CorruptionSpec(
                 error_type="inconsistent", rate=rate, seed=run, rules=d.rules))
             assert abs(inconsistent_row_rate(incons, d.rules) - rate) <= 1.0 / len(incons.rows)
-            confl = inject(d, CorruptionSpec(
+            confl, _ = inject(d, CorruptionSpec(
                 error_type="conflicting", rate=rate, seed=run, entity_key=("entity",)))
             assert abs(conflicting_row_rate(confl, ("entity",)) - rate) <= 1.0 / len(confl.rows)
         elapsed = time.perf_counter() - start
@@ -122,8 +122,8 @@ class TestCriterion3InjectionAccuracy:
             ("conflicting", {"entity_key": ("entity",)}),
         ):
             spec = CorruptionSpec(error_type=error_type, rate=0.3, seed=17, **kwargs)
-            a = dataset_to_text(inject(d, spec)).encode()
-            b = dataset_to_text(inject(d, spec)).encode()
+            a = dataset_to_text(inject(d, spec)[0]).encode()
+            b = dataset_to_text(inject(d, spec)[0]).encode()
             assert a == b
         print("ACCEPTANCE injection-determinism: PASS")
 

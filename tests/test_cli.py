@@ -1,19 +1,22 @@
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from dirtybench import cli, robustness
+from dirtybench import cli, corrupt, robustness
 from dirtybench.classify import DecisionTreeClassifier
-from dirtybench.data import dataset_to_text, load_dataset
+from dirtybench.data import FDRule, dataset_to_text, detect_error_rates, load_dataset
 from dirtybench.errors import ParameterError
 from dirtybench.evaluate import CLASSIFIER_TYPES, LEDGER_COLUMNS
 from dirtybench.robustness import Guideline
+from dirtybench.synth import make_keyed_records
 
 PCT_RATES = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 IRIS_TRACE = (78.37, 84.16, 78.08, 74.36, 64.99, 58.71)
@@ -213,6 +216,13 @@ REJECTED = [
                   "algorithms": ["least_squares"]}, [],
                  "regression dataset 'flowers' has a categorical target 'species'",
                  id="regression-on-categorical-target"),
+    # every regressor fits the numeric features only: each point failed
+    *(pytest.param({"datasets": [{"name": "coded", "path": "coded.csv", "task": "regression",
+                                  "target": "y"}],
+                    "algorithms": [algorithm]}, [],
+                   f"algorithm '{algorithm}': regression needs at least one numeric feature "
+                   "column (dataset 'coded')", id=f"{algorithm}-without-numeric-feature")
+      for algorithm in ("least_squares", "maximum_likelihood", "polynomial", "stepwise")),
     # max - min overflows, so min-max scaling gives NaN: knn and naive Bayes
     # failed every point with numpy errors, DBSCAN scored F = 0
     *(pytest.param({"datasets": [{"name": "wide", "path": "wide.csv", "task": task,
@@ -281,6 +291,9 @@ def rejected_config(tmp_path, iris_copy, changes):
     (tmp_path / "wide.csv").write_text("x,y,label\n" + "-1.5e308,1.0,a\n1.5e308,2.0,b\n" * 6)
     # one entity whose rows disagree on x: every row conflicts already
     (tmp_path / "twins.csv").write_text("id,x,label\n" + "e,1.0,a\ne,2.0,b\n" * 20)
+    # two categorical features and a numeric target
+    (tmp_path / "coded.csv").write_text(
+        "a,b,y\n" + "".join(f"p{i % 2},q{i % 3},{i}.5\n" for i in range(10)))
     return config
 
 
@@ -468,6 +481,46 @@ class TestInject:
         # whole-percent rates keep their three-digit names
         assert {"grid__missing__000.csv", "grid__missing__001.csv",
                 "grid__missing__002.csv"} <= written
+
+    def test_keyed_inject_sets_up_once_and_counts_without_detection(self, tmp_path,
+                                                                     monkeypatch):
+        """Each error type is set up by the pre-flight, once more at its first
+        nonzero rate for every rate to share, and, for missing data, by the
+        rate-0 injection; detection runs only at rate 0 of the two row-level
+        types, whose injectors return there before any set-up.  The summary's
+        counts still equal detection on each written file."""
+        (tmp_path / "keyed.csv").write_text(dataset_to_text(make_keyed_records(200)))
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "rate_grid": {"start": 0.0, "step": 0.25, "count": 2},
+            "error_types": ["missing", "inconsistent", "conflicting"],
+            "datasets": [{"name": "keyed", "path": str(tmp_path / "keyed.csv"),
+                          "task": "clustering", "keys": ["entity"],
+                          "fd_rules_inline": ["code -> dept"], "entity_key": ["entity"]}],
+            "algorithms": ["kmeans"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        calls = Counter()
+        for module, name in ((cli, "detect_error_rates"), (corrupt, "setup_missing"),
+                             (corrupt, "setup_inconsistent"), (corrupt, "setup_conflicting")):
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        assert cli.main(["inject", str(cfg)]) == cli.EXIT_OK
+        assert calls == {"detect_error_rates": 2, "setup_missing": 3,
+                         "setup_inconsistent": 2, "setup_conflicting": 2}
+        monkeypatch.undo()
+        with (tmp_path / "out" / "injection_summary.csv").open(encoding="utf-8") as fh:
+            summary = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(summary) == 9
+        for row in summary:
+            out = load_dataset(tmp_path / "out" / "injected" / row["file"], keys=["entity"])
+            rates = detect_error_rates(out, rules=[FDRule(("code",), "dept")],
+                                       entity_key=("entity",))
+            units = out.n_rows * (out.schema.n if row["unit"] == "cells" else 1)
+            assert round(getattr(rates, row["error_type"]) * units) == int(row["changed"])
 
     def test_input_files_never_mutated(self, tmp_path):
         data = grid_csv(tmp_path / "grid.csv")

@@ -1,6 +1,9 @@
+import copy
+import re
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirtybench import corrupt
 from dirtybench.corrupt import (
@@ -23,6 +26,7 @@ from dirtybench.data import (
     ViolationIndex,
     conflicting_row_rate,
     conflicting_rows,
+    count_missing,
     dataset_from_rows,
     detect_error_rates,
     inconsistent_row_rate,
@@ -74,28 +78,28 @@ def grid_dataset(n_rows=10, n_cols=4):
 class TestMissing:
     def test_rate_zero_identity(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.0, seed=3)
-        out = inject_missing(iris, spec)
+        out, _ = inject_missing(iris, spec)
         assert out.rows == iris.rows
 
     def test_exact_cell_count(self):
         d = grid_dataset(10, 4)
         spec = CorruptionSpec(error_type="missing", rate=0.25, seed=11)
-        out = inject_missing(d, spec)
+        out, _ = inject_missing(d, spec)
         holes = sum(1 for row in out.rows for c in row if c is None)
         assert holes == 10
 
     def test_seed_determinism(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.3, seed=42)
-        assert inject_missing(iris, spec).rows == inject_missing(iris, spec).rows
+        assert inject_missing(iris, spec)[0].rows == inject_missing(iris, spec)[0].rows
 
     def test_different_seeds_differ(self, iris):
-        a = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
-        b = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=2))
+        a, _ = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
+        b, _ = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=2))
         assert a.rows != b.rows
 
     def test_target_never_deleted(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.5, seed=5)
-        out = inject_missing(iris, spec)
+        out, _ = inject_missing(iris, spec)
         t = iris.schema.target_index
         assert all(row[t] is not None for row in out.rows)
 
@@ -103,7 +107,7 @@ class TestMissing:
         spec = CorruptionSpec(
             error_type="missing", rate=0.5, seed=5, column_mask=("sepal_length",)
         )
-        out = inject_missing(iris, spec)
+        out, _ = inject_missing(iris, spec)
         for row in out.rows:
             assert all(row[j] is not None for j in (1, 2, 3, 4))
         holes = sum(1 for row in out.rows if row[0] is None)
@@ -125,7 +129,7 @@ class TestMissing:
             with pytest.raises(ConfigurationError):
                 inject_missing(d, spec)
             return
-        out = inject_missing(d, spec)
+        out, _ = inject_missing(d, spec)
         assert d.rows == before
         holes = [(i, j) for i, row in enumerate(out.rows) for j, c in enumerate(row)
                  if c is None]
@@ -153,7 +157,7 @@ class TestMissing:
             with pytest.raises(ConfigurationError if not total else InjectionImpossibleError):
                 inject_missing(d, spec)
             return
-        out = inject_missing(d, spec)
+        out, _ = inject_missing(d, spec)
         assert d.rows == before
         holes = sum(row[j] is None for row in out.rows for j in eligible)
         assert holes == (already if spec.rate == 0 else max(already, target))
@@ -164,9 +168,9 @@ class TestMissing:
 
     def test_a_holed_table_lands_on_the_rate(self):
         d = make_keyed_records(100, seed=0)
-        holed = inject_missing(d, CorruptionSpec(error_type="missing", rate=0.3, seed=0))
+        holed, _ = inject_missing(d, CorruptionSpec(error_type="missing", rate=0.3, seed=0))
         for rate in (0.3, 0.5):
-            out = inject_missing(holed, CorruptionSpec(error_type="missing", rate=rate, seed=2))
+            out, _ = inject_missing(holed, CorruptionSpec(error_type="missing", rate=rate, seed=2))
             assert detect_error_rates(out).missing == rate
         with pytest.raises(InjectionImpossibleError,
                            match=r"already missing at 0\.3 \(180/600 cells\)"):
@@ -183,20 +187,20 @@ class TestInconsistent:
     def test_student_pair_violation(self, student_table):
         rule = FDRule(lhs=("StudentNo",), rhs="Name")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.5, seed=0, rules=(rule,))
-        out = inject_inconsistent(student_table, spec)
+        out, _ = inject_inconsistent(student_table, spec)
         assert inconsistent_row_rate(out, [rule]) >= 0.5 - 1 / out.n_rows
 
     def test_rate_zero_identity(self, student_table):
         rule = FDRule(lhs=("StudentNo",), rhs="Name")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.0, seed=0, rules=(rule,))
-        assert inject_inconsistent(student_table, spec).rows == student_table.rows
+        assert inject_inconsistent(student_table, spec)[0].rows == student_table.rows
 
     def test_detector_meets_rate_on_100_rows(self):
         d = make_keyed_records(100, seed=3)
         spec = CorruptionSpec(
             error_type="inconsistent", rate=0.5, seed=9, rules=d.rules
         )
-        out = inject_inconsistent(d, spec)
+        out, _ = inject_inconsistent(d, spec)
         achieved = inconsistent_row_rate(out, d.rules)
         assert achieved >= 0.49
         assert abs(achieved - 0.5) <= 1 / out.n_rows
@@ -224,7 +228,7 @@ class TestInconsistent:
     def test_determinism(self):
         d = make_keyed_records(60, seed=1)
         spec = CorruptionSpec(error_type="inconsistent", rate=0.3, seed=5, rules=d.rules)
-        assert inject_inconsistent(d, spec).rows == inject_inconsistent(d, spec).rows
+        assert inject_inconsistent(d, spec)[0].rows == inject_inconsistent(d, spec)[0].rows
 
 
 class TestConflicting:
@@ -232,7 +236,7 @@ class TestConflicting:
         spec = CorruptionSpec(
             error_type="conflicting", rate=0.5, seed=2, entity_key=("StudentNo", "Name")
         )
-        out = inject_conflicting(student_table, spec)
+        out, _ = inject_conflicting(student_table, spec)
         achieved = conflicting_row_rate(out, ("StudentNo", "Name"))
         assert achieved >= 0.5 - 1 / len(out.rows)
 
@@ -240,12 +244,12 @@ class TestConflicting:
         spec = CorruptionSpec(
             error_type="conflicting", rate=0.0, seed=2, entity_key=("StudentNo", "Name")
         )
-        assert inject_conflicting(student_table, spec).rows == student_table.rows
+        assert inject_conflicting(student_table, spec)[0].rows == student_table.rows
 
     def test_detector_bound(self):
         d = make_keyed_records(200, seed=4)
         spec = CorruptionSpec(error_type="conflicting", rate=0.3, seed=6, entity_key=("entity",))
-        out = inject_conflicting(d, spec)
+        out, _ = inject_conflicting(d, spec)
         achieved = conflicting_row_rate(out, ("entity",))
         assert abs(achieved - 0.3) <= 1 / len(out.rows)
 
@@ -254,7 +258,7 @@ class TestConflicting:
         rows = [[f"e{i}", f"v{i % 3}"] for i in range(10)]
         d = dataset_from_rows(cols, rows)
         spec = CorruptionSpec(error_type="conflicting", rate=0.4, seed=1, entity_key=("id",))
-        out = inject_conflicting(d, spec)
+        out, _ = inject_conflicting(d, spec)
         assert len(out.rows) > 10
         assert len(out.row_origin) == len(out.rows)
         achieved = conflicting_row_rate(out, ("id",))
@@ -271,8 +275,8 @@ class TestConflicting:
     def test_determinism(self):
         d = make_keyed_records(80, seed=2)
         spec = CorruptionSpec(error_type="conflicting", rate=0.5, seed=8, entity_key=("entity",))
-        a = inject_conflicting(d, spec)
-        b = inject_conflicting(d, spec)
+        a, _ = inject_conflicting(d, spec)
+        b, _ = inject_conflicting(d, spec)
         assert a.rows == b.rows and a.row_origin == b.row_origin
 
     @staticmethod
@@ -296,16 +300,16 @@ class TestConflicting:
     def test_positional_draw_equals_listed_draw(self, monkeypatch):
         keyed = make_keyed_records(120, seed=3)
         # missing cells first, so groups with one or no holder are drawn too
-        holed = inject(keyed, CorruptionSpec(error_type="missing", rate=0.3, seed=5))
+        holed, _ = inject(keyed, CorruptionSpec(error_type="missing", rate=0.3, seed=5))
         for d in (keyed, holed):
             for seed in (0, 1, 7):
                 for rate in (0.05, 0.3, 0.6):
                     spec = CorruptionSpec(error_type="conflicting", rate=rate, seed=seed,
                                           entity_key=("entity",))
-                    got = inject_conflicting(d, spec)
+                    got, _ = inject_conflicting(d, spec)
                     with monkeypatch.context() as m:
                         m.setattr(corrupt, "_disagree_group", self.listed_disagree_group)
-                        expect = inject_conflicting(d, spec)
+                        expect, _ = inject_conflicting(d, spec)
                     assert got.rows == expect.rows and got.row_origin == expect.row_origin
         dom = ["a", "b", "c", "d"]
         for current in dom + ["0", "bb", "z"]:
@@ -398,7 +402,7 @@ class TestViolationIndex:
                     inject(d, spec)
                 continue
             try:
-                out = inject(d, spec)
+                out, _ = inject(d, spec)
             except InjectionImpossibleError:
                 continue
             assert abs(len(detect(out, context)) - round(rate * len(out.rows))) <= 1
@@ -408,12 +412,129 @@ class TestViolationIndex:
     def test_refusal_names_the_tables_own_rate(self, error_type, field):
         d = make_keyed_records(20, seed=0)
         context = {field: d.rules if field == "rules" else ("entity",)}
-        dirty = inject(d, CorruptionSpec(error_type=error_type, rate=0.3, seed=0, **context))
+        dirty, _ = inject(d, CorruptionSpec(error_type=error_type, rate=0.3, seed=0, **context))
         # a target of no row and one of two rows
         for rate in (0.02, 0.1):
             with pytest.raises(InjectionImpossibleError,
                                match=rf"already {error_type} at 0\.3 \(6/20 rows\)"):
                 inject(dirty, CorruptionSpec(error_type=error_type, rate=rate, seed=0, **context))
+
+
+@st.composite
+def injection_cases(draw, error_type):
+    """An entity-keyed table whose clean rows keep every FD between its
+    attribute columns and agree within each entity, with a few gaps and a
+    few rewritten cells, so that it may start with gaps, violations and
+    conflicts yet often stays below the refusal bound.  With it come
+    ``error_type``'s rule context (one to three FD rules, or the entity
+    key) and maybe a column mask that hides one column outside the first
+    rule, and with it the other FD rules over that column from inconsistent
+    injection."""
+    attrs = ["a0", "a1", "a2", "a3"]
+    rows = []
+    for cls in draw(st.lists(st.integers(0, 5), min_size=1, max_size=30)):
+        # one class per row: its entity and, column by column, its values
+        rows.append([f"e{cls}", *(f"v{(cls + j) % 4}" for j in range(len(attrs)))])
+    cells = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(attrs)))
+    for i, j in draw(st.lists(cells, max_size=4)):
+        rows[i][j] = None
+    for (i, j), value in draw(st.lists(st.tuples(cells, st.sampled_from(["v0", "v1", "v4"])),
+                                       max_size=2)):
+        rows[i][j] = value if j else "e0"
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        rhs = draw(st.sampled_from(attrs))
+        lhs = draw(st.lists(st.sampled_from([a for a in attrs if a != rhs]),
+                            min_size=1, max_size=2, unique=True))
+        rules.append(FDRule(lhs=tuple(lhs), rhs=rhs))
+    columns = [Column("entity", CATEGORICAL, KEY)] + [Column(a, CATEGORICAL) for a in attrs]
+    d = dataset_from_rows(columns, rows, rules=rules)
+    context = {"inconsistent": {"rules": d.rules},
+               "conflicting": {"entity_key": ("entity",)}}.get(error_type, {})
+    mask = None
+    if draw(st.booleans()):
+        first = {*rules[0].lhs, rules[0].rhs}
+        hidden = draw(st.sampled_from([a for a in attrs if a not in first]))
+        mask = tuple(name for name in d.schema.names if name != hidden)
+    return d, {"column_mask": mask, **context}
+
+
+def set_up_state(setup: tuple) -> tuple:
+    """A deep copy of what a set-up holds, its index read out as plain data."""
+    *shared, last = setup
+    if isinstance(last, ViolationIndex):
+        last = ([list(g.items()) for g in last.groups], [list(v) for v in last.violated],
+                list(last.flag_count.items()), last.rows)
+    return copy.deepcopy((*shared, last))
+
+
+class TestInjectedCounts:
+    """Each injector's count of what it leaves flagged is what detection
+    finds on its output, and a set-up shared across rates injects as a
+    fresh one."""
+
+    @pytest.mark.parametrize("error_type", corrupt.ERROR_TYPES)
+    @settings(max_examples=100)
+    @given(data=st.data(), rate=st.integers(0, 10).map(lambda k: k / 10)
+           | st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2 ** 16))
+    def test_count_equals_detection_on_the_output(self, error_type, data, rate, seed):
+        d, context = data.draw(injection_cases(error_type))
+        spec = CorruptionSpec(error_type=error_type, rate=rate, seed=seed, **context)
+        try:
+            out, count = inject(d, spec)
+        except (ConfigurationError, InjectionImpossibleError):
+            return
+        if count is None:
+            # rate 0 of a row-level type returns before any set-up
+            assert (rate, out.rows) == (0.0, d.rows) and error_type != "missing"
+            return
+        if error_type == "missing":
+            # the cells the injector may delete, which the mask narrows
+            assert count == count_missing(out.rows, corrupt._eligible_feature_columns(out, spec))
+            if spec.column_mask is None:
+                assert count == round(detect_error_rates(out).missing
+                                      * out.n_rows * out.schema.n)
+            return
+        rates = detect_error_rates(out, rules=spec.rules, entity_key=spec.entity_key)
+        assert count == round(getattr(rates, error_type) * len(out.rows))
+
+    def test_count_takes_in_the_rules_the_mask_hides(self):
+        """A rule over a masked column gets no violation of its own, but the
+        rows it flags on the output count, as detection counts them."""
+        d = make_keyed_records(40)
+        # dept (entity % 7) does not determine city (entity % 5) on any row
+        rules = (FDRule(("code",), "dept"), FDRule(("dept",), "city"))
+        spec = CorruptionSpec(error_type="inconsistent", rate=0.1, seed=0, rules=rules,
+                              column_mask=("entity", "code", "dept"))
+        out, count = inject(d, spec)
+        assert count == len(inconsistent_rows(out, rules)) == 40
+        assert len(inconsistent_rows(out, rules[:1])) == 4
+
+    @pytest.mark.parametrize("error_type", corrupt.ERROR_TYPES)
+    @settings(max_examples=60)
+    @given(data=st.data(), rates=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                          min_size=2, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def test_shared_set_up_injects_as_a_fresh_one(self, error_type, data, rates, seed):
+        d, context = data.draw(injection_cases(error_type))
+        specs = [CorruptionSpec(error_type=error_type, rate=rate, seed=seed + k, **context)
+                 for k, rate in enumerate(rates)]
+        try:
+            shared = corrupt.set_up(d, specs[0])
+        except (ConfigurationError, InjectionImpossibleError):
+            return
+        before = set_up_state(shared)
+        for spec in specs:
+            try:
+                fresh, fresh_count = inject(d, spec)
+            except InjectionImpossibleError as exc:
+                with pytest.raises(InjectionImpossibleError, match=re.escape(str(exc))):
+                    inject(d, spec, shared)
+                continue
+            out, count = inject(d, spec, shared)
+            assert (out.rows, out.row_origin, count) == (fresh.rows, fresh.row_origin,
+                                                         fresh_count)
+        assert set_up_state(shared) == before
 
 
 class TestImpute:
@@ -476,7 +597,7 @@ class TestSeedsAndComposition:
             ("inconsistent", {"rules": d.rules}),
             ("conflicting", {"entity_key": ("entity",)}),
         ):
-            out = inject(d, CorruptionSpec(error_type=et, rate=0.3, seed=99, **kwargs))
+            out, _ = inject(d, CorruptionSpec(error_type=et, rate=0.3, seed=99, **kwargs))
             assert content_hash(out.schema, out.rows) == self.FROZEN[et]
 
     def test_derive_seed_stable(self):
@@ -486,8 +607,8 @@ class TestSeedsAndComposition:
 
     def test_composition_keeps_individual_bounds(self):
         d = make_keyed_records(100, seed=5)
-        m = inject(d, CorruptionSpec(error_type="missing", rate=0.2, seed=1))
-        both = inject(
+        m, _ = inject(d, CorruptionSpec(error_type="missing", rate=0.2, seed=1))
+        both, _ = inject(
             m,
             CorruptionSpec(error_type="conflicting", rate=0.2, seed=2, entity_key=("entity",)),
         )
@@ -498,6 +619,6 @@ class TestSeedsAndComposition:
     def test_blobs_missing_sweep_rates(self):
         d = make_blobs(120, seed=0)
         for rate in (0.1, 0.3, 0.5):
-            out = inject(d, CorruptionSpec(error_type="missing", rate=rate, seed=3))
+            out, _ = inject(d, CorruptionSpec(error_type="missing", rate=rate, seed=3))
             cells = d.schema.n * d.n_rows
             assert abs(detect_error_rates(out).missing - rate) <= 1 / cells

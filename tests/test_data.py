@@ -107,7 +107,7 @@ class TestText:
             entity_key=("entity",) if error_type == "conflicting" else (),
         )
         try:
-            out = inject(d, spec)
+            out, _ = inject(d, spec)
         except InjectionImpossibleError:
             out = d
         clean_lines = format_rows(d.clean_shadow, delimiter)
@@ -130,7 +130,7 @@ class TestText:
         cols = [Column("id", CATEGORICAL, KEY), Column("v", CATEGORICAL), Column("x", NUMERIC)]
         d = dataset_from_rows(cols, [[f"e{i}", f"v{i % 3}", -0.0 if i % 2 else 1e15]
                                      for i in range(10)])
-        out = inject(d, CorruptionSpec(error_type="conflicting", rate=0.4, seed=1,
+        out, _ = inject(d, CorruptionSpec(error_type="conflicting", rate=0.4, seed=1,
                                        entity_key=("id",)))
         assert out.n_rows > d.n_rows
         assert dataset_to_text(out, clean_lines=format_rows(d.clean_shadow)) == \
@@ -179,7 +179,7 @@ class TestDetect:
 
     def test_after_missing_injection(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.30, seed=7)
-        dirty = inject_missing(iris, spec)
+        dirty, _ = inject_missing(iris, spec)
         cells = iris.schema.n * iris.n_rows
         assert abs(detect_error_rates(dirty).missing - 0.30) <= 1.0 / cells
 
@@ -196,7 +196,7 @@ class TestDatasetInvariants:
     def test_clean_shadow_untouched_by_corruption(self, iris):
         before = iris.clean_shadow
         spec = CorruptionSpec(error_type="missing", rate=0.5, seed=1)
-        dirty = inject_missing(iris, spec)
+        dirty, _ = inject_missing(iris, spec)
         assert dirty.clean_shadow is before
         assert iris.rows == [list(r) for r in before]
 

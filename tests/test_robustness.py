@@ -383,8 +383,9 @@ class TestRunSweep:
     def test_learner_table(self):
         """Each learner's task is the home ``learner_of`` reads it from, each
         rule names only parameters of its learner and the clean table's
-        ``n_rows``, ``train_rows`` and ``n_labels`` (``check_sweep`` passes it
-        their bound values and the table's facts), and the run derives a
+        ``n_rows``, ``train_rows``, ``n_labels`` and ``n_numeric``
+        (``check_sweep`` passes it their bound values and the table's
+        facts), and the run derives a
         seed, a class-count ``k`` and DBSCAN's radius for exactly these
         learners."""
         for task, home in (("classification", CLASSIFIER_TYPES),
@@ -395,7 +396,8 @@ class TestRunSweep:
             learner = learner_of(name)
             assert learner is (CLASSIFIER_TYPES.get(name) or REGRESSOR_FITTERS.get(name)
                                or getattr(cluster, name))
-            names = {*inspect.signature(learner).parameters, "n_rows", "train_rows", "n_labels"}
+            names = {*inspect.signature(learner).parameters,
+                     "n_rows", "train_rows", "n_labels", "n_numeric"}
             for rule in rules:
                 assert set(inspect.signature(rule).parameters) <= names, name
         clean = make_blobs(30, n_classes=3, seed=0)
@@ -646,7 +648,7 @@ class TestAllErrorTypes:
         for ds in datasets:
             for et in ERROR_TYPES:
                 for rate in grid.rates()[1:]:
-                    out = inject(ds.dataset, robustness.corruption_spec(ds, et, rate, 0))
+                    out, _ = inject(ds.dataset, robustness.corruption_spec(ds, et, rate, 0))
                     achieved = getattr(detect_error_rates(out, ds.rules, ds.entity_key), et)
                     units = out.n_rows * (len(out.schema.feature_indices) if et == "missing"
                                           else 1)
