@@ -14,7 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, read_json
-from .corrupt import ERROR_TYPES, MISSING, inject, rate_units, set_up
+from .corrupt import ERROR_TYPES, MISSING, inject, rate_units
 from .data import dataset_to_text, detect_error_rates, format_rows
 from .errors import DirtyBenchError
 from .evaluate import LEDGER_COLUMNS, TASKS
@@ -86,8 +86,8 @@ def _rate_tag(rate: float) -> str:
 
 def cmd_inject(args) -> int:
     config, datasets = _load(args)
-    for ds in datasets:
-        check_set_ups(ds, config.error_types, config.rate_grid, config.seed)
+    set_ups = [check_set_ups(ds, config.error_types, config.rate_grid, config.seed)
+               for ds in datasets]
     if args.dry_run:
         print("\n".join(config.plan_lines()))
         return EXIT_OK
@@ -95,19 +95,17 @@ def cmd_inject(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(config.config_hash, config.seed)
     summary_rows = []
-    for ds in datasets:
+    for ds, ds_set_ups in zip(datasets, set_ups):
         entry = next(d for d in config.datasets if d.name == ds.name)
         # most rows of an output equal their clean row; those take its line
         clean_lines = format_rows(ds.dataset.clean_shadow, entry.delimiter)
         for error_type in config.error_types:
-            # one set-up per error type, made at its first nonzero rate; each
-            # rate's injector works on a copy of it
-            shared = None
+            # every rate injects from the pre-flight's set-up, held only here
+            # so that it is freed after its last rate
+            setup = ds_set_ups.pop(error_type, None)
             for rate in config.rate_grid.rates():
                 spec = corruption_spec(ds, error_type, rate, config.seed)
-                if rate and shared is None:
-                    shared = set_up(ds.dataset, spec)
-                corrupted, changed = inject(ds.dataset, spec, shared)
+                corrupted, changed = inject(ds.dataset, spec, setup)
                 name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
                 target = out_dir / name
                 target.write_text(

@@ -7,11 +7,11 @@ the detectors' index current (``data.ViolationIndex``, over the FD rules or
 the entity key, where the violation rule lives), so the achieved row
 fraction lands within one row of the requested rate on data with workable
 group structure.  Each injector's configuration is read and refused in its
-draw-free set-up (``set_up``), which a sweep runs before its first point.
-A set-up depends on the rate only through its refusal, so one made at one
-rate serves every other rate of the same table and error type.  Each
-injector also returns the units it leaves flagged, read from its own
-bookkeeping, which is the count detection would give on its output.
+draw-free set-up (``set_up``), which depends on the rate only through that
+refusal: the one a run's pre-flight makes is the one every rate of its
+table and error type injects from, bound to each output and checked
+against each rate.  Each injector also returns the units it leaves flagged,
+read from its bookkeeping, which is the count detection gives on its output.
 """
 from __future__ import annotations
 
@@ -74,14 +74,17 @@ def inject(d: Dataset, spec: CorruptionSpec,
     """Dispatch to the injector for spec.error_type: the corrupted copy of
     ``d`` and how many units (eligible cells or rows) it leaves missing or
     in violation, as detection counts them on the copy.  Inconsistent and
-    conflicting injection at rate 0 return before any set-up, and None for
-    the count.
+    conflicting injection at rate 0 return a plain copy before any set-up,
+    and None for the count.
 
     ``setup`` is ``set_up(d, other)`` for a spec ``other`` of the same error
-    type at another nonzero rate: the injector then works on a copy of it,
-    checks only its own rate's refusal and leaves it unchanged."""
+    type at any nonzero rate; the injector checks only its own rate's
+    refusal and leaves it unchanged.  Without one, ``d`` is set up here."""
+    if spec.rate == 0 and spec.error_type != MISSING:
+        return d.copy(), None
     return {MISSING: inject_missing, INCONSISTENT: inject_inconsistent,
-            CONFLICTING: inject_conflicting}[spec.error_type](d, spec, setup)
+            CONFLICTING: inject_conflicting}[spec.error_type](
+                d, spec, setup or set_up(d, spec))
 
 
 def set_up(d: Dataset, spec: CorruptionSpec) -> tuple:
@@ -153,17 +156,14 @@ def setup_missing(d: Dataset, spec: CorruptionSpec) -> tuple[list[int], int, int
     return cols, total, already
 
 
-def inject_missing(d: Dataset, spec: CorruptionSpec,
-                   setup: tuple | None = None) -> tuple[Dataset, int]:
+def inject_missing(d: Dataset, spec: CorruptionSpec, setup: tuple) -> tuple[Dataset, int]:
     """Make exactly round(rate * eligible_cells) eligible cells missing by
     deleting present ones, chosen uniformly; a table already within one cell
     above that is returned as it is, and one further above is refused."""
     out = d.copy()
-    if setup is None:
-        setup = setup_missing(out, spec)
-    elif spec.rate > 0:
-        _refuse_dirtier(setup[2], setup[1], spec, "cells")
     cols, total, already = setup
+    if spec.rate > 0:
+        _refuse_dirtier(already, total, spec, "cells")
     n_delete = int(round(spec.rate * total)) - already
     if n_delete <= 0:
         return out, already
@@ -218,19 +218,14 @@ def setup_inconsistent(d: Dataset, spec: CorruptionSpec) -> tuple[list, list, li
     return groupings, domains, dropped, index
 
 
-def inject_inconsistent(d: Dataset, spec: CorruptionSpec,
-                        setup: tuple | None = None) -> tuple[Dataset, int | None]:
+def inject_inconsistent(d: Dataset, spec: CorruptionSpec, setup: tuple) -> tuple[Dataset, int]:
     """Mutate rhs cells (fabricating lhs partners when needed) until the
     fraction of rows in FD-violating groups reaches round(rate * rows);
     raises InjectionImpossibleError unless it lands within one row above."""
     out = d.copy()
     n = out.n_rows
     target = int(round(spec.rate * n))
-    if spec.rate == 0:
-        return out, None
-
-    groupings, domains, dropped, index = (setup_inconsistent(out, spec) if setup is None
-                                          else _bind(setup, out, spec))
+    groupings, domains, dropped, index = _bind(setup, out, spec)
     rng = np.random.default_rng(spec.seed)
     guard = 0
     while index.flagged < target and guard < 20 * n + 100:
@@ -350,16 +345,12 @@ def setup_conflicting(d: Dataset, spec: CorruptionSpec) -> tuple[list, dict, Vio
     return usable_cols, domains, index
 
 
-def inject_conflicting(d: Dataset, spec: CorruptionSpec,
-                       setup: tuple | None = None) -> tuple[Dataset, int | None]:
+def inject_conflicting(d: Dataset, spec: CorruptionSpec, setup: tuple) -> tuple[Dataset, int]:
     """Disagree one non-key attribute inside entity groups (duplicating
     singleton entities first) until the conflicting-row fraction meets the
     rate against the final row count."""
     out = d.copy()
-    if spec.rate == 0:
-        return out, None
-    usable_cols, domains, index = (setup_conflicting(out, spec) if setup is None
-                                   else _bind(setup, out, spec))
+    usable_cols, domains, index = _bind(setup, out, spec)
     rng = np.random.default_rng(spec.seed)
     groups, violated = index.groups[0], index.violated[0]
     # the bound is fixed by the input's row count: were it to grow with the

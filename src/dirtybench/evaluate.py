@@ -368,28 +368,29 @@ def _timed(fn: Callable[[], object], repeats: int) -> tuple[object, float]:
     return value, float(np.log10(mean_ms))
 
 
-def _prepare(dataset: Dataset, spec: CorruptionSpec | None) -> EncodedTable:
-    work = dataset if spec is None else inject(dataset, spec)[0]
+def _prepare(dataset: Dataset, spec: CorruptionSpec | None, setup: tuple | None) -> EncodedTable:
+    work = dataset if spec is None else inject(dataset, spec, setup)[0]
     return EncodedTable(impute(work) if work.has_missing() else work)
 
 
 class PreparedPoint:
-    """The one input of an evaluation: ``dataset`` corrupted by ``spec``,
-    imputed and encoded on first use, and the ``name`` (by default the
-    dataset's source) that its results carry.  A spec at rate 0 is the clean
-    point, the same as none.  A preparation that fails raises the same error
-    at every use."""
+    """The one input of an evaluation: ``dataset`` corrupted by ``spec``
+    from the injector set-up ``setup`` (``corrupt.inject``), imputed and
+    encoded on first use, and the ``name`` (by default the dataset's source)
+    that its results carry.  A spec at rate 0 is the clean point, the same
+    as none.  A preparation that fails raises the same error at every use."""
 
     def __init__(self, dataset: Dataset, spec: CorruptionSpec | None = None,
-                 name: str | None = None):
+                 name: str | None = None, setup: tuple | None = None):
         self.dataset, self.name = dataset, name or dataset.source
         self.spec = None if spec is None or spec.rate == 0 else spec
+        self.setup = setup
         self._outcome: EncodedTable | Exception | None = None
 
     def table(self) -> EncodedTable:
         if self._outcome is None:
             try:
-                self._outcome = _prepare(self.dataset, self.spec)
+                self._outcome = _prepare(self.dataset, self.spec, self.setup)
             except Exception as exc:
                 self._outcome = exc
         if isinstance(self._outcome, Exception):

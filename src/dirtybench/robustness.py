@@ -361,14 +361,15 @@ def check_names(datasets, algorithms, error_types) -> None:
 
 def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid: RateGrid,
                 k_classification: float, k_regression: float, folds: int,
-                seed: int = 0) -> list:
+                seed: int = 0) -> tuple[list, dict[str, dict]]:
     """The sweep's rules, checked on the loaded datasets before any point,
-    and the (dataset, algorithm) pairs that a sweep of ``seed`` evaluates,
-    run defaults filled in once; ``run_sweep``, ``validate-config`` and
-    ``sweep --dry-run`` apply exactly these.  Beside the run's settings, a
-    target and ``check_spans``, every rule is one the program applies
-    itself: each learner's signature, constructor and ``LEARNERS`` rules,
-    ``fold_partition``'s fold count, and ``check_set_ups``."""
+    the (dataset, algorithm) pairs that a sweep of ``seed`` evaluates, run
+    defaults filled in once, and each paired dataset's ``check_set_ups`` by
+    name; ``run_sweep``, ``validate-config`` and ``sweep --dry-run`` apply
+    exactly these.  Beside the run's settings, a target and ``check_spans``,
+    every rule is one the program applies itself: each learner's signature,
+    constructor and ``LEARNERS`` rules, ``fold_partition``'s fold count, and
+    ``check_set_ups``."""
     for kind, items in (("datasets", datasets), ("algorithms", algorithms),
                         ("error types", error_types)):
         if not items:
@@ -389,7 +390,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
     pairs = sweep_pairs(datasets, algorithms)
     if not pairs:
         raise ConfigurationError("no (dataset, algorithm) pair matches by task")
-    facts = {}
+    facts, set_ups = {}, {}
     for ds in {ds.name: ds for ds, _ in pairs}.values():
         target = ds.dataset.schema.target_index
         if target is None:
@@ -397,7 +398,7 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         if ds.task == REGRESSION and ds.dataset.schema.columns[target].kind != NUMERIC:
             raise ConfigurationError(f"regression dataset {ds.name!r} has a categorical "
                                      f"target {ds.dataset.schema.columns[target].name!r}")
-        check_set_ups(ds, error_types, grid, seed)
+        set_ups[ds.name] = check_set_ups(ds, error_types, grid, seed)
         if ds.task != REGRESSION:
             check_spans(ds.name, ds.dataset)
         columns = ds.dataset.schema.columns
@@ -423,20 +424,22 @@ def check_sweep(datasets: Sequence[SweepDataset], algorithms, error_types, grid:
         except (TypeError, ValueError, DirtyBenchError) as exc:
             raise ConfigurationError(f"algorithm {name!r}: {exc} (dataset {ds.name!r})") from None
         resolved.append((ds, algorithm))
-    return resolved
+    return resolved, set_ups
 
 
-def check_set_ups(ds: SweepDataset, error_types, grid: RateGrid, seed: int) -> None:
-    """Each error type's injector set-up (``corrupt.set_up``) on the clean
-    table at the grid's lowest nonzero rate, which raises all that injector
-    raises on its configuration; a grid of rate 0 alone sets nothing up.
-    ``check_sweep`` and ``inject`` both run it before any output."""
+def check_set_ups(ds: SweepDataset, error_types, grid: RateGrid, seed: int) -> dict[str, tuple]:
+    """Each error type's injector set-up (``corrupt.set_up``), which every
+    rate injects from, made on the clean table at the grid's lowest nonzero
+    rate and raising all that injector raises on its configuration; none
+    for a grid of rate 0 alone.  ``check_sweep`` and ``inject`` run it first."""
     lowest = next((rate for rate in grid.rates() if rate), None)
+    set_ups = {}
     for et in error_types if lowest else ():
         try:
-            set_up(ds.dataset, corruption_spec(ds, et, lowest, seed))
+            set_ups[et] = set_up(ds.dataset, corruption_spec(ds, et, lowest, seed))
         except DirtyBenchError as exc:
             raise ConfigurationError(f"error type {et!r}: {exc} (dataset {ds.name!r})") from None
+    return set_ups
 
 
 def check_spans(name: str, dataset: Dataset) -> None:
@@ -465,10 +468,12 @@ def sweep_pairs(datasets, algorithms) -> list:
 class _Plan:
     """What evaluating any point of a sweep needs: the datasets, each
     dataset's algorithms in plan order with their run defaults filled in,
-    and the run's settings."""
+    each paired dataset's injector set-ups by name and error type, and the
+    run's settings."""
 
     datasets: tuple[SweepDataset, ...]
     algorithms: tuple[tuple[Algorithm, ...], ...]
+    set_ups: dict[str, dict[str, tuple]]
     seed: int
     folds: int
     timing_repeats: int
@@ -492,7 +497,8 @@ def _run_point(key: tuple[int, str | None, float], plan: _Plan | None = None) ->
     d, error_type, rate = key
     ds = plan.datasets[d]
     point = PreparedPoint(
-        ds.dataset, corruption_spec(ds, error_type, rate, plan.seed) if rate else None, ds.name)
+        ds.dataset, corruption_spec(ds, error_type, rate, plan.seed) if rate else None, ds.name,
+        plan.set_ups[ds.name].get(error_type))
     outcomes = {}
     for algorithm in plan.algorithms[d]:
         try:
@@ -525,13 +531,13 @@ def run_sweep(
     it at rate 0.
     Deterministic for a fixed seed regardless of worker count; a failing
     combination is recorded and skipped."""
-    pairs = check_sweep(datasets, algorithms, error_types, grid, k_classification,
-                        k_regression, folds, seed)
+    pairs, set_ups = check_sweep(datasets, algorithms, error_types, grid, k_classification,
+                                 k_regression, folds, seed)
     rates = grid.rates()
     plan = _Plan(
         datasets=tuple(datasets),
         algorithms=tuple(tuple(a for d, a in pairs if d is ds) for ds in datasets),
-        seed=seed, folds=folds, timing_repeats=timing_repeats,
+        set_ups=set_ups, seed=seed, folds=folds, timing_repeats=timing_repeats,
     )
     keys = list(dict.fromkeys((d, et if rate else None, rate)
                               for d, algos in enumerate(plan.algorithms) if algos

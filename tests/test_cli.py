@@ -484,11 +484,11 @@ class TestInject:
 
     def test_keyed_inject_sets_up_once_and_counts_without_detection(self, tmp_path,
                                                                      monkeypatch):
-        """Each error type is set up by the pre-flight, once more at its first
-        nonzero rate for every rate to share, and, for missing data, by the
-        rate-0 injection; detection runs only at rate 0 of the two row-level
-        types, whose injectors return there before any set-up.  The summary's
-        counts still equal detection on each written file."""
+        """Each error type is set up once, by the pre-flight, and every rate
+        injects from that set-up, rate 0 of missing data included; detection
+        runs only at rate 0 of the two row-level types, which return there
+        before any set-up.  The summary's counts still equal detection on
+        each written file."""
         (tmp_path / "keyed.csv").write_text(dataset_to_text(make_keyed_records(200)))
         config = {
             "output_dir": str(tmp_path / "out"),
@@ -509,8 +509,8 @@ class TestInject:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
         assert cli.main(["inject", str(cfg)]) == cli.EXIT_OK
-        assert calls == {"detect_error_rates": 2, "setup_missing": 3,
-                         "setup_inconsistent": 2, "setup_conflicting": 2}
+        assert calls == {"detect_error_rates": 2, "setup_missing": 1,
+                         "setup_inconsistent": 1, "setup_conflicting": 1}
         monkeypatch.undo()
         with (tmp_path / "out" / "injection_summary.csv").open(encoding="utf-8") as fh:
             summary = list(csv.DictReader(line for line in fh if not line.startswith("#")))
@@ -521,6 +521,37 @@ class TestInject:
                                        entity_key=("entity",))
             units = out.n_rows * (out.schema.n if row["unit"] == "cells" else 1)
             assert round(getattr(rates, row["error_type"]) * units) == int(row["changed"])
+
+    def test_rate_zero_grid_injects_without_set_up(self, tmp_path, capsys):
+        """The pre-flight sets nothing up for a grid of rate 0 alone, and the
+        row-level injectors return at rate 0 before any set-up, so an FD
+        rule that the column mask makes unusable fails an inject run only
+        once the grid has a nonzero rate."""
+        keyed = tmp_path / "keyed.csv"
+        keyed.write_text(dataset_to_text(make_keyed_records(20)))
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "rate_grid": {"start": 0.0, "step": 0.25, "count": 0},
+            "error_types": ["missing", "inconsistent", "conflicting"],
+            "datasets": [{"name": "keyed", "path": str(keyed), "task": "clustering",
+                          "keys": ["entity"], "fd_rules_inline": ["code -> dept"],
+                          "entity_key": ["entity"], "column_mask": ["entity", "code"]}],
+            "algorithms": ["kmeans"],
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["inject", str(cfg)]) == cli.EXIT_OK
+        with (tmp_path / "out" / "injection_summary.csv").open(encoding="utf-8") as fh:
+            summary = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [(row["error_type"], row["changed"]) for row in summary] == [
+            ("missing", "0"), ("inconsistent", "0"), ("conflicting", "0")]
+        for row in summary:
+            assert (tmp_path / "out" / "injected" / row["file"]).read_text() == keyed.read_text()
+        config["rate_grid"]["count"] = 1
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert cli.main(["inject", str(cfg)]) == cli.EXIT_CONFIG
+        assert "no usable FD rule" in capsys.readouterr().err
 
     def test_input_files_never_mutated(self, tmp_path):
         data = grid_csv(tmp_path / "grid.csv")

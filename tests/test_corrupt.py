@@ -11,9 +11,6 @@ from dirtybench.corrupt import (
     derive_seed,
     impute,
     inject,
-    inject_conflicting,
-    inject_inconsistent,
-    inject_missing,
 )
 from dirtybench.data import (
     CATEGORICAL,
@@ -78,28 +75,28 @@ def grid_dataset(n_rows=10, n_cols=4):
 class TestMissing:
     def test_rate_zero_identity(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.0, seed=3)
-        out, _ = inject_missing(iris, spec)
+        out, _ = inject(iris, spec)
         assert out.rows == iris.rows
 
     def test_exact_cell_count(self):
         d = grid_dataset(10, 4)
         spec = CorruptionSpec(error_type="missing", rate=0.25, seed=11)
-        out, _ = inject_missing(d, spec)
+        out, _ = inject(d, spec)
         holes = sum(1 for row in out.rows for c in row if c is None)
         assert holes == 10
 
     def test_seed_determinism(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.3, seed=42)
-        assert inject_missing(iris, spec)[0].rows == inject_missing(iris, spec)[0].rows
+        assert inject(iris, spec)[0].rows == inject(iris, spec)[0].rows
 
     def test_different_seeds_differ(self, iris):
-        a, _ = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
-        b, _ = inject_missing(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=2))
+        a, _ = inject(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=1))
+        b, _ = inject(iris, CorruptionSpec(error_type="missing", rate=0.3, seed=2))
         assert a.rows != b.rows
 
     def test_target_never_deleted(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.5, seed=5)
-        out, _ = inject_missing(iris, spec)
+        out, _ = inject(iris, spec)
         t = iris.schema.target_index
         assert all(row[t] is not None for row in out.rows)
 
@@ -107,7 +104,7 @@ class TestMissing:
         spec = CorruptionSpec(
             error_type="missing", rate=0.5, seed=5, column_mask=("sepal_length",)
         )
-        out, _ = inject_missing(iris, spec)
+        out, _ = inject(iris, spec)
         for row in out.rows:
             assert all(row[j] is not None for j in (1, 2, 3, 4))
         holes = sum(1 for row in out.rows if row[0] is None)
@@ -127,9 +124,9 @@ class TestMissing:
         total = len(eligible) * d.n_rows
         if not total and spec.rate > 0:
             with pytest.raises(ConfigurationError):
-                inject_missing(d, spec)
+                inject(d, spec)
             return
-        out, _ = inject_missing(d, spec)
+        out, _ = inject(d, spec)
         assert d.rows == before
         holes = [(i, j) for i, row in enumerate(out.rows) for j, c in enumerate(row)
                  if c is None]
@@ -155,9 +152,9 @@ class TestMissing:
         target = round(spec.rate * total)
         if spec.rate > 0 and (not total or already > target + 1):
             with pytest.raises(ConfigurationError if not total else InjectionImpossibleError):
-                inject_missing(d, spec)
+                inject(d, spec)
             return
-        out, _ = inject_missing(d, spec)
+        out, _ = inject(d, spec)
         assert d.rows == before
         holes = sum(row[j] is None for row in out.rows for j in eligible)
         assert holes == (already if spec.rate == 0 else max(already, target))
@@ -168,39 +165,39 @@ class TestMissing:
 
     def test_a_holed_table_lands_on_the_rate(self):
         d = make_keyed_records(100, seed=0)
-        holed, _ = inject_missing(d, CorruptionSpec(error_type="missing", rate=0.3, seed=0))
+        holed, _ = inject(d, CorruptionSpec(error_type="missing", rate=0.3, seed=0))
         for rate in (0.3, 0.5):
-            out, _ = inject_missing(holed, CorruptionSpec(error_type="missing", rate=rate, seed=2))
+            out, _ = inject(holed, CorruptionSpec(error_type="missing", rate=rate, seed=2))
             assert detect_error_rates(out).missing == rate
         with pytest.raises(InjectionImpossibleError,
                            match=r"already missing at 0\.3 \(180/600 cells\)"):
-            inject_missing(holed, CorruptionSpec(error_type="missing", rate=0.1, seed=2))
+            inject(holed, CorruptionSpec(error_type="missing", rate=0.1, seed=2))
 
     def test_rate_without_eligible_cells(self):
         d = grid_dataset(4, 2)
         spec = CorruptionSpec(error_type="missing", rate=0.5, seed=0, column_mask=())
         with pytest.raises(ConfigurationError):
-            inject_missing(d, spec)
+            inject(d, spec)
 
 
 class TestInconsistent:
     def test_student_pair_violation(self, student_table):
         rule = FDRule(lhs=("StudentNo",), rhs="Name")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.5, seed=0, rules=(rule,))
-        out, _ = inject_inconsistent(student_table, spec)
+        out, _ = inject(student_table, spec)
         assert inconsistent_row_rate(out, [rule]) >= 0.5 - 1 / out.n_rows
 
     def test_rate_zero_identity(self, student_table):
         rule = FDRule(lhs=("StudentNo",), rhs="Name")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.0, seed=0, rules=(rule,))
-        assert inject_inconsistent(student_table, spec)[0].rows == student_table.rows
+        assert inject(student_table, spec)[0].rows == student_table.rows
 
     def test_detector_meets_rate_on_100_rows(self):
         d = make_keyed_records(100, seed=3)
         spec = CorruptionSpec(
             error_type="inconsistent", rate=0.5, seed=9, rules=d.rules
         )
-        out, _ = inject_inconsistent(d, spec)
+        out, _ = inject(d, spec)
         achieved = inconsistent_row_rate(out, d.rules)
         assert achieved >= 0.49
         assert abs(achieved - 0.5) <= 1 / out.n_rows
@@ -212,14 +209,14 @@ class TestInconsistent:
         rule = FDRule(lhs=("a",), rhs="b")
         spec = CorruptionSpec(error_type="inconsistent", rate=0.5, seed=0, rules=(rule,))
         with pytest.raises(InjectionImpossibleError):
-            inject_inconsistent(d, spec)
+            inject(d, spec)
 
     def test_overshoot_past_one_row_is_refused(self):
         # one row is asked for, but the fabricated partner joins a pair
         d = make_keyed_records(10, seed=0)
         spec = CorruptionSpec(error_type="inconsistent", rate=0.1, seed=0, rules=d.rules)
         with pytest.raises(InjectionImpossibleError, match="3/10 rows"):
-            inject_inconsistent(d, spec)
+            inject(d, spec)
 
     def test_requires_rules(self):
         with pytest.raises(ConfigurationError):
@@ -228,7 +225,7 @@ class TestInconsistent:
     def test_determinism(self):
         d = make_keyed_records(60, seed=1)
         spec = CorruptionSpec(error_type="inconsistent", rate=0.3, seed=5, rules=d.rules)
-        assert inject_inconsistent(d, spec)[0].rows == inject_inconsistent(d, spec)[0].rows
+        assert inject(d, spec)[0].rows == inject(d, spec)[0].rows
 
 
 class TestConflicting:
@@ -236,7 +233,7 @@ class TestConflicting:
         spec = CorruptionSpec(
             error_type="conflicting", rate=0.5, seed=2, entity_key=("StudentNo", "Name")
         )
-        out, _ = inject_conflicting(student_table, spec)
+        out, _ = inject(student_table, spec)
         achieved = conflicting_row_rate(out, ("StudentNo", "Name"))
         assert achieved >= 0.5 - 1 / len(out.rows)
 
@@ -244,12 +241,12 @@ class TestConflicting:
         spec = CorruptionSpec(
             error_type="conflicting", rate=0.0, seed=2, entity_key=("StudentNo", "Name")
         )
-        assert inject_conflicting(student_table, spec)[0].rows == student_table.rows
+        assert inject(student_table, spec)[0].rows == student_table.rows
 
     def test_detector_bound(self):
         d = make_keyed_records(200, seed=4)
         spec = CorruptionSpec(error_type="conflicting", rate=0.3, seed=6, entity_key=("entity",))
-        out, _ = inject_conflicting(d, spec)
+        out, _ = inject(d, spec)
         achieved = conflicting_row_rate(out, ("entity",))
         assert abs(achieved - 0.3) <= 1 / len(out.rows)
 
@@ -258,7 +255,7 @@ class TestConflicting:
         rows = [[f"e{i}", f"v{i % 3}"] for i in range(10)]
         d = dataset_from_rows(cols, rows)
         spec = CorruptionSpec(error_type="conflicting", rate=0.4, seed=1, entity_key=("id",))
-        out, _ = inject_conflicting(d, spec)
+        out, _ = inject(d, spec)
         assert len(out.rows) > 10
         assert len(out.row_origin) == len(out.rows)
         achieved = conflicting_row_rate(out, ("id",))
@@ -270,13 +267,13 @@ class TestConflicting:
         d = dataset_from_rows(cols, rows)
         spec = CorruptionSpec(error_type="conflicting", rate=0.5, seed=0, entity_key=("id", "v"))
         with pytest.raises(ConfigurationError):
-            inject_conflicting(d, spec)
+            inject(d, spec)
 
     def test_determinism(self):
         d = make_keyed_records(80, seed=2)
         spec = CorruptionSpec(error_type="conflicting", rate=0.5, seed=8, entity_key=("entity",))
-        a, _ = inject_conflicting(d, spec)
-        b, _ = inject_conflicting(d, spec)
+        a, _ = inject(d, spec)
+        b, _ = inject(d, spec)
         assert a.rows == b.rows and a.row_origin == b.row_origin
 
     @staticmethod
@@ -306,10 +303,10 @@ class TestConflicting:
                 for rate in (0.05, 0.3, 0.6):
                     spec = CorruptionSpec(error_type="conflicting", rate=rate, seed=seed,
                                           entity_key=("entity",))
-                    got, _ = inject_conflicting(d, spec)
+                    got, _ = inject(d, spec)
                     with monkeypatch.context() as m:
                         m.setattr(corrupt, "_disagree_group", self.listed_disagree_group)
-                        expect, _ = inject_conflicting(d, spec)
+                        expect, _ = inject(d, spec)
                     assert got.rows == expect.rows and got.row_origin == expect.row_origin
         dom = ["a", "b", "c", "d"]
         for current in dom + ["0", "bb", "z"]:

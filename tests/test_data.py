@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirtybench import data
-from dirtybench.corrupt import ERROR_TYPES, CorruptionSpec, inject, inject_missing
+from dirtybench.corrupt import ERROR_TYPES, CorruptionSpec, inject
 from dirtybench.data import (
     CATEGORICAL,
     Column,
@@ -179,7 +179,7 @@ class TestDetect:
 
     def test_after_missing_injection(self, iris):
         spec = CorruptionSpec(error_type="missing", rate=0.30, seed=7)
-        dirty, _ = inject_missing(iris, spec)
+        dirty, _ = inject(iris, spec)
         cells = iris.schema.n * iris.n_rows
         assert abs(detect_error_rates(dirty).missing - 0.30) <= 1.0 / cells
 
@@ -196,7 +196,7 @@ class TestDatasetInvariants:
     def test_clean_shadow_untouched_by_corruption(self, iris):
         before = iris.clean_shadow
         spec = CorruptionSpec(error_type="missing", rate=0.5, seed=1)
-        dirty, _ = inject_missing(iris, spec)
+        dirty, _ = inject(iris, spec)
         assert dirty.clean_shadow is before
         assert iris.rows == [list(r) for r in before]
 

@@ -3,13 +3,14 @@ import inspect
 import json
 import pickle
 import re
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dirtybench import classify, cluster, evaluate, robustness
+from dirtybench import classify, cluster, corrupt, evaluate, robustness
 from dirtybench.cluster import dbscan_default_eps
 from dirtybench.config import DatasetConfig, RunConfig
 from dirtybench.corrupt import ERROR_TYPES, derive_seed, inject
@@ -370,8 +371,8 @@ class TestRunSweep:
         algorithms = [Algorithm("kmeans"), Algorithm("dbscan", {"min_pts": 3}),
                       Algorithm("cure", {"sample_frac": 0.5}), Algorithm("lvq")]
         grid = RateGrid(start=0.0, step=0.25, count=2)
-        pairs = robustness.check_sweep(datasets, algorithms, ("missing",), grid,
-                                       0.1, 0.1, folds=10, seed=7)
+        pairs, _ = robustness.check_sweep(datasets, algorithms, ("missing",), grid,
+                                          0.1, 0.1, folds=10, seed=7)
         assert frozen == [ds.dataset for ds in datasets]
         assert all(a.params["eps"] > 0 for _, a in pairs if a.name == "dbscan")
         frozen.clear()
@@ -493,6 +494,23 @@ class TestRunSweep:
                                    ("missing",), RateGrid(), 0.1, 0.1, folds=10)
         assert str(rejected.value) == f"algorithm {name!r}: {raised.value} (dataset 'iris')"
 
+    def test_one_class_training_fold_fails_per_point(self):
+        """The pre-flight knows the clean table's label count, not each
+        training fold's: with one row of the rare class, the fold that
+        tests it trains logistic regression on one class, and every point
+        fails with the learner's own text."""
+        columns = (Column("x", NUMERIC), Column("label", CATEGORICAL, TARGET))
+        rows = [[float(i), "a"] for i in range(12)] + [[12.0, "b"]]
+        ds = SweepDataset("rare", dataset_from_rows(columns, rows), "classification")
+        args = ([ds], [Algorithm("logistic_regression")], ("missing",),
+                RateGrid(start=0.0, step=0.2, count=2))
+        robustness.check_sweep(*args, 0.1, 0.1, folds=3)
+        report = run_sweep(*args, folds=3)
+        assert not report.results
+        assert [(e["rate"], e["message"]) for e in report.errors] == [
+            (rate, "UnsupportedTaskError: needs a binary target, got 1 classes")
+            for rate in (0.0, 0.2, 0.4)]
+
     def test_empty_error_types_rejected(self):
         ds = SweepDataset("blobs", make_blobs(20, seed=0), "classification")
         with pytest.raises(ConfigurationError, match="no error types"):
@@ -577,11 +595,11 @@ class TestRunSweep:
         points still run."""
         calls = []
 
-        def failing_inject(dataset, spec):
+        def failing_inject(dataset, spec, setup):
             calls.append(spec.rate)
             if spec.rate == 0.5:
                 raise ParameterError("injection failed at 0.5")
-            return inject(dataset, spec)
+            return inject(dataset, spec, setup)
 
         monkeypatch.setattr(evaluate, "inject", failing_inject)
         ds = SweepDataset("blobs", make_blobs(30, n_classes=2, seed=3), "classification")
@@ -593,6 +611,25 @@ class TestRunSweep:
             (a.name, 0.5, "ParameterError: injection failed at 0.5") for a in algorithms]
         assert [(r.algorithm, r.rate) for r in report.results] == [
             (a.name, rate) for a in algorithms for rate in (0.0, 0.25)]
+
+    def test_sweep_sets_up_once_per_dataset_and_error_type(self, iris_path, monkeypatch):
+        """Every point injects from the set-up the pre-flight made for its
+        (dataset, error type): no point sets itself up."""
+        iris = keyed(load_dataset(iris_path, target="species"))
+        rules = (FDRule(("id",), "petal_width"),)
+        datasets = [SweepDataset(name, iris, task, rules=rules, entity_key=("id",))
+                    for name, task in (("iris", "classification"), ("iris_c", "clustering"))]
+        calls = Counter()
+        for name in ("setup_missing", "setup_inconsistent", "setup_conflicting"):
+            def counted(*args, _name=name, _fn=getattr(corrupt, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(corrupt, name, counted)
+        report = run_sweep(datasets, [Algorithm("naive_bayes"), Algorithm("kmeans")],
+                           ERROR_TYPES, RateGrid(start=0.0, step=0.2, count=2),
+                           seed=0, folds=3, jobs=1)
+        assert len(report.results) == 2 * 3 * 3 and not report.errors
+        assert calls == {"setup_missing": 2, "setup_inconsistent": 2, "setup_conflicting": 2}
 
 
 def keyed(data):
