@@ -48,10 +48,10 @@ def encode_for_clustering(d: Data) -> np.ndarray:
     return enc.embed(enc.encoding.num, enc.encoding.codes)
 
 
-# Byte budget of the one (d x rows x len(C)) buffer that holds a distance
-# block's per-feature terms.  Each kernel call allocates it once and writes
-# every block's terms into it, so no block allocates, frees or faults in
-# memory of its own.
+# Byte budget of a distance block's d x rows x len(C) per-feature terms.
+# Each kernel call allocates one buffer for the terms the summation keeps
+# alive at once and writes every block's terms into it, so no block
+# allocates, frees or faults in memory of its own.
 _CHUNK_BYTES = 2 << 20
 
 
@@ -107,11 +107,16 @@ def _sq_dist_blocks(X: np.ndarray, C: np.ndarray):
     n, d = X.shape
     step = max(1, _CHUNK_BYTES // (8 * max(1, C.size)))
     XT, CT = X.T.copy(), C.T.copy()  # feature-major
-    buf = np.empty(d * min(step, n) * len(C))
+    # as many term slots as ``_pairwise_sum`` keeps alive: the running sum
+    # and the next term below 8 features, eight sums and the next term up
+    # to 128; above, the two halves' sums overlap, so one slot per feature
+    slots = d if d > 128 else min(d, 2 if d < 8 else 9)
+    buf = np.empty(slots * min(step, n) * len(C))
 
     def terms(x, c):
-        t = buf[:x.size * c.shape[1]].reshape(d, x.shape[1], c.shape[1])
-        for tj, xj, cj in zip(t, x, c):
+        t = buf[:slots * x.shape[1] * c.shape[1]].reshape(slots, x.shape[1], c.shape[1])
+        for k, (xj, cj) in enumerate(zip(x, c)):
+            tj = t[min(k, slots - 1)]
             np.subtract.outer(xj, cj, out=tj)
             yield np.multiply(tj, tj, out=tj)
 

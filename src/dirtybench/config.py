@@ -54,14 +54,22 @@ class DatasetConfig:
             if getattr(self, name) is not None:
                 setattr(self, name, tuple(getattr(self, name)))
 
-    def load(self, base_dir: Path) -> SweepDataset:
+    def load(self, base_dir: Path, tables: dict) -> SweepDataset:
+        """This entry's dataset.  ``tables`` holds the tables already loaded
+        for the config, by file and read settings, so entries that read one
+        file alike parse it once and share its rows: nothing writes a loaded
+        table's rows in place (injectors and imputation copy them), and
+        ``attach_rules`` returns a new Dataset."""
         path = Path(self.path)
         if not path.is_absolute():
             path = base_dir / path
-        dataset = load_dataset(
-            path, delimiter=self.delimiter, has_header=self.has_header,
-            target=self.target, keys=self.keys,
-        )
+        read = (path, self.delimiter, self.has_header, self.target, self.keys)
+        if read not in tables:
+            tables[read] = load_dataset(
+                path, delimiter=self.delimiter, has_header=self.has_header,
+                target=self.target, keys=self.keys,
+            )
+        dataset = tables[read]
         rule_text = ""
         if self.fd_rules:
             rule_path = Path(self.fd_rules)
@@ -148,7 +156,8 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def load_sweep_datasets(self) -> list[SweepDataset]:
-        return [d.load(self.base_dir) for d in self.datasets]
+        tables: dict = {}
+        return [d.load(self.base_dir, tables) for d in self.datasets]
 
     def plan_lines(self) -> list[str]:
         rates = self.rate_grid.rates()

@@ -2,8 +2,10 @@
 
 Cells are plain Python values: ``float`` for numeric columns, ``str`` for
 categorical ones, and ``None`` as the dedicated missing marker (serialized as
-an empty field).  A loaded dataset keeps an immutable ``clean_shadow`` copy of
-its rows so that later corruption can always be measured against ground truth.
+an empty field).  ``load_dataset`` reads a file in one pass and gives the
+equal fields of a column one shared, immutable cell.  A loaded dataset keeps
+an immutable ``clean_shadow`` copy of its rows so that later corruption can
+always be measured against ground truth.
 
 What makes a row dirty is defined once, here, in ``ViolationIndex``: rows
 that share key values are violated when they hold different present values
@@ -13,6 +15,8 @@ read the index and the injectors in ``corrupt`` keep it current.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -201,22 +205,6 @@ class Dataset:
 # parsing and serialization
 # ---------------------------------------------------------------------------
 
-def _parse_cell(token: str, kind: str) -> Cell:
-    """A trimmed token as a cell; ``infer_schema`` makes a column numeric only
-    when each of its tokens is a finite float."""
-    if token == "":
-        return None
-    return float(token) if kind == NUMERIC else token
-
-
-def _token_is_numeric(token: str) -> bool:
-    try:
-        v = float(token)
-    except ValueError:
-        return False
-    return v == v and v not in (float("inf"), float("-inf"))
-
-
 def format_cell(cell: Cell) -> str:
     if cell is None:
         return ""
@@ -227,34 +215,34 @@ def format_cell(cell: Cell) -> str:
     return str(cell)
 
 
-def _split_line(line: str, delimiter: str) -> list[str]:
-    return [f.strip() for f in line.rstrip("\r\n").split(delimiter)]
+class _Column(dict):
+    """A column being loaded: field text -> cell, each distinct field parsed
+    once, so equal fields share one cell.  Numeric until a non-empty field
+    is not a finite real; then the floats it gave ``rows`` go back to text."""
 
+    def __init__(self, rows: list[list[Cell]], j: int):
+        super().__init__({"": None})
+        self.rows, self.j, self.numeric = rows, j, True
 
-def infer_schema(
-    header: Sequence[str] | None,
-    raw_rows: Sequence[Sequence[str]],
-    target: str | None = None,
-    keys: Sequence[str] = (),
-) -> Schema:
-    """A column is numeric iff every non-missing token parses as a finite real."""
-    width = len(raw_rows[0]) if raw_rows else (len(header) if header else 0)
-    names = list(header) if header else [f"c{i}" for i in range(width)]
-    kinds = []
-    for j in range(width):
-        tokens = [r[j] for r in raw_rows if r[j] != ""]
-        kinds.append(NUMERIC if tokens and all(_token_is_numeric(t) for t in tokens) else CATEGORICAL)
-    roles = []
-    for name in names:
-        if target is not None and name == target:
-            roles.append(TARGET)
-        elif name in keys:
-            roles.append(KEY)
-        else:
-            roles.append(FEATURE)
-    if target is not None and TARGET not in roles:
-        raise SchemaError(f"target column {target!r} not found in {names}")
-    return Schema(tuple(Column(n, k, r) for n, k, r in zip(names, kinds, roles)))
+    def __missing__(self, text: str) -> Cell:
+        if self.numeric:
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                self[text] = value
+                return value
+            self.numeric = False
+            back = {}
+            for t, c in self.items():
+                if c is not None:
+                    back[id(c)] = self[t] = t
+            for row in self.rows:
+                if row[self.j] is not None:
+                    row[self.j] = back[id(row[self.j])]
+        self[text] = text
+        return text
 
 
 def load_dataset(
@@ -264,37 +252,44 @@ def load_dataset(
     target: str | None = None,
     keys: Sequence[str] = (),
 ) -> Dataset:
-    """Load a delimited text file into a typed Dataset.
+    """Load a delimited text file into a typed Dataset in one pass.
 
-    The schema is inferred from the file; ``target`` and ``keys`` assign
-    column roles.  Raises ParseError on malformed rows,
-    EmptyInputError when no data rows exist.
+    A row ends at a newline (``\\r\\n`` and ``\\r`` end one too); blank lines
+    are skipped and fields trimmed.  A column is numeric iff each of its
+    non-empty fields is a finite real.  ``target`` and ``keys`` assign
+    column roles.  Raises ParseError on a row of the wrong width, naming
+    its line in the file, and EmptyInputError when no data rows exist.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    header: list[str] | None = None
-    if has_header:
-        if not lines:
-            raise EmptyInputError(f"{path}: file is empty")
-        header = _split_line(lines[0], delimiter)
-        lines = lines[1:]
-    if not lines:
-        raise EmptyInputError(f"{path}: no data rows")
+    rows: list[list[Cell]] = []
+    with path.open(encoding="utf-8") as fh:  # universal newlines
+        lines = ((n, ln.split(delimiter))
+                 for n, ln in enumerate(fh, start=1) if not ln.isspace())
+        header = None
+        if has_header:
+            _, fields = next(lines, (0, None))
+            if fields is None:
+                raise EmptyInputError(f"{path}: file is empty")
+            header = [f.strip() for f in fields]
+        first = next(lines, None)
+        if first is None:
+            raise EmptyInputError(f"{path}: no data rows")
+        width = len(header) if header else len(first[1])
+        columns = [_Column(rows, j) for j in range(width)]
+        for lineno, fields in itertools.chain((first,), lines):
+            if len(fields) != width:
+                raise ParseError(
+                    f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
+                )
+            rows.append([column[f.strip()] for column, f in zip(columns, fields)])
 
-    raw_rows = []
-    width = len(header) if header else len(_split_line(lines[0], delimiter))
-    for lineno, line in enumerate(lines, start=2 if has_header else 1):
-        fields = _split_line(line, delimiter)
-        if len(fields) != width:
-            raise ParseError(
-                f"{path}: line {lineno} has {len(fields)} fields, expected {width}"
-            )
-        raw_rows.append(fields)
-
-    schema = infer_schema(header, raw_rows, target=target, keys=keys)
-    rows = [[_parse_cell(tok, col.kind) for tok, col in zip(fields, schema.columns)]
-            for fields in raw_rows]
+    names = header or [f"c{j}" for j in range(width)]
+    if target is not None and target not in names:
+        raise SchemaError(f"target column {target!r} not found in {names}")
+    schema = Schema(tuple(
+        Column(name, NUMERIC if column.numeric and len(column) > 1 else CATEGORICAL,
+               TARGET if name == target else KEY if name in keys else FEATURE)
+        for name, column in zip(names, columns)))
     return Dataset(schema=schema, rows=rows, clean_shadow=tuple(tuple(r) for r in rows),
                    source=str(path))
 

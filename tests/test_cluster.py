@@ -576,6 +576,35 @@ class TestNumpySummationOrder:
             assert np.array_equal(cluster._sq_dists_to(X.T.copy(), p), ((X - p) ** 2).sum(axis=1))
 
 
+def _kernel_peak(X, C):
+    """tracemalloc's peak while ``_sq_dist_blocks`` yields its blocks."""
+    tracemalloc.start()
+    try:
+        for _ in cluster._sq_dist_blocks(X, C):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [*range(1, 17), 129, 200])
+def test_term_buffer_holds_only_the_live_terms(d):
+    """The kernel's buffer has a slot per term the summation keeps alive (2
+    below 8 features, 9 up to 128, every feature above), and the bits stay
+    numpy's.  In one block, memory beyond a one-feature call's grows by a
+    block per further slot and the longer feature-major copies."""
+    rng = np.random.default_rng(d)
+    X, C = (rng.choice([-1.0, 1.0], size=(rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+            for rows in (60, 50))
+    assert np.array_equal(_sq_dists(X, C), dense_sq_dists(X, C))
+    assert np.array_equal(_sq_dists(C, X), dense_sq_dists(C, X))
+    slots = d if d > 128 else min(d, 2 if d < 8 else 9)
+    with mock.patch.object(cluster, "_CHUNK_BYTES", 1 << 30):
+        grown = _kernel_peak(X, C) - _kernel_peak(X[:, :1], C[:, :1])
+    block, copies = len(X) * len(C) * 8, (len(X) + len(C)) * (d - 1) * 8
+    assert grown < (slots - 1) * block + copies + block // 2
+
+
 # ---------------------------------------------------------------------------
 # the Gram filter keeps every pair that the exact searches need
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from dirtybench import config as config_module
 from dirtybench.config import RunConfig
 from dirtybench.corrupt import ERROR_TYPES
+from dirtybench.data import load_dataset
 from dirtybench.errors import ConfigurationError
 from dirtybench.evaluate import LEARNERS, TASKS
 
@@ -127,3 +129,33 @@ def test_json_round_trip_reproduces_the_config(data):
     back = RunConfig.from_dict(json.loads(json.dumps(emitted)))
     assert back == config and back.to_dict() == emitted
     assert back.config_hash == config.config_hash
+
+
+def test_entries_reading_one_file_alike_parse_it_once(monkeypatch, iris_path):
+    """Entries with the same file and read settings share one loaded table;
+    their rules still attach per entry, and other settings load anew."""
+    calls = []
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "load_dataset", counting_load)
+    entry = {"name": "iris", "path": str(iris_path), "task": "classification",
+             "target": "species"}
+    config = RunConfig.from_dict({
+        "datasets": [entry,
+                     {**entry, "name": "groups", "task": "clustering",
+                      "fd_rules_inline": ["sepal_length -> species"]}],
+        "algorithms": ["knn", "kmeans"],
+    })
+    first, second = config.load_sweep_datasets()
+    assert len(calls) == 1
+    assert first.dataset.rows is second.dataset.rows
+    assert first.dataset.rules == () and len(second.dataset.rules) == 1
+
+    config.datasets[1].target = "petal_width"
+    first, second = config.load_sweep_datasets()
+    assert len(calls) == 3
+    assert first.dataset.rows == second.dataset.rows
+    assert first.dataset.rows is not second.dataset.rows

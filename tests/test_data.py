@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,10 @@ from dirtybench import data
 from dirtybench.corrupt import ERROR_TYPES, CorruptionSpec, inject
 from dirtybench.data import (
     CATEGORICAL,
+    FEATURE,
+    TARGET,
     Column,
+    Dataset,
     FDRule,
     KEY,
     NUMERIC,
@@ -20,6 +25,7 @@ from dirtybench.data import (
     parse_fd_rules,
     save_dataset,
 )
+from dirtybench.synth import make_keyed_records
 from dirtybench.errors import (
     ConfigurationError,
     EmptyInputError,
@@ -76,6 +82,144 @@ class TestLoad:
         back = load_dataset(out, target="species")
         assert back.rows == iris.rows
         assert back.schema == iris.schema
+
+    def test_parse_error_names_the_files_own_line(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("a,b\n\n\n1,2\n3\n")
+        with pytest.raises(ParseError, match="line 5 has 1 fields"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_a_cell_holding_another_line_break_round_trips(self, tmp_path, mark):
+        """Only a newline ends a row: the characters ``str.splitlines`` also
+        breaks at stay inside their cell, as ``dataset_to_text`` wrote them."""
+        d = dataset_from_rows([Column("a", CATEGORICAL), Column("b", NUMERIC)],
+                              [[f"x{mark}y", 1.0], ["z", 2.0]])
+        save_dataset(d, tmp_path / "marks.csv")
+        back = load_dataset(tmp_path / "marks.csv")
+        assert back.rows == d.rows and back.schema == d.schema
+
+
+# ---------------------------------------------------------------------------
+# the one-pass loader against the two-pass algorithm it replaced
+# ---------------------------------------------------------------------------
+
+def reference_load(path, delimiter=",", has_header=True, target=None, keys=()):
+    """The loader as it was before it read files in one pass: every row's
+    trimmed tokens first, then one kind per column from all of its tokens,
+    then the cells (one object per token).  It split lines with
+    ``str.splitlines`` and numbered only non-blank ones, so the properties
+    draw neither other line breaks nor compare error messages."""
+    def is_numeric(token):
+        try:
+            v = float(token)
+        except ValueError:
+            return False
+        return v == v and v not in (float("inf"), float("-inf"))
+
+    def split(line):
+        return [f.strip() for f in line.rstrip("\r\n").split(delimiter)]
+
+    path = Path(path)
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip() != ""]
+    header = None
+    if has_header:
+        if not lines:
+            raise EmptyInputError(f"{path}: file is empty")
+        header, lines = split(lines[0]), lines[1:]
+    if not lines:
+        raise EmptyInputError(f"{path}: no data rows")
+    width = len(header) if header else len(split(lines[0]))
+    raw_rows = []
+    for lineno, line in enumerate(lines, start=2 if has_header else 1):
+        fields = split(line)
+        if len(fields) != width:
+            raise ParseError(f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
+        raw_rows.append(fields)
+    names = list(header) if header else [f"c{i}" for i in range(width)]
+    kinds = []
+    for j in range(width):
+        tokens = [r[j] for r in raw_rows if r[j] != ""]
+        kinds.append(NUMERIC if tokens and all(map(is_numeric, tokens)) else CATEGORICAL)
+    roles = [TARGET if target is not None and n == target else KEY if n in keys else FEATURE
+             for n in names]
+    if target is not None and TARGET not in roles:
+        raise SchemaError(f"target column {target!r} not found in {names}")
+    schema = Schema(tuple(Column(n, k, r) for n, k, r in zip(names, kinds, roles)))
+    rows = [[None if t == "" else float(t) if c.kind == NUMERIC else t
+             for t, c in zip(fields, schema.columns)] for fields in raw_rows]
+    return Dataset(schema=schema, rows=rows, clean_shadow=tuple(map(tuple, rows)),
+                   source=str(path))
+
+
+# fields of a column that stays numeric, and of one that may turn categorical
+# at any row; padding and empty fields are in both
+NUMBER_FIELDS = ["1", "1.0", "-0", "0", "2.5", "1e3", " 1 ", "\t2.5", "", "  "]
+ANY_FIELDS = NUMBER_FIELDS + ["x", " x ", "nan", "inf", "-inf", "1e999", "NaN", "1_0"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with blank lines, CRLF or CR line ends, padded and empty
+    fields, columns that read as numbers and then turn categorical, and
+    all-empty columns; now and then a short row.  Returns the text, the
+    load arguments, and each data row's fields."""
+    width = draw(st.integers(1, 4))
+    pools = draw(st.lists(st.sampled_from([NUMBER_FIELDS, ANY_FIELDS, ["", " "]]),
+                          min_size=width, max_size=width))
+    delimiter = draw(st.sampled_from([",", ";"]))
+    n_rows = draw(st.integers(1, 12))
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n_rows)]
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n_rows - 1))].pop()
+    has_header = draw(st.booleans())
+    lines = [delimiter.join(f" c{j} " for j in range(width))] if has_header else []
+    lines += [delimiter.join(r) for r in rows]
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(["", "\n", " \n", "\r\n"]))  # a blank line or none
+        text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    kwargs = {"delimiter": delimiter, "has_header": has_header,
+              "target": draw(st.sampled_from([None, "c0", "c1", "zz"])),
+              "keys": draw(st.sampled_from([(), ("c1",)]))}
+    return text, kwargs, [r for r in rows if delimiter.join(r).strip()]
+
+
+@given(csv_texts())
+def test_one_pass_loader_equals_the_reference(tmp_path_factory, case):
+    text, kwargs, fields = case
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = reference_load(path, **kwargs)
+    except (EmptyInputError, ParseError, SchemaError) as exc:
+        with pytest.raises(type(exc)):
+            load_dataset(path, **kwargs)
+        return
+    got = load_dataset(path, **kwargs)
+    assert got.schema == want.schema
+    assert got.rows == want.rows
+    assert [list(map(type, r)) for r in got.rows] == [list(map(type, r)) for r in want.rows]
+    assert got.clean_shadow == tuple(map(tuple, got.rows))
+    for j in range(got.schema.arity):
+        cell_of = {}
+        for row, row_fields in zip(got.rows, fields, strict=True):
+            assert cell_of.setdefault(row_fields[j].strip(), row[j]) is row[j]
+
+
+def test_one_pass_loader_peaks_at_most_60_percent_of_the_reference(tmp_path):
+    path = tmp_path / "keyed.csv"
+    path.write_text(dataset_to_text(make_keyed_records(10000)), encoding="utf-8")
+    peaks = {}
+    for load in (reference_load, load_dataset):
+        tracemalloc.start()
+        try:
+            load(path)
+            peaks[load] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[load_dataset] <= 0.6 * peaks[reference_load], peaks
 
 
 @st.composite
