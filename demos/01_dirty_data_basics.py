@@ -65,7 +65,7 @@ print("after inject_conflicting(0.3): conflicting =",
       f"{detect_error_rates(conflicting, entity_key=entity_key).conflicting:.2%}")
 
 # The clean shadow never moves, so ground truth survives any corruption.
-assert clean.rows == [list(r) for r in missing.clean_shadow]
+assert [list(r) for r in clean.rows] == [list(r) for r in missing.clean_shadow]
 
 # ------------------------------------------------------------------
 # Repair time: missing numerics get the column mean, categoricals the mode.

@@ -107,12 +107,9 @@ def cmd_inject(args) -> int:
                 spec = corruption_spec(ds, error_type, rate, config.seed)
                 corrupted, changed = inject(ds.dataset, spec, setup)
                 name = f"{ds.name}__{error_type}__{_rate_tag(rate)}.csv"
-                target = out_dir / name
-                target.write_text(
+                with (out_dir / name).open("w", encoding="utf-8") as fh:
                     dataset_to_text(corrupted, delimiter=entry.delimiter,
-                                    clean_lines=clean_lines),
-                    encoding="utf-8",
-                )
+                                    clean_lines=clean_lines, file=fh)
                 if changed is None:
                     # rate 0, where the injector set nothing up: detection
                     # counts the output, and the spec holds only its own

@@ -3,9 +3,11 @@
 Cells are plain Python values: ``float`` for numeric columns, ``str`` for
 categorical ones, and ``None`` as the dedicated missing marker (serialized as
 an empty field).  ``load_dataset`` reads a file in one pass and gives the
-equal fields of a column one shared, immutable cell.  A loaded dataset keeps
-an immutable ``clean_shadow`` copy of its rows so that later corruption can
-always be measured against ground truth.
+equal fields of a column one shared, immutable cell.  A loaded or built
+dataset keeps its rows once, as the tuples of its ``clean_shadow``, so that
+later corruption can always be measured against ground truth; ``copy``
+gives the list rows that corruption writes.  ``dataset_to_text`` writes a
+table into an open file a chunk of lines at a time, or returns its text.
 
 What makes a row dirty is defined once, here, in ``ViolationIndex``: rows
 that share key values are violated when they hold different present values
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     ConfigurationError,
@@ -134,13 +136,18 @@ class FDRule:
 class Dataset:
     """Rows plus schema, FD rules, and the protected clean copy.
 
+    A table from ``load_dataset`` or ``dataset_from_rows`` holds its rows
+    once: ``rows[i] is clean_shadow[i]``, a tuple, so a write into one of
+    them raises TypeError instead of changing the ground truth and every
+    config entry that shares the table.  ``copy`` gives list rows to write.
+
     ``row_origin[i]`` is the index into ``clean_shadow`` that row ``i``
     descends from; corruption that duplicates rows extends it, so ground
     truth stays addressable for every live row.
     """
 
     schema: Schema
-    rows: list[list[Cell]]
+    rows: list[Sequence[Cell]]
     clean_shadow: tuple[tuple[Cell, ...], ...]
     source: str = "<memory>"
     rules: tuple[FDRule, ...] = ()
@@ -180,7 +187,7 @@ class Dataset:
     def n_c(self) -> int:
         return len(self.label_values())
 
-    def with_rows(self, rows: list[list[Cell]], row_origin: list[int] | None = None) -> "Dataset":
+    def with_rows(self, rows: list[Sequence[Cell]], row_origin: list[int] | None = None) -> "Dataset":
         """New dataset sharing schema/shadow/rules but carrying changed rows."""
         return Dataset(
             schema=self.schema,
@@ -192,6 +199,7 @@ class Dataset:
         )
 
     def copy(self) -> "Dataset":
+        """This table with each row copied into a list, free to write."""
         return self.with_rows(list(map(list, self.rows)))
 
     def attach_rules(self, rules: Iterable[FDRule]) -> "Dataset":
@@ -259,6 +267,7 @@ def load_dataset(
     non-empty fields is a finite real.  ``target`` and ``keys`` assign
     column roles.  Raises ParseError on a row of the wrong width, naming
     its line in the file, and EmptyInputError when no data rows exist.
+    The rows are the clean shadow's tuples.
     """
     path = Path(path)
     rows: list[list[Cell]] = []
@@ -290,8 +299,11 @@ def load_dataset(
         Column(name, NUMERIC if column.numeric and len(column) > 1 else CATEGORICAL,
                TARGET if name == target else KEY if name in keys else FEATURE)
         for name, column in zip(names, columns)))
-    return Dataset(schema=schema, rows=rows, clean_shadow=tuple(tuple(r) for r in rows),
-                   source=str(path))
+    # lists while reading, since a column turning categorical writes back
+    # into them; then the shadow's tuples, so the table keeps one copy
+    shadow = tuple(map(tuple, rows))
+    rows[:] = shadow
+    return Dataset(schema=schema, rows=rows, clean_shadow=shadow, source=str(path))
 
 
 def format_rows(rows: Iterable[Sequence[Cell]], delimiter: str = ",") -> list[str]:
@@ -299,9 +311,28 @@ def format_rows(rows: Iterable[Sequence[Cell]], delimiter: str = ",") -> list[st
     return [delimiter.join(map(format_cell, row)) for row in rows]
 
 
+def _text_lines(d: Dataset, delimiter: str, header: bool,
+                clean_lines: Sequence[str] | None) -> Iterator[str]:
+    if header:
+        yield delimiter.join(d.schema.names)
+    shadow = d.clean_shadow
+    for row, o in zip(d.rows, d.row_origin):
+        if clean_lines is not None and tuple(row) == shadow[o]:
+            yield clean_lines[o]
+        else:
+            yield delimiter.join(map(format_cell, row))
+
+
+WRITE_CHUNK_LINES = 1024
+
+
 def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True,
-                    clean_lines: Sequence[str] | None = None) -> str:
-    """The rows as delimited text, each line ended by a newline.
+                    clean_lines: Sequence[str] | None = None,
+                    file: TextIO | None = None) -> str | None:
+    """The rows as delimited text, each line ended by a newline: returned,
+    or, when ``file`` is an open text file, written into it
+    ``WRITE_CHUNK_LINES`` lines at a time, so that the whole text never
+    exists at once.  Both give the same characters.
 
     ``clean_lines``, when given, is ``format_rows(d.clean_shadow, delimiter)``:
     a row whose cells equal those of its ``row_origin`` clean row takes that
@@ -310,22 +341,23 @@ def dataset_to_text(d: Dataset, delimiter: str = ",", header: bool = True,
     at most in the sign of zero, and both zeros format as "0"), so the text
     is the same with or without them.
     """
-    lines = [delimiter.join(d.schema.names)] if header else []
-    if clean_lines is None:
-        lines += format_rows(d.rows, delimiter)
-    else:
-        if len(clean_lines) != len(d.clean_shadow):
-            raise ValueError(f"{len(clean_lines)} clean lines for "
-                             f"{len(d.clean_shadow)} clean rows")
-        shadow = d.clean_shadow
-        for row, o in zip(d.rows, d.row_origin):
-            lines.append(clean_lines[o] if tuple(row) == shadow[o]
-                         else delimiter.join(map(format_cell, row)))
-    return "\n".join(lines) + "\n"
+    if clean_lines is not None and len(clean_lines) != len(d.clean_shadow):
+        raise ValueError(f"{len(clean_lines)} clean lines for "
+                         f"{len(d.clean_shadow)} clean rows")
+    lines = _text_lines(d, delimiter, header, clean_lines)
+    if file is None:
+        return "\n".join(lines) + "\n"
+    chunk = list(itertools.islice(lines, WRITE_CHUNK_LINES))
+    while True:  # the first chunk is written even when empty, as "\n"
+        file.write("\n".join(chunk) + "\n")
+        chunk = list(itertools.islice(lines, WRITE_CHUNK_LINES))
+        if not chunk:
+            return None
 
 
 def save_dataset(d: Dataset, path: str | Path, delimiter: str = ",", header: bool = True) -> None:
-    Path(path).write_text(dataset_to_text(d, delimiter, header), encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        dataset_to_text(d, delimiter, header, file=fh)
 
 
 def dataset_from_rows(
@@ -334,9 +366,10 @@ def dataset_from_rows(
     rules: Iterable[FDRule] = (),
     source: str = "<memory>",
 ) -> Dataset:
-    """Build a Dataset from in-memory values (ints coerced to float)."""
+    """Build a Dataset from in-memory values (ints coerced to float); its
+    rows are the clean shadow's tuples."""
     schema = columns if isinstance(columns, Schema) else Schema(tuple(columns))
-    typed: list[list[Cell]] = []
+    typed: list[Sequence[Cell]] = []
     for i, row in enumerate(rows):
         if len(row) != schema.arity:
             raise SchemaError(f"row {i} has {len(row)} cells, schema expects {schema.arity}")
@@ -351,10 +384,10 @@ def dataset_from_rows(
                 cells.append(value)
             else:
                 cells.append(str(cell))
-        typed.append(cells)
+        typed.append(tuple(cells))
     if not typed:
         raise EmptyInputError("no rows supplied")
-    shadow = tuple(tuple(r) for r in typed)
+    shadow = tuple(typed)
     d = Dataset(schema=schema, rows=typed, clean_shadow=shadow, source=source)
     return d.attach_rules(rules) if rules else d
 
@@ -423,12 +456,14 @@ class ViolationIndex:
     members hold different present values in one compared column.  An FD
     ``lhs -> rhs`` is ``(lhs, (rhs,), lhs + (rhs,))`` and an entity key
     ``(key, every other column, key)``.  The injectors keep the index
-    current through ``set_cells``, ``refresh`` and ``append_duplicate``.
+    current through ``set_cells``, ``refresh`` and ``append_duplicate``,
+    which write, so they need list rows; a fresh table's tuple rows can be
+    indexed and read only.
     ``groups`` and ``violated`` are ordered as ``_group`` says, so iteration
     is the same across process restarts.
     """
 
-    def __init__(self, rows: list[list[Cell]], groupings: Sequence[Grouping]):
+    def __init__(self, rows: list[Sequence[Cell]], groupings: Sequence[Grouping]):
         self.rows = rows
         self.groupings = list(groupings)
         self.groups: list[dict[tuple, list[int]]] = []
