@@ -4,10 +4,11 @@ Cells are plain Python values: ``float`` for numeric columns, ``str`` for
 categorical ones, and ``None`` as the dedicated missing marker (serialized as
 an empty field).  ``load_dataset`` reads a file in one pass and gives the
 equal fields of a column one shared, immutable cell.  A loaded or built
-dataset keeps its rows once, as the tuples of its ``clean_shadow``, so that
-later corruption can always be measured against ground truth; ``copy``
-gives the list rows that corruption writes.  ``dataset_to_text`` writes a
-table into an open file a chunk of lines at a time, or returns its text.
+dataset keeps an immutable ``clean_shadow`` of its rows so that later
+corruption can always be measured against ground truth; its ``rows`` are the
+shadow's own tuples, so it holds them once, and ``copy`` gives the list rows
+that corruption writes.  ``dataset_to_text`` returns a table's text, or
+writes it into an open file a chunk of lines at a time.
 
 What makes a row dirty is defined once, here, in ``ViolationIndex``: rows
 that share key values are violated when they hold different present values
@@ -315,12 +316,14 @@ def _text_lines(d: Dataset, delimiter: str, header: bool,
                 clean_lines: Sequence[str] | None) -> Iterator[str]:
     if header:
         yield delimiter.join(d.schema.names)
+    if clean_lines is None:
+        for row in d.rows:
+            yield delimiter.join(map(format_cell, row))
+        return
     shadow = d.clean_shadow
     for row, o in zip(d.rows, d.row_origin):
-        if clean_lines is not None and tuple(row) == shadow[o]:
-            yield clean_lines[o]
-        else:
-            yield delimiter.join(map(format_cell, row))
+        yield (clean_lines[o] if tuple(row) == shadow[o]
+               else delimiter.join(map(format_cell, row)))
 
 
 WRITE_CHUNK_LINES = 1024

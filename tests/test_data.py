@@ -417,20 +417,21 @@ def fresh_tables(draw):
     ``dataset_from_rows`` builds it, with the rules and entity key that
     inconsistent and conflicting injection need."""
     if draw(st.booleans()):
-        d = draw(text_tables())
-        return d, d.rules, ("entity",)
-    text, kwargs, _ = draw(csv_texts())
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            d = load_dataset(path, **kwargs)
-        except (EmptyInputError, ParseError, SchemaError):
-            return draw(fresh_tables())
-    names = d.schema.names
-    if len(names) < 2:
-        return d, (), ()
-    return d, (FDRule((names[0],), names[-1]),), (names[0],)
+        text, kwargs, _ = draw(csv_texts())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                d = load_dataset(path, **kwargs)
+            except (EmptyInputError, ParseError, SchemaError):
+                d = None
+        if d is not None:
+            names = d.schema.names
+            if len(names) < 2:
+                return d, (), ()
+            return d, (FDRule((names[0],), names[-1]),), (names[0],)
+    d = draw(text_tables())
+    return d, d.rules, ("entity",)
 
 
 def assert_rows_are_the_shadow(d):
